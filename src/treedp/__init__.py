@@ -31,7 +31,6 @@ from .efun import (
     SShapedDisutility,
     Sum,
     UnsupportedStructure,
-    evaluate,
     from_spec,
     horizon,
     horizon_numeric,
@@ -53,7 +52,6 @@ from .dp import (
     brute_force,
     evaluate_strategy,
     exact_cost_to_go,
-    exact_root_value,
     expectation_chain,
     history_problem,
     minimize_section,

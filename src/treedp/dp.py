@@ -1,17 +1,21 @@
 """Backward dynamic programming on scenario trees.
 
-The recursion runs stage by stage from the leaves: at each node the
-expected continuation table of the children is minimized over the stage
-decision at every grid state (expanding-box grid search plus pattern
-refinement), and conditional expectation combines sibling tables
-gridwise.  No convexity is assumed anywhere; the growth condition checked
-by the cones module is what makes the expanding search box provably
-bracket the minimizers.
+The recursion runs stage by stage from the leaves.  Every node minimizes
+one objective, stage cost plus the continuation of the post-decision
+state, over the stage decision at every grid state (expanding-box grid
+search plus pattern refinement).  Conditional expectation combines the
+children's tables gridwise into the node's post table, and an interior
+node's continuation interpolates that table; the last stage before
+decision-free leaves evaluates the leaves exactly.  No convexity is
+assumed anywhere; the growth condition checked by the cones module is
+what makes the expanding search box provably bracket the minimizers.
 
 Interpolation cannot certify exact optimality, so every solve re-evaluates
-the true objective of the extracted policy in a forward pass and reports
-both numbers; for small trees an interpolation-free nested verifier is
-available (``verify_optimality(..., method="exact")``).
+the true objective of the extracted policy in a forward pass (mode
+``greedy`` re-minimizes against the tables, ``exact`` against the
+interpolation-free nested recursion) and reports both numbers; for small
+trees the nested recursion also verifies optimality
+(``verify_optimality(..., method="exact")``).
 """
 
 from __future__ import annotations
@@ -179,14 +183,11 @@ class Problem:
 
     def expected_lower_bound(self, node_id: str) -> float:
         """Conditional expectation of the lower bound given the node."""
-        node = self.tree.node(node_id)
-        leaves = [
-            leaf for leaf in self.tree.leaves if node.id in self.tree.path(leaf.id)
-        ]
-        p_node = self.tree.probability(node.id)
+        if self.tree.is_leaf(node_id):
+            return self.lower_bound_at(node_id)
         return sum(
-            self.tree.probability(l.id) / p_node * self.lower_bound_at(l.id)
-            for l in leaves
+            child.prob * self.expected_lower_bound(child.id)
+            for child in self.tree.children(node_id)
         )
 
 
@@ -312,14 +313,10 @@ def minimize_batch(
     lexicographically smallest grid point.  States with no finite value
     anywhere up to the box cap get value +inf and a NaN argmin; states
     whose incumbent keeps improving toward the boundary raise
-    :class:`SearchBoxExhausted`.
+    :class:`SearchBoxExhausted`.  Needs ``dim >= 1``; :func:`_minimize_at`
+    evaluates decision-free nodes without a search.
     """
     diag = {"expansions": 0, "sweeps": 0, "max_box": 0.0}
-    if dim == 0:
-        I = np.arange(n_states)
-        vals = objective(I, np.zeros((n_states, 0)))
-        return np.asarray(vals, dtype=float), np.zeros((n_states, 0)), diag
-
     best_val = np.full(n_states, INF)
     best_x = np.full((n_states, dim), np.nan)
     step0 = np.full(n_states, np.nan)
@@ -400,15 +397,25 @@ def minimize_batch(
     return best_val, best_x, diag
 
 
-def minimize_single(
-    fn: Callable[[np.ndarray], np.ndarray], dim: int, cfg: SolveConfig = DEFAULT_CONFIG,
+def _minimize_at(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    states: np.ndarray,
+    dim: int,
+    cfg: SolveConfig = DEFAULT_CONFIG,
     label: str = "",
-) -> tuple[float, np.ndarray]:
-    """Minimize a single batched objective X (m, dim) -> (m,)."""
-    vals, xs, _ = minimize_batch(
-        lambda I, X: fn(X), dim, 1, cfg, label=label
+    executor: ThreadPoolExecutor | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Minimize ``f(S, X)`` over the decision X at each row of ``states``.
+
+    With no decision to choose (``dim == 0``) this evaluates ``f`` once.
+    """
+    n = states.shape[0]
+    if dim == 0:
+        vals = np.asarray(f(states, np.zeros((n, 0))), dtype=float)
+        return vals, np.zeros((n, 0)), {"expansions": 0, "sweeps": 0, "max_box": 0.0}
+    return minimize_batch(
+        lambda I, X: f(states[I], X), dim, n, cfg, label=label, executor=executor
     )
-    return float(vals[0]), xs[0]
 
 
 def minimize_section(
@@ -436,12 +443,11 @@ def minimize_section(
                 "decision-block horizon is not positive off the origin", witness
             )
 
-    def fn(X: np.ndarray) -> np.ndarray:
-        S = np.repeat(state[None, :], X.shape[0], axis=0)
-        return f.value_many(np.hstack([S, X]))
-
-    val, x = minimize_single(fn, dim, cfg)
-    return val, (x if math.isfinite(val) else np.zeros(0))
+    vals, xs, _ = _minimize_at(
+        lambda S, X: f.value_many(np.hstack([S, X])), state[None, :], dim, cfg
+    )
+    val = float(vals[0])
+    return val, (xs[0] if math.isfinite(val) else np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +467,17 @@ class ValueTable:
     def __call__(self, Q: np.ndarray) -> np.ndarray:
         return interp_multilinear(self.axes, self.values, Q)
 
-    def at(self, q) -> float:
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        return float(self(q[None, :])[0])
-
 
 @dataclass(frozen=True)
 class Policy:
     """Per-node optimal decisions on the entering-state grid.
 
-    Lookup is nearest-neighbor in the state, which keeps the exported
-    policy a plain array; the solver's forward pass re-optimizes at the
-    exactly visited states instead of snapping.
+    This is the exported form of the policy, a plain array per node; the
+    solver's forward pass re-optimizes at the exactly visited states
+    instead of looking decisions up on the grid.
     """
 
     entries: Mapping[str, tuple[tuple[np.ndarray, ...], np.ndarray]]
-
-    def decision_at(self, node_id: str, state) -> np.ndarray:
-        axes, arr = self.entries[node_id]
-        state = np.atleast_1d(np.asarray(state, dtype=float))
-        idx = []
-        for d, ax in enumerate(axes):
-            j = int(np.clip(np.searchsorted(ax, state[d]), 1, len(ax) - 1)) if len(ax) > 1 else 0
-            if len(ax) > 1 and abs(state[d] - ax[j - 1]) <= abs(ax[j] - state[d]):
-                j -= 1
-            idx.append(j)
-        return np.asarray(arr[tuple(idx)], dtype=float)
 
 
 @dataclass
@@ -515,48 +506,64 @@ class SolveResult:
         }
 
 
-def _make_continuation(
-    problem: Problem, node: Node, pre: Mapping[str, "ValueTable"]
+def _node_objective(
+    problem: Problem, node: Node, cont: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The node's recursion: (S, X) -> stage cost + cont(post-decision state)."""
+
+    def f(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        vals = problem.stage_values(node, S, X)
+        return vals + cont(problem.state_map.transition(node, S, X))
+
+    return f
+
+
+def _table_continuation(
+    problem: Problem, node: Node, post: Mapping[str, "ValueTable"]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Post-decision continuation value of a node as a batched callable.
+    """Post-decision continuation of a node on the solver's tables.
 
     Leaves evaluate their objective exactly.  A node whose children are
     all decision-free leaves also evaluates them exactly (the terminal
     cost-to-go is known in closed form, so the last stage needs no
-    interpolation); otherwise the children's gridded tables are combined
-    by conditional expectation and interpolated.
+    interpolation).  Any other node interpolates its own post table:
+    interpolation is linear in the values and +inf-aware, so this equals
+    the probability-weighted sum of the children's interpolated tables.
     """
     tree = problem.tree
-    if tree.is_leaf(node.id):
-        fleaf = problem.leaf_objective[node.id]
-        return lambda nxt: fleaf.value_many(nxt)
-    kids = tree.children(node.id)
-    exact_last = all(
-        tree.is_leaf(c.id) and problem.decision_dim(c.id) == 0 for c in kids
-    )
-    if exact_last:
+    if not tree.is_leaf(node.id) and not all(
+        tree.is_leaf(c.id) and problem.decision_dim(c.id) == 0
+        for c in tree.children(node.id)
+    ):
+        return post[node.id]
+    # the children decide nothing, so no search runs and the config is moot
+    return _exact_continuation(problem, node, DEFAULT_CONFIG)
 
-        def cont(nxt: np.ndarray) -> np.ndarray:
-            out = np.zeros(nxt.shape[0])
-            empty = np.zeros((nxt.shape[0], 0))
-            for child in kids:
-                v = problem.stage_values(child, nxt, empty)
-                term = problem.state_map.transition(child, nxt, empty)
-                v = v + problem.leaf_objective[child.id].value_many(term)
-                out += child.prob * v
-            return out
 
-        return cont
-    tables = [pre[c.id] for c in kids]
-    probs = [c.prob for c in kids]
+def _walk(
+    problem: Problem,
+    S0: np.ndarray,
+    choose: Callable[[Node, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Expected total cost of each row of entering states ``S0`` at the root.
 
-    def cont(nxt: np.ndarray) -> np.ndarray:
-        out = np.zeros(nxt.shape[0])
-        for p, tab in zip(probs, tables):
-            out += p * tab(nxt)
+    The walk is depth first and batched over rows: ``choose(node, S)``
+    returns the decisions (m, n) at the node for its entering states S.
+    """
+    tree = problem.tree
+
+    def visit(node: Node, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        X = choose(node, S)
+        acc = acc + problem.stage_values(node, S, X)
+        nxt = problem.state_map.transition(node, S, X)
+        if tree.is_leaf(node.id):
+            return acc + problem.leaf_objective[node.id].value_many(nxt)
+        out = np.zeros(S.shape[0])
+        for child in tree.children(node.id):
+            out += child.prob * visit(child, nxt, acc)
         return out
 
-    return cont
+    return visit(tree.root, S0, np.zeros(S0.shape[0]))
 
 
 def _entering_axes(
@@ -584,16 +591,15 @@ def backward_solve(
 
     ``grids[t]`` are the per-dimension breakpoints of the stage-t
     post-decision state (t = 0..T-1); siblings share them, so the
-    conditional-expectation step is a gridwise weighted sum.  Horizon
+    conditional-expectation step is a gridwise weighted sum, the node's
+    post table, which its continuation then interpolates.  Horizon
     positivity (cones.check_horizon_positivity) is a precondition: without
     it the expanding search box has nothing to bracket and the solve ends
     in :class:`SearchBoxExhausted`.
 
     The returned ``value`` is the table root value; ``forward_value``
-    re-evaluates the true objective of the extracted policy (mode
-    "greedy" re-optimizes against table continuations at the exactly
-    visited states; "exact" polishes with the interpolation-free nested
-    recursion; "nearest" uses raw policy lookup).
+    re-evaluates the true objective of the extracted policy with
+    :func:`forward_pass` in mode ``forward`` ("greedy" or "exact").
     """
     tree = problem.tree
     T = tree.horizon
@@ -615,7 +621,6 @@ def backward_solve(
                 if axes
                 else np.zeros((1, 0))
             )
-            n_states = mesh.shape[0]
             for node in tree.nodes_at(t):
                 ndim = problem.decision_dim(node.id)
                 if t < T:
@@ -624,17 +629,8 @@ def backward_solve(
                     for child in tree.children(node.id):
                         u = u + child.prob * pre[child.id].values
                     post[node.id] = ValueTable(node.id, out_axes, u, "post")
-                continuation = _make_continuation(problem, node, pre)
-
-                def objective(I: np.ndarray, X: np.ndarray, node=node, cont=continuation):
-                    S = mesh[I]
-                    vals = problem.stage_values(node, S, X)
-                    nxt = problem.state_map.transition(node, S, X)
-                    return vals + cont(nxt)
-
-                vals, args, diag = minimize_batch(
-                    objective, ndim, n_states, cfg, label=node.id, executor=executor
-                )
+                f = _node_objective(problem, node, _table_continuation(problem, node, post))
+                vals, args, diag = _minimize_at(f, mesh, ndim, cfg, node.id, executor)
                 pre[node.id] = ValueTable(node.id, axes, vals.reshape(shape), "pre")
                 policy_entries[node.id] = (axes, args.reshape(shape + (ndim,)))
                 diagnostics["nodes"][node.id] = diag
@@ -685,49 +681,31 @@ def forward_pass(
     """Walk the tree with the extracted policy and price it exactly.
 
     Decisions are adapted by construction (one per visited node).  Mode
-    "greedy" re-minimizes the table continuation at each exactly visited
-    state, "nearest" uses raw nearest-neighbor policy lookup, and "exact"
-    re-minimizes against the interpolation-free nested recursion.
+    "greedy" re-minimizes each node's objective at the exactly visited
+    state with table continuations (interior nodes interpolate their post
+    table); mode "exact" re-minimizes it against the interpolation-free
+    nested recursion.  ``pre`` and ``policy`` are not read: both modes
+    re-optimize instead of looking decisions up, and the parameters stay
+    so that positional callers (perfbench/workloads.py) keep working.
     """
-    tree = problem.tree
+    if mode not in ("greedy", "exact"):
+        raise ValueError(f"unknown forward mode {mode!r}")
     decisions: dict[str, np.ndarray] = {}
 
-    def visit(node: Node, state: np.ndarray, acc: float) -> float:
+    def choose(node: Node, S: np.ndarray) -> np.ndarray:
         ndim = problem.decision_dim(node.id)
         if ndim == 0:
-            x = np.zeros(0)
-        elif mode == "nearest":
-            x = policy.decision_at(node.id, state)
-            if np.isnan(x).any():
-                x = np.zeros(ndim)
-        elif mode == "exact":
-            _, x = _exact_node_min(problem, node, state, cfg.exact_refine())
+            return np.zeros((S.shape[0], 0))
+        if mode == "exact":
+            _, X, _ = _exact_min(problem, node, S, cfg.exact_refine())
         else:
-            cont = _make_continuation(problem, node, pre)
+            f = _node_objective(problem, node, _table_continuation(problem, node, post))
+            _, X, _ = _minimize_at(f, S, ndim, cfg, node.id)
+        X = np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
+        decisions[node.id] = X[0]
+        return X
 
-            def fn(X: np.ndarray) -> np.ndarray:
-                S = np.repeat(state[None, :], X.shape[0], axis=0)
-                vals = problem.stage_values(node, S, X)
-                nxt = problem.state_map.transition(node, S, X)
-                return vals + cont(nxt)
-
-            _, x = minimize_single(fn, ndim, cfg, label=node.id)
-            if np.isnan(x).any():
-                x = np.zeros(ndim)
-        if ndim > 0:
-            decisions[node.id] = x
-        S = state[None, :]
-        X = x[None, :]
-        stage = float(problem.stage_values(node, S, X)[0])
-        nxt = problem.state_map.transition(node, S, X)[0]
-        total = acc + stage
-        if tree.is_leaf(node.id):
-            return total + problem.leaf_objective[node.id].value(nxt)
-        return sum(
-            child.prob * visit(child, nxt, total) for child in tree.children(node.id)
-        )
-
-    value = visit(tree.root, problem.state_map.initial, 0.0)
+    value = _walk(problem, problem.state_map.initial[None, :], choose)[0]
     return float(value), AdaptedSequence(decisions)
 
 
@@ -736,53 +714,34 @@ def forward_pass(
 # ---------------------------------------------------------------------------
 
 
-def _exact_values_batch(
-    problem: Problem, node: Node, states: np.ndarray, cfg: SolveConfig
-) -> np.ndarray:
-    """Pre-decision optimal values at a batch of entering states, no tables.
+def _exact_continuation(
+    problem: Problem, node: Node, cfg: SolveConfig
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Post-decision continuation of a node by the nested recursion, no tables.
 
     The recursion stays batched all the way down (states x decisions per
     level), which keeps nested verification on small trees tractable.
     """
-    ndim = problem.decision_dim(node.id)
-
-    def objective(I: np.ndarray, X: np.ndarray) -> np.ndarray:
-        S = states[I]
-        vals = problem.stage_values(node, S, X)
-        nxt = problem.state_map.transition(node, S, X)
-        return vals + _exact_post_many(problem, node, nxt, cfg)
-
-    vals, _, _ = minimize_batch(objective, ndim, states.shape[0], cfg, label=node.id)
-    return vals
-
-
-def _exact_node_min(
-    problem: Problem, node: Node, state: np.ndarray, cfg: SolveConfig
-) -> tuple[float, np.ndarray]:
-    """min over the node's decision of stage cost + exact continuation."""
-    ndim = problem.decision_dim(node.id)
-
-    def fn(X: np.ndarray) -> np.ndarray:
-        S = np.repeat(state[None, :], X.shape[0], axis=0)
-        vals = problem.stage_values(node, S, X)
-        nxt = problem.state_map.transition(node, S, X)
-        return vals + _exact_post_many(problem, node, nxt, cfg)
-
-    if ndim == 0:
-        return float(fn(np.zeros((1, 0)))[0]), np.zeros(0)
-    return minimize_single(fn, ndim, cfg, label=node.id)
-
-
-def _exact_post_many(
-    problem: Problem, node: Node, states: np.ndarray, cfg: SolveConfig
-) -> np.ndarray:
     tree = problem.tree
     if tree.is_leaf(node.id):
-        return problem.leaf_objective[node.id].value_many(states)
-    out = np.zeros(states.shape[0])
-    for child in tree.children(node.id):
-        out += child.prob * _exact_values_batch(problem, child, states, cfg)
-    return out
+        return problem.leaf_objective[node.id].value_many
+    kids = tree.children(node.id)
+
+    def cont(states: np.ndarray) -> np.ndarray:
+        out = np.zeros(states.shape[0])
+        for child in kids:
+            out += child.prob * _exact_min(problem, child, states, cfg)[0]
+        return out
+
+    return cont
+
+
+def _exact_min(
+    problem: Problem, node: Node, states: np.ndarray, cfg: SolveConfig
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Optimal values and decisions at a batch of entering states, no tables."""
+    f = _node_objective(problem, node, _exact_continuation(problem, node, cfg))
+    return _minimize_at(f, states, problem.decision_dim(node.id), cfg, node.id)
 
 
 def exact_cost_to_go(
@@ -792,12 +751,7 @@ def exact_cost_to_go(
     cfg = (cfg or DEFAULT_CONFIG).exact_refine()
     node = problem.tree.node(node_id)
     state = np.atleast_1d(np.asarray(state, dtype=float))
-    return _exact_node_min(problem, node, state, cfg)[0]
-
-
-def exact_root_value(problem: Problem, cfg: SolveConfig | None = None) -> float:
-    """Optimal value by the nested recursion alone."""
-    return exact_cost_to_go(problem, problem.tree.root.id, problem.state_map.initial, cfg)
+    return float(_exact_min(problem, node, state[None, :], cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -805,43 +759,77 @@ def exact_root_value(problem: Problem, cfg: SolveConfig | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _strategy_states(
+def _strategy_choice(
     problem: Problem, strategy: AdaptedSequence
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, float]]:
-    """Entering state, post state, and accumulated stage cost per node."""
-    tree = problem.tree
-    entering: dict[str, np.ndarray] = {}
-    after: dict[str, np.ndarray] = {}
-    past: dict[str, float] = {}
+) -> Callable[[Node, np.ndarray], np.ndarray]:
+    """The strategy's decision at each node, as a ``_walk`` chooser."""
 
-    def visit(node: Node, state: np.ndarray, acc: float) -> None:
+    def choose(node: Node, S: np.ndarray) -> np.ndarray:
         ndim = problem.decision_dim(node.id)
         x = strategy.at(node.id) if ndim > 0 else np.zeros(0)
         if x.shape != (ndim,):
             raise ValueError(f"strategy at {node.id!r} has dimension {x.shape}, want {ndim}")
-        entering[node.id] = state
-        S, X = state[None, :], x[None, :]
-        stage = float(problem.stage_values(node, S, X)[0])
-        nxt = problem.state_map.transition(node, S, X)[0]
-        after[node.id] = nxt
-        past[node.id] = acc + stage
-        if not tree.is_leaf(node.id):
-            for child in tree.children(node.id):
-                visit(child, nxt, acc + stage)
+        return np.repeat(x[None, :], S.shape[0], axis=0)
 
-    visit(tree.root, problem.state_map.initial, 0.0)
-    return entering, after, past
+    return choose
+
+
+def _strategy_points(
+    problem: Problem,
+    strategy: AdaptedSequence,
+    result: "SolveResult | None",
+    cfg: SolveConfig,
+    method: str,
+) -> dict[str, tuple]:
+    """Per node along the strategy: (objective f, entering state S,
+    decision X, f(S, X)), one row each.
+
+    ``method="tables"`` gives f the solver's table continuation,
+    ``method="exact"`` the nested recursion's.
+    """
+    if method == "tables":
+        if result is None:
+            raise ValueError("a solve result is required for method='tables'")
+    elif method != "exact":
+        raise ValueError(f"unknown verification method {method!r}")
+    strategy_choice = _strategy_choice(problem, strategy)
+    points: dict[str, tuple] = {}
+
+    def choose(node: Node, S: np.ndarray) -> np.ndarray:
+        X = strategy_choice(node, S)
+        if method == "exact":
+            cont = _exact_continuation(problem, node, cfg.exact_refine())
+        else:
+            cont = _table_continuation(problem, node, result.post_tables)
+        f = _node_objective(problem, node, cont)
+        points[node.id] = (f, S, X, float(f(S, X)[0]))
+        return X
+
+    _walk(problem, problem.state_map.initial[None, :], choose)
+    return points
+
+
+def _chain(problem: Problem, points: Mapping[str, tuple]) -> list[float]:
+    """E h_t for t = 0..T: earlier stage costs plus each node's objective value."""
+    tree = problem.tree
+    past = {tree.root.id: 0.0}
+    chain: list[float] = []
+    for t in range(tree.horizon + 1):
+        total = 0.0
+        for node in tree.nodes_at(t):
+            _, S, X, here = points[node.id]
+            total += tree.probability(node.id) * (past[node.id] + here)
+            stage = float(problem.stage_values(node, S, X)[0])
+            for child in tree.children(node.id):
+                past[child.id] = past[node.id] + stage
+        chain.append(float(total))
+    return chain
 
 
 def evaluate_strategy(problem: Problem, strategy: AdaptedSequence) -> float:
     """Exact expected objective of an adapted strategy."""
-    tree = problem.tree
-    _, after, past = _strategy_states(problem, strategy)
-    total = 0.0
-    for leaf in tree.leaves:
-        v = past[leaf.id] + problem.leaf_objective[leaf.id].value(after[leaf.id])
-        total += tree.probability(leaf.id) * v
-    return float(total)
+    S0 = problem.state_map.initial[None, :]
+    return float(_walk(problem, S0, _strategy_choice(problem, strategy))[0])
 
 
 def expectation_chain(
@@ -854,37 +842,13 @@ def expectation_chain(
     """E h_t(x^t) for t = 0..T along the strategy.
 
     With ``method="tables"`` the post-decision continuation is the
-    solver's own (gridded children tables, exact last stage); with
-    ``method="exact"`` it is recomputed by the nested recursion, which is
-    slower but free of interpolation error.  The final element is always
-    the exact objective value of the strategy.
+    solver's own (interior nodes interpolate their post table, exact last
+    stage); with ``method="exact"`` it is recomputed by the nested
+    recursion, which is slower but free of interpolation error.  The
+    final element is always the exact objective value of the strategy.
     """
-    tree = problem.tree
-    _, after, past = _strategy_states(problem, strategy)
-    chain: list[float] = []
-    for t in range(tree.horizon + 1):
-        total = 0.0
-        for node in tree.nodes_at(t):
-            state = after[node.id]
-            if tree.is_leaf(node.id):
-                cont = problem.leaf_objective[node.id].value(state)
-            elif method == "exact":
-                cont = sum(
-                    child.prob
-                    * _exact_node_min(
-                        problem, child, state, (cfg or DEFAULT_CONFIG).exact_refine()
-                    )[0]
-                    for child in tree.children(node.id)
-                )
-            else:
-                if result is None:
-                    raise ValueError("a solve result is required for method='tables'")
-                cont = float(
-                    _make_continuation(problem, node, result.pre_tables)(state[None, :])[0]
-                )
-            total += tree.probability(node.id) * (past[node.id] + cont)
-        chain.append(float(total))
-    return chain
+    points = _strategy_points(problem, strategy, result, cfg or DEFAULT_CONFIG, method)
+    return _chain(problem, points)
 
 
 @dataclass
@@ -927,37 +891,13 @@ def verify_optimality(
     interpolation error; ``method="exact"`` removes that caveat for small
     trees by re-minimizing with the nested recursion.
     """
-    tree = problem.tree
-    entering, after, _ = _strategy_states(problem, strategy)
-    chain = expectation_chain(problem, strategy, result=result, cfg=cfg, method=method)
+    points = _strategy_points(problem, strategy, result, cfg, method)
+    chain = _chain(problem, points)
+    search_cfg = cfg.exact_refine() if method == "exact" else cfg
     node_gaps: dict[str, float] = {}
-    for node in tree.nodes:
-        ndim = problem.decision_dim(node.id)
-        state = entering[node.id]
-        x = strategy.at(node.id) if ndim > 0 else np.zeros(0)
-        S, X = state[None, :], x[None, :]
-        stage = float(problem.stage_values(node, S, X)[0])
-        nxt = problem.state_map.transition(node, S, X)[0]
-        if method == "exact":
-            cont = float(_exact_post_many(problem, node, nxt[None, :], cfg.exact_refine())[0])
-            best = _exact_node_min(problem, node, state, cfg.exact_refine())[0]
-        else:
-            if result is None:
-                raise ValueError("a solve result is required for method='tables'")
-            contf = _make_continuation(problem, node, result.pre_tables)
-            cont = float(contf(nxt[None, :])[0])
-
-            def fn(Xc: np.ndarray) -> np.ndarray:
-                Sc = np.repeat(state[None, :], Xc.shape[0], axis=0)
-                vals = problem.stage_values(node, Sc, Xc)
-                nx = problem.state_map.transition(node, Sc, Xc)
-                return vals + contf(nx)
-
-            if ndim == 0:
-                best = float(fn(np.zeros((1, 0)))[0])
-            else:
-                best, _ = minimize_single(fn, ndim, cfg, label=node.id)
-        here = stage + cont
+    for node in problem.tree.nodes:
+        f, S, X, here = points[node.id]
+        best = float(_minimize_at(f, S, X.shape[1], search_cfg, node.id)[0][0])
         if math.isinf(here) and math.isinf(best):
             node_gaps[node.id] = 0.0
         else:
@@ -987,7 +927,6 @@ def brute_force(
     in lexicographic grid order.  Independent of the recursion: no tables,
     no interpolation, no refinement.
     """
-    tree = problem.tree
     nodes = problem.decision_nodes()
     mats = []
     for n in nodes:
@@ -1017,20 +956,8 @@ def brute_force(
             nodes[i].id: mats[i][(C // strides[i]) % sizes[i]] for i in range(len(nodes))
         }
         m = C.shape[0]
-
-        def walk(node: Node, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
-            X = dec.get(node.id, np.zeros((m, 0)))
-            acc2 = acc + problem.stage_values(node, S, X)
-            nxt = problem.state_map.transition(node, S, X)
-            if tree.is_leaf(node.id):
-                return acc2 + problem.leaf_objective[node.id].value_many(nxt)
-            out = np.zeros(m)
-            for child in tree.children(node.id):
-                out += child.prob * walk(child, nxt, acc2)
-            return out
-
         S0 = np.repeat(problem.state_map.initial[None, :], m, axis=0)
-        vals = walk(tree.root, S0, np.zeros(m))
+        vals = _walk(problem, S0, lambda node, S: dec.get(node.id, np.zeros((m, 0))))
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])

@@ -81,13 +81,6 @@ class ExtFun:
         z = np.zeros(self.dim)
         return z if self.value(z) < INF else None
 
-    def is_convex(self) -> bool:
-        return False
-
-    def has_ray_limits(self) -> bool:
-        """Whether f(a*w + w0)/a has a true limit along every ray, any w0 in dom f."""
-        return False
-
     def is_indicator(self) -> bool:
         """Whether the function only takes the values 0 and +inf."""
         return False
@@ -118,13 +111,6 @@ class Affine(ExtFun):
     def value_many(self, X):
         return X @ self.a + self.b
 
-    def is_convex(self):
-        return True
-
-    def has_ray_limits(self):
-        return True
-
-
 @dataclass(frozen=True, eq=False)
 class PowerCost(ExtFun):
     """z -> coeff * sum_i |z_i|**exponent, superlinear for exponent > 1."""
@@ -141,13 +127,6 @@ class PowerCost(ExtFun):
 
     def value_many(self, X):
         return self.coeff * np.abs(X) ** self.exponent @ np.ones(self.dim)
-
-    def is_convex(self):
-        return True
-
-    def has_ray_limits(self):
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class IndicatorBox(ExtFun):
@@ -176,12 +155,6 @@ class IndicatorBox(ExtFun):
 
     def domain_point(self):
         return np.clip(np.zeros(self.dim), self.lower, self.upper)
-
-    def is_convex(self):
-        return True
-
-    def has_ray_limits(self):
-        return True
 
     def is_indicator(self):
         return True
@@ -212,12 +185,6 @@ class IndicatorPolyCone(ExtFun):
     def value_many(self, X):
         ok = (X @ self.normals.T <= 0.0).all(axis=1)
         return np.where(ok, 0.0, INF)
-
-    def is_convex(self):
-        return True
-
-    def has_ray_limits(self):
-        return True
 
     def is_indicator(self):
         return True
@@ -277,15 +244,6 @@ class Sampled1D(ExtFun):
     def domain_point(self):
         return np.array([self.grid[0]])
 
-    def is_convex(self):
-        slopes = np.diff(self.values) / np.diff(self.grid)
-        seq = np.concatenate(([self.slope_left], slopes, [self.slope_right]))
-        return bool((np.diff(seq) >= -1e-12).all())
-
-    def has_ray_limits(self):
-        return True
-
-
 @dataclass(frozen=True, eq=False)
 class SShapedDisutility(ExtFun):
     """Disutility of terminal expenditure for an S-shaped investor.
@@ -313,16 +271,17 @@ class SShapedDisutility(ExtFun):
 
     def value_many(self, X):
         c = X[:, 0]
-        m = np.abs(c) ** self.gamma
-        return np.where(c >= 0, self.beta * c, -self.kappa * m / (1.0 + m))
+        out = self.beta * c
+        # kappa*m/(1+m) with m = |c|**gamma, written so that m = inf gives
+        # kappa; tiny |c| overflows |c|**-gamma to inf, which gives -0.0
+        loss = c < 0
+        with np.errstate(over="ignore"):
+            out[loss] = -self.kappa / (1.0 + np.abs(c[loss]) ** -self.gamma)
+        return out
 
     def utility(self, w) -> float:
         """The underlying utility u(w) = -V(-w)."""
         return -self.value([-float(w)])
-
-    def has_ray_limits(self):
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class Homog1D(ExtFun):
@@ -353,12 +312,6 @@ class Homog1D(ExtFun):
         out[pos] = self.slope_pos * w[pos]
         out[neg] = self.slope_neg * w[neg]
         return out + 0.0  # normalizes -0.0
-
-    def is_convex(self):
-        return self.slope_neg <= self.slope_pos
-
-    def has_ray_limits(self):
-        return True
 
     def is_indicator(self):
         return self.slope_pos in (0.0, INF) and self.slope_neg in (0.0, -INF)
@@ -424,12 +377,6 @@ class Sum(ExtFun):
                 return c
         return None
 
-    def is_convex(self):
-        return all(t.is_convex() for t in self.terms)
-
-    def has_ray_limits(self):
-        return all(t.has_ray_limits() for t in self.terms)
-
     def is_indicator(self):
         return all(t.is_indicator() for t in self.terms)
 
@@ -477,12 +424,6 @@ class AffinePrecompose(ExtFun):
             if self.value(c) < INF:
                 return c
         return None
-
-    def is_convex(self):
-        return self.inner.is_convex()
-
-    def has_ray_limits(self):
-        return self.inner.has_ray_limits() and self.domain_point() is not None
 
     def is_indicator(self):
         return self.inner.is_indicator()
@@ -1029,8 +970,3 @@ def from_spec(d: Mapping) -> ExtFun:
     if kind == "partial_min":
         return PartialMin(from_spec(d["children"][0]), int(d["keep"]))
     raise ValueError(f"unknown expression kind {kind!r}")
-
-
-def evaluate(f: ExtFun, x) -> float:
-    """Pointwise evaluation (functional form of ``f.value``)."""
-    return f.value(x)

@@ -251,14 +251,24 @@ class MarketModel:
                 raise InvalidModel(
                     f"prices at {node.id!r} have shape {z.shape}, want ({self.n_risky},)"
                 )
+            if not np.isfinite(z).all():
+                raise InvalidModel(f"prices at {node.id!r} are not finite: {z.tolist()}")
             prices[node.id] = z
         object.__setattr__(self, "prices", prices)
-        for nid in self.claims:
+        for nid, v in self.claims.items():
             if nid not in self.tree:
                 raise InvalidModel(f"claim at unknown node {nid!r}")
-        for nid in self.endowment:
+            if not math.isfinite(v):
+                raise InvalidModel(f"claim at {nid!r} is not finite: {v}")
+        for nid, v in self.endowment.items():
             if not self.tree.is_leaf(nid):
                 raise InvalidModel(f"endowment at non-leaf node {nid!r}")
+            if not math.isfinite(v):
+                raise InvalidModel(f"endowment at {nid!r} is not finite: {v}")
+        for name in ("initial_cash", "cash_lower"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise InvalidModel(f"{name} is not finite: {v}")
         if self.constraints:
             for t, (lo, up) in self.constraints.items():
                 IndicatorBox(lo, up)  # shape/order checks
@@ -532,10 +542,15 @@ def _path_objectives_cash(model: MarketModel) -> dict[str, ExtFun] | None:
     return out
 
 
-def default_grids_cash(
-    model: MarketModel, radius: float = 2.0, points: int = 33
+def _default_grids(
+    model: MarketModel, radius: float, points: int, cash_points: int
 ) -> dict[int, tuple[np.ndarray, ...]]:
-    """Rectangular state grids covering trades of size up to ``radius``."""
+    """Rectangular state grids covering trades of size up to ``radius``.
+
+    Per stage, a (cash, holdings) grid: the cash axis spans everything T
+    such trades, their costs and the claims can move the cash account
+    around ``initial_cash``.
+    """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
     max_z = max((float(np.abs(model.Z(n.id)).max()) for n in tree.nodes), default=1.0)
@@ -546,7 +561,7 @@ def default_grids_cash(
     )
     span = T * (2.0 * radius * J * max_z + max_cost + max_claim) + 0.5
     x0 = model.initial_cash
-    cash_ax = np.linspace(x0 - span, x0 + span, points)
+    cash_ax = np.linspace(x0 - span, x0 + span, cash_points)
     phi_ax = np.linspace(-radius, radius, points)
     return {t: (cash_ax,) + (phi_ax,) * J for t in range(T)}
 
@@ -599,7 +614,7 @@ def build_problem_cash(
         "form": "cash",
         "market_analysis": _analysis_stamp(model, report),
         "validation": report,
-        "grids": default_grids_cash(model, radius, points),
+        "grids": _default_grids(model, radius, points, points),
     }
     paths = _path_objectives_cash(model)
     if paths is not None:
@@ -650,33 +665,6 @@ def _path_objectives_terminal(model: MarketModel) -> dict[str, ExtFun] | None:
         )
         out[leaf.id] = Sum(tuple(terms))
     return out
-
-
-def default_grids_terminal(
-    model: MarketModel, radius: float = 2.0, points: int = 33
-) -> dict[int, tuple[np.ndarray, ...]]:
-    """Grids for the full-portfolio form.
-
-    The cash axis only covers the binding-budget region (wasted slack
-    never helps a nondecreasing disutility, so truncating it does not
-    change the optimum) and is denser than the holdings axes because the
-    value varies along it at every stage.
-    """
-    tree = model.tree
-    J, T = model.n_risky, tree.horizon
-    max_z = max((float(np.abs(model.Z(n.id)).max()) for n in tree.nodes), default=1.0)
-    max_claim = max((abs(model.claim(n.id)) for n in tree.nodes), default=0.0)
-    trade = np.full((1, J), 2.0 * radius)
-    max_cost = max(
-        (float(model.cost.cost_many(n, trade)[0]) for n in tree.nodes), default=0.0
-    )
-    x0 = model.initial_cash
-    step = 2.0 * radius * J * max_z + max_cost + max_claim
-    lo = x0 - T * step - 0.5
-    hi = x0 + T * step + 0.5
-    cash_ax = np.linspace(lo, hi, 2 * points - 1)
-    phi_ax = np.linspace(-radius, radius, points)
-    return {t: (cash_ax,) + (phi_ax,) * J for t in range(T)}
 
 
 def build_problem_terminal(
@@ -776,7 +764,10 @@ def build_problem_terminal(
         "form": "terminal",
         "market_analysis": _analysis_stamp(model, report),
         "validation": report,
-        "grids": default_grids_terminal(model, radius, points),
+        # the cash axis only needs the binding-budget region (wasted slack
+        # never helps a nondecreasing disutility), and it is denser than the
+        # holdings axes because the value varies along it at every stage
+        "grids": _default_grids(model, radius, points, 2 * points - 1),
     }
     paths = _path_objectives_terminal(model)
     if paths is not None:

@@ -169,13 +169,6 @@ class ScenarioTree:
             out[node.id] = acc
         return out
 
-    def expectation(self, leaf_values: Mapping[str, float]) -> float:
-        """Unconditional expectation of a per-leaf scalar."""
-        vals = {n.id: float(leaf_values[n.id]) for n in self.leaves}
-        for t in range(self._horizon - 1, -1, -1):
-            vals = self.conditional_expectation(t, vals)
-        return vals[self.root.id]
-
 
 def validate(tree: ScenarioTree) -> list[str]:
     """Check all structural invariants; return violations (empty if valid).

@@ -21,10 +21,9 @@ def arbitrage_file(tmp_path):
     return str(p)
 
 
-@pytest.fixture
-def toy_file(tmp_path):
+def toy_model_dict() -> dict:
     # one-period no-arbitrage model that solves in well under a second
-    model_dict = {
+    return {
         "assets": 1,
         "initial_cash": 1.0,
         "cost": {"kind": "power", "coeff": 0.1, "exponent": 2.0},
@@ -35,8 +34,12 @@ def toy_file(tmp_path):
             {"id": "d", "time": 1, "parent": "r", "prob": 0.5, "data": {"Z": [0.5]}},
         ],
     }
+
+
+@pytest.fixture
+def toy_file(tmp_path):
     p = tmp_path / "toy.json"
-    p.write_text(json.dumps(model_dict))
+    p.write_text(json.dumps(toy_model_dict()))
     return str(p)
 
 
@@ -76,6 +79,26 @@ class TestCheck:
         with pytest.raises(SystemExit) as err:
             cli.main(["check", str(p)])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["tree"][1]["data"].update(Z=[float("nan")]),
+        lambda d: d["tree"][0]["data"].update(claim=float("inf")),
+        lambda d: d["tree"][2]["data"].update(endowment=float("nan")),
+        lambda d: d.update(initial_cash=float("nan")),
+        lambda d: d.update(cash_lower=float("-inf")),
+    ], ids=["price", "claim", "endowment", "initial_cash", "cash_lower"])
+    def test_non_finite_data_exit_1(self, command, mutate, tmp_path, capsys):
+        model = toy_model_dict()
+        mutate(model)
+        p = tmp_path / "nonfinite.json"
+        p.write_text(json.dumps(model))  # writes NaN / Infinity literals
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, str(p), "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and "not finite" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestSolve:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treedp as td
 from treedp import dp
@@ -88,6 +90,40 @@ class TestMinimizeSection:
         cfg = dp.SolveConfig(grid_points=5, eps_ref=1.0)  # grid only, B=1..2
         val, arg = dp.minimize_section(f, [], cfg=cfg)
         assert arg[0] == -1.0
+
+
+class TestInterpolation:
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_linear_in_the_values(self, n_axes, n_tables, seed):
+        # interior continuations interpolate the post table sum_i p_i V_i in
+        # place of sum_i p_i * interp(V_i); both must agree, +inf included
+        rng = np.random.default_rng(seed)
+        axes = [
+            np.cumsum(rng.uniform(0.1, 2.0, int(rng.integers(1, 5)))) - 2.0
+            for _ in range(n_axes)
+        ]
+        shape = tuple(len(a) for a in axes)
+        tables = [rng.uniform(-10.0, 10.0, shape) for _ in range(n_tables)]
+        for V in tables:
+            V[rng.random(shape) < 0.2] = INF
+        p = rng.uniform(0.05, 1.0, n_tables)
+        p /= p.sum()
+        # queries inside, outside and exactly on grid lines
+        Q = np.stack([rng.uniform(a[0] - 1.0, a[-1] + 1.0, 32) for a in axes], axis=1)
+        for d, a in enumerate(axes):
+            snap = rng.random(32) < 0.3
+            Q[snap, d] = rng.choice(a, int(snap.sum()))
+        post = sum(pi * V for pi, V in zip(p, tables))
+        lhs = dp.interp_multilinear(axes, post, Q)
+        rhs = sum(pi * dp.interp_multilinear(axes, V, Q) for pi, V in zip(p, tables))
+        assert (np.isinf(lhs) == np.isinf(rhs)).all()
+        finite = np.isfinite(lhs)
+        np.testing.assert_allclose(lhs[finite], rhs[finite], rtol=1e-12, atol=1e-12 * 10.0)
 
 
 class TestBackwardSolve:
@@ -279,9 +315,3 @@ class TestExports:
         report = dp.report_json(res)
         assert '"value"' in report
         assert dp.report_json(res) == report  # deterministic
-
-    def test_policy_lookup_nearest(self):
-        _, res = get_solved("frictionless_t1")
-        axes, arr = res.policy.entries["r"]
-        dec = res.policy.decision_at("r", [a[0] for a in axes])
-        assert dec.shape == (1,)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestEval:
         assert v.value([-1.0]) == pytest.approx(-0.5)
         assert v.utility(1.0) == pytest.approx(0.5)
         assert v.utility(-2.0) == pytest.approx(-2.0)
+
+    def test_sshaped_deep_loss_does_not_overflow(self):
+        # |c|**gamma overflows to inf at c = -2**30; the value is still -kappa
+        v = SShapedDisutility(40.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # c = 0 must not divide by zero either
+            vals = v.value_many(np.array([[-2.0**30], [0.0]]))
+        assert vals[0] == -1.0 and math.isfinite(vals[0])
+        assert vals[1] == 0.0
 
     def test_sampled_interpolation_and_tails(self):
         f = Sampled1D([0.0, 1.0], [0.0, 2.0], slope_left=-1.0, slope_right=3.0)

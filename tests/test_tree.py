@@ -153,7 +153,10 @@ class TestProperties:
         assert td.validate(tree) == []
         rng = np.random.default_rng(seed)
         leaf_vals = {n.id: float(v) for n, v in zip(tree.leaves, rng.uniform(-5, 5, len(tree.leaves)))}
-        nested = tree.expectation(leaf_vals)
+        nested = leaf_vals
+        for t in range(tree.horizon - 1, -1, -1):
+            nested = tree.conditional_expectation(t, nested)
+        nested = nested[tree.root.id]
         direct = sum(tree.probability(n.id) * leaf_vals[n.id] for n in tree.leaves)
         assert nested == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
