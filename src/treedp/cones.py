@@ -7,9 +7,9 @@ direction.  This module decides that condition:
 * analytically for market models with superlinear total costs;
 * by polyhedral cone propagation through the tree for problems whose
   per-leaf objectives have exact symbolic horizons (each leaf contributes
-  the halfspace rows of its horizon's zero sublevel set, restricted to the
-  decisions on its path; the adapted feasible cone is then tested for
-  being {0} by bounded LPs);
+  the halfspace rows R of its horizon's zero sublevel set, restricted to
+  the decisions on its path; the adapted cone {R y <= 0} is {0} iff
+  ker R = {0} and the cone is a subspace, one SVD and one bounded LP);
 * by sphere sampling otherwise, in which case only a found witness is
   conclusive and the verdict is otherwise "undecided".
 
@@ -17,8 +17,9 @@ When the condition fails because null directions form a linear space, the
 problem can be restricted to the orthogonal complement of those
 directions per stage without changing the optimal value; ``null_space``
 computes the per-node subspaces exactly for linear/polyhedral structure
-and ``project_problem`` applies the restriction.  A classical frictionless
-no-arbitrage search is included as an independent reference check.
+(one kernel per stage) and ``project_problem`` applies the restriction.
+A classical frictionless no-arbitrage search is included as an
+independent reference check.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from scipy.optimize import linprog
 
 from . import efun
 from ._polyhedral import (
+    cone_certificate,
     cone_is_subspace,
-    cone_nonzero_direction,
     kernel_basis,
     orthonormal_complement,
 )
@@ -276,7 +277,7 @@ def check_horizon_positivity(
     rows = _stacked_rows(problem, horizons, offsets, total)
     if rows is not None:
         method.append("cone propagation: polyhedral zero-sublevel rows per leaf")
-        y = cone_nonzero_direction(rows, total)
+        y, details["cone"] = cone_certificate(rows, total)
         if y is None:
             return CheckReport("holds", None, method, details)
         ok, vals = _witness_ok(problem, horizons, offsets, total, y)
@@ -414,21 +415,23 @@ def null_space(problem: Problem) -> DirectionSet:
             "nonpositive-horizon directions form a one-sided cone, not a subspace",
             ray=_split_witness(offsets, ray),
         )
+    # the directions at a stage-t node are the kernel of the leaf rows
+    # with every decision before stage t pinned to zero: one kernel per
+    # stage, and none after an empty one (pinning more never grows a kernel)
+    times = {nid: problem.tree.node(nid).time for nid in nodes}
+    eye = np.eye(total)
+    kernels: dict[int, np.ndarray] = {}
+    K = None
+    for t in sorted(set(times.values())):
+        if K is None or K.shape[1]:
+            past = [np.arange(*offsets[mid]) for mid in nodes if times[mid] < t]
+            stacked = np.vstack([rows, eye[np.concatenate(past)]]) if past else rows
+            K = kernel_basis(stacked)
+        kernels[t] = K
     per_node: dict[str, np.ndarray] = {}
-    tree = problem.tree
     for nid in nodes:
-        t = tree.node(nid).time
         a, b = offsets[nid]
-        past_rows = []
-        for mid in nodes:
-            if tree.node(mid).time < t:
-                pa, pb = offsets[mid]
-                sel = np.zeros((pb - pa, total))
-                sel[:, pa:pb] = np.eye(pb - pa)
-                past_rows.append(sel)
-        stacked = np.vstack([rows] + past_rows) if past_rows else rows
-        K = kernel_basis(stacked)
-        block = K[a:b, :]
+        block = kernels[times[nid]][a:b, :]
         if block.size == 0 or not block.any():
             per_node[nid] = np.zeros((b - a, 0))
             continue

@@ -236,7 +236,9 @@ def interp_multilinear(
     Any corner with positive weight and value +inf makes the result +inf
     (the lsc-safe convention).  Queries outside the grid return +inf: the
     grids declare the covered state region, and a wall keeps the search
-    box bounded instead of silently extrapolating.
+    box bounded instead of silently extrapolating.  A query with a NaN
+    coordinate gives NaN (+inf if another coordinate is outside), never a
+    finite value.
     """
     m, s = Q.shape
     if s == 0:
@@ -276,10 +278,9 @@ def interp_multilinear(
         if degenerate:
             continue
         v = values[tuple(idx)]
-        active = w > 0
-        inf_here = active & np.isinf(v)
-        hit_inf |= inf_here
-        out += np.where(active & ~np.isinf(v), w * v, 0.0)
+        inf_here = np.isinf(v)
+        hit_inf |= (w > 0) & inf_here
+        out += w * np.where(inf_here, 0.0, v)
     out[hit_inf] = INF
     return out
 

@@ -126,7 +126,10 @@ class SShapedUtility:
     beta: float
 
     def __post_init__(self):
-        SShapedDisutility(self.gamma, self.kappa, self.beta)  # parameter checks
+        try:
+            SShapedDisutility(self.gamma, self.kappa, self.beta)  # parameter checks
+        except ValueError as e:
+            raise InvalidModel(f"sshaped utility: {e}") from None
 
     def value(self, w: float) -> float:
         return -self.disutility().value([-float(w)])
@@ -271,7 +274,10 @@ class MarketModel:
                 raise InvalidModel(f"{name} is not finite: {v}")
         if self.constraints:
             for t, (lo, up) in self.constraints.items():
-                IndicatorBox(lo, up)  # shape/order checks
+                try:
+                    IndicatorBox(lo, up)  # shape/order checks
+                except ValueError as e:
+                    raise InvalidModel(f"constraint bounds at stage {t}: {e}") from None
                 if np.atleast_1d(lo).shape != (self.n_risky,):
                     raise InvalidModel(f"constraint bounds at stage {t} have wrong shape")
 
@@ -804,6 +810,26 @@ MARKET_SCHEMA = {
 }
 
 
+def _number(d: Mapping, key: str, where: str) -> float:
+    """``d[key]`` as a float, or InvalidModel naming the field."""
+    if key not in d:
+        raise InvalidModel(f"{where} is missing {key!r}")
+    try:
+        return float(d[key])  # parses "inf"/"-inf" spellings too
+    except (TypeError, ValueError):
+        raise InvalidModel(f"{where}: {key!r} is not a number: {d[key]!r}") from None
+
+
+def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
+    """``d[key]`` as a float array, or InvalidModel naming the field."""
+    if key not in d:
+        raise InvalidModel(f"{where} is missing {key!r}")
+    try:
+        return np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidModel(f"{where}: {key!r} is not a list of numbers: {d[key]!r}") from None
+
+
 def _cost_from_dict(d: Mapping) -> Frictionless | PowerIlliquidity:
     kind = d.get("kind")
     if kind == "frictionless":
@@ -811,19 +837,28 @@ def _cost_from_dict(d: Mapping) -> Frictionless | PowerIlliquidity:
     if kind == "power":
         per_node = None
         if "per_node" in d:
-            per_node = {k: (float(v[0]), float(v[1])) for k, v in d["per_node"].items()}
-        return PowerIlliquidity(float(d["coeff"]), float(d["exponent"]), per_node)
+            try:
+                per_node = {k: (float(v[0]), float(v[1])) for k, v in d["per_node"].items()}
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+                raise InvalidModel(
+                    f"cost.per_node must map node ids to [coeff, exponent]: {d['per_node']!r}"
+                ) from None
+        return PowerIlliquidity(
+            _number(d, "coeff", "cost"), _number(d, "exponent", "cost"), per_node
+        )
     raise InvalidModel(f"unknown cost kind {kind!r}")
 
 
-def _utility_from_dict(d: Mapping) -> Utility:
+def _utility_from_dict(d: Mapping, where: str = "utility") -> Utility:
+    if not isinstance(d, Mapping):
+        raise InvalidModel(f"{where} is not an object: {d!r}")
     kind = d.get("kind")
     if kind == "sshaped":
-        return SShapedUtility(float(d["gamma"]), float(d["kappa"]), float(d["beta"]))
+        return SShapedUtility(*(_number(d, k, where) for k in ("gamma", "kappa", "beta")))
     if kind == "sampled":
-        # float() parses "inf"/"-inf" spellings directly
         return SampledUtility(
-            d["grid"], d["values"], float(d["slope_left"]), float(d["slope_right"])
+            _numbers(d, "grid", where), _numbers(d, "values", where),
+            _number(d, "slope_left", where), _number(d, "slope_right", where),
         )
     raise InvalidModel(f"unknown utility kind {kind!r}")
 
@@ -846,25 +881,31 @@ def market_from_dict(d: Mapping) -> MarketModel:
         data = node.data
         if "Z" not in data:
             raise InvalidModel(f"node {node.id!r} carries no prices (data.Z)")
-        prices[node.id] = np.asarray(data["Z"], dtype=float)
+        where = f"node {node.id!r}"
+        prices[node.id] = _numbers(data, "Z", where)
         if "claim" in data:
-            claims[node.id] = float(data["claim"])
+            claims[node.id] = _number(data, "claim", where)
         if "endowment" in data:
             if not tree.is_leaf(node.id):
                 raise InvalidModel(f"endowment at non-leaf node {node.id!r}")
-            endowment[node.id] = float(data["endowment"])
+            endowment[node.id] = _number(data, "endowment", where)
         if "utility" in data:
             if not tree.is_leaf(node.id):
                 raise InvalidModel(f"utility override at non-leaf node {node.id!r}")
-            overrides[node.id] = _utility_from_dict(data["utility"])
+            overrides[node.id] = _utility_from_dict(data["utility"], f"utility at {where}")
     constraints = None
     if "constraints" in d:
         constraints = {}
         for k, v in d["constraints"].items():
-            constraints[int(k)] = (
-                np.asarray([efun._inf_ok(x) for x in v["lower"]], dtype=float),
-                np.asarray([efun._inf_ok(x) for x in v["upper"]], dtype=float),
-            )
+            try:
+                constraints[int(k)] = tuple(
+                    np.asarray([efun._inf_ok(x) for x in v[side]], dtype=float)
+                    for side in ("lower", "upper")
+                )
+            except KeyError as e:
+                raise InvalidModel(f"constraints at stage {k!r} are missing {e}") from None
+            except (TypeError, ValueError) as e:
+                raise InvalidModel(f"constraints at stage {k!r}: {e}") from None
     return MarketModel(
         tree=tree,
         n_risky=J,

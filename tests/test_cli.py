@@ -100,6 +100,30 @@ class TestCheck:
         assert stderr.startswith("error:") and "not finite" in stderr
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["cost"].pop("coeff"), "'coeff'"),
+        (lambda d: d["utility"].update(gamma=1.0), "gamma"),
+        (lambda d: d["tree"][1]["data"].update(Z=["abc"]), "'Z'"),
+        (lambda d: d.update(utility={"kind": "sampled", "values": [0.0, 1.0]}), "'grid'"),
+        (lambda d: d.update(constraints={"0": {"lower": [1.0], "upper": [-1.0]}}), "lower <= upper"),
+        (lambda d: d.update(constraints={"0": {"lower": [-1.0]}}), "'upper'"),
+        (lambda d: d["cost"].update(per_node={"r": ["x", 2.0]}), "per_node"),
+        (lambda d: d["tree"][1]["data"].update(utility="abc"), "utility at node 'u'"),
+    ], ids=["missing_coeff", "gamma_1", "string_price", "sampled_no_grid", "box_lower_above_upper",
+            "box_no_upper", "per_node_string", "leaf_utility_string"])
+    def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
+        model = toy_model_dict()
+        mutate(model)
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(model))
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, str(p), "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and field in stderr
+        assert "Traceback" not in stderr
+
 
 class TestSolve:
     def test_toy_solve(self, toy_file, tmp_path, capsys):

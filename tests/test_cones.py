@@ -5,6 +5,7 @@ import pytest
 
 import treedp as td
 from treedp import cones, dp, market
+from treedp._polyhedral import kernel_basis
 from treedp.efun import Sum
 
 from conftest import (
@@ -50,6 +51,19 @@ class TestCheckHorizonPositivity:
         rep = cones.check_horizon_positivity(bench.problem)
         assert rep.verdict == "holds"
         assert any("cone propagation" in m for m in rep.method)
+        # a trivial kernel and one LP: the cone is a subspace, so it is {0}
+        assert rep.details["cone"] == {"rows": 2, "dim": 1, "kernel_dim": 0, "lp_calls": 1}
+
+    def test_duplicated_assets_fail_with_exact_kernel_witness(self):
+        # the swap of two identical assets is a two-sided zero-profit
+        # direction; the exponential utility's horizon is +inf on any loss,
+        # so only a witness with exactly zero profit re-verifies
+        problem = market.build_problem_cash(duplicated_asset_model())
+        rep = cones.check_horizon_positivity(problem)
+        assert rep.verdict == "fails"
+        assert sorted(rep.witness["r"]) == [-0.5, 0.5]
+        assert rep.details["cone"] == {"rows": 2, "dim": 2, "kernel_dim": 1, "lp_calls": 1}
+        assert not any("sampling" in m for m in rep.method)
 
     def test_witness_reverifies_nodewise(self):
         model = arbitrage_model()
@@ -293,6 +307,110 @@ class TestFrictionlessEquivalence:
             ok = (rep.verdict == "holds") == (arb is None)
             mismatches += 0 if ok else 1
         assert mismatches == 0
+
+
+def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, utility):
+    """Random T-period frictionless market with eighth-rational price moves.
+
+    In balanced draws every node's child moves sum to zero, so the uniform
+    measure is a martingale measure and there is no arbitrage; unbalanced
+    draws usually have one.  Duplicated draws copy the first asset's
+    prices into every other asset.
+    """
+    nodes = [td.Node("r", 0, None, 1.0)]
+    prices = {"r": np.full(n_assets, 4.0)}
+    frontier = ["r"]
+    for t in range(1, T + 1):
+        nxt = []
+        for pid in frontier:
+            moves = rng.integers(-4, 5, size=(n_branch, n_assets)) / 8.0
+            q = rng.integers(1, 5, size=n_branch).astype(float)
+            q /= q.sum()
+            if balanced:
+                moves[-1] = -moves[:-1].sum(axis=0)
+            if duplicated:
+                moves[:, 1:] = moves[:, :1]
+            for i in range(n_branch):
+                cid = f"{pid}{i}" if pid != "r" else str(i)
+                nodes.append(td.Node(cid, t, pid, float(q[i])))
+                prices[cid] = prices[pid] + moves[i]
+                nxt.append(cid)
+        frontier = nxt
+    return market.MarketModel(
+        tree=td.ScenarioTree(nodes), n_risky=n_assets, prices=prices,
+        cost=market.Frictionless(), utility=utility, initial_cash=1.0,
+    )
+
+
+def moves_span(model) -> bool:
+    tree = model.tree
+    for node in tree.nodes:
+        kids = tree.children(node.id)
+        if kids:
+            moves = np.array([model.Z(c.id) - model.Z(node.id) for c in kids])
+            if np.linalg.matrix_rank(moves) < model.n_risky:
+                return False
+    return True
+
+
+def null_space_reference(problem) -> dict[str, np.ndarray]:
+    """Per-node null directions, one SVD of the full stacked system per node."""
+    nodes, offsets, total = cones._adapted_layout(problem)
+    horizons, _, _ = cones._leaf_horizons(cones.path_objectives(problem))
+    rows = cones._stacked_rows(problem, horizons, offsets, total)
+    tree = problem.tree
+    per_node = {}
+    for nid in nodes:
+        t = tree.node(nid).time
+        a, b = offsets[nid]
+        past_rows = []
+        for mid in nodes:
+            if tree.node(mid).time < t:
+                pa, pb = offsets[mid]
+                sel = np.zeros((pb - pa, total))
+                sel[:, pa:pb] = np.eye(pb - pa)
+                past_rows.append(sel)
+        stacked = np.vstack([rows] + past_rows) if past_rows else rows
+        block = kernel_basis(stacked)[a:b, :]
+        if block.size == 0 or not block.any():
+            per_node[nid] = np.zeros((b - a, 0))
+            continue
+        u, s, _ = np.linalg.svd(block)
+        keep = s > 1e-10 * max(1.0, s[0])
+        per_node[nid] = u[:, : int(keep.sum())]
+    return per_node
+
+
+class TestMultiPeriodRandomTrees:
+    def test_check_and_null_space_on_random_trees(self):
+        rng = np.random.default_rng(2027)
+        utilities = (market.SShapedUtility(2.0, 1.0, 1.0), exp_utility())
+        seen = {"holds": 0, "fails": 0, "null": 0, "one_sided": 0}
+        for k in range(24):
+            n_assets = int(rng.integers(1, 3))
+            model = random_frictionless_tree(
+                rng, T=int(rng.integers(2, 4)), n_branch=int(rng.integers(2, 4)),
+                n_assets=n_assets, duplicated=n_assets == 2 and k % 3 == 0,
+                balanced=k % 2 == 0, utility=utilities[k % 2],
+            )
+            problem = market.build_problem_cash(model, radius=1.0, points=5)
+            rep = cones.check_horizon_positivity(problem)
+            if moves_span(model):
+                arb = cones.no_arbitrage_lp(model.tree, as_prices(model))
+                assert (rep.verdict == "holds") == (arb is None)
+                seen[rep.verdict] += 1
+            try:
+                ds = cones.null_space(problem)
+            except cones.NotASubspace:
+                # a one-sided direction: the check cannot hold
+                assert rep.verdict != "holds"
+                seen["one_sided"] += 1
+                continue
+            ref = null_space_reference(problem)
+            assert ds.per_node.keys() == ref.keys()
+            assert all(np.array_equal(ds.per_node[n], ref[n]) for n in ref)
+            seen["null"] += not ds.is_trivial()
+        assert min(seen.values()) > 0, seen
 
 
 class TestConditionalHorizonInequality:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ class TestInterpolation:
         assert (np.isinf(lhs) == np.isinf(rhs)).all()
         finite = np.isfinite(lhs)
         np.testing.assert_allclose(lhs[finite], rhs[finite], rtol=1e-12, atol=1e-12 * 10.0)
+
+    def test_nan_query_is_never_finite(self):
+        axes = [np.array([0.0, 1.0, 2.0])]
+        out = dp.interp_multilinear(axes, np.array([1.0, 2.0, 3.0]), np.array([[np.nan], [0.5]]))
+        assert np.isnan(out[0])
+        assert out[1] == 1.5
+        # two axes: NaN in one coordinate, the other inside the grid
+        out = dp.interp_multilinear(
+            axes * 2, np.ones((3, 3)), np.array([[np.nan, 1.0], [1.0, np.nan]])
+        )
+        assert np.isnan(out).all()
+
+    def test_inf_corner_of_weight_zero_is_silent(self):
+        # the query sits on the finite corner; the +inf neighbour has weight 0
+        axes = [np.array([0.0, 1.0, 2.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dp.interp_multilinear(axes, np.array([1.0, INF, 3.0]),
+                                        np.array([[0.0], [2.0], [0.5]]))
+        assert out.tolist() == [1.0, 3.0, INF]
 
 
 class TestBackwardSolve:
