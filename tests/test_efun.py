@@ -383,7 +383,11 @@ class TestHypothesisProperties:
     @given(
         slope_neg=st.one_of(st.just(-INF), finite),
         slope_pos=st.one_of(st.just(INF), finite),
-        w=st.floats(min_value=-100, max_value=100, allow_nan=False),
+        # a subnormal w lets lam * w underflow to 0.0, which moves the query
+        # from an infinite side to the origin; that is float rounding, not
+        # a failure of homogeneity
+        w=st.floats(min_value=-100, max_value=100, allow_nan=False,
+                    allow_subnormal=False),
         lam=st.floats(min_value=0.01, max_value=100, allow_nan=False),
     )
     @settings(max_examples=200, deadline=None)
