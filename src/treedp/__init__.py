@@ -41,6 +41,7 @@ from .efun import (
 from .dp import (
     BudgetExceeded,
     GridTooCoarse,
+    NumericFailure,
     Policy,
     Problem,
     SearchBoxExhausted,

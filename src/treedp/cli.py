@@ -6,7 +6,8 @@ Exit codes are a stable contract:
 * 1 - malformed input
 * 2 - a checked condition fails (witness included in the report)
 * 3 - a check is undecided
-* 4 - solver failure (search box exhausted or grids too coarse)
+* 4 - solver failure (search box exhausted, grids too coarse, or numbers the
+  solver cannot order: a collapsed state grid or a NaN objective value)
 * 5 - oracle enumeration budget exceeded
 
 Reports are deterministic JSON (sorted keys); value tables and policies
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import cones, dp, market
-from .dp import BudgetExceeded, GridTooCoarse, SearchBoxExhausted, SolveConfig
+from .dp import BudgetExceeded, GridTooCoarse, NumericFailure, SearchBoxExhausted, SolveConfig
 from .market import InvalidModel
 from .tree import TreeFormatError
 
@@ -126,7 +127,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     try:
         result = dp.backward_solve(problem, cfg=cfg)
-    except (SearchBoxExhausted, GridTooCoarse) as e:
+    except (SearchBoxExhausted, GridTooCoarse, NumericFailure) as e:
         payload = {
             "error": type(e).__name__,
             "message": str(e),
@@ -183,7 +184,7 @@ def cmd_oracle(args) -> int:
     try:
         result = dp.backward_solve(problem, cfg=cfg)
         solve_value = result.forward_value
-    except (SearchBoxExhausted, GridTooCoarse) as e:
+    except (SearchBoxExhausted, GridTooCoarse, NumericFailure) as e:
         payload = {
             "error": type(e).__name__,
             "message": str(e),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -40,7 +40,7 @@ from ._polyhedral import (
 )
 from .dp import Problem, StateMap
 from .efun import AffinePrecompose, ExtFun, Sum
-from .tree import AdaptedSequence, Node, ScenarioTree
+from .tree import AdaptedSequence, ScenarioTree
 
 INF = math.inf
 WITNESS_TOL = 1e-9
@@ -491,13 +491,20 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     dims = tuple(
         stage_dims.get(t, problem.decision_dims[t]) for t in range(tree.horizon + 1)
     )
+    # per stage, the stacked bases of its nodes, indexed by position in the stage
+    bases = {
+        t: np.stack([qmap[n.id] for n in tree.nodes_at(t)]) for t in stage_dims
+    }
+    times, stage_index = tree.times, tree.stage_index
+
+    def to_decision(K: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        Q = bases.get(int(times[K[0]]))
+        return Y if Q is None else np.einsum("rij,rj->ri", np.take(Q, stage_index[K], axis=0), Y)
 
     orig_tr = problem.state_map.transition
 
-    def transition(node: Node, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        Q = qmap.get(node.id)
-        X = Y @ Q.T if Q is not None else Y
-        return orig_tr(node, S, X)
+    def transition(K: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return orig_tr(K, S, to_decision(K, Y))
 
     if problem.state_map.is_history:
         cum = np.cumsum(dims)
@@ -525,20 +532,20 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     stage_funs = None
     if problem.stage_funs is not None:
         stage_funs = {}
+        wrapped: dict[int, Callable] = {}  # one wrapper per shared callable
         for nid, sf in problem.stage_funs.items():
             Q = qmap.get(nid)
             if Q is None:
                 stage_funs[nid] = sf
-                continue
-            if isinstance(sf, ExtFun):
+            elif isinstance(sf, ExtFun):
                 sdim = sf.dim - problem.decision_dim(nid)
                 stage_funs[nid] = AffinePrecompose(
                     sf, _blockdiag([np.eye(sdim), Q])
                 )
             else:
-                stage_funs[nid] = (
-                    lambda node, S, Y, _f=sf, _Q=Q: _f(node, S, Y @ _Q.T)
-                )
+                if id(sf) not in wrapped:
+                    wrapped[id(sf)] = lambda K, S, Y, _f=sf: _f(K, S, to_decision(K, Y))
+                stage_funs[nid] = wrapped[id(sf)]
 
     meta = dict(problem.meta)
     meta["projection"] = {
@@ -557,7 +564,6 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
             new_paths[leaf.id] = AffinePrecompose(old_paths[leaf.id], _blockdiag(blocks))
         meta["path_objectives"] = new_paths
 
-    overrides = {nid: new_dim[nid] for nid in nodes}
     return Problem(
         tree=tree,
         decision_dims=dims,
@@ -565,6 +571,5 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
         leaf_objective=leaf_obj,
         stage_funs=stage_funs,
         lower_bound=problem.lower_bound,
-        decision_dim_overrides=overrides,
         meta=meta,
     )

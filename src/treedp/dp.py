@@ -10,6 +10,11 @@ decision-free leaves evaluates the leaves exactly.  No convexity is
 assumed anywhere; the growth condition checked by the cones module is
 what makes the expanding search box provably bracket the minimizers.
 
+Every search is stage-batched: its rows name their node by tree position
+(``K``, see :class:`StateMap`), so one :func:`minimize_batch` call covers
+every node of a stage.  Each row's search is independent of the other
+rows of its batch, so the results equal a node-by-node solve bit for bit.
+
 Interpolation cannot certify exact optimality, so every solve re-evaluates
 the true objective of the extracted policy in a forward pass (mode
 ``greedy`` re-minimizes against the tables, ``exact`` against the
@@ -26,6 +31,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +57,11 @@ class SearchBoxExhausted(RuntimeError):
             f"at {n_states} grid state(s); horizon positivity likely fails"
         )
         self.node = node
+
+
+class NumericFailure(RuntimeError):
+    """The solve met numbers it cannot order: a state-grid axis that is not
+    finite and strictly increasing, or a NaN objective value."""
 
 
 class GridTooCoarse(RuntimeError):
@@ -81,7 +92,7 @@ class SolveConfig:
     eps_opt: float = 1e-6        # optimality equality tolerance
     eps_gap: float = 1e-3        # relative table-vs-forward gap tolerance
     threads: int = 1
-    state_chunk: int = 2048      # grid states evaluated per batch
+    state_chunk: int = 64        # one objective call sees <= 64 x this many rows
 
     def __post_init__(self):
         if self.grid_points < 5 or self.grid_points % 2 == 0:
@@ -105,13 +116,52 @@ DEFAULT_CONFIG = SolveConfig()
 # ---------------------------------------------------------------------------
 
 
+class RowGroups:
+    """Rows of a batch grouped by a per-position object, compared by identity.
+
+    ``RowGroups(objs)`` takes one object (or None) per tree position.
+    ``map(K, fn)`` evaluates ``fn(object, rows)`` once per distinct object
+    among the rows' positions ``K`` and assembles the results in row
+    order; ``rows`` is ``slice(None)`` when one object covers every row,
+    so the common case evaluates the whole batch without copies.
+    """
+
+    def __init__(self, objs: Sequence[object]):
+        first: dict[int, int] = {}
+        self.objs: list[object] = []
+        gid = np.empty(len(objs), dtype=np.int64)
+        for i, obj in enumerate(objs):
+            if id(obj) not in first:
+                first[id(obj)] = len(self.objs)
+                self.objs.append(obj)
+            gid[i] = first[id(obj)]
+        self.gid = gid
+
+    def map(
+        self, K: np.ndarray, fn: Callable[[object, slice | np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        if len(self.objs) == 1:
+            return np.asarray(fn(self.objs[0], slice(None)), dtype=float)
+        g = self.gid[K]
+        if (g == g[0]).all():
+            return np.asarray(fn(self.objs[g[0]], slice(None)), dtype=float)
+        out = np.empty(len(K))
+        for u in np.unique(g):
+            rows = np.flatnonzero(g == u)
+            out[rows] = fn(self.objs[u], rows)
+        return out
+
+
 @dataclass(frozen=True)
 class StateMap:
     """Sufficient statistic of decision history.
 
     ``dims[t]`` is the state dimension after the stage-t decision,
     ``initial`` the state entering stage 0, and ``transition`` the batched
-    map (node, states (m, s_prev), decisions (m, n_t)) -> (m, dims[t]).
+    map ``(K, S, X) -> (m, dims[t])``: ``K`` holds the tree position of
+    each row's node (all rows of one call are at one stage t), ``S`` the
+    entering states (m, dims[t-1]) and ``X`` the decisions (m, n_t).  Rows
+    are independent: a row's result may not depend on the other rows.
     The leaf objective composed with transitions along a path must equal
     the modeled objective for all decision paths; that soundness is the
     model builder's obligation.  The history map (state = concatenated
@@ -120,7 +170,7 @@ class StateMap:
 
     dims: tuple[int, ...]
     initial: np.ndarray
-    transition: Callable[[Node, np.ndarray, np.ndarray], np.ndarray]
+    transition: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     is_history: bool = False
 
     def __post_init__(self):
@@ -129,7 +179,7 @@ class StateMap:
         )
 
 
-StageFun = ExtFun | Callable[[Node, np.ndarray, np.ndarray], np.ndarray]
+StageFun = ExtFun | Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -140,7 +190,14 @@ class Problem:
     (entering state, decision) plus a per-leaf function of the terminal
     state; all pieces are bounded below by the integrable bound
     ``lower_bound``, so expectations are well defined with values in
-    R union {+inf}.
+    R union {+inf}.  Every node of stage t decides ``decision_dims[t]``
+    coordinates.
+
+    Stage functions are ExtFuns of (state, decision) or callables
+    ``(K, S, X)`` with the row convention of :class:`StateMap`.  Rows are
+    evaluated per distinct function object, so nodes that share one
+    object (a builder's per-stage constraint, one leaf objective per
+    utility) are evaluated in one call.
     """
 
     tree: ScenarioTree
@@ -149,7 +206,6 @@ class Problem:
     leaf_objective: Mapping[str, ExtFun]
     stage_funs: Mapping[str, StageFun] | None = None
     lower_bound: float | Mapping[str, float] = 0.0
-    decision_dim_overrides: Mapping[str, int] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,36 +215,59 @@ class Problem:
         for leaf in self.tree.leaves:
             if leaf.id not in self.leaf_objective:
                 raise ValueError(f"no leaf objective at {leaf.id!r}")
+        nodes = self.tree.nodes
+        stage = self.stage_funs or {}
+        object.__setattr__(self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes]))
+        object.__setattr__(
+            self, "_leaf_groups", RowGroups([self.leaf_objective.get(n.id) for n in nodes])
+        )
+        object.__setattr__(self, "_ids", tuple(n.id for n in nodes))
 
     def decision_dim(self, node_id: str) -> int:
-        if self.decision_dim_overrides and node_id in self.decision_dim_overrides:
-            return self.decision_dim_overrides[node_id]
         return self.decision_dims[self.tree.node(node_id).time]
 
     def decision_nodes(self) -> list[Node]:
         return [n for n in self.tree.nodes if self.decision_dim(n.id) > 0]
 
-    def stage_values(self, node: Node, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self.stage_funs is None or node.id not in self.stage_funs:
-            return np.zeros(S.shape[0])
-        fn = self.stage_funs[node.id]
-        if isinstance(fn, ExtFun):
-            return fn.value_many(np.hstack([S, X]))
-        return np.asarray(fn(node, S, X), dtype=float)
+    def stage_values(self, K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        def evaluate(fn, rows):
+            if fn is None:
+                return np.zeros(S[rows].shape[0])
+            if isinstance(fn, ExtFun):
+                return fn.value_many(np.hstack([S[rows], X[rows]]))
+            return fn(K[rows], S[rows], X[rows])
+
+        return self._stage_groups.map(K, evaluate)
+
+    def leaf_values(self, K: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Leaf objective of each row's leaf at its terminal state."""
+        return self._leaf_groups.map(K, lambda fn, rows: fn.value_many(states[rows]))
 
     def lower_bound_at(self, leaf_id: str) -> float:
         if isinstance(self.lower_bound, Mapping):
             return float(self.lower_bound[leaf_id])
         return float(self.lower_bound)
 
+    @cached_property
+    def _lower_bounds(self) -> np.ndarray:
+        # one backward sweep; each node sums its children in tree order
+        tree = self.tree
+        out = np.zeros(len(tree))
+        start, kids, probs = tree.child_start, tree.child_pos, tree.child_prob
+        for t in range(tree.horizon, -1, -1):
+            for p in tree.positions_at(t).tolist():
+                if t == tree.horizon:
+                    out[p] = self.lower_bound_at(tree.nodes[p].id)
+                    continue
+                acc = 0.0
+                for e in range(start[p], start[p + 1]):
+                    acc += float(probs[e]) * float(out[kids[e]])
+                out[p] = acc
+        return out
+
     def expected_lower_bound(self, node_id: str) -> float:
         """Conditional expectation of the lower bound given the node."""
-        if self.tree.is_leaf(node_id):
-            return self.lower_bound_at(node_id)
-        return sum(
-            child.prob * self.expected_lower_bound(child.id)
-            for child in self.tree.children(node_id)
-        )
+        return float(self._lower_bounds[self.tree.index(node_id)])
 
 
 def history_problem(
@@ -203,7 +282,7 @@ def history_problem(
     dims = tuple(int(d) for d in decision_dims)
     cum = np.cumsum(dims)
 
-    def transition(node: Node, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.hstack([S, X])
 
     sm = StateMap(
@@ -229,7 +308,10 @@ def history_problem(
 
 
 def interp_multilinear(
-    axes: Sequence[np.ndarray], values: np.ndarray, Q: np.ndarray
+    axes: Sequence[np.ndarray],
+    values: np.ndarray,
+    Q: np.ndarray,
+    which: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multilinear interpolation with +inf-aware corners and +inf outside.
 
@@ -239,45 +321,43 @@ def interp_multilinear(
     box bounded instead of silently extrapolating.  A query with a NaN
     coordinate gives NaN (+inf if another coordinate is outside), never a
     finite value.
+
+    With ``which`` (one int per query row), ``values`` carries a leading
+    table axis over stacked tables on the same axes, and row j reads table
+    ``which[j]``; each row's arithmetic is that of its own table.
     """
     m, s = Q.shape
     if s == 0:
-        return np.full(m, float(values))
-    los: list[np.ndarray] = []
-    ts: list[np.ndarray] = []
+        return np.full(m, float(values)) if which is None else values[which].astype(float)
+    # corners are read from the flat values: a row's lower corner sits at
+    # ``base`` and each other corner at a fixed offset from it
+    flat = values.reshape(-1)
+    lead = values.ndim - s
+    strides = [math.prod(values.shape[lead + d + 1 :]) for d in range(s)]
+    base = np.zeros(m, dtype=np.intp) if which is None else which * math.prod(values.shape[1:])
+    live: list[int] = []  # axes with two or more points
+    weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     outside = np.zeros(m, dtype=bool)
     for d in range(s):
         ax = axes[d]
         if len(ax) == 1:
-            los.append(np.zeros(m, dtype=int))
-            ts.append(np.zeros(m))
             continue
         q = Q[:, d]
         tol = 1e-9 * max(1.0, abs(ax[0]), abs(ax[-1]))
         outside |= (q < ax[0] - tol) | (q > ax[-1] + tol)
         hi = np.clip(np.searchsorted(ax, q), 1, len(ax) - 1)
         lo = hi - 1
-        t = (q - ax[lo]) / (ax[hi] - ax[lo])
-        los.append(lo)
-        ts.append(np.clip(t, 0.0, 1.0))
+        t = np.clip((q - ax[lo]) / (ax[hi] - ax[lo]), 0.0, 1.0)
+        base = base + lo * strides[d]
+        live.append(d)
+        weights[d] = (1.0 - t, t)
     out = np.zeros(m)
     hit_inf = outside
-    for bits in itertools.product((0, 1), repeat=s):
+    for bits in itertools.product((0, 1), repeat=len(live)):
         w = np.ones(m)
-        idx = []
-        degenerate = False
-        for d, b in enumerate(bits):
-            if len(axes[d]) == 1:
-                if b == 1:
-                    degenerate = True
-                    break
-                idx.append(los[d])
-                continue
-            idx.append(los[d] + b)
-            w = w * (ts[d] if b else 1.0 - ts[d])
-        if degenerate:
-            continue
-        v = values[tuple(idx)]
+        for d, b in zip(live, bits):
+            w = w * weights[d][b]
+        v = flat[base + sum(b * strides[d] for d, b in zip(live, bits))]
         inf_here = np.isinf(v)
         hit_inf |= (w > 0) & inf_here
         out += w * np.where(inf_here, 0.0, v)
@@ -296,80 +376,136 @@ def _decision_mesh(B: float, K: int, dim: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
+def _state_name(label: str | Sequence[str], groups: np.ndarray | None, i: int) -> str:
+    return label if groups is None else str(label[groups[i]])
+
+
+def _reject_nan(vals: np.ndarray, states: np.ndarray | None, label, groups) -> None:
+    """NumericFailure at the first NaN of ``vals``, whose rows are ``states``
+    (None: the rows are the states themselves)."""
+    bad = np.isnan(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = _state_name(label, groups, i if states is None else int(states[i]))
+        raise NumericFailure(f"node {name!r}: objective value is not a number")
+
+
 def minimize_batch(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     dim: int,
     n_states: int,
     cfg: SolveConfig = DEFAULT_CONFIG,
-    label: str = "",
+    label: str | Sequence[str] = "",
     executor: ThreadPoolExecutor | None = None,
+    groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Minimize over the decision for each of ``n_states`` states at once.
 
     ``objective(I, X)`` evaluates paired rows: state index I[j] with
-    decision X[j].  Grid search runs over an expanding box [-B, B]^dim (B
-    doubling until every boundary grid value exceeds the incumbent by the
-    margin), then batched coordinate pattern search refines each state's
-    best point until the step drops below ``eps_ref``.  Ties break to the
-    lexicographically smallest grid point.  States with no finite value
+    decision X[j]; a row's value may not depend on the other rows.  Grid
+    search runs over an expanding box [-B, B]^dim (B doubling until every
+    boundary grid value exceeds the incumbent by the margin), then batched
+    coordinate pattern search refines each state's best point until the
+    step drops below ``eps_ref``.  Ties break to the lexicographically
+    smallest grid point.  The objective sees at most ``64 *
+    cfg.state_chunk`` rows per call (or one state's whole mesh).  The grid
+    phase maps its calls over ``executor`` and keeps only each state's
+    argmin, its value there and its boundary minimum.
+
+    Every state is searched independently of the others: a state leaves
+    the box expansion once its boundary dominates and leaves refinement
+    once its step is below ``eps_ref``.  States with no finite value
     anywhere up to the box cap get value +inf and a NaN argmin; states
     whose incumbent keeps improving toward the boundary raise
-    :class:`SearchBoxExhausted`.  Needs ``dim >= 1``; :func:`_minimize_at`
-    evaluates decision-free nodes without a search.
+    :class:`SearchBoxExhausted`, naming the first such state's label and
+    the number of such states carrying that label.  ``label`` names all
+    states, or with ``groups`` (one int per state, such as the state's
+    tree position) state i is named ``label[groups[i]]``.  A NaN
+    objective value raises :class:`NumericFailure`.  Needs ``dim >= 1``;
+    :func:`_minimize_at` evaluates decision-free nodes without a search.
+
+    Returns (values, argmins, diag).  ``diag`` holds the batch's
+    ``expansions`` (box doublings), ``sweeps`` (refinement sweeps) and
+    ``max_box`` (last half-width), and under ``per_state`` the same three
+    counters for each state alone.
     """
-    diag = {"expansions": 0, "sweeps": 0, "max_box": 0.0}
     best_val = np.full(n_states, INF)
     best_x = np.full((n_states, dim), np.nan)
     step0 = np.full(n_states, np.nan)
     active = np.ones(n_states, dtype=bool)
+    per_state = {
+        "expansions": np.zeros(n_states, dtype=np.int64),
+        "sweeps": np.zeros(n_states, dtype=np.int64),
+        "max_box": np.zeros(n_states),
+    }
+    diag: dict = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
     B = cfg.box_init
+    k = cfg.grid_points ** dim
+    max_rows = cfg.state_chunk * 64
 
-    def eval_grid(states_idx: np.ndarray, mesh: np.ndarray) -> np.ndarray:
-        k = mesh.shape[0]
-        max_rows = max(cfg.state_chunk * 64, k)
-        per = max(1, max_rows // k)
-        chunks = [states_idx[i : i + per] for i in range(0, len(states_idx), per)]
+    def eval_grid(states_idx: np.ndarray, mesh: np.ndarray, boundary: np.ndarray):
+        """Per state: argmin over the mesh, the value there, the boundary minimum."""
 
-        def run(chunk: np.ndarray) -> np.ndarray:
+        def run(piece: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            chunk = states_idx[piece]
             I = np.repeat(chunk, k)
             X = np.tile(mesh, (len(chunk), 1))
-            return np.asarray(objective(I, X), dtype=float).reshape(len(chunk), k)
+            vals = np.asarray(objective(I, X), dtype=float).reshape(len(chunk), k)
+            j = np.argmin(vals, axis=1)  # first minimum = lexicographically smallest
+            best = vals[np.arange(len(chunk)), j]
+            _reject_nan(best, chunk, label, groups)  # argmin stops at a row's first NaN
+            return j, best, vals[:, boundary].min(axis=1)
 
-        if executor is not None and len(chunks) > 1:
-            parts = list(executor.map(run, chunks))
+        # whole states per chunk, so each state's mesh row is reduced in one piece
+        size = max(1, max_rows // k)
+        pieces = [slice(a, a + size) for a in range(0, len(states_idx), size)]
+        if executor is not None and len(pieces) > 1:
+            parts = list(executor.map(run, pieces))
         else:
-            parts = [run(c) for c in chunks]
-        return np.vstack(parts) if parts else np.zeros((0, k))
+            parts = [run(p) for p in pieces]
+        return (np.concatenate(a) for a in zip(*parts))
+
+    def eval_points(I: np.ndarray, X: np.ndarray) -> np.ndarray:
+        def run(piece: slice) -> np.ndarray:
+            vals = np.asarray(objective(I[piece], X[piece]), dtype=float)
+            _reject_nan(vals, I[piece], label, groups)
+            return vals
+
+        return np.concatenate([run(slice(a, a + max_rows)) for a in range(0, len(I), max_rows)])
 
     while True:
         mesh = _decision_mesh(B, cfg.grid_points, dim)
         spacing = 2.0 * B / (cfg.grid_points - 1)
         boundary = (np.abs(mesh) >= B * (1 - 1e-12)).any(axis=1)
-        idx = np.where(active)[0]
-        vals = eval_grid(idx, mesh)
-        j = np.argmin(vals, axis=1)  # first minimum = lexicographically smallest
-        gridbest = vals[np.arange(len(idx)), j]
+        idx = np.flatnonzero(active)
+        j, gridbest, bmin = eval_grid(idx, mesh, boundary)
         better = gridbest < best_val[idx]
         upd = idx[better]
         best_val[upd] = gridbest[better]
         best_x[upd] = mesh[j[better]]
         step0[upd] = spacing
-        bmin = vals[:, boundary].min(axis=1)
         done = np.isfinite(best_val[idx]) & (bmin > best_val[idx] + cfg.margin)
         active[idx[done]] = False
+        per_state["max_box"][idx] = B
         diag["max_box"] = B
         if not active.any():
             break
         B *= 2.0
         diag["expansions"] += 1
+        per_state["expansions"][active] += 1
         if B > cfg.box_max:
             stuck = active & np.isfinite(best_val)
             if stuck.any():
-                raise SearchBoxExhausted(label, int(stuck.sum()), cfg.box_max)
+                first = int(np.argmax(stuck))
+                if groups is not None:
+                    stuck &= groups == groups[first]
+                raise SearchBoxExhausted(
+                    _state_name(label, groups, first), int(stuck.sum()), cfg.box_max
+                )
             active[:] = False
             break
 
-    refine = np.where(np.isfinite(best_val))[0]
+    refine = np.flatnonzero(np.isfinite(best_val))
     if refine.size:
         x = best_x[refine].copy()
         fx = best_val[refine].copy()
@@ -379,17 +515,16 @@ def minimize_batch(
             improved = np.zeros(len(refine), dtype=bool)
             for d in range(dim):
                 for sgn in (1.0, -1.0):
-                    rows = np.where(live)[0]
+                    rows = np.flatnonzero(live)
                     cand = x[rows].copy()
                     cand[:, d] += sgn * step[rows]
-                    vals = np.asarray(
-                        objective(refine[rows], cand), dtype=float
-                    )
+                    vals = eval_points(refine[rows], cand)
                     acc = vals < fx[rows]
                     hit = rows[acc]
                     x[hit, d] = cand[acc, d]
                     fx[hit] = vals[acc]
                     improved[hit] = True
+            per_state["sweeps"][refine[live]] += 1
             step[live & ~improved] *= 0.5
             live = step >= cfg.eps_ref
             diag["sweeps"] += 1
@@ -399,23 +534,38 @@ def minimize_batch(
 
 
 def _minimize_at(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    K: np.ndarray,
     states: np.ndarray,
     dim: int,
     cfg: SolveConfig = DEFAULT_CONFIG,
-    label: str = "",
+    names: Sequence[str] | str = "",
     executor: ThreadPoolExecutor | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Minimize ``f(S, X)`` over the decision X at each row of ``states``.
+    """Minimize ``f(K, S, X)`` over the decision X at each row (K[i], states[i]).
 
-    With no decision to choose (``dim == 0``) this evaluates ``f`` once.
+    ``names`` are the node ids by tree position (errors name row i's node
+    ``names[K[i]]``), or one name for all rows.  With no decision to
+    choose (``dim == 0``) this evaluates ``f`` at each row, in calls of
+    at most ``64 * cfg.state_chunk`` rows.
     """
     n = states.shape[0]
+    groups = None if isinstance(names, str) else K
     if dim == 0:
-        vals = np.asarray(f(states, np.zeros((n, 0))), dtype=float)
-        return vals, np.zeros((n, 0)), {"expansions": 0, "sweeps": 0, "max_box": 0.0}
+        parts = []
+        for a in range(0, n, cfg.state_chunk * 64):
+            rows = slice(a, a + cfg.state_chunk * 64)
+            X = np.zeros((len(K[rows]), 0))
+            parts.append(np.asarray(f(K[rows], states[rows], X), dtype=float))
+        vals = np.concatenate(parts)
+        _reject_nan(vals, None, names, groups)
+        zero = np.zeros(n, dtype=np.int64)
+        per_state = {"expansions": zero, "sweeps": zero, "max_box": np.zeros(n)}
+        diag = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
+        return vals, np.zeros((n, 0)), diag
     return minimize_batch(
-        lambda I, X: f(states[I], X), dim, n, cfg, label=label, executor=executor
+        lambda I, X: f(K[I], np.take(states, I, axis=0), X), dim, n, cfg,
+        label=names, executor=executor, groups=groups,
     )
 
 
@@ -445,7 +595,8 @@ def minimize_section(
             )
 
     vals, xs, _ = _minimize_at(
-        lambda S, X: f.value_many(np.hstack([S, X])), state[None, :], dim, cfg
+        lambda K, S, X: f.value_many(np.hstack([S, X])),
+        np.zeros(1, dtype=np.int64), state[None, :], dim, cfg,
     )
     val = float(vals[0])
     return val, (xs[0] if math.isfinite(val) else np.zeros(0))
@@ -507,78 +658,155 @@ class SolveResult:
         }
 
 
-def _node_objective(
-    problem: Problem, node: Node, cont: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The node's recursion: (S, X) -> stage cost + cont(post-decision state)."""
+Continuation = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def f(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        vals = problem.stage_values(node, S, X)
-        return vals + cont(problem.state_map.transition(node, S, X))
+
+def _stage_objective(
+    problem: Problem, cont: Continuation
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The recursion at a stage: (K, S, X) -> stage cost + cont(K, post-decision state)."""
+
+    def f(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        vals = problem.stage_values(K, S, X)
+        return vals + cont(K, problem.state_map.transition(K, S, X))
 
     return f
 
 
-def _table_continuation(
-    problem: Problem, node: Node, post: Mapping[str, "ValueTable"]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Post-decision continuation of a node on the solver's tables.
+def _child_slots(tree: ScenarioTree, K: np.ndarray) -> list[tuple]:
+    """The children of the rows of ``K``, slot by slot.
 
-    Leaves evaluate their objective exactly.  A node whose children are
+    Slot j lists (rows of K that have a j-th child, that child's
+    position, its conditional probability); the rows are ``slice(None)``
+    when every row has a j-th child, which uniform branching gives in
+    every slot.
+    """
+    start = tree.child_start[K]
+    count = tree.child_start[K + 1] - start
+    slots = []
+    if not len(K):
+        return []
+    full = int(count.min())
+    for j in range(int(count.max())):
+        rows = slice(None) if j < full else np.flatnonzero(count > j)
+        e = start[rows] + j
+        slots.append((rows, tree.child_pos[e], tree.child_prob[e]))
+    return slots
+
+
+def _expect(slots: list, child_values: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the probability-weighted sum of its children's values.
+
+    ``child_values`` stacks the values slot after slot; each row
+    accumulates its children in tree order, as a loop over children would.
+    """
+    out = np.zeros((n,) + child_values.shape[1:])
+    i = 0
+    for rows, kids, p in slots:
+        v = child_values[i : i + len(kids)]
+        i += len(kids)
+        out[rows] += p.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return out
+
+
+def _table_continuation(
+    problem: Problem, t: int, post: Mapping[str, "ValueTable"]
+) -> Continuation:
+    """Post-decision continuation of the stage-t nodes on the solver's tables.
+
+    Leaves evaluate their objective exactly.  A stage whose children are
     all decision-free leaves also evaluates them exactly (the terminal
     cost-to-go is known in closed form, so the last stage needs no
-    interpolation).  Any other node interpolates its own post table:
-    interpolation is linear in the values and +inf-aware, so this equals
-    the probability-weighted sum of the children's interpolated tables.
+    interpolation).  Any other stage interpolates each row's own post
+    table: interpolation is linear in the values and +inf-aware, so this
+    equals the probability-weighted sum of the children's interpolated
+    tables.
     """
     tree = problem.tree
-    if not tree.is_leaf(node.id) and not all(
-        tree.is_leaf(c.id) and problem.decision_dim(c.id) == 0
-        for c in tree.children(node.id)
-    ):
-        return post[node.id]
-    # the children decide nothing, so no search runs and the config is moot
-    return _exact_continuation(problem, node, DEFAULT_CONFIG)
+    T = tree.horizon
+    if t == T or (t == T - 1 and problem.decision_dims[T] == 0):
+        # the children decide nothing, so no search runs and the config is moot
+        return _exact_continuation(problem, t, DEFAULT_CONFIG)
+    nodes = tree.nodes_at(t)
+    axes = post[nodes[0].id].axes
+    values = np.stack([post[n.id].values for n in nodes])
+    which = tree.stage_index
+    return lambda K, Q: interp_multilinear(axes, values, Q, which=which[K])
 
 
 def _walk(
     problem: Problem,
     S0: np.ndarray,
-    choose: Callable[[Node, np.ndarray], np.ndarray],
+    choose: Callable[[int, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Expected total cost of each row of entering states ``S0`` at the root.
 
-    The walk is depth first and batched over rows: ``choose(node, S)``
-    returns the decisions (m, n) at the node for its entering states S.
+    The walk is depth first and batched over rows: ``choose(p, S)``
+    returns the decisions (m, n) at the node of position p for its
+    entering states S.
     """
     tree = problem.tree
+    T = tree.horizon
+    start, kids, probs = tree.child_start, tree.child_pos, tree.child_prob
 
-    def visit(node: Node, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        X = choose(node, S)
-        acc = acc + problem.stage_values(node, S, X)
-        nxt = problem.state_map.transition(node, S, X)
-        if tree.is_leaf(node.id):
-            return acc + problem.leaf_objective[node.id].value_many(nxt)
+    def visit(p: int, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        K = np.full(S.shape[0], p)
+        X = choose(p, S)
+        acc = acc + problem.stage_values(K, S, X)
+        nxt = problem.state_map.transition(K, S, X)
+        if tree.times[p] == T:
+            return acc + problem.leaf_values(K, nxt)
         out = np.zeros(S.shape[0])
-        for child in tree.children(node.id):
-            out += child.prob * visit(child, nxt, acc)
+        for e in range(start[p], start[p + 1]):
+            out += probs[e] * visit(int(kids[e]), nxt, acc)
         return out
 
-    return visit(tree.root, S0, np.zeros(S0.shape[0]))
+    return visit(tree.index(tree.root.id), S0, np.zeros(S0.shape[0]))
+
+
+def _stagewise(
+    problem: Problem,
+    decide: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Follow decisions down the tree one stage per call.
+
+    ``decide(t, K, S)`` returns the decisions of the stage-t nodes K at
+    their entering states S (one row per node).  Returns (K, S, X) per
+    stage.
+    """
+    tree = problem.tree
+    out = []
+    for t in range(tree.horizon + 1):
+        K = tree.positions_at(t)
+        if t == 0:
+            S = np.repeat(problem.state_map.initial[None, :], len(K), axis=0)
+        else:
+            S = nxt[tree.stage_index[tree.parent_pos[K]]]
+        X = decide(t, K, S)
+        out.append((K, S, X))
+        if t < tree.horizon:
+            nxt = problem.state_map.transition(K, S, X)
+    return out
 
 
 def _entering_axes(
     problem: Problem, grids: Mapping[int, Sequence[np.ndarray]], t: int
 ) -> tuple[np.ndarray, ...]:
     if t == 0:
-        return tuple(np.array([v]) for v in problem.state_map.initial)
-    if t - 1 not in grids:
-        raise ValueError(f"no state grid supplied for stage {t - 1}")
-    axes = grids[t - 1]
-    want = problem.state_map.dims[t - 1]
-    if len(axes) != want:
-        raise ValueError(f"grids[{t-1}] must have {want} axes, got {len(axes)}")
-    return tuple(np.asarray(a, dtype=float) for a in axes)
+        axes = tuple(np.array([v]) for v in problem.state_map.initial)
+        where = "the initial state"
+    else:
+        if t - 1 not in grids:
+            raise ValueError(f"no state grid supplied for stage {t - 1}")
+        want = problem.state_map.dims[t - 1]
+        if len(grids[t - 1]) != want:
+            raise ValueError(f"grids[{t-1}] must have {want} axes, got {len(grids[t - 1])}")
+        axes = tuple(np.asarray(a, dtype=float) for a in grids[t - 1])
+        where = f"grids[{t - 1}]"
+    for d, a in enumerate(axes):
+        if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all() or (np.diff(a) <= 0).any():
+            raise NumericFailure(f"axis {d} of {where} is not finite and strictly increasing")
+    return axes
 
 
 def backward_solve(
@@ -593,10 +821,12 @@ def backward_solve(
     ``grids[t]`` are the per-dimension breakpoints of the stage-t
     post-decision state (t = 0..T-1); siblings share them, so the
     conditional-expectation step is a gridwise weighted sum, the node's
-    post table, which its continuation then interpolates.  Horizon
+    post table, which its continuation then interpolates.  Each stage is
+    one search over every (node, grid state) row of the stage.  Horizon
     positivity (cones.check_horizon_positivity) is a precondition: without
     it the expanding search box has nothing to bracket and the solve ends
-    in :class:`SearchBoxExhausted`.
+    in :class:`SearchBoxExhausted`.  A grid axis that is not finite and
+    strictly increasing raises :class:`NumericFailure`.
 
     The returned ``value`` is the table root value; ``forward_value``
     re-evaluates the true objective of the extracted policy with
@@ -613,6 +843,9 @@ def backward_solve(
     post: dict[str, ValueTable] = {}
     policy_entries: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
     diagnostics: dict = {"nodes": {}}
+    # a table entry below the conditional expectation of the declared lower
+    # bound means the model builder declared an invalid bound
+    bound_violations: dict[str, float] = {}
     try:
         for t in range(T, -1, -1):
             axes = _entering_axes(problem, grids, t)
@@ -622,32 +855,42 @@ def backward_solve(
                 if axes
                 else np.zeros((1, 0))
             )
-            for node in tree.nodes_at(t):
-                ndim = problem.decision_dim(node.id)
-                if t < T:
-                    out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
-                    u = np.zeros(tuple(len(a) for a in out_axes))
-                    for child in tree.children(node.id):
-                        u = u + child.prob * pre[child.id].values
-                    post[node.id] = ValueTable(node.id, out_axes, u, "post")
-                f = _node_objective(problem, node, _table_continuation(problem, node, post))
-                vals, args, diag = _minimize_at(f, mesh, ndim, cfg, node.id, executor)
-                pre[node.id] = ValueTable(node.id, axes, vals.reshape(shape), "pre")
-                policy_entries[node.id] = (axes, args.reshape(shape + (ndim,)))
-                diagnostics["nodes"][node.id] = diag
+            P = tree.positions_at(t)
+            nodes = tree.nodes_at(t)
+            n = len(P)
+            ndim = problem.decision_dims[t]
+            if t < T:
+                out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
+                slots = _child_slots(tree, P)
+                kids = np.concatenate([c for _, c, _ in slots])
+                u = _expect(slots, stacked[tree.stage_index[kids]], n)
+                for node, table in zip(nodes, u):
+                    post[node.id] = ValueTable(node.id, out_axes, table, "post")
+            f = _stage_objective(problem, _table_continuation(problem, t, post))
+            K = np.repeat(P, len(mesh))
+            vals, args, diag = _minimize_at(
+                f, K, np.tile(mesh, (n, 1)), ndim, cfg, problem._ids, executor
+            )
+            stacked = vals.reshape((n,) + shape)
+            args = args.reshape((n,) + shape + (ndim,))
+            counters = {k: v.reshape(n, -1).max(axis=1) for k, v in diag["per_state"].items()}
+            flat = stacked.reshape(n, -1)
+            finite = np.isfinite(flat)
+            low = np.where(finite, flat, INF).min(axis=1)
+            bounds = problem._lower_bounds[P]
+            for i, node in enumerate(nodes):
+                pre[node.id] = ValueTable(node.id, axes, stacked[i], "pre")
+                policy_entries[node.id] = (axes, args[i])
+                diagnostics["nodes"][node.id] = {
+                    "expansions": int(counters["expansions"][i]),
+                    "sweeps": int(counters["sweeps"][i]),
+                    "max_box": float(counters["max_box"][i]),
+                }
+                if finite[i].any() and low[i] < bounds[i] - cfg.eps_opt:
+                    bound_violations[node.id] = float(low[i] - bounds[i])
     finally:
         if executor is not None:
             executor.shutdown()
-
-    # spot-check the declared lower bound on the computed grids: a table
-    # entry below the conditional expectation of m means the model builder
-    # declared an invalid bound
-    bound_violations = {}
-    for nid, table in pre.items():
-        bound = problem.expected_lower_bound(nid)
-        finite = table.values[np.isfinite(table.values)]
-        if finite.size and finite.min() < bound - cfg.eps_opt:
-            bound_violations[nid] = float(finite.min() - bound)
     diagnostics["lower_bound_violations"] = bound_violations
 
     value = float(pre[tree.root.id].values.reshape(-1)[0])
@@ -685,26 +928,37 @@ def forward_pass(
     "greedy" re-minimizes each node's objective at the exactly visited
     state with table continuations (interior nodes interpolate their post
     table); mode "exact" re-minimizes it against the interpolation-free
-    nested recursion.  ``pre`` and ``policy`` are not read: both modes
-    re-optimize instead of looking decisions up, and the parameters stay
-    so that positional callers (perfbench/workloads.py) keep working.
+    nested recursion.  Both decide one stage per search and then price
+    the decisions with one depth-first walk.  ``pre`` and ``policy`` are
+    not read: both modes re-optimize instead of looking decisions up, and
+    the parameters stay so that positional callers
+    (perfbench/workloads.py) keep working.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown forward mode {mode!r}")
+    tree = problem.tree
+
+    def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
+        ndim = problem.decision_dims[t]
+        if ndim == 0:
+            return np.zeros((len(K), 0))
+        if mode == "exact":
+            _, X, _ = _exact_min(problem, K, S, cfg.exact_refine())
+        else:
+            f = _stage_objective(problem, _table_continuation(problem, t, post))
+            _, X, _ = _minimize_at(f, K, S, ndim, cfg, problem._ids)
+        return np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
+
+    chosen = {
+        int(p): x for K, _, X in _stagewise(problem, decide) for p, x in zip(K, X)
+    }
     decisions: dict[str, np.ndarray] = {}
 
-    def choose(node: Node, S: np.ndarray) -> np.ndarray:
-        ndim = problem.decision_dim(node.id)
-        if ndim == 0:
-            return np.zeros((S.shape[0], 0))
-        if mode == "exact":
-            _, X, _ = _exact_min(problem, node, S, cfg.exact_refine())
-        else:
-            f = _node_objective(problem, node, _table_continuation(problem, node, post))
-            _, X, _ = _minimize_at(f, S, ndim, cfg, node.id)
-        X = np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
-        decisions[node.id] = X[0]
-        return X
+    def choose(p: int, S: np.ndarray) -> np.ndarray:
+        x = chosen[p]
+        if x.size:
+            decisions[tree.nodes[p].id] = x
+        return x[None, :]
 
     value = _walk(problem, problem.state_map.initial[None, :], choose)[0]
     return float(value), AdaptedSequence(decisions)
@@ -715,34 +969,38 @@ def forward_pass(
 # ---------------------------------------------------------------------------
 
 
-def _exact_continuation(
-    problem: Problem, node: Node, cfg: SolveConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Post-decision continuation of a node by the nested recursion, no tables.
+def _exact_continuation(problem: Problem, t: int, cfg: SolveConfig) -> Continuation:
+    """Post-decision continuation of the stage-t nodes by the nested
+    recursion, no tables.
 
-    The recursion stays batched all the way down (states x decisions per
-    level), which keeps nested verification on small trees tractable.
+    The recursion stays batched all the way down: one search per level
+    covers every child of every row (states x decisions per level), which
+    keeps nested verification on small trees tractable.
     """
-    tree = problem.tree
-    if tree.is_leaf(node.id):
-        return problem.leaf_objective[node.id].value_many
-    kids = tree.children(node.id)
+    if t == problem.tree.horizon:
+        return problem.leaf_values
 
-    def cont(states: np.ndarray) -> np.ndarray:
-        out = np.zeros(states.shape[0])
-        for child in kids:
-            out += child.prob * _exact_min(problem, child, states, cfg)[0]
-        return out
+    def cont(K: np.ndarray, states: np.ndarray) -> np.ndarray:
+        slots = _child_slots(problem.tree, K)
+        kids = np.concatenate([c for _, c, _ in slots])
+        entering = np.concatenate(
+            [states[rows] if isinstance(rows, slice) else np.take(states, rows, axis=0)
+             for rows, _, _ in slots]
+        )
+        vals = _exact_min(problem, kids, entering, cfg)[0]
+        return _expect(slots, vals, len(K))
 
     return cont
 
 
 def _exact_min(
-    problem: Problem, node: Node, states: np.ndarray, cfg: SolveConfig
+    problem: Problem, K: np.ndarray, states: np.ndarray, cfg: SolveConfig
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Optimal values and decisions at a batch of entering states, no tables."""
-    f = _node_objective(problem, node, _exact_continuation(problem, node, cfg))
-    return _minimize_at(f, states, problem.decision_dim(node.id), cfg, node.id)
+    """Optimal values and decisions at a batch of (node, entering state) rows
+    of one stage, no tables."""
+    t = int(problem.tree.times[K[0]])  # all rows of a batch are at one stage
+    f = _stage_objective(problem, _exact_continuation(problem, t, cfg))
+    return _minimize_at(f, K, states, problem.decision_dims[t], cfg, problem._ids)
 
 
 def exact_cost_to_go(
@@ -750,9 +1008,9 @@ def exact_cost_to_go(
 ) -> float:
     """Optimal cost-to-go from a node given its entering state (no tables)."""
     cfg = (cfg or DEFAULT_CONFIG).exact_refine()
-    node = problem.tree.node(node_id)
+    K = np.array([problem.tree.index(node_id)])
     state = np.atleast_1d(np.asarray(state, dtype=float))
-    return float(_exact_min(problem, node, state[None, :], cfg)[0][0])
+    return float(_exact_min(problem, K, state[None, :], cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +1020,16 @@ def exact_cost_to_go(
 
 def _strategy_choice(
     problem: Problem, strategy: AdaptedSequence
-) -> Callable[[Node, np.ndarray], np.ndarray]:
+) -> Callable[[int, np.ndarray], np.ndarray]:
     """The strategy's decision at each node, as a ``_walk`` chooser."""
+    nodes = problem.tree.nodes
 
-    def choose(node: Node, S: np.ndarray) -> np.ndarray:
-        ndim = problem.decision_dim(node.id)
-        x = strategy.at(node.id) if ndim > 0 else np.zeros(0)
+    def choose(p: int, S: np.ndarray) -> np.ndarray:
+        node_id = nodes[p].id
+        ndim = problem.decision_dim(node_id)
+        x = strategy.at(node_id) if ndim > 0 else np.zeros(0)
         if x.shape != (ndim,):
-            raise ValueError(f"strategy at {node.id!r} has dimension {x.shape}, want {ndim}")
+            raise ValueError(f"strategy at {node_id!r} has dimension {x.shape}, want {ndim}")
         return np.repeat(x[None, :], S.shape[0], axis=0)
 
     return choose
@@ -781,9 +1041,9 @@ def _strategy_points(
     result: "SolveResult | None",
     cfg: SolveConfig,
     method: str,
-) -> dict[str, tuple]:
-    """Per node along the strategy: (objective f, entering state S,
-    decision X, f(S, X)), one row each.
+) -> list[tuple]:
+    """Per stage along the strategy: (objective f, positions K, entering
+    states S, decisions X, f(K, S, X)), one row per node.
 
     ``method="tables"`` gives f the solver's table continuation,
     ``method="exact"`` the nested recursion's.
@@ -793,37 +1053,35 @@ def _strategy_points(
             raise ValueError("a solve result is required for method='tables'")
     elif method != "exact":
         raise ValueError(f"unknown verification method {method!r}")
-    strategy_choice = _strategy_choice(problem, strategy)
-    points: dict[str, tuple] = {}
+    choose = _strategy_choice(problem, strategy)
 
-    def choose(node: Node, S: np.ndarray) -> np.ndarray:
-        X = strategy_choice(node, S)
+    def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
+        return np.concatenate([choose(int(p), S[i : i + 1]) for i, p in enumerate(K)])
+
+    points = []
+    for t, (K, S, X) in enumerate(_stagewise(problem, decide)):
         if method == "exact":
-            cont = _exact_continuation(problem, node, cfg.exact_refine())
+            cont = _exact_continuation(problem, t, cfg.exact_refine())
         else:
-            cont = _table_continuation(problem, node, result.post_tables)
-        f = _node_objective(problem, node, cont)
-        points[node.id] = (f, S, X, float(f(S, X)[0]))
-        return X
-
-    _walk(problem, problem.state_map.initial[None, :], choose)
+            cont = _table_continuation(problem, t, result.post_tables)
+        f = _stage_objective(problem, cont)
+        points.append((f, K, S, X, f(K, S, X)))
     return points
 
 
-def _chain(problem: Problem, points: Mapping[str, tuple]) -> list[float]:
+def _chain(problem: Problem, points: list[tuple]) -> list[float]:
     """E h_t for t = 0..T: earlier stage costs plus each node's objective value."""
     tree = problem.tree
-    past = {tree.root.id: 0.0}
+    past = np.zeros(len(tree))
     chain: list[float] = []
-    for t in range(tree.horizon + 1):
+    for _, K, S, X, here in points:
         total = 0.0
-        for node in tree.nodes_at(t):
-            _, S, X, here = points[node.id]
-            total += tree.probability(node.id) * (past[node.id] + here)
-            stage = float(problem.stage_values(node, S, X)[0])
-            for child in tree.children(node.id):
-                past[child.id] = past[node.id] + stage
+        for v in (tree.probabilities[K] * (past[K] + here)).tolist():
+            total += v
         chain.append(float(total))
+        stage = problem.stage_values(K, S, X)
+        for rows, kids, _ in _child_slots(tree, K):
+            past[kids] = past[K[rows]] + stage[rows]
     return chain
 
 
@@ -886,23 +1144,21 @@ def verify_optimality(
 
     Computes the expectation chain E h_t(x^t) and, nodewise, the gap
     between the value of the candidate's decision and the minimized value
-    at the same entering state.  The strategy is flagged optimal iff every
-    consecutive chain difference and every nodewise gap is within
-    ``eps_opt``.  A gridded solve can certify this only up to
-    interpolation error; ``method="exact"`` removes that caveat for small
-    trees by re-minimizing with the nested recursion.
+    at the same entering state (one search per stage).  The strategy is
+    flagged optimal iff every consecutive chain difference and every
+    nodewise gap is within ``eps_opt``.  A gridded solve can certify this
+    only up to interpolation error; ``method="exact"`` removes that caveat
+    for small trees by re-minimizing with the nested recursion.
     """
     points = _strategy_points(problem, strategy, result, cfg, method)
     chain = _chain(problem, points)
     search_cfg = cfg.exact_refine() if method == "exact" else cfg
-    node_gaps: dict[str, float] = {}
-    for node in problem.tree.nodes:
-        f, S, X, here = points[node.id]
-        best = float(_minimize_at(f, S, X.shape[1], search_cfg, node.id)[0][0])
-        if math.isinf(here) and math.isinf(best):
-            node_gaps[node.id] = 0.0
-        else:
-            node_gaps[node.id] = here - best
+    gaps: dict[str, float] = {}
+    for f, K, S, X, here in points:
+        best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
+        for p, h, b in zip(K.tolist(), here.tolist(), best.tolist()):
+            gaps[problem._ids[p]] = 0.0 if math.isinf(h) and math.isinf(b) else h - b
+    node_gaps = {n.id: gaps[n.id] for n in problem.tree.nodes}
     diffs = [abs(chain[t + 1] - chain[t]) for t in range(len(chain) - 1)]
     optimal = all(d <= cfg.eps_opt for d in diffs) and all(
         g <= cfg.eps_opt for g in node_gaps.values()
@@ -919,7 +1175,7 @@ def brute_force(
     problem: Problem,
     grids: Mapping[str, np.ndarray],
     guard: int = 10**7,
-    chunk: int = 1 << 16,
+    chunk: int = 1 << 12,
 ) -> tuple[float, AdaptedSequence]:
     """Exhaustive enumeration over per-node decision grids.
 
@@ -949,6 +1205,7 @@ def brute_force(
     for i in range(len(sizes) - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
 
+    ids = problem._ids
     best_val = INF
     best_combo = -1
     for start in range(0, total, chunk):
@@ -958,7 +1215,7 @@ def brute_force(
         }
         m = C.shape[0]
         S0 = np.repeat(problem.state_map.initial[None, :], m, axis=0)
-        vals = _walk(problem, S0, lambda node, S: dec.get(node.id, np.zeros((m, 0))))
+        vals = _walk(problem, S0, lambda p, S: dec.get(ids[p], np.zeros((m, 0))))
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
@@ -977,10 +1234,18 @@ def brute_force(
 # ---------------------------------------------------------------------------
 
 
+def _coordinate_rows(axes: tuple[np.ndarray, ...], width: int) -> list[list[str]]:
+    """Formatted grid coordinates in C order, padded to ``width`` columns."""
+    pad = [""] * (width - len(axes))
+    formatted = [list(map(repr, np.asarray(a, dtype=float).tolist())) for a in axes]
+    return [list(c) + pad for c in itertools.product(*formatted)]
+
+
 def export_tables_csv(result: SolveResult, path: str) -> None:
     """Plot-ready dump: node, table kind, grid coordinates, value."""
     tabs = list(result.pre_tables.values()) + list(result.post_tables.values())
     width = max((len(t.axes) for t in tabs), default=0)
+    coords: dict[int, list[list[str]]] = {}  # stages share their axes objects
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["node", "kind"] + [f"s{i}" for i in range(width)] + ["value"])
@@ -988,16 +1253,17 @@ def export_tables_csv(result: SolveResult, path: str) -> None:
             if not t.axes:
                 w.writerow([t.node, t.kind] + [""] * width + [repr(float(t.values.reshape(-1)[0]))])
                 continue
-            for idx in itertools.product(*(range(len(a)) for a in t.axes)):
-                coords = [repr(float(t.axes[d][idx[d]])) for d in range(len(t.axes))]
-                coords += [""] * (width - len(coords))
-                w.writerow([t.node, t.kind] + coords + [repr(float(t.values[idx]))])
+            if id(t.axes) not in coords:
+                coords[id(t.axes)] = _coordinate_rows(t.axes, width)
+            values = map(repr, t.values.ravel().tolist())
+            w.writerows([t.node, t.kind, *c, v] for c, v in zip(coords[id(t.axes)], values))
 
 
 def export_policy_csv(result: SolveResult, path: str) -> None:
     entries = result.policy.entries
     swidth = max((len(axes) for axes, _ in entries.values()), default=0)
     dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
+    coords: dict[int, list[list[str]]] = {}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -1007,16 +1273,15 @@ def export_policy_csv(result: SolveResult, path: str) -> None:
         )
         for node, (axes, arr) in entries.items():
             ndim = arr.shape[-1]
+            pad = [""] * (dwidth - ndim)
+            rows = arr.reshape(math.prod(arr.shape[:-1]), ndim).tolist()
+            decisions = [list(map(repr, row)) + pad for row in rows]
             if not axes:
-                dec = [repr(float(v)) for v in arr.reshape(-1)]
-                w.writerow([node] + [""] * swidth + dec + [""] * (dwidth - ndim))
+                w.writerows([node] + [""] * swidth + dec for dec in decisions)
                 continue
-            for idx in itertools.product(*(range(len(a)) for a in axes)):
-                coords = [repr(float(axes[d][idx[d]])) for d in range(len(axes))]
-                coords += [""] * (swidth - len(coords))
-                dec = [repr(float(v)) for v in arr[idx]]
-                dec += [""] * (dwidth - ndim)
-                w.writerow([node] + coords + dec)
+            if id(axes) not in coords:
+                coords[id(axes)] = _coordinate_rows(axes, swidth)
+            w.writerows([node, *c, *dec] for c, dec in zip(coords[id(axes)], decisions))
 
 
 def report_json(result: SolveResult, extra: dict | None = None) -> str:

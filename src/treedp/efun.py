@@ -262,6 +262,9 @@ class SShapedDisutility(ExtFun):
     dim = 1
 
     def __post_init__(self):
+        for name in ("gamma", "kappa", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.gamma > 1:
             raise ValueError("gamma must be > 1")
         if not self.kappa > 0:

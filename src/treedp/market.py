@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from . import efun
-from .dp import Problem, StateMap
+from .dp import Problem, RowGroups, StageFun, StateMap
 from .efun import (
     AffinePrecompose,
     ExtFun,
@@ -65,6 +65,9 @@ class Frictionless:
 
     def is_frictionless(self) -> bool:
         return True
+
+    def params_at(self, node_id: str) -> tuple:
+        return ()
 
     def cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
         return np.zeros(D.shape[0])
@@ -497,6 +500,54 @@ def _analysis_stamp(model: MarketModel, report: ValidationReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, J) arrays."""
+    return np.einsum("ij,ij->i", A, B)
+
+
+@dataclass(frozen=True)
+class _PositionData:
+    """Per-position market data of the tree, built once per problem.
+
+    ``cost(K, D)`` is the friction cost of trade D[j] at the node of
+    position K[j]: one ``cost_many`` call per group of nodes that share
+    cost parameters, with a representative node of the group.
+    """
+
+    Z: np.ndarray        # (N, J) prices
+    claim: np.ndarray    # (N,)
+    endow: np.ndarray    # (N,)
+    cost_model: Frictionless | PowerIlliquidity
+    cost_groups: RowGroups
+
+    @classmethod
+    def of(cls, model: MarketModel) -> "_PositionData":
+        nodes = model.tree.nodes
+        reps: dict = {}
+        return cls(
+            Z=np.array([model.Z(n.id) for n in nodes]).reshape(len(nodes), model.n_risky),
+            claim=np.array([model.claim(n.id) for n in nodes]),
+            endow=np.array([model.endow(n.id) for n in nodes]),
+            cost_model=model.cost,
+            cost_groups=RowGroups([reps.setdefault(model.cost.params_at(n.id), n) for n in nodes]),
+        )
+
+    def cost(self, K: np.ndarray, D: np.ndarray) -> np.ndarray:
+        return self.cost_groups.map(K, lambda node, rows: self.cost_model.cost_many(node, D[rows]))
+
+
+def _leaf_objectives(model: MarketModel, wrap) -> dict[str, ExtFun]:
+    """``wrap(disutility)`` per leaf, one shared object per distinct utility."""
+    shared: dict[int, ExtFun] = {}
+    out = {}
+    for leaf in model.tree.leaves:
+        u = model.utility_at(leaf.id)
+        if id(u) not in shared:
+            shared[id(u)] = wrap(u.disutility())
+        out[leaf.id] = shared[id(u)]
+    return out
+
+
 def _constraint_stage_fun(model: MarketModel, t: int, state_dim: int) -> ExtFun | None:
     bounds = model.holdings_bounds(t)
     if bounds is None:
@@ -589,31 +640,35 @@ def build_problem_cash(
     dims = tuple(J if model.can_trade(t) else 0 for t in range(T)) + (0,)
     state_dims = tuple([J + 1] * T + [1])
 
-    def transition(node: Node, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if node.time < T:
+    data = _PositionData.of(model)
+    times = tree.times
+
+    def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        t = times[K[0]]
+        Z = np.take(data.Z, K, axis=0)
+        if t < T:
             cash, phi = S[:, :1], S[:, 1:]
-            target = X if model.can_trade(node.time) else phi
+            target = X if model.can_trade(t) else phi
             delta = target - phi
-            spend = delta @ model.Z(node.id) + model.cost.cost_many(node, delta)
-            new_cash = cash[:, 0] - model.claim(node.id) - spend
+            spend = _rowdot(delta, Z) + data.cost(K, delta)
+            new_cash = cash[:, 0] - data.claim[K] - spend
             return np.hstack([new_cash[:, None], target])
         cash, phi = S[:, 0], S[:, 1:]
-        liq = phi @ model.Z(node.id) - model.cost.cost_many(node, -phi)
-        wealth = cash + liq - model.claim(node.id) + model.endow(node.id)
+        liq = _rowdot(phi, Z) - data.cost(K, -phi)
+        wealth = cash + liq - data.claim[K] + data.endow[K]
         return wealth[:, None]
 
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
     sm = StateMap(state_dims, initial, transition)
-    leaf_obj = {
-        leaf.id: AffinePrecompose(model.disutility_at(leaf.id), [[-1.0]])
-        for leaf in tree.leaves
+    leaf_obj = _leaf_objectives(model, lambda dis: AffinePrecompose(dis, [[-1.0]]))
+    per_stage = {
+        t: _constraint_stage_fun(model, t, J + 1) for t in range(T) if model.can_trade(t)
     }
-    stage_funs: dict[str, ExtFun] = {}
-    for node in tree.nodes:
-        if node.time < T and model.can_trade(node.time):
-            sf = _constraint_stage_fun(model, node.time, J + 1)
-            if sf is not None:
-                stage_funs[node.id] = sf
+    stage_funs: dict[str, ExtFun] = {
+        node.id: per_stage[node.time]
+        for node in tree.nodes
+        if per_stage.get(node.time) is not None
+    }
     report = validate(model)
     meta: dict = {
         "market": model,
@@ -695,7 +750,7 @@ def build_problem_terminal(
         leaf = tree.root
         dis = model.disutility_at(leaf.id)
         arg = model.claim(leaf.id) - model.initial_cash - model.endow(leaf.id)
-        sm = StateMap((1,), np.zeros(0), lambda node, S, X: np.full((S.shape[0], 1), arg))
+        sm = StateMap((1,), np.zeros(0), lambda K, S, X: np.full((S.shape[0], 1), arg))
         return Problem(
             tree=tree,
             decision_dims=(0,),
@@ -714,56 +769,60 @@ def build_problem_terminal(
     dims = tuple([d] * T + [0])
     state_dims = tuple([d] * T + [1])
 
-    def transition(node: Node, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if node.time < T:
+    data = _PositionData.of(model)
+    times = tree.times
+    # the initial cash enters as a negative claim at the root
+    net_claim = data.claim - np.where(times == 0, model.initial_cash, 0.0)
+
+    def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        Z = np.take(data.Z, K, axis=0)
+        if times[K[0]] < T:
             # state (cash, holdings); decision (expenditure d_t, holdings)
-            claim = model.claim(node.id) - (model.initial_cash if node.time == 0 else 0.0)
             cash, phi = S[:, 0], S[:, 1:]
             target = X[:, 1:]
             delta = target - phi
             new_cash = (
                 cash
                 + X[:, 0]
-                - (delta @ model.Z(node.id) + model.cost.cost_many(node, delta))
-                - claim
+                - (_rowdot(delta, Z) + data.cost(K, delta))
+                - net_claim[K]
             )
             return np.hstack([new_cash[:, None], target])
         # forced liquidation: the final trade is minus the held portfolio
         cash_prev, phi_prev = S[:, 0], S[:, 1:]
         spend = (
             -cash_prev
-            + (-phi_prev) @ model.Z(node.id)
-            + model.cost.cost_many(node, -phi_prev)
-            + model.claim(node.id)
-            - model.endow(node.id)
+            + _rowdot(-phi_prev, Z)
+            + data.cost(K, -phi_prev)
+            + data.claim[K]
+            - data.endow[K]
         )
         return spend[:, None]
 
-    stage_funs: dict = {}
-    for node in tree.nodes:
-        if node.time >= T:
-            continue
+    per_stage: dict[int, StageFun] = {}
+    for t in range(T):
         lo = np.concatenate([[-INF], np.full(J, -INF)])
         up = np.concatenate([[0.0], np.full(J, INF)])
-        bounds = model.holdings_bounds(node.time)
+        bounds = model.holdings_bounds(t)
         if bounds is not None:
             lo[1:], up[1:] = bounds
         sel = np.zeros((d, d + d))
         sel[:, d:] = np.eye(d)
         box = AffinePrecompose(IndicatorBox(lo, up), sel)
         if model.cash_lower is None:
-            stage_funs[node.id] = box
+            per_stage[t] = box
         else:
             # borrowing limit: the post-trade cash account stays above it
-            def fn(node_: Node, S: np.ndarray, X: np.ndarray, _box=box) -> np.ndarray:
+            def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray, _box=box) -> np.ndarray:
                 vals = _box.value_many(np.hstack([S, X]))
-                new_cash = transition(node_, S, X)[:, 0]
+                new_cash = transition(K, S, X)[:, 0]
                 return vals + np.where(new_cash >= model.cash_lower - 1e-12, 0.0, INF)
 
-            stage_funs[node.id] = fn
+            per_stage[t] = fn
+    stage_funs = {node.id: per_stage[node.time] for node in tree.nodes if node.time < T}
 
     sm = StateMap(state_dims, np.zeros(d), transition)
-    leaf_obj = {leaf.id: model.disutility_at(leaf.id) for leaf in tree.leaves}
+    leaf_obj = _leaf_objectives(model, lambda dis: dis)
     report = validate(model)
     meta: dict = {
         "market": model,

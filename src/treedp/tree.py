@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -72,6 +73,40 @@ class ScenarioTree:
             n.id for n in nodes if n.parent is None and n.time == 0
         )
         self._horizon: int = max((n.time for n in nodes), default=0)
+        self._layout()
+
+    def _layout(self) -> None:
+        nodes = self.nodes
+        self._index: dict[str, int] = {n.id: i for i, n in enumerate(nodes)}
+        stages: dict[int, list[int]] = {}
+        for i, n in enumerate(nodes):
+            stages.setdefault(n.time, []).append(i)
+        self._stage_nodes = {t: tuple(nodes[i] for i in p) for t, p in stages.items()}
+        self._stage_lists = stages
+
+    @cached_property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        # built on first use: a broken tree (say, a stage number beyond int64)
+        # must still reach ``validate``, which reports it as data
+        nodes = self.nodes
+        stage_pos = {t: _frozen(np.array(p, dtype=np.int64)) for t, p in self._stage_lists.items()}
+        stage_index = np.zeros(len(nodes), dtype=np.int64)
+        for p in stage_pos.values():
+            stage_index[p] = np.arange(len(p))
+        kids = [self._children[n.id] for n in nodes]
+        flat_kids = [self._nodes[c] for k in kids for c in k]
+        return {
+            "times": _frozen(np.array([n.time for n in nodes], dtype=np.int64)),
+            "stage_pos": stage_pos,
+            "stage_index": _frozen(stage_index),
+            "parent_pos": _frozen(np.array(
+                [self._index.get(n.parent, -1) if n.parent is not None else -1 for n in nodes],
+                dtype=np.int64,
+            )),
+            "child_start": _frozen(np.cumsum([0] + [len(k) for k in kids], dtype=np.int64)),
+            "child_pos": _frozen(np.array([self._index[c.id] for c in flat_kids], dtype=np.int64)),
+            "child_prob": _frozen(np.array([c.prob for c in flat_kids], dtype=float)),
+        }
 
     # -- basic accessors -------------------------------------------------
 
@@ -98,13 +133,13 @@ class ScenarioTree:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._nodes[i] for i in self._order)
 
     def nodes_at(self, t: int) -> tuple[Node, ...]:
         """Nodes at stage t, in input order (deterministic)."""
-        return tuple(n for n in self.nodes if n.time == t)
+        return self._stage_nodes.get(t, ())
 
     def children(self, node_id: str) -> tuple[Node, ...]:
         return tuple(self._nodes[c] for c in self._children[self.node(node_id).id])
@@ -119,6 +154,51 @@ class ScenarioTree:
 
     def is_leaf(self, node_id: str) -> bool:
         return self.node(node_id).time == self._horizon
+
+    # -- array layout (positions are indices into ``nodes``) -------------
+
+    def index(self, node_id: str) -> int:
+        """Position of the node in ``nodes``."""
+        return self._index[self.node(node_id).id]
+
+    @property
+    def times(self) -> np.ndarray:
+        """Stage of the node at each position."""
+        return self._arrays["times"]
+
+    def positions_at(self, t: int) -> np.ndarray:
+        """Positions of the stage-t nodes, in the order of ``nodes_at(t)``."""
+        return self._arrays["stage_pos"].get(t, _frozen(np.zeros(0, dtype=np.int64)))
+
+    @property
+    def stage_index(self) -> np.ndarray:
+        """Index of the node at each position within ``positions_at`` of its stage."""
+        return self._arrays["stage_index"]
+
+    @property
+    def parent_pos(self) -> np.ndarray:
+        """Position of each node's parent (-1 for a root or an unknown parent)."""
+        return self._arrays["parent_pos"]
+
+    @property
+    def child_start(self) -> np.ndarray:
+        """CSR offsets: the children of position i are
+        ``child_pos[child_start[i]:child_start[i + 1]]``, in input order."""
+        return self._arrays["child_start"]
+
+    @property
+    def child_pos(self) -> np.ndarray:
+        return self._arrays["child_pos"]
+
+    @property
+    def child_prob(self) -> np.ndarray:
+        """Conditional probability of each entry of ``child_pos``."""
+        return self._arrays["child_prob"]
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Unconditional probability at each position (as :meth:`probability`)."""
+        return _frozen(np.array([self.probability(n.id) for n in self.nodes]))
 
     # -- probability and paths -------------------------------------------
 
@@ -168,6 +248,11 @@ class ScenarioTree:
                 acc += child.prob * v
             out[node.id] = acc
         return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate(tree: ScenarioTree) -> list[str]:

@@ -1,10 +1,19 @@
+import copy
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from treedp import cli, market
 
-from conftest import arbitrage_model, sshaped_t2_model
+from conftest import (
+    arbitrage_model,
+    duplicated_asset_model,
+    get_bench,
+    sshaped_t2_model,
+    sshaped_t3_model,
+)
 
 
 @pytest.fixture
@@ -104,13 +113,15 @@ class TestCheck:
     @pytest.mark.parametrize("mutate, field", [
         (lambda d: d["cost"].pop("coeff"), "'coeff'"),
         (lambda d: d["utility"].update(gamma=1.0), "gamma"),
+        (lambda d: d["utility"].update(kappa=float("inf")), "kappa must be finite"),
         (lambda d: d["tree"][1]["data"].update(Z=["abc"]), "'Z'"),
         (lambda d: d.update(utility={"kind": "sampled", "values": [0.0, 1.0]}), "'grid'"),
         (lambda d: d.update(constraints={"0": {"lower": [1.0], "upper": [-1.0]}}), "lower <= upper"),
         (lambda d: d.update(constraints={"0": {"lower": [-1.0]}}), "'upper'"),
         (lambda d: d["cost"].update(per_node={"r": ["x", 2.0]}), "per_node"),
         (lambda d: d["tree"][1]["data"].update(utility="abc"), "utility at node 'u'"),
-    ], ids=["missing_coeff", "gamma_1", "string_price", "sampled_no_grid", "box_lower_above_upper",
+    ], ids=["missing_coeff", "gamma_1", "kappa_inf", "string_price", "sampled_no_grid",
+            "box_lower_above_upper",
             "box_no_upper", "per_node_string", "leaf_utility_string"])
     def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
         model = toy_model_dict()
@@ -156,6 +167,23 @@ class TestSolve:
             cli.main(["solve", toy_file, "--grid", "4"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_collapsed_state_grid_exit_4(self, command, tmp_path, capsys):
+        # x0 +- span rounds to x0 = 1e308: every cash breakpoint is equal
+        model = market.market_to_dict(sshaped_t3_model())
+        model["initial_cash"] = 1e308
+        p = tmp_path / "huge_cash.json"
+        p.write_text(json.dumps(model))
+        out = tmp_path / "o"
+        extra = ["--grids=-1:1:3"] if command == "oracle" else []
+        code = cli.main([command, str(p), "--out", str(out), *extra])
+        assert code == 4
+        stdout = capsys.readouterr().out
+        assert "NaN" not in stdout
+        report = json.loads((out / f"{command}_report.json").read_text())
+        assert report["error"] == "NumericFailure"
+        assert "strictly increasing" in report["message"]
+
 
 class TestOracle:
     def test_toy_oracle_pass(self, toy_file, tmp_path, capsys):
@@ -198,3 +226,73 @@ class TestDeterminism:
                 (out / "value_tables.csv").read_bytes(),
             )
         assert blobs[1] == blobs[2] == blobs[8]
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz over mutated market files
+# ---------------------------------------------------------------------------
+
+_WEIRD_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, 1e-320,
+                 0.0, -1.0, "x", None, [], {}, True, [1.0, "a"]]
+
+
+def _leaf_paths(obj, path=()):
+    """Paths to every dict entry and list item of a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield path + (key,)
+        yield from _leaf_paths(val, path + (key,))
+
+
+def _mutate(spec: dict, rng: np.random.Generator) -> dict:
+    """Drop a key, retype or replace a value, or break a probability."""
+    spec = copy.deepcopy(spec)
+    if rng.random() < 0.2:
+        node = spec["tree"][int(rng.integers(len(spec["tree"])))]
+        node["prob"] = [0.0, -0.5, 1.5, float("nan"), 0.49, 1e-300][int(rng.integers(6))]
+        return spec
+    paths = list(_leaf_paths(spec))
+    path = paths[int(rng.integers(len(paths)))]
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.random() < 0.3:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(_WEIRD_VALUES[int(rng.integers(len(_WEIRD_VALUES)))])
+    return spec
+
+
+def _fuzz_bases() -> list[dict]:
+    return [toy_model_dict()] + [
+        market.market_to_dict(m) for m in (
+            sshaped_t2_model(), sshaped_t3_model(), duplicated_asset_model(),
+            arbitrage_model(), get_bench("trinomial_t1").model,
+        )
+    ]
+
+
+class TestFuzz:
+    def test_mutated_market_files_fail_closed(self, tmp_path, capsys):
+        rng = np.random.default_rng(20261018)
+        bases = _fuzz_bases()
+        path = tmp_path / "mutated.json"
+        for i in range(150):
+            spec = _mutate(bases[i % len(bases)], rng)
+            path.write_text(json.dumps(spec))  # NaN and Infinity as JSON literals
+            for argv in (["check"], ["solve", "--points", "5", "--radius", "1"]):
+                argv = [argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")]
+                # as on the command line: numeric warnings are printed, not raised
+                with warnings.catch_warnings():
+                    warnings.simplefilter("default")
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as e:
+                        code = e.code
+                out, err = capsys.readouterr()
+                assert code in range(6), (argv, spec)
+                assert "Traceback" not in err, (argv, spec)
+                assert "NaN" not in out, (argv, spec)
