@@ -22,7 +22,16 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0:
         return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    norms = np.linalg.norm(rows, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    huge = np.isinf(norms)
+    if huge.any():
+        # a norm beyond the float range: scale the row by its largest entry
+        # first, so that huge data keeps its direction instead of becoming 0
+        huge &= np.isfinite(rows).all(axis=1)
+        rows = rows.copy()
+        rows[huge] /= np.abs(rows[huge]).max(axis=1)[:, None]
+        norms[huge] = np.linalg.norm(rows[huge], axis=1)
     keep = norms > 0
     rows = rows[keep]
     norms = norms[keep]

@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimality/refinement tolerance")
         sp.add_argument("--eps-gap", type=float, default=None,
                         help="relative table-vs-forward gap tolerance")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility (>= 1); the search runs on one thread")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks")
         sp.add_argument("--out", default=None, help="output directory (default: TREEDP_OUT or .)")

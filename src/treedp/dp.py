@@ -20,7 +20,8 @@ the true objective of the extracted policy in a forward pass (mode
 ``greedy`` re-minimizes against the tables, ``exact`` against the
 interpolation-free nested recursion) and reports both numbers; for small
 trees the nested recursion also verifies optimality
-(``verify_optimality(..., method="exact")``).
+(``verify_optimality(..., method="exact")``), reusing the minima that the
+exact forward pass attached to the strategy it returned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -82,7 +82,13 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver tolerances and search parameters (all overridable)."""
+    """Solver tolerances and search parameters (all overridable).
+
+    ``threads`` must be >= 1 and is accepted so that callers passing it
+    (the CLI's ``--threads``) keep working, but it does not change how the
+    search runs: every search runs on the calling thread, so results are
+    the same for every value.
+    """
 
     grid_points: int = 33        # decision grid points per axis
     box_init: float = 1.0        # initial half-width of the search box
@@ -91,7 +97,7 @@ class SolveConfig:
     eps_ref: float = 1e-6        # pattern-search step at which refinement stops
     eps_opt: float = 1e-6        # optimality equality tolerance
     eps_gap: float = 1e-3        # relative table-vs-forward gap tolerance
-    threads: int = 1
+    threads: int = 1             # validated, does not change the search
     state_chunk: int = 64        # one objective call sees <= 64 x this many rows
 
     def __post_init__(self):
@@ -396,7 +402,6 @@ def minimize_batch(
     n_states: int,
     cfg: SolveConfig = DEFAULT_CONFIG,
     label: str | Sequence[str] = "",
-    executor: ThreadPoolExecutor | None = None,
     groups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Minimize over the decision for each of ``n_states`` states at once.
@@ -409,8 +414,8 @@ def minimize_batch(
     step drops below ``eps_ref``.  Ties break to the lexicographically
     smallest grid point.  The objective sees at most ``64 *
     cfg.state_chunk`` rows per call (or one state's whole mesh).  The grid
-    phase maps its calls over ``executor`` and keeps only each state's
-    argmin, its value there and its boundary minimum.
+    phase keeps only each state's argmin, its value there and its boundary
+    minimum.  Everything runs on the calling thread.
 
     Every state is searched independently of the others: a state leaves
     the box expansion once its boundary dominates and leaves refinement
@@ -458,11 +463,7 @@ def minimize_batch(
 
         # whole states per chunk, so each state's mesh row is reduced in one piece
         size = max(1, max_rows // k)
-        pieces = [slice(a, a + size) for a in range(0, len(states_idx), size)]
-        if executor is not None and len(pieces) > 1:
-            parts = list(executor.map(run, pieces))
-        else:
-            parts = [run(p) for p in pieces]
+        parts = [run(slice(a, a + size)) for a in range(0, len(states_idx), size)]
         return (np.concatenate(a) for a in zip(*parts))
 
     def eval_points(I: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -540,7 +541,6 @@ def _minimize_at(
     dim: int,
     cfg: SolveConfig = DEFAULT_CONFIG,
     names: Sequence[str] | str = "",
-    executor: ThreadPoolExecutor | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Minimize ``f(K, S, X)`` over the decision X at each row (K[i], states[i]).
 
@@ -565,7 +565,7 @@ def _minimize_at(
         return vals, np.zeros((n, 0)), diag
     return minimize_batch(
         lambda I, X: f(K[I], np.take(states, I, axis=0), X), dim, n, cfg,
-        label=names, executor=executor, groups=groups,
+        label=names, groups=groups,
     )
 
 
@@ -836,9 +836,6 @@ def backward_solve(
     T = tree.horizon
     if grids is None:
         grids = problem.meta.get("grids", {})
-    executor = (
-        ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    )
     pre: dict[str, ValueTable] = {}
     post: dict[str, ValueTable] = {}
     policy_entries: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
@@ -846,51 +843,45 @@ def backward_solve(
     # a table entry below the conditional expectation of the declared lower
     # bound means the model builder declared an invalid bound
     bound_violations: dict[str, float] = {}
-    try:
-        for t in range(T, -1, -1):
-            axes = _entering_axes(problem, grids, t)
-            shape = tuple(len(a) for a in axes)
-            mesh = (
-                np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-                if axes
-                else np.zeros((1, 0))
-            )
-            P = tree.positions_at(t)
-            nodes = tree.nodes_at(t)
-            n = len(P)
-            ndim = problem.decision_dims[t]
-            if t < T:
-                out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
-                slots = _child_slots(tree, P)
-                kids = np.concatenate([c for _, c, _ in slots])
-                u = _expect(slots, stacked[tree.stage_index[kids]], n)
-                for node, table in zip(nodes, u):
-                    post[node.id] = ValueTable(node.id, out_axes, table, "post")
-            f = _stage_objective(problem, _table_continuation(problem, t, post))
-            K = np.repeat(P, len(mesh))
-            vals, args, diag = _minimize_at(
-                f, K, np.tile(mesh, (n, 1)), ndim, cfg, problem._ids, executor
-            )
-            stacked = vals.reshape((n,) + shape)
-            args = args.reshape((n,) + shape + (ndim,))
-            counters = {k: v.reshape(n, -1).max(axis=1) for k, v in diag["per_state"].items()}
-            flat = stacked.reshape(n, -1)
-            finite = np.isfinite(flat)
-            low = np.where(finite, flat, INF).min(axis=1)
-            bounds = problem._lower_bounds[P]
-            for i, node in enumerate(nodes):
-                pre[node.id] = ValueTable(node.id, axes, stacked[i], "pre")
-                policy_entries[node.id] = (axes, args[i])
-                diagnostics["nodes"][node.id] = {
-                    "expansions": int(counters["expansions"][i]),
-                    "sweeps": int(counters["sweeps"][i]),
-                    "max_box": float(counters["max_box"][i]),
-                }
-                if finite[i].any() and low[i] < bounds[i] - cfg.eps_opt:
-                    bound_violations[node.id] = float(low[i] - bounds[i])
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for t in range(T, -1, -1):
+        axes = _entering_axes(problem, grids, t)
+        shape = tuple(len(a) for a in axes)
+        mesh = (
+            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+            if axes
+            else np.zeros((1, 0))
+        )
+        P = tree.positions_at(t)
+        nodes = tree.nodes_at(t)
+        n = len(P)
+        ndim = problem.decision_dims[t]
+        if t < T:
+            out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
+            slots = _child_slots(tree, P)
+            kids = np.concatenate([c for _, c, _ in slots])
+            u = _expect(slots, stacked[tree.stage_index[kids]], n)
+            for node, table in zip(nodes, u):
+                post[node.id] = ValueTable(node.id, out_axes, table, "post")
+        f = _stage_objective(problem, _table_continuation(problem, t, post))
+        K = np.repeat(P, len(mesh))
+        vals, args, diag = _minimize_at(f, K, np.tile(mesh, (n, 1)), ndim, cfg, problem._ids)
+        stacked = vals.reshape((n,) + shape)
+        args = args.reshape((n,) + shape + (ndim,))
+        counters = {k: v.reshape(n, -1).max(axis=1) for k, v in diag["per_state"].items()}
+        flat = stacked.reshape(n, -1)
+        finite = np.isfinite(flat)
+        low = np.where(finite, flat, INF).min(axis=1)
+        bounds = problem._lower_bounds[P]
+        for i, node in enumerate(nodes):
+            pre[node.id] = ValueTable(node.id, axes, stacked[i], "pre")
+            policy_entries[node.id] = (axes, args[i])
+            diagnostics["nodes"][node.id] = {
+                "expansions": int(counters["expansions"][i]),
+                "sweeps": int(counters["sweeps"][i]),
+                "max_box": float(counters["max_box"][i]),
+            }
+            if finite[i].any() and low[i] < bounds[i] - cfg.eps_opt:
+                bound_violations[node.id] = float(low[i] - bounds[i])
     diagnostics["lower_bound_violations"] = bound_violations
 
     value = float(pre[tree.root.id].values.reshape(-1)[0])
@@ -933,17 +924,28 @@ def forward_pass(
     not read: both modes re-optimize instead of looking decisions up, and
     the parameters stay so that positional callers
     (perfbench/workloads.py) keep working.
+
+    In mode "exact" each stage's search also yields the nested
+    recursion's minimum at every (node, entering state) row of the stage,
+    which is what :func:`verify_optimality` compares the strategy against.
+    The returned strategy carries those minima (:class:`_ExactMinima`)
+    for as long as it lives, so exact verification of this very strategy
+    reads them instead of searching again; nothing is kept elsewhere, and
+    a second call searches afresh.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown forward mode {mode!r}")
     tree = problem.tree
+    exact_cfg = cfg.exact_refine()
+    minima: dict[int, tuple[bytes, bytes, np.ndarray]] = {}
 
     def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
         ndim = problem.decision_dims[t]
         if ndim == 0:
             return np.zeros((len(K), 0))
         if mode == "exact":
-            _, X, _ = _exact_min(problem, K, S, cfg.exact_refine())
+            vals, X, _ = _exact_min(problem, K, S, exact_cfg)
+            minima[t] = (K.tobytes(), S.tobytes(), vals)
         else:
             f = _stage_objective(problem, _table_continuation(problem, t, post))
             _, X, _ = _minimize_at(f, K, S, ndim, cfg, problem._ids)
@@ -961,7 +963,8 @@ def forward_pass(
         return x[None, :]
 
     value = _walk(problem, problem.state_map.initial[None, :], choose)[0]
-    return float(value), AdaptedSequence(decisions)
+    record = _ExactMinima(problem, exact_cfg, minima) if mode == "exact" else None
+    return float(value), AdaptedSequence(decisions, _record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1004,31 @@ def _exact_min(
     t = int(problem.tree.times[K[0]])  # all rows of a batch are at one stage
     f = _stage_objective(problem, _exact_continuation(problem, t, cfg))
     return _minimize_at(f, K, states, problem.decision_dims[t], cfg, problem._ids)
+
+
+@dataclass(frozen=True, eq=False)
+class _ExactMinima:
+    """The nested recursion's minima that one exact forward pass computed:
+    per decision stage t, the bytes of the stage's positions K and entering
+    states S and the minimum at each (K[i], S[i]) row."""
+
+    problem: Problem
+    cfg: SolveConfig
+    stages: Mapping[int, tuple[bytes, bytes, np.ndarray]]
+
+    def lookup(
+        self, problem: Problem, cfg: SolveConfig, t: int, K: np.ndarray, S: np.ndarray
+    ) -> np.ndarray | None:
+        """The stage-t minima if they were computed for this very problem
+        object, an equal search config and bit-identical rows, else None.
+
+        The minimum at (node, entering state) does not depend on the
+        decision taken there, so the values are valid for any strategy that
+        enters the stage at the same states."""
+        if self.problem is not problem or self.cfg != cfg or t not in self.stages:
+            return None
+        k, s, vals = self.stages[t]
+        return vals if k == K.tobytes() and s == S.tobytes() else None
 
 
 def exact_cost_to_go(
@@ -1105,6 +1133,11 @@ def expectation_chain(
     stage); with ``method="exact"`` it is recomputed by the nested
     recursion, which is slower but free of interpolation error.  The
     final element is always the exact objective value of the strategy.
+
+    The chain evaluates each node's objective at the strategy's own
+    decision, so it never reads the minima an exact forward pass attaches
+    to its strategy (see :func:`verify_optimality`): those are minima
+    over the decision, not values at it.
     """
     points = _strategy_points(problem, strategy, result, cfg or DEFAULT_CONFIG, method)
     return _chain(problem, points)
@@ -1149,13 +1182,26 @@ def verify_optimality(
     nodewise gap is within ``eps_opt``.  A gridded solve can certify this
     only up to interpolation error; ``method="exact"`` removes that caveat
     for small trees by re-minimizing with the nested recursion.
+
+    With ``method="exact"``, a decision stage's minima come without a
+    search when the strategy was returned by ``forward_pass(mode="exact")``
+    (or ``backward_solve(forward="exact")``) on this same problem object,
+    with a config whose :meth:`SolveConfig.exact_refine` compares equal,
+    and the walk enters the stage at bit-identical (node, state) rows:
+    the forward pass computed exactly these minima.  Every other strategy
+    (copies, sums, bumped or edited ones) and every other config is
+    searched as usual; the chain is always evaluated.
     """
     points = _strategy_points(problem, strategy, result, cfg, method)
     chain = _chain(problem, points)
     search_cfg = cfg.exact_refine() if method == "exact" else cfg
+    record = strategy._record
+    recorded = method == "exact" and isinstance(record, _ExactMinima)
     gaps: dict[str, float] = {}
-    for f, K, S, X, here in points:
-        best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
+    for t, (f, K, S, X, here) in enumerate(points):
+        best = record.lookup(problem, search_cfg, t, K, S) if recorded else None
+        if best is None:
+            best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
         for p, h, b in zip(K.tolist(), here.tolist(), best.tolist()):
             gaps[problem._ids[p]] = 0.0 if math.isinf(h) and math.isinf(b) else h - b
     node_gaps = {n.id: gaps[n.id] for n in problem.tree.nodes}

@@ -274,11 +274,12 @@ class SShapedDisutility(ExtFun):
 
     def value_many(self, X):
         c = X[:, 0]
-        out = self.beta * c
-        # kappa*m/(1+m) with m = |c|**gamma, written so that m = inf gives
-        # kappa; tiny |c| overflows |c|**-gamma to inf, which gives -0.0
         loss = c < 0
+        # beta*c overflows to +-inf, its exact limit; kappa*m/(1+m) with
+        # m = |c|**gamma is written so that m = inf gives kappa, and tiny
+        # |c| overflows |c|**-gamma to inf, which gives -0.0
         with np.errstate(over="ignore"):
+            out = self.beta * c
             out[loss] = -self.kappa / (1.0 + np.abs(c[loss]) ** -self.gamma)
         return out
 

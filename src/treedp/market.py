@@ -104,7 +104,10 @@ class PowerIlliquidity:
 
     def cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
         lam, p = self.params_at(node.id)
-        return lam * (np.abs(D) ** p).sum(axis=1)
+        # a cost too large for a float is +inf, the right value for the
+        # solver (the trade is never chosen); lam > 0 keeps it from NaN
+        with np.errstate(over="ignore"):
+            return lam * (np.abs(D) ** p).sum(axis=1)
 
     def to_dict(self) -> dict:
         d: dict = {"kind": "power", "coeff": self.coeff, "exponent": self.exponent}
@@ -314,7 +317,10 @@ class MarketModel:
 
     def total_cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
         """Total cost of the trade D at the node: price part plus friction."""
-        return D @ self.Z(node.id) + self.cost.cost_many(node, D)
+        # a price part too large for a float is +-inf, its exact limit
+        with np.errstate(over="ignore"):
+            price = D @ self.Z(node.id)
+        return price + self.cost.cost_many(node, D)
 
     def lower_bound(self) -> float:
         """Integrable lower bound of the leaf disutility: -sup u."""
@@ -467,7 +473,10 @@ def _free_disposal_check(model: MarketModel, samples: int = 64) -> dict:
     for node in model.tree.nodes:
         lam, p = model.cost.params_at(node.id)
         z = model.Z(node.id)
-        r = (np.minimum.reduce(z) / (lam * p)) ** (1.0 / (p - 1.0)) if z.size else INF
+        # huge prices overflow the ratio: r = +inf bounds this node's radius
+        # from above and leaves the sampled radius to the other nodes
+        with np.errstate(over="ignore"):
+            r = (np.minimum.reduce(z) / (lam * p)) ** (1.0 / (p - 1.0)) if z.size else INF
         radius = min(radius, float(r))
     rng = np.random.default_rng(7)
     for node in model.tree.nodes:
@@ -618,9 +627,23 @@ def _default_grids(
     )
     span = T * (2.0 * radius * J * max_z + max_cost + max_claim) + 0.5
     x0 = model.initial_cash
-    cash_ax = np.linspace(x0 - span, x0 + span, cash_points)
-    phi_ax = np.linspace(-radius, radius, points)
+    cash_ax = _axis(x0 - span, x0 + span, cash_points)
+    phi_ax = _axis(-radius, radius, points)
     return {t: (cash_ax,) + (phi_ax,) * J for t in range(T)}
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` evenly spaced points from ``lo`` to ``hi``.
+
+    Bounds whose width is not a finite float (an overflowed span) give
+    the axis [-inf, inf], the interval they stand for, instead of the NaN
+    that ``linspace`` would fill in: ``backward_solve`` rejects it with
+    NumericFailure, while the checks, which never read the grids, still
+    run on the problem.
+    """
+    if not math.isfinite(float(hi) - float(lo)):
+        return np.array([-INF, INF])
+    return np.linspace(lo, hi, n)
 
 
 def build_problem_cash(

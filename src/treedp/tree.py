@@ -304,9 +304,14 @@ class AdaptedSequence:
     ``values`` maps node id to the stage decision vector at that node.
     Supports the little algebra needed for direction arguments (sums and
     scalar multiples are nodewise).
+
+    ``_record`` is private data of the function that produced the
+    sequence (dp's exact forward pass keeps the node minima it computed
+    there); it is not compared, and sums and multiples drop it.
     """
 
     values: Mapping[str, np.ndarray]
+    _record: Any = field(default=None, compare=False, repr=False)
 
     def at(self, node_id: str) -> np.ndarray:
         return np.asarray(self.values[node_id], dtype=float)

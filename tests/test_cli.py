@@ -185,6 +185,36 @@ class TestSolve:
         assert "strictly increasing" in report["message"]
 
 
+class TestHugeNumbers:
+    @pytest.mark.parametrize("where, value, check_code, solve_code", [
+        (("tree", 1, "data", "Z"), [1e308], 0, 4),
+        (("tree", 1, "data", "Z"), [-1e308], 0, 4),
+        (("cost", "coeff"), 1e300, 0, 0),
+        (("cost", "coeff"), 1e308, 0, 4),
+        (("cost", "exponent"), 1e300, 0, 4),
+        (("utility", "beta"), 1e308, 0, 0),
+    ])
+    def test_fail_closed_without_warnings(
+        self, where, value, check_code, solve_code, tmp_path, capsys
+    ):
+        spec = toy_model_dict()
+        node = spec
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        for argv, want in ((["check"], check_code),
+                           (["solve", "--points", "5", "--radius", "1"], solve_code)):
+            # every warning is recorded, so none would reach the command line's stderr
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")])
+            capsys.readouterr()
+            assert code == want, argv
+            assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == [], argv
+
+
 class TestOracle:
     def test_toy_oracle_pass(self, toy_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -663,3 +663,97 @@ class TestStageBatchedMatchesPerNode:
             states = problem.state_map.transition(root, S0, x0)
         ref = _ref_exact_min(problem, node, states, cfg.exact_refine())[0][0]
         assert dp.exact_cost_to_go(problem, node.id, states[0], cfg) == ref
+
+
+def _report(rep):
+    return rep.chain, rep.node_gaps, rep.optimal, rep.method
+
+
+class _SearchCounter:
+    """Counts ``dp._minimize_at`` calls: ``total`` counts all of them,
+    ``outer`` the searches (a decision to choose) that run inside no other
+    call, such as the stage searches of ``verify_optimality``."""
+
+    def __init__(self, monkeypatch):
+        self.total = self.outer = self._depth = 0
+        orig = dp._minimize_at
+
+        def counted(f, K, states, dim, *args, **kwargs):
+            self.total += 1
+            self.outer += self._depth == 0 and dim > 0
+            self._depth += 1
+            try:
+                return orig(f, K, states, dim, *args, **kwargs)
+            finally:
+                self._depth -= 1
+
+        monkeypatch.setattr(dp, "_minimize_at", counted)
+
+    def stage_searches(self, problem, strategy, cfg=dp.DEFAULT_CONFIG):
+        """(searches of exact verification beyond those of its chain, report)."""
+        before = self.outer
+        dp.expectation_chain(problem, strategy, cfg=cfg, method="exact")
+        chain = self.outer - before
+        before = self.outer
+        rep = dp.verify_optimality(problem, None, strategy, cfg=cfg, method="exact")
+        return self.outer - before - chain, _report(rep)
+
+
+class TestExactVerificationReusesForwardMinima:
+    # the six fixtures and the random trees fast enough for the nested recursion
+    @pytest.mark.parametrize(
+        "name", ORACLE_CASES[:6] + ["cash_hold_first", "terminal_cash_lower_t1"])
+    def test_report_equals_the_report_of_a_plain_copy(self, name):
+        problem, cfg = _oracle_case(name)
+        _, strategy = dp.forward_pass(problem, {}, {}, None, cfg, mode="exact")
+        rep = dp.verify_optimality(problem, None, strategy, cfg=cfg, method="exact")
+        copy = td.AdaptedSequence(dict(strategy.values))
+        ref = dp.verify_optimality(problem, None, copy, cfg=cfg, method="exact")
+        assert _report(rep) == _report(ref)
+        assert rep.optimal
+
+    @pytest.mark.parametrize(
+        "name", ["frictionless_t1", "cash_hold_first", "terminal_cash_lower_t1"])
+    def test_stage_searches_run_only_without_a_matching_record(self, name, monkeypatch):
+        problem, cfg = _oracle_case(name)
+        stages = sum(d > 0 for d in problem.decision_dims)
+        count = _SearchCounter(monkeypatch)
+
+        def stage_searches(strategy, c=cfg):
+            return count.stage_searches(problem, strategy, c)
+
+        _, strategy = dp.forward_pass(problem, {}, {}, None, cfg, mode="exact")
+        first = count.total
+        _, again = dp.forward_pass(problem, {}, {}, None, cfg, mode="exact")
+        assert count.total == 2 * first > 0  # the first pass left nothing behind
+
+        n, rep = stage_searches(strategy)
+        assert n == 0
+        copy = td.AdaptedSequence(dict(strategy.values))
+        bumped = td.AdaptedSequence({k: v + 0.1 for k, v in strategy.values.items()})
+        assert stage_searches(copy) == (stages, rep)
+        assert stage_searches(bumped)[0] == stages
+        assert stage_searches(strategy + bumped.scaled(0.0))[0] == stages
+        # exact_refine() pins eps_ref and threads, so the nested search is the same
+        assert stage_searches(strategy, replace(cfg, eps_ref=1e-3, threads=2)) == (0, rep)
+        assert stage_searches(strategy, replace(cfg, margin=2.0))[0] == stages
+        assert stage_searches(again) == (0, rep)
+        # the same data in another problem object is searched
+        assert count.stage_searches(replace(problem), strategy, cfg) == (stages, rep)
+
+    def test_in_place_edit_searches_the_later_stages(self, monkeypatch):
+        tree = binomial_tree(2)
+        leaves = {
+            leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 2), np.eye(2),
+                                      -np.array([0.5 + i, 1.0 - 2 * i]))
+            for i, leaf in enumerate(tree.leaves)
+        }
+        problem = dp.history_problem(tree, [1, 1, 0], leaves, lower_bound=0.0)
+        _, strategy = dp.forward_pass(problem, {}, {}, None, mode="exact")
+        strategy.values["r"] = strategy.values["r"] + 0.5
+        count = _SearchCounter(monkeypatch)
+        # stage 0 is entered at the initial state as before; stage 1 is not
+        n, rep = count.stage_searches(problem, strategy)
+        assert n == 1
+        assert rep == count.stage_searches(problem, td.AdaptedSequence(dict(strategy.values)))[1]
+        assert not rep[2]

@@ -119,3 +119,12 @@ def test_subspace_test_agrees_on_kernels():
     assert cone_is_subspace(rows, 3) == (True, None)
     subspace, ray = cone_is_subspace(np.array([[1.0, -1.0, 0.0]]), 3)
     assert not subspace and ray @ np.array([1.0, -1.0, 0.0]) < 0
+
+
+def test_huge_rows_keep_their_direction():
+    rows = np.array([[1e308, -1e308], [3.0, 4.0], [0.0, 0.0]])
+    assert np.allclose(_normalize_rows(rows), [[0.5**0.5, -(0.5**0.5)], [0.6, 0.8]])
+    assert rows[0, 0] == 1e308  # the caller's rows are not scaled in place
+    # {y : y1 <= y2, 3 y1 + 4 y2 <= 0} is not {0}, and the huge row still binds
+    y = cone_nonzero_direction(rows, 2)
+    assert y is not None and y[0] <= y[1] + 1e-12
