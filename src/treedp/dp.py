@@ -376,9 +376,8 @@ def interp_multilinear(
 # ---------------------------------------------------------------------------
 
 
-def _decision_mesh(B: float, K: int, dim: int) -> np.ndarray:
-    ax = np.linspace(-B, B, K)
-    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+def _decision_mesh(axis: np.ndarray, dim: int) -> np.ndarray:
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
@@ -410,12 +409,29 @@ def minimize_batch(
     decision X[j]; a row's value may not depend on the other rows.  Grid
     search runs over an expanding box [-B, B]^dim (B doubling until every
     boundary grid value exceeds the incumbent by the margin), then batched
-    coordinate pattern search refines each state's best point until the
-    step drops below ``eps_ref``.  Ties break to the lexicographically
-    smallest grid point.  The objective sees at most ``64 *
-    cfg.state_chunk`` rows per call (or one state's whole mesh).  The grid
-    phase keeps only each state's argmin, its value there and its boundary
-    minimum.  Everything runs on the calling thread.
+    coordinate pattern search (Hooke–Jeeves polls) refines each state's
+    best point until the step drops below ``eps_ref``.  Ties break to the
+    lexicographically smallest grid point.  The objective sees at most
+    ``64 * cfg.state_chunk`` rows per call (or one state's whole mesh).
+    The grid phase keeps only each state's argmin, its value there and its
+    boundary minimum.  Everything runs on the calling thread.
+
+    The search skips evaluations that cannot change its result, which is
+    bit for bit that of evaluating the whole mesh at every box and polling
+    + then - (from the possibly moved point) in separate calls:
+
+    - After a doubling, the box-2B mesh skips each point that is bitwise a
+      point of the box-B mesh.  A state still expanding has evaluated every
+      earlier mesh, so its incumbent is <= the value there, and only a
+      strictly smaller grid value replaces the incumbent.  The boundary
+      (+-2B) is new and always evaluated; the argmin runs over the
+      remaining points in mesh order, so ties break as before.
+    - A refinement sweep polls x + s and x - s along each coordinate in one
+      call, both from the sweep's x, and accepts + if strictly better,
+      else - if strictly better.  After an accepted +, the sequential
+      poll's second point (x + s) - s is bitwise x in all but rare
+      roundings, and f(x) cannot beat f(x + s); a rounded-off point is
+      evaluated in a follow-up call.
 
     Every state is searched independently of the others: a state leaves
     the box expansion once its boundary dominates and leaves refinement
@@ -425,9 +441,11 @@ def minimize_batch(
     :class:`SearchBoxExhausted`, naming the first such state's label and
     the number of such states carrying that label.  ``label`` names all
     states, or with ``groups`` (one int per state, such as the state's
-    tree position) state i is named ``label[groups[i]]``.  A NaN
-    objective value raises :class:`NumericFailure`.  Needs ``dim >= 1``;
-    :func:`_minimize_at` evaluates decision-free nodes without a search.
+    tree position) state i is named ``label[groups[i]]``.  A NaN value at
+    a point the sequential poll evaluates raises :class:`NumericFailure`,
+    naming the first such state in the order of that poll.  Needs
+    ``dim >= 1``; :func:`_minimize_at` evaluates decision-free nodes
+    without a search.
 
     Returns (values, argmins, diag).  ``diag`` holds the batch's
     ``expansions`` (box doublings), ``sweeps`` (refinement sweeps) and
@@ -445,11 +463,11 @@ def minimize_batch(
     }
     diag: dict = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
     B = cfg.box_init
-    k = cfg.grid_points ** dim
     max_rows = cfg.state_chunk * 64
 
     def eval_grid(states_idx: np.ndarray, mesh: np.ndarray, boundary: np.ndarray):
         """Per state: argmin over the mesh, the value there, the boundary minimum."""
+        k = len(mesh)
 
         def run(piece: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             chunk = states_idx[piece]
@@ -466,16 +484,22 @@ def minimize_batch(
         parts = [run(slice(a, a + size)) for a in range(0, len(states_idx), size)]
         return (np.concatenate(a) for a in zip(*parts))
 
-    def eval_points(I: np.ndarray, X: np.ndarray) -> np.ndarray:
-        def run(piece: slice) -> np.ndarray:
-            vals = np.asarray(objective(I[piece], X[piece]), dtype=float)
-            _reject_nan(vals, I[piece], label, groups)
-            return vals
+    def eval_rows(I: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            np.asarray(objective(I[a : a + max_rows], X[a : a + max_rows]), dtype=float)
+            for a in range(0, len(I), max_rows)
+        ])
 
-        return np.concatenate([run(slice(a, a + max_rows)) for a in range(0, len(I), max_rows)])
-
+    prev_axis = None
     while True:
-        mesh = _decision_mesh(B, cfg.grid_points, dim)
+        axis = np.linspace(-B, B, cfg.grid_points)
+        mesh = _decision_mesh(axis, dim)
+        if prev_axis is not None:
+            # compared as bits: a point is skipped only if it is bitwise a
+            # point of the previous mesh
+            seen = np.isin(mesh.view(np.int64), prev_axis.view(np.int64)).all(axis=1)
+            mesh = mesh[~seen]
+        prev_axis = axis
         spacing = 2.0 * B / (cfg.grid_points - 1)
         boundary = (np.abs(mesh) >= B * (1 - 1e-12)).any(axis=1)
         idx = np.flatnonzero(active)
@@ -512,19 +536,44 @@ def minimize_batch(
         fx = best_val[refine].copy()
         step = step0[refine].copy()
         live = step >= cfg.eps_ref
+        half = max(1, max_rows // 2)  # states per call: their + and - rows
         while live.any():
             improved = np.zeros(len(refine), dtype=bool)
+            rows = np.flatnonzero(live)
             for d in range(dim):
-                for sgn in (1.0, -1.0):
-                    rows = np.flatnonzero(live)
-                    cand = x[rows].copy()
-                    cand[:, d] += sgn * step[rows]
-                    vals = eval_points(refine[rows], cand)
-                    acc = vals < fx[rows]
-                    hit = rows[acc]
-                    x[hit, d] = cand[acc, d]
-                    fx[hit] = vals[acc]
-                    improved[hit] = True
+                plus = np.empty(len(rows))
+                minus = np.empty(len(rows))
+                for a in range(0, len(rows), half):
+                    part = rows[a : a + half]
+                    cand = np.concatenate([x[part], x[part]])
+                    cand[: len(part), d] += step[part]
+                    cand[len(part) :, d] -= step[part]
+                    vals = np.asarray(objective(np.tile(refine[part], 2), cand), dtype=float)
+                    plus[a : a + len(part)] = vals[: len(part)]
+                    minus[a : a + len(part)] = vals[len(part) :]
+                _reject_nan(plus, refine[rows], label, groups)
+                acc = plus < fx[rows]
+                hit = rows[acc]
+                old = x[hit, d]
+                x[hit, d] += step[hit]
+                # the sequential poll's minus row of a moved state is
+                # (x + s) - s: bitwise x (value fx, strictly worse than the
+                # accepted f(x + s)) or, after rounding, a new point
+                minus[acc] = fx[hit]
+                fx[hit] = plus[acc]
+                back = x[hit, d] - step[hit]
+                moved = back.view(np.int64) != old.view(np.int64)
+                if moved.any():
+                    cand = x[hit[moved]]
+                    cand[:, d] = back[moved]
+                    minus[np.flatnonzero(acc)[moved]] = eval_rows(refine[hit[moved]], cand)
+                _reject_nan(minus, refine[rows], label, groups)
+                acc_m = minus < fx[rows]
+                down = rows[acc_m]
+                x[down, d] -= step[down]
+                fx[down] = minus[acc_m]
+                improved[hit] = True
+                improved[down] = True
             per_state["sweeps"][refine[live]] += 1
             step[live & ~improved] *= 0.5
             live = step >= cfg.eps_ref
@@ -1177,7 +1226,9 @@ def verify_optimality(
 
     Computes the expectation chain E h_t(x^t) and, nodewise, the gap
     between the value of the candidate's decision and the minimized value
-    at the same entering state (one search per stage).  The strategy is
+    at the same entering state (one search per decision stage; at a
+    decision-free stage the minimum is the chain's own value, so its gaps
+    are 0 and a NaN there raises :class:`NumericFailure`).  The strategy is
     flagged optimal iff every consecutive chain difference and every
     nodewise gap is within ``eps_opt``.  A gridded solve can certify this
     only up to interpolation error; ``method="exact"`` removes that caveat
@@ -1199,9 +1250,14 @@ def verify_optimality(
     recorded = method == "exact" and isinstance(record, _ExactMinima)
     gaps: dict[str, float] = {}
     for t, (f, K, S, X, here) in enumerate(points):
-        best = record.lookup(problem, search_cfg, t, K, S) if recorded else None
-        if best is None:
-            best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
+        if X.shape[1] == 0:
+            # no decision: the minimum is the chain's own value at the same rows
+            _reject_nan(here, None, problem._ids, K)
+            best = here
+        else:
+            best = record.lookup(problem, search_cfg, t, K, S) if recorded else None
+            if best is None:
+                best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
         for p, h, b in zip(K.tolist(), here.tolist(), best.tolist()):
             gaps[problem._ids[p]] = 0.0 if math.isinf(h) and math.isinf(b) else h - b
     node_gaps = {n.id: gaps[n.id] for n in problem.tree.nodes}

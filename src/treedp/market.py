@@ -478,13 +478,25 @@ def _free_disposal_check(model: MarketModel, samples: int = 64) -> dict:
         with np.errstate(over="ignore"):
             r = (np.minimum.reduce(z) / (lam * p)) ** (1.0 / (p - 1.0)) if z.size else INF
         radius = min(radius, float(r))
+    # when every node's radius overflows, sample within a finite radius
+    # whose interval width is still a float
+    radius = min(radius, np.finfo(float).max / 4)
     rng = np.random.default_rng(7)
     for node in model.tree.nodes:
         base = rng.uniform(-radius, radius, size=(samples, model.n_risky))
         drop = rng.uniform(0.0, 1.0, size=(samples, model.n_risky))
         lower = np.maximum(base - drop, -radius)
-        s_hi = model.total_cost_many(node, base)
-        s_lo = model.total_cost_many(node, lower)
+        # huge trades can make a cost +-inf or inf - inf; such a sample
+        # compares nothing, so it is reported instead of counted
+        with np.errstate(invalid="ignore"):
+            s_hi = model.total_cost_many(node, base)
+            s_lo = model.total_cost_many(node, lower)
+        if not (np.isfinite(s_hi).all() and np.isfinite(s_lo).all()):
+            return {
+                "status": "undecided",
+                "note": f"sampled total costs are not finite within radius {radius:.4g} "
+                        f"at node {node.id}: monotonicity not compared",
+            }
         if (s_lo > s_hi + 1e-9).any():
             return {
                 "status": "fails",

@@ -202,6 +202,24 @@ class TestHugeNumbers:
         for key in where[:-1]:
             node = node[key]
         node[where[-1]] = value
+        self._check_and_solve(spec, check_code, solve_code, tmp_path, capsys)
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0])
+    def test_huge_prices_at_every_node(self, exponent, tmp_path, capsys):
+        # every node's monotone radius overflows, so free disposal is sampled
+        # within a finite radius, where the total costs overflow in turn
+        spec = toy_model_dict()
+        spec["cost"]["exponent"] = exponent
+        for node in spec["tree"]:
+            node["data"]["Z"] = [1e308]
+        self._check_and_solve(spec, 0, 4, tmp_path, capsys)
+        report = json.loads((tmp_path / "o" / "check_report.json").read_text())
+        disposal = report["validation"]["conditions"]["free_disposal"]
+        assert disposal["status"] == "undecided"
+        assert "not finite" in disposal["note"]
+
+    @staticmethod
+    def _check_and_solve(spec, check_code, solve_code, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(spec))
         for argv, want in ((["check"], check_code),
@@ -315,14 +333,15 @@ class TestFuzz:
             path.write_text(json.dumps(spec))  # NaN and Infinity as JSON literals
             for argv in (["check"], ["solve", "--points", "5", "--radius", "1"]):
                 argv = [argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")]
-                # as on the command line: numeric warnings are printed, not raised
-                with warnings.catch_warnings():
-                    warnings.simplefilter("default")
+                # every warning is recorded, so none would reach the command line's stderr
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     try:
                         code = cli.main(argv)
                     except SystemExit as e:
                         code = e.code
                 out, err = capsys.readouterr()
                 assert code in range(6), (argv, spec)
+                assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == [], (argv, spec)
                 assert "Traceback" not in err, (argv, spec)
                 assert "NaN" not in out, (argv, spec)

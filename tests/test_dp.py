@@ -378,12 +378,112 @@ def _ref_objective(problem, node, cont):
     return f
 
 
+def _ref_minimize_batch(objective, dim, n_states, cfg=dp.DEFAULT_CONFIG, label="", groups=None):
+    """The search that evaluates every point: the whole mesh at each box,
+    and one objective call per sign in each refinement sweep."""
+    best_val = np.full(n_states, INF)
+    best_x = np.full((n_states, dim), np.nan)
+    step0 = np.full(n_states, np.nan)
+    active = np.ones(n_states, dtype=bool)
+    per_state = {
+        "expansions": np.zeros(n_states, dtype=np.int64),
+        "sweeps": np.zeros(n_states, dtype=np.int64),
+        "max_box": np.zeros(n_states),
+    }
+    diag: dict = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
+    B = cfg.box_init
+    k = cfg.grid_points ** dim
+    max_rows = cfg.state_chunk * 64
+
+    def eval_grid(states_idx, mesh, boundary):
+        def run(piece):
+            chunk = states_idx[piece]
+            I = np.repeat(chunk, k)
+            X = np.tile(mesh, (len(chunk), 1))
+            vals = np.asarray(objective(I, X), dtype=float).reshape(len(chunk), k)
+            j = np.argmin(vals, axis=1)
+            best = vals[np.arange(len(chunk)), j]
+            dp._reject_nan(best, chunk, label, groups)
+            return j, best, vals[:, boundary].min(axis=1)
+
+        size = max(1, max_rows // k)
+        parts = [run(slice(a, a + size)) for a in range(0, len(states_idx), size)]
+        return (np.concatenate(a) for a in zip(*parts))
+
+    def eval_points(I, X):
+        def run(piece):
+            vals = np.asarray(objective(I[piece], X[piece]), dtype=float)
+            dp._reject_nan(vals, I[piece], label, groups)
+            return vals
+
+        return np.concatenate([run(slice(a, a + max_rows)) for a in range(0, len(I), max_rows)])
+
+    while True:
+        mesh = axis_grid(-B, B, cfg.grid_points, dim)
+        spacing = 2.0 * B / (cfg.grid_points - 1)
+        boundary = (np.abs(mesh) >= B * (1 - 1e-12)).any(axis=1)
+        idx = np.flatnonzero(active)
+        j, gridbest, bmin = eval_grid(idx, mesh, boundary)
+        better = gridbest < best_val[idx]
+        upd = idx[better]
+        best_val[upd] = gridbest[better]
+        best_x[upd] = mesh[j[better]]
+        step0[upd] = spacing
+        done = np.isfinite(best_val[idx]) & (bmin > best_val[idx] + cfg.margin)
+        active[idx[done]] = False
+        per_state["max_box"][idx] = B
+        diag["max_box"] = B
+        if not active.any():
+            break
+        B *= 2.0
+        diag["expansions"] += 1
+        per_state["expansions"][active] += 1
+        if B > cfg.box_max:
+            stuck = active & np.isfinite(best_val)
+            if stuck.any():
+                first = int(np.argmax(stuck))
+                if groups is not None:
+                    stuck &= groups == groups[first]
+                raise dp.SearchBoxExhausted(
+                    dp._state_name(label, groups, first), int(stuck.sum()), cfg.box_max
+                )
+            active[:] = False
+            break
+
+    refine = np.flatnonzero(np.isfinite(best_val))
+    if refine.size:
+        x = best_x[refine].copy()
+        fx = best_val[refine].copy()
+        step = step0[refine].copy()
+        live = step >= cfg.eps_ref
+        while live.any():
+            improved = np.zeros(len(refine), dtype=bool)
+            for d in range(dim):
+                for sgn in (1.0, -1.0):
+                    rows = np.flatnonzero(live)
+                    cand = x[rows].copy()
+                    cand[:, d] += sgn * step[rows]
+                    vals = eval_points(refine[rows], cand)
+                    acc = vals < fx[rows]
+                    hit = rows[acc]
+                    x[hit, d] = cand[acc, d]
+                    fx[hit] = vals[acc]
+                    improved[hit] = True
+            per_state["sweeps"][refine[live]] += 1
+            step[live & ~improved] *= 0.5
+            live = step >= cfg.eps_ref
+            diag["sweeps"] += 1
+        best_x[refine] = x
+        best_val[refine] = fx
+    return best_val, best_x, diag
+
+
 def _ref_minimize(f, states, dim, cfg, label):
     n = states.shape[0]
     if dim == 0:
         return f(states, np.zeros((n, 0))), np.zeros((n, 0)), {
             "expansions": 0, "sweeps": 0, "max_box": 0.0}
-    vals, xs, diag = dp.minimize_batch(lambda I, X: f(states[I], X), dim, n, cfg, label=label)
+    vals, xs, diag = _ref_minimize_batch(lambda I, X: f(states[I], X), dim, n, cfg, label=label)
     return vals, xs, {k: diag[k] for k in ("expansions", "sweeps", "max_box")}
 
 
@@ -665,6 +765,148 @@ class TestStageBatchedMatchesPerNode:
         assert dp.exact_cost_to_go(problem, node.id, states[0], cfg) == ref
 
 
+def _search_outcome(search, objective, dim, n, cfg, groups):
+    """Everything a search returns as bytes, or the error it raises."""
+    try:
+        label = "s" if groups is None else ["a", "b", "c"]
+        vals, xs, diag = search(objective, dim, n, cfg, label=label, groups=groups)
+    except (dp.NumericFailure, dp.SearchBoxExhausted) as e:
+        return type(e).__name__, str(e)
+    per_state = {k: v.tobytes() for k, v in diag["per_state"].items()}
+    return (vals.tobytes(), xs.tobytes(), diag["expansions"], diag["sweeps"], diag["max_box"],
+            per_state)
+
+
+def _counted(objective):
+    rows: list[int] = []
+
+    def f(I, X):
+        rows.append(len(I))
+        return objective(I, X)
+
+    return f, rows
+
+
+class TestSearchMatchesReference:
+    """``minimize_batch`` skips points whose value cannot change the result;
+    the reference search evaluates every one of them."""
+
+    @given(
+        dim=st.integers(1, 2),
+        grid_points=st.sampled_from([5, 21, 33]),
+        box_init=st.sampled_from([1.0, 0.3]),
+        eps_ref=st.sampled_from([1e-6, 1e-4, 0.05]),
+        n=st.one_of(st.integers(1, 5), st.integers(33, 40)),
+        kinds=st.lists(
+            st.sampled_from(["bowl", "plateau", "ripple", "wall", "inf", "ramp", "nan"]),
+            min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_as_evaluating_every_point(self, dim, grid_points, box_init, eps_ref,
+                                                   n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        # per state: a quadratic bowl whose minimum needs 0 to 5 doublings,
+        # quantized to plateaus (ties), rippled (local maxima, where both
+        # polls improve), cut by a +inf wall, +inf everywhere, a ramp with
+        # no minimum, or a NaN patch near the minimum
+        kind = rng.choice(kinds, size=n)
+        center = rng.choice([0.0, 0.5, 2.0, 5.0, 10.0], size=(n, 1)) * rng.uniform(
+            -1, 1, size=(n, dim)) * box_init
+        scale = rng.choice([0.25, 1.0, 4.0], size=n)
+        wall = center[:, 0] + rng.uniform(-0.2, 0.5, size=n)
+        patch = center + rng.uniform(-0.05, 0.05, size=(n, dim))
+        radius = rng.choice([1e-3, 1e-2, 0.2], size=n)
+        freq = rng.uniform(5.0, 60.0, size=n) / box_init
+
+        def objective(I, X):
+            k = kind[I]
+            v = scale[I] * ((X - center[I]) ** 2).sum(axis=1)
+            v = np.where(k == "plateau", np.floor(v * 2.0) / 2.0, v)
+            v = np.where(k == "ripple", v + np.cos(freq[I, None] * X).sum(axis=1), v)
+            v = np.where(k == "ramp", X[:, 0], v)
+            v = np.where((k == "inf") | ((k == "wall") & (X[:, 0] > wall[I])), INF, v)
+            near = np.abs(X - patch[I]).max(axis=1) < radius[I]
+            return np.where((k == "nan") & near, np.nan, v)
+
+        cfg = dp.SolveConfig(grid_points=grid_points, box_init=box_init, eps_ref=eps_ref,
+                             box_max=2.0**5, state_chunk=1)
+        groups = np.arange(n) % 3
+        want = _search_outcome(_ref_minimize_batch, objective, dim, n, cfg, groups)
+        assert _search_outcome(dp.minimize_batch, objective, dim, n, cfg, groups) == want
+
+    def test_rounded_back_step_is_polled(self):
+        # box_init=0.3: (x + s) - s rounds away from x on some accepted + steps,
+        # and the sequential poll evaluates the rounded point
+        cfg = dp.SolveConfig(grid_points=5, box_init=0.3)
+        def bowl(I, X):
+            return (X[:, 0] - 0.25) ** 2
+
+        objective, rows = _counted(bowl)
+        want = _search_outcome(_ref_minimize_batch, bowl, 1, 1, cfg, None)
+        assert _search_outcome(dp.minimize_batch, objective, 1, 1, cfg, None) == want
+        grid_calls, sweeps = want[2] + 1, want[3]
+        assert len(rows) > grid_calls + sweeps  # a follow-up call in some sweep
+
+    def test_nan_where_the_sequential_poll_never_looks_is_not_read(self):
+        # beside an accepted x + s, the joint poll has also evaluated x - s,
+        # which the sequential poll never evaluates
+        cfg = dp.SolveConfig(grid_points=5)
+
+        def bowl(I, X):
+            return (X[:, 0] - 0.3) ** 2
+
+        def points(search, objective):
+            seen: set[float] = set()
+
+            def f(I, X):
+                seen.update(X[:, 0].tolist())
+                return objective(I, X)
+
+            return _search_outcome(search, f, 1, 1, cfg, None), seen
+
+        want, ref_seen = points(_ref_minimize_batch, bowl)
+        got, seen = points(dp.minimize_batch, bowl)
+        assert got == want and seen - ref_seen
+        p = min(seen - ref_seen)
+
+        def patched(I, X):
+            return np.where(X[:, 0] == p, np.nan, bowl(I, X))
+
+        assert _search_outcome(dp.minimize_batch, patched, 1, 1, cfg, None) == want
+
+    @pytest.mark.parametrize("dim, ring", [(1, 33 - 17), (2, 33**2 - 17**2)])
+    def test_a_doubled_box_evaluates_only_its_ring(self, dim, ring):
+        # box_init=1: the box-2B axis (step B/8) holds the box-B axis's 17
+        # points at -B, -B + B/8, ..., B; centers need 0 to 4 doublings
+        center = np.array([0.0, 0.5, 1.5, 6.0, 12.0])
+        cfg = dp.SolveConfig(grid_points=33, box_init=1.0, eps_ref=1e3)  # grid only
+
+        def bowl(I, X):
+            return 4.0 * ((X - center[I, None]) ** 2).sum(axis=1)
+
+        objective, rows = _counted(bowl)
+        _, _, diag = dp.minimize_batch(objective, dim, len(center), cfg)
+        E = diag["per_state"]["expansions"]
+        assert E.tolist() == [0, 1, 2, 3, 4]
+        assert sum(rows) == (33**dim + ring * E).sum()
+        objective, rows = _counted(bowl)
+        _ref_minimize_batch(objective, dim, len(center), cfg)
+        assert sum(rows) == (33**dim * (E + 1)).sum()
+
+    @pytest.mark.parametrize("dim, n", [(1, 5), (2, 3)])
+    def test_a_sweep_makes_one_call_per_coordinate(self, dim, n):
+        center = np.array([0.0, 1.5, 12.0, 0.5, 6.0])[:n]
+        cfg = dp.SolveConfig(grid_points=33, box_init=1.0)  # one grid call per box
+        objective, rows = _counted(lambda I, X: 4.0 * ((X - center[I, None]) ** 2).sum(axis=1))
+        _, _, diag = dp.minimize_batch(objective, dim, n, cfg)
+        assert diag["sweeps"] > 0
+        assert len(rows) == diag["expansions"] + 1 + dim * diag["sweeps"]
+        objective, ref_rows = _counted(lambda I, X: 4.0 * ((X - center[I, None]) ** 2).sum(axis=1))
+        _ref_minimize_batch(objective, dim, n, cfg)
+        assert len(ref_rows) == diag["expansions"] + 1 + 2 * dim * diag["sweeps"]
+
+
 def _report(rep):
     return rep.chain, rep.node_gaps, rep.optimal, rep.method
 
@@ -740,6 +982,42 @@ class TestExactVerificationReusesForwardMinima:
         assert stage_searches(again) == (0, rep)
         # the same data in another problem object is searched
         assert count.stage_searches(replace(problem), strategy, cfg) == (stages, rep)
+
+    @pytest.mark.parametrize("method", ["exact", "tables"])
+    def test_decision_free_stages_read_the_chain(self, method, monkeypatch):
+        problem, cfg, _, post = _reference("cash_hold_first")[:4]
+        assert problem.decision_dims[0] == 0  # the root holds
+        res = dp.backward_solve(problem, cfg=cfg, check_gap=False)
+        _, strategy = dp.forward_pass(problem, {}, {}, None, cfg, mode="exact")
+        dims, depth = [], [0]
+        orig = dp._minimize_at
+
+        def counted(f, K, states, dim, *args, **kwargs):
+            if depth[0] == 0:
+                dims.append(dim)
+            depth[0] += 1
+            try:
+                return orig(f, K, states, dim, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(dp, "_minimize_at", counted)
+        dp.expectation_chain(problem, strategy, res, cfg, method)
+        chain = dims.count(0)
+        dims.clear()
+        rep = dp.verify_optimality(problem, res, strategy, cfg, method)
+        assert dims.count(0) == chain  # no evaluation beyond the chain's own
+        assert (rep.chain, rep.node_gaps) == _ref_verify(problem, post, strategy, cfg, method)
+
+    def test_nan_at_a_decision_free_stage_fails_closed(self):
+        tree = binomial_tree(1)
+        leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-0.5 - i])
+                  for i, leaf in enumerate(tree.leaves)}
+        problem = dp.history_problem(tree, [0, 1], leaves, lower_bound=0.0,
+                                     stage_funs={"r": lambda K, S, X: np.full(len(K), np.nan)})
+        strategy = td.AdaptedSequence({leaf.id: np.array([0.5]) for leaf in tree.leaves})
+        with pytest.raises(dp.NumericFailure, match="node 'r'"):
+            dp.verify_optimality(problem, None, strategy, method="exact")
 
     def test_in_place_edit_searches_the_later_stages(self, monkeypatch):
         tree = binomial_tree(2)
