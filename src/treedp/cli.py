@@ -82,8 +82,8 @@ def _build(model, args):
     return market.build_problem_cash(model, radius=args.radius, points=args.points)
 
 
-def _check_payload(model, problem, seed: int = 0) -> tuple[dict, int]:
-    report = market.validate(model)
+def _check_payload(problem, seed: int = 0) -> tuple[dict, int]:
+    report = problem.meta["validation"]  # the builder validated the model
     check = cones.check_horizon_positivity(problem, seed=seed)
     payload = {
         "validation": report.report_dict(),
@@ -99,7 +99,7 @@ def _check_payload(model, problem, seed: int = 0) -> tuple[dict, int]:
 def cmd_check(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    payload, code = _check_payload(model, problem, seed=args.seed)
+    payload, code = _check_payload(problem, seed=args.seed)
     payload["exit_code"] = code
     out = _out_dir(args)
     _write_json(os.path.join(out, "check_report.json"), payload)
@@ -116,7 +116,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    check_payload, check_code = _check_payload(model, problem, seed=args.seed)
+    check_payload, check_code = _check_payload(problem, seed=args.seed)
     if check_code != EXIT_OK and not args.force:
         payload = {"check": check_payload, "exit_code": check_code,
                    "note": "conditions not verified; rerun with --force to attempt anyway"}

@@ -792,7 +792,8 @@ def _walk(
 
     The walk is depth first and batched over rows: ``choose(p, S)``
     returns the decisions (m, n) at the node of position p for its
-    entering states S.
+    entering states S.  A NaN stage or leaf value raises
+    :class:`NumericFailure` naming its node.
     """
     tree = problem.tree
     T = tree.horizon
@@ -801,10 +802,14 @@ def _walk(
     def visit(p: int, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
         K = np.full(S.shape[0], p)
         X = choose(p, S)
-        acc = acc + problem.stage_values(K, S, X)
+        here = problem.stage_values(K, S, X)
+        _reject_nan(here, None, problem._ids, K)
+        acc = acc + here
         nxt = problem.state_map.transition(K, S, X)
         if tree.times[p] == T:
-            return acc + problem.leaf_values(K, nxt)
+            leaf = problem.leaf_values(K, nxt)
+            _reject_nan(leaf, None, problem._ids, K)
+            return acc + leaf
         out = np.zeros(S.shape[0])
         for e in range(start[p], start[p + 1]):
             out += probs[e] * visit(int(kids[e]), nxt, acc)

@@ -22,7 +22,7 @@ lower bound, flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -456,10 +456,14 @@ class PartialMin(ExtFun):
     def value_many(self, X):
         from . import dp  # deferred: dp depends on efun
 
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            out[i], _ = dp.minimize_section(self.inner, X[i])
-        return out
+        if not len(X):
+            return np.empty(0)
+        # one search for all rows: minimize_batch searches each state alone
+        vals, _, _ = dp.minimize_batch(
+            lambda I, Y: self.inner.value_many(np.hstack([X[I], Y])),
+            self.inner.dim - self.keep, len(X),
+        )
+        return vals
 
     def domain_point(self):
         dp_ = self.inner.domain_point()
@@ -894,83 +898,56 @@ def positivity_off_origin(f: ExtFun) -> tuple[str, np.ndarray | None]:
 # ---------------------------------------------------------------------------
 
 
+#: the JSON ``kind`` of each expression class.  Both directions walk the
+#: class's dataclass fields: parameters are written as numpy's plain lists
+#: and numbers, the expression fields ``terms``/``inner`` as ``"children"``.
+KINDS: dict[str, type[ExtFun]] = {
+    "affine": Affine,
+    "power_cost": PowerCost,
+    "indicator_box": IndicatorBox,
+    "indicator_polycone": IndicatorPolyCone,
+    "sampled1d": Sampled1D,
+    "sshaped_disutility": SShapedDisutility,
+    "homog1d": Homog1D,
+    "sum": Sum,
+    "affine_precompose": AffinePrecompose,
+    "partial_min": PartialMin,
+}
+
+
 def to_spec(f: ExtFun) -> dict:
     """Serialize an expression to the {kind, params, children} JSON form."""
-    if isinstance(f, Affine):
-        return {"kind": "affine", "a": f.a.tolist(), "b": f.b}
-    if isinstance(f, PowerCost):
-        return {"kind": "power_cost", "coeff": f.coeff, "exponent": f.exponent, "dim": f.dim}
-    if isinstance(f, IndicatorBox):
-        return {"kind": "indicator_box", "lower": f.lower.tolist(), "upper": f.upper.tolist()}
-    if isinstance(f, IndicatorPolyCone):
-        return {"kind": "indicator_polycone", "normals": f.normals.tolist()}
-    if isinstance(f, Sampled1D):
-        return {
-            "kind": "sampled1d",
-            "grid": f.grid.tolist(),
-            "values": f.values.tolist(),
-            "slope_left": f.slope_left,
-            "slope_right": f.slope_right,
-        }
-    if isinstance(f, SShapedDisutility):
-        return {"kind": "sshaped_disutility", "gamma": f.gamma, "kappa": f.kappa, "beta": f.beta}
-    if isinstance(f, Homog1D):
-        return {"kind": "homog1d", "slope_neg": f.slope_neg, "slope_pos": f.slope_pos}
-    if isinstance(f, Sum):
-        return {
-            "kind": "sum",
-            "weights": list(f.weights),
-            "children": [to_spec(t) for t in f.terms],
-        }
-    if isinstance(f, AffinePrecompose):
-        return {
-            "kind": "affine_precompose",
-            "matrix": f.matrix.tolist(),
-            "offset": f.offset.tolist(),
-            "children": [to_spec(f.inner)],
-        }
-    if isinstance(f, PartialMin):
-        return {"kind": "partial_min", "keep": f.keep, "children": [to_spec(f.inner)]}
-    raise TypeError(f"cannot serialize {type(f).__name__}")
-
-
-def _inf_ok(x) -> float:
-    if isinstance(x, str):
-        if x in ("inf", "+inf", "Infinity"):
-            return INF
-        if x in ("-inf", "-Infinity"):
-            return -INF
-    return float(x)
+    kind = next((k for k, cls in KINDS.items() if type(f) is cls), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(f).__name__}")
+    spec: dict = {"kind": kind}
+    children: list[dict] = []
+    for fld in fields(f):
+        v = getattr(f, fld.name)
+        if fld.name == "terms":
+            children = [to_spec(t) for t in v]
+        elif fld.name == "inner":
+            children = [to_spec(v)]
+        else:
+            spec[fld.name] = np.asarray(v).tolist()
+    if children:
+        spec["children"] = children
+    return spec
 
 
 def from_spec(d: Mapping) -> ExtFun:
-    """Inverse of :func:`to_spec`; infinite bounds may be spelled "inf"."""
+    """Inverse of :func:`to_spec`; numbers may be strings that ``float`` reads
+    ("inf", "-inf"), and an absent optional field takes its default."""
     kind = d.get("kind")
-    if kind == "affine":
-        return Affine(d["a"], d.get("b", 0.0))
-    if kind == "power_cost":
-        return PowerCost(d["coeff"], d["exponent"], int(d.get("dim", 1)))
-    if kind == "indicator_box":
-        return IndicatorBox(
-            [_inf_ok(v) for v in d["lower"]], [_inf_ok(v) for v in d["upper"]]
-        )
-    if kind == "indicator_polycone":
-        return IndicatorPolyCone(d["normals"])
-    if kind == "sampled1d":
-        return Sampled1D(
-            d["grid"], d["values"], _inf_ok(d["slope_left"]), _inf_ok(d["slope_right"])
-        )
-    if kind == "sshaped_disutility":
-        return SShapedDisutility(d["gamma"], d["kappa"], d["beta"])
-    if kind == "homog1d":
-        return Homog1D(_inf_ok(d["slope_neg"]), _inf_ok(d["slope_pos"]))
-    if kind == "sum":
-        return Sum(
-            tuple(from_spec(c) for c in d["children"]),
-            tuple(d["weights"]) if "weights" in d else None,
-        )
-    if kind == "affine_precompose":
-        return AffinePrecompose(from_spec(d["children"][0]), d["matrix"], d.get("offset"))
-    if kind == "partial_min":
-        return PartialMin(from_spec(d["children"][0]), int(d["keep"]))
-    raise ValueError(f"unknown expression kind {kind!r}")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown expression kind {kind!r}")
+    args = {}
+    for fld in fields(cls):
+        if fld.name == "terms":
+            args["terms"] = tuple(from_spec(c) for c in d["children"])
+        elif fld.name == "inner":
+            args["inner"] = from_spec(d["children"][0])
+        elif fld.name in d:
+            args[fld.name] = int(d[fld.name]) if fld.type == "int" else d[fld.name]
+    return cls(**args)

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
-from . import efun
 from .dp import Problem, RowGroups, StageFun, StateMap
 from .efun import (
     AffinePrecompose,
@@ -72,9 +71,6 @@ class Frictionless:
     def cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
         return np.zeros(D.shape[0])
 
-    def to_dict(self) -> dict:
-        return {"kind": "frictionless"}
-
 
 @dataclass(frozen=True)
 class PowerIlliquidity:
@@ -108,12 +104,6 @@ class PowerIlliquidity:
         # solver (the trade is never chosen); lam > 0 keeps it from NaN
         with np.errstate(over="ignore"):
             return lam * (np.abs(D) ** p).sum(axis=1)
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": "power", "coeff": self.coeff, "exponent": self.exponent}
-        if self.per_node:
-            d["per_node"] = {k: list(v) for k, v in self.per_node.items()}
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +140,6 @@ class SShapedUtility:
 
     def disutility(self) -> ExtFun:
         return SShapedDisutility(self.gamma, self.kappa, self.beta)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sshaped",
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-            "beta": self.beta,
-        }
 
 
 @dataclass(frozen=True)
@@ -210,15 +192,6 @@ class SampledUtility:
             slope_left=self.slope_right,
             slope_right=self.slope_left,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sampled",
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "slope_left": self.slope_left,
-            "slope_right": self.slope_right,
-        }
 
 
 Utility = SShapedUtility | SampledUtility
@@ -780,26 +753,6 @@ def build_problem_terminal(
     """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
-    if T == 0:
-        # degenerate: no trading, terminal expenditure is the net claim
-        leaf = tree.root
-        dis = model.disutility_at(leaf.id)
-        arg = model.claim(leaf.id) - model.initial_cash - model.endow(leaf.id)
-        sm = StateMap((1,), np.zeros(0), lambda K, S, X: np.full((S.shape[0], 1), arg))
-        return Problem(
-            tree=tree,
-            decision_dims=(0,),
-            state_map=sm,
-            leaf_objective={leaf.id: dis},
-            lower_bound=model.lower_bound(),
-            meta={
-                "market": model,
-                "form": "terminal",
-                "market_analysis": _analysis_stamp(model, validate(model)),
-                "validation": validate(model),
-                "grids": {},
-            },
-        )
     d = J + 1
     dims = tuple([d] * T + [0])
     state_dims = tuple([d] * T + [1])
@@ -829,7 +782,7 @@ def build_problem_terminal(
             -cash_prev
             + _rowdot(-phi_prev, Z)
             + data.cost(K, -phi_prev)
-            + data.claim[K]
+            + net_claim[K]
             - data.endow[K]
         )
         return spend[:, None]
@@ -924,37 +877,53 @@ def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
         raise InvalidModel(f"{where}: {key!r} is not a list of numbers: {d[key]!r}") from None
 
 
-def _cost_from_dict(d: Mapping) -> Frictionless | PowerIlliquidity:
-    kind = d.get("kind")
-    if kind == "frictionless":
-        return Frictionless()
-    if kind == "power":
-        per_node = None
-        if "per_node" in d:
-            try:
-                per_node = {k: (float(v[0]), float(v[1])) for k, v in d["per_node"].items()}
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-                raise InvalidModel(
-                    f"cost.per_node must map node ids to [coeff, exponent]: {d['per_node']!r}"
-                ) from None
-        return PowerIlliquidity(
-            _number(d, "coeff", "cost"), _number(d, "exponent", "cost"), per_node
-        )
-    raise InvalidModel(f"unknown cost kind {kind!r}")
+#: the JSON ``kind`` of each cost and utility class; both are read and
+#: written by walking the class's dataclass fields
+COSTS = {"frictionless": Frictionless, "power": PowerIlliquidity}
+UTILITIES = {"sshaped": SShapedUtility, "sampled": SampledUtility}
 
 
-def _utility_from_dict(d: Mapping, where: str = "utility") -> Utility:
+def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
+    """The ``table`` class named by ``d["kind"]``, built from ``d``'s fields.
+
+    Array fields are read with :func:`_numbers`, other numbers with
+    :func:`_number`; an absent field that has a default takes it.
+    """
     if not isinstance(d, Mapping):
         raise InvalidModel(f"{where} is not an object: {d!r}")
     kind = d.get("kind")
-    if kind == "sshaped":
-        return SShapedUtility(*(_number(d, k, where) for k in ("gamma", "kappa", "beta")))
-    if kind == "sampled":
-        return SampledUtility(
-            _numbers(d, "grid", where), _numbers(d, "values", where),
-            _number(d, "slope_left", where), _number(d, "slope_right", where),
-        )
-    raise InvalidModel(f"unknown utility kind {kind!r}")
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidModel(f"unknown {noun} kind {kind!r}")
+    args = {}
+    for f in fields(cls):
+        if f.name not in d and f.default is not MISSING:
+            continue
+        if f.name == "per_node":
+            v = d["per_node"]
+            try:
+                args[f.name] = {k: (float(p[0]), float(p[1])) for k, p in v.items()}
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+                raise InvalidModel(
+                    f"cost.per_node must map node ids to [coeff, exponent]: {v!r}"
+                ) from None
+        elif f.type == "np.ndarray":
+            args[f.name] = _numbers(d, f.name, where)
+        else:
+            args[f.name] = _number(d, f.name, where)
+    return cls(**args)
+
+
+def _kind_to_dict(obj, table: Mapping[str, type]) -> dict:
+    """Inverse of :func:`_kind_from_dict`; an unset ``per_node`` is left out."""
+    out: dict = {"kind": next(k for k, cls in table.items() if type(obj) is cls)}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.name != "per_node":
+            out[f.name] = np.asarray(v).tolist()
+        elif v:
+            out[f.name] = {k: list(p) for k, p in v.items()}
+    return out
 
 
 def market_from_dict(d: Mapping) -> MarketModel:
@@ -986,14 +955,17 @@ def market_from_dict(d: Mapping) -> MarketModel:
         if "utility" in data:
             if not tree.is_leaf(node.id):
                 raise InvalidModel(f"utility override at non-leaf node {node.id!r}")
-            overrides[node.id] = _utility_from_dict(data["utility"], f"utility at {where}")
+            overrides[node.id] = _kind_from_dict(
+                data["utility"], UTILITIES, "utility", f"utility at {where}"
+            )
     constraints = None
     if "constraints" in d:
         constraints = {}
         for k, v in d["constraints"].items():
             try:
                 constraints[int(k)] = tuple(
-                    np.asarray([efun._inf_ok(x) for x in v[side]], dtype=float)
+                    # float() itself, not a float array, so that null fails
+                    np.asarray([float(x) for x in v[side]], dtype=float)
                     for side in ("lower", "upper")
                 )
             except KeyError as e:
@@ -1004,8 +976,8 @@ def market_from_dict(d: Mapping) -> MarketModel:
         tree=tree,
         n_risky=J,
         prices=prices,
-        cost=_cost_from_dict(d["cost"]),
-        utility=_utility_from_dict(d["utility"]),
+        cost=_kind_from_dict(d["cost"], COSTS, "cost", "cost"),
+        utility=_kind_from_dict(d["utility"], UTILITIES, "utility", "utility"),
         claims=claims,
         endowment=endowment,
         initial_cash=float(d.get("initial_cash", 0.0)),
@@ -1030,13 +1002,13 @@ def market_to_dict(model: MarketModel) -> dict:
         if r["id"] in model.endowment:
             data["endowment"] = model.endow(r["id"])
         if r["id"] in model.utility_overrides:
-            data["utility"] = model.utility_overrides[r["id"]].to_dict()
+            data["utility"] = _kind_to_dict(model.utility_overrides[r["id"]], UTILITIES)
         r["data"] = data
     out: dict = {
         "assets": model.n_risky,
         "initial_cash": model.initial_cash,
-        "cost": model.cost.to_dict(),
-        "utility": model.utility.to_dict(),
+        "cost": _kind_to_dict(model.cost, COSTS),
+        "utility": _kind_to_dict(model.utility, UTILITIES),
         "tree": records,
     }
     if model.cash_lower is not None:

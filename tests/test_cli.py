@@ -118,11 +118,14 @@ class TestCheck:
         (lambda d: d.update(utility={"kind": "sampled", "values": [0.0, 1.0]}), "'grid'"),
         (lambda d: d.update(constraints={"0": {"lower": [1.0], "upper": [-1.0]}}), "lower <= upper"),
         (lambda d: d.update(constraints={"0": {"lower": [-1.0]}}), "'upper'"),
+        # a float array would read null as NaN
+        (lambda d: d.update(constraints={"0": {"lower": [None], "upper": [1.0]}}),
+         "constraints at stage '0'"),
         (lambda d: d["cost"].update(per_node={"r": ["x", 2.0]}), "per_node"),
         (lambda d: d["tree"][1]["data"].update(utility="abc"), "utility at node 'u'"),
     ], ids=["missing_coeff", "gamma_1", "kappa_inf", "string_price", "sampled_no_grid",
             "box_lower_above_upper",
-            "box_no_upper", "per_node_string", "leaf_utility_string"])
+            "box_no_upper", "box_null_lower", "per_node_string", "leaf_utility_string"])
     def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
         model = toy_model_dict()
         mutate(model)

@@ -312,6 +312,33 @@ class TestBruteForce:
             vals.append(v)
         assert all(b < a - 1e-6 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("where", ["stage", "leaf"])
+    def test_nan_value_fails_closed_in_every_walk(self, where):
+        # np.argmin stops at a NaN and `nan < best` is False, so brute force
+        # would skip every chunk holding one and report (inf, {})
+        class NanLeaf(Affine):
+            def value_many(self, X):
+                return np.full(len(X), np.nan)
+
+        tree = binomial_tree(1)
+        leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-0.5 - i])
+                  for i, leaf in enumerate(tree.leaves)}
+        stage_funs = None
+        if where == "stage":
+            stage_funs = {"r": lambda K, S, X: np.full(len(K), np.nan)}
+        else:
+            leaves["d"] = NanLeaf([1.0])
+        problem = dp.history_problem(tree, [0, 1], leaves, lower_bound=0.0,
+                                     stage_funs=stage_funs)
+        node = "'r'" if where == "stage" else "'d'"
+        strategy = td.AdaptedSequence({leaf.id: np.array([0.5]) for leaf in tree.leaves})
+        with pytest.raises(dp.NumericFailure, match=node):
+            dp.evaluate_strategy(problem, strategy)
+        with pytest.raises(dp.NumericFailure, match=node):
+            dp.brute_force(problem, {leaf.id: axis_grid(-1.0, 1.0, 5) for leaf in tree.leaves})
+        with pytest.raises(dp.NumericFailure, match=node):
+            dp.forward_pass(problem, {}, {}, None, mode="exact")
+
 
 class TestSolveInvariants:
     def test_monotone_refinement_in_decision_grid(self):

@@ -353,6 +353,26 @@ class TestIsNonnegativeOn:
         assert rep2.verdict == "violated"
 
 
+# the examples of README's "Function expressions", children filled in
+README_EXAMPLES = [
+    {"kind": "affine", "a": [2.0], "b": 5.0},
+    {"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": 2},
+    {"kind": "indicator_box", "lower": [0, "-inf"], "upper": [1, 0]},
+    {"kind": "indicator_polycone", "normals": [[1.0, -1.0]]},
+    {"kind": "sampled1d", "grid": [0, 1], "values": [0, 2], "slope_left": -1.0,
+     "slope_right": "inf"},
+    {"kind": "sshaped_disutility", "gamma": 2.0, "kappa": 1.0, "beta": 1.0},
+    {"kind": "homog1d", "slope_neg": 0.0, "slope_pos": 1.0},
+    {"kind": "sum", "weights": [0.5, 0.5], "children": [
+        {"kind": "affine", "a": [2.0], "b": 5.0},
+        {"kind": "homog1d", "slope_neg": "-Infinity", "slope_pos": 1.0}]},
+    {"kind": "affine_precompose", "matrix": [[1.0, -1.0]], "offset": [0.0], "children": [
+        {"kind": "sshaped_disutility", "gamma": 2.0, "kappa": 1.0, "beta": 1.0}]},
+    {"kind": "partial_min", "keep": 1, "children": [
+        {"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": 2}]},
+]
+
+
 class TestJsonSpec:
     def test_round_trip_all_kinds(self):
         for name, f, _ in oracle_fixtures():
@@ -367,6 +387,36 @@ class TestJsonSpec:
             finite = np.isfinite(fv)
             assert (np.isfinite(gv) == finite).all()
             assert np.allclose(fv[finite], gv[finite], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", README_EXAMPLES, ids=lambda d: d["kind"])
+    def test_readme_examples_round_trip(self, spec):
+        def floats(x):
+            if isinstance(x, str):
+                return float(x)
+            if isinstance(x, list):
+                return [floats(v) for v in x]
+            if isinstance(x, dict):
+                return {k: v if k == "kind" else floats(v) for k, v in x.items()}
+            return x
+
+        assert efun.to_spec(efun.from_spec(spec)) == floats(spec)
+
+    def test_absent_optional_fields_take_defaults(self):
+        f = efun.from_spec({"kind": "affine", "a": [1.0]})
+        g = efun.from_spec({"kind": "affine_precompose", "matrix": [[1.0, 2.0]],
+                            "children": [{"kind": "sum", "children": [
+                                {"kind": "power_cost", "coeff": 1.0, "exponent": 2.0}]}]})
+        assert efun.to_spec(f) == {"kind": "affine", "a": [1.0], "b": 0.0}
+        assert efun.to_spec(g) == {
+            "kind": "affine_precompose", "matrix": [[1.0, 2.0]], "offset": [0.0],
+            "children": [{"kind": "sum", "weights": [1.0], "children": [
+                {"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": 1}]}],
+        }
+
+    @pytest.mark.parametrize("kind", ["affine ", None, ["affine"]])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown expression kind"):
+            efun.from_spec({"kind": kind, "a": [1.0]})
 
     def test_infinite_bounds_spelled_as_strings(self):
         f = efun.from_spec({

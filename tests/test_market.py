@@ -197,19 +197,23 @@ class TestBuilders:
 
 
 class TestDegenerateHorizon:
-    def test_t0_forms_agree(self):
+    @pytest.mark.parametrize("cost", [market.Frictionless(), market.PowerIlliquidity(0.1, 2.0)],
+                             ids=["frictionless", "power"])
+    def test_t0_forms_agree(self, cost):
         tree = td.ScenarioTree([td.Node("r", 0, None)])
         model = market.MarketModel(
             tree=tree, n_risky=1, prices={"r": [1.0]},
-            cost=market.PowerIlliquidity(0.1, 2.0),
+            cost=cost,
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
             initial_cash=1.0, endowment={"r": 0.25}, claims={"r": 0.05},
         )
-        cash = dp.backward_solve(market.build_problem_cash(model))
-        term = dp.backward_solve(market.build_problem_terminal(model))
+        problems = [market.build_problem_cash(model), market.build_problem_terminal(model)]
+        cash, term = (dp.backward_solve(p) for p in problems)
         expected = -model.utility.value(1.0 + 0.25 - 0.05)
         assert cash.value == pytest.approx(expected, abs=1e-12)
-        assert term.value == pytest.approx(expected, abs=1e-12)
+        assert term.value == cash.value
+        verdicts = [cones.check_horizon_positivity(p).verdict for p in problems]
+        assert verdicts == ["holds", "holds"]
 
 
 class TestLiquidationValue:
@@ -345,6 +349,28 @@ class TestJsonLoader:
         p2.write_text(json.dumps(back))
         model2 = market.load_market(str(p2))
         assert model2.Z("d")[0] == 0.5
+
+    def test_round_trip_per_node_cost_sampled_utility_and_overrides(self):
+        tree = binomial_tree(1)
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices={"r": [1.0], "u": [2.0], "d": [0.5]},
+            cost=market.PowerIlliquidity(0.1, 2.0, per_node={"u": (0.5, 3.0)}),
+            utility=exp_utility(-2.0, 2.0, 0.5),
+            utility_overrides={
+                "u": market.SShapedUtility(3.0, 2.0, 0.5),
+                "d": market.SampledUtility([-1.0, 1.0], [-2.0, 0.5], 4.0, -0.5),
+            },
+        )
+        d = market.market_to_dict(model)
+        back = market.market_from_dict(json.loads(json.dumps(d)))
+        assert market.market_to_dict(back) == d
+        assert back.cost.per_node == {"u": (0.5, 3.0)}
+        assert back.utility.slope_left == INF
+        assert back.utility_at("d").values.tolist() == [-2.0, 0.5]
+        assert d["cost"] == {"kind": "power", "coeff": 0.1, "exponent": 2.0,
+                             "per_node": {"u": [0.5, 3.0]}}
+        assert d["tree"][1]["data"]["utility"] == {
+            "kind": "sshaped", "gamma": 3.0, "kappa": 2.0, "beta": 0.5}
 
     def test_rejects_missing_prices(self, tmp_path):
         d = self.model_dict()
