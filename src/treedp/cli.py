@@ -17,7 +17,6 @@ are written as plot-ready CSV side files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -44,8 +43,7 @@ def _out_dir(args) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(dp.json_text(payload, indent=2) + "\n")
 
 
 def _load(path: str):
@@ -109,7 +107,7 @@ def cmd_check(args) -> int:
             for k in ("verdict", "witness", "method", "details")
         })
         check.export_witness_csv(os.path.join(out, "witness.csv"))
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(dp.json_text(payload, indent=2))
     return code
 
 
@@ -121,7 +119,7 @@ def cmd_solve(args) -> int:
         payload = {"check": check_payload, "exit_code": check_code,
                    "note": "conditions not verified; rerun with --force to attempt anyway"}
         _write_json(os.path.join(_out_dir(args), "solve_report.json"), payload)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dp.json_text(payload, indent=2))
         return check_code
     cfg = _solve_config(args)
     out = _out_dir(args)
@@ -135,7 +133,7 @@ def cmd_solve(args) -> int:
             "exit_code": EXIT_SOLVER,
         }
         _write_json(os.path.join(out, "solve_report.json"), payload)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dp.json_text(payload, indent=2))
         return EXIT_SOLVER
     verify = dp.verify_optimality(problem, result, result.strategy, cfg=cfg)
     payload = result.report_dict()
@@ -145,7 +143,7 @@ def cmd_solve(args) -> int:
     _write_json(os.path.join(out, "solve_report.json"), payload)
     dp.export_policy_csv(result, os.path.join(out, "policy.csv"))
     dp.export_tables_csv(result, os.path.join(out, "value_tables.csv"))
-    print(json.dumps({k: payload[k] for k in ("value", "forward_value", "gap")}, sort_keys=True))
+    print(dp.json_text({k: payload[k] for k in ("value", "forward_value", "gap")}))
     return EXIT_OK
 
 
@@ -179,7 +177,7 @@ def cmd_oracle(args) -> int:
     except BudgetExceeded as e:
         payload = {"error": "BudgetExceeded", "message": str(e), "exit_code": EXIT_BUDGET}
         _write_json(os.path.join(out, "oracle_report.json"), payload)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dp.json_text(payload, indent=2))
         return EXIT_BUDGET
     try:
         result = dp.backward_solve(problem, cfg=cfg)
@@ -192,10 +190,11 @@ def cmd_oracle(args) -> int:
             "exit_code": EXIT_SOLVER,
         }
         _write_json(os.path.join(out, "oracle_report.json"), payload)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dp.json_text(payload, indent=2))
         return EXIT_SOLVER
     tol = max(args.tol, args.tol * abs(bf_value))
-    gap = abs(solve_value - bf_value)
+    # two equal infinities differ by nothing (their difference would be NaN)
+    gap = 0.0 if solve_value == bf_value else abs(solve_value - bf_value)
     payload = {
         "solve_value": solve_value,
         "solve_table_value": result.value,
@@ -209,7 +208,7 @@ def cmd_oracle(args) -> int:
         "exit_code": EXIT_OK,
     }
     _write_json(os.path.join(out, "oracle_report.json"), payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(dp.json_text(payload, indent=2))
     return EXIT_OK
 
 

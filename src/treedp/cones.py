@@ -24,6 +24,7 @@ independent reference check.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -38,7 +39,7 @@ from ._polyhedral import (
     kernel_basis,
     orthonormal_complement,
 )
-from .dp import Problem, StateMap
+from .dp import Problem, StateMap, write_csv_rows
 from .efun import AffinePrecompose, ExtFun, Sum
 from .tree import AdaptedSequence, ScenarioTree
 
@@ -93,17 +94,15 @@ class CheckReport:
         }
 
     def export_witness_csv(self, path: str) -> None:
-        """Write the witness direction as per-node rows (node, x0, x1, ...)."""
-        import csv
-
+        """Write the witness direction as per-node rows (node, x0, x1, ...),
+        in the byte format of the solver's CSV exports."""
         witness = self.witness or {}
         width = max((len(v) for v in witness.values()), default=0)
+        cache: dict[int, str] = {}
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["node"] + [f"x{i}" for i in range(width)])
+            csv.writer(fh).writerow(["node"] + [f"x{i}" for i in range(width)])
             for nid, vec in witness.items():
-                w.writerow([nid] + [repr(float(v)) for v in vec]
-                           + [""] * (width - len(vec)))
+                write_csv_rows(fh, [nid], [""], np.asarray(vec, dtype=float), width, cache)
 
 
 @dataclass

@@ -27,9 +27,11 @@ exact forward pass attached to the strategy it returned.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -395,6 +397,16 @@ def _reject_nan(vals: np.ndarray, states: np.ndarray | None, label, groups) -> N
         raise NumericFailure(f"node {name!r}: objective value is not a number")
 
 
+def _search_diag(n_states: int) -> dict:
+    """Zeroed search counters for ``n_states`` states (see :func:`minimize_batch`)."""
+    per_state = {
+        "expansions": np.zeros(n_states, dtype=np.int64),
+        "sweeps": np.zeros(n_states, dtype=np.int64),
+        "max_box": np.zeros(n_states),
+    }
+    return {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
+
+
 def minimize_batch(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     dim: int,
@@ -445,23 +457,22 @@ def minimize_batch(
     a point the sequential poll evaluates raises :class:`NumericFailure`,
     naming the first such state in the order of that poll.  Needs
     ``dim >= 1``; :func:`_minimize_at` evaluates decision-free nodes
-    without a search.
+    without a search.  With no states it returns empty results (values
+    of shape (0,), argmins of shape (0, dim)) without calling ``objective``.
 
     Returns (values, argmins, diag).  ``diag`` holds the batch's
     ``expansions`` (box doublings), ``sweeps`` (refinement sweeps) and
     ``max_box`` (last half-width), and under ``per_state`` the same three
     counters for each state alone.
     """
+    diag = _search_diag(n_states)
+    if not n_states:
+        return np.zeros(0), np.zeros((0, dim)), diag
+    per_state = diag["per_state"]
     best_val = np.full(n_states, INF)
     best_x = np.full((n_states, dim), np.nan)
     step0 = np.full(n_states, np.nan)
     active = np.ones(n_states, dtype=bool)
-    per_state = {
-        "expansions": np.zeros(n_states, dtype=np.int64),
-        "sweeps": np.zeros(n_states, dtype=np.int64),
-        "max_box": np.zeros(n_states),
-    }
-    diag: dict = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
     B = cfg.box_init
     max_rows = cfg.state_chunk * 64
 
@@ -601,17 +612,14 @@ def _minimize_at(
     n = states.shape[0]
     groups = None if isinstance(names, str) else K
     if dim == 0:
-        parts = []
+        parts = [np.zeros(0)]  # concatenates to no values when there are no rows
         for a in range(0, n, cfg.state_chunk * 64):
             rows = slice(a, a + cfg.state_chunk * 64)
             X = np.zeros((len(K[rows]), 0))
             parts.append(np.asarray(f(K[rows], states[rows], X), dtype=float))
         vals = np.concatenate(parts)
         _reject_nan(vals, None, names, groups)
-        zero = np.zeros(n, dtype=np.int64)
-        per_state = {"expansions": zero, "sweeps": zero, "max_box": np.zeros(n)}
-        diag = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
-        return vals, np.zeros((n, 0)), diag
+        return vals, np.zeros((n, 0)), _search_diag(n)
     return minimize_batch(
         lambda I, X: f(K[I], np.take(states, I, axis=0), X), dim, n, cfg,
         label=names, groups=groups,
@@ -1339,61 +1347,127 @@ def brute_force(
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
+#
+# The CSV side files hold the bytes ``csv.writer(fh)`` (default dialect) would
+# write, with every float written as its ``repr``.  Text fields (node ids,
+# table kinds) go through the csv module; floats never need quoting, so each
+# distinct float is formatted once per file and a table's rows are joined
+# into one string.
 
 
-def _coordinate_rows(axes: tuple[np.ndarray, ...], width: int) -> list[list[str]]:
-    """Formatted grid coordinates in C order, padded to ``width`` columns."""
-    pad = [""] * (width - len(axes))
-    formatted = [list(map(repr, np.asarray(a, dtype=float).tolist())) for a in axes]
-    return [list(c) + pad for c in itertools.product(*formatted)]
+def _csv_start(fields: list[str], more: bool) -> str:
+    """``fields`` as ``csv.writer`` writes them at the start of a row, line
+    terminator dropped; ``more``: further fields follow in the row.
+
+    The writer keeps its default terminator: the csv module quotes a field
+    holding a line break only if that character is part of the terminator.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields + [""] * more)
+    return buf.getvalue()[: -3 if more else -2]
+
+
+def _float_fields(values: np.ndarray, cache: dict[int, str]) -> list[str]:
+    """``"," + repr(v)`` for each float ``v`` of ``values`` in C order.
+
+    ``cache`` maps a bit pattern to its field, so -0.0, 0.0 and every NaN
+    payload stay apart and each distinct float is formatted once per file.
+    """
+    keys = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+    new = list(set(keys).difference(cache))
+    for k, v in zip(new, np.array(new, dtype=np.int64).view(float).tolist()):
+        cache[k] = "," + repr(v)
+    return list(map(cache.__getitem__, keys))
+
+
+def write_csv_rows(
+    fh, start: list[str], lead: Sequence[str], values: np.ndarray, width: int,
+    cache: dict[int, str],
+) -> None:
+    """Append one CSV row per entry of ``lead`` to ``fh``, in one write.
+
+    Row i holds the text fields ``start``, then ``lead[i]`` (fields already
+    formatted, each as ``",field"``), then row i of ``values`` (reshaped to
+    ``len(lead)`` rows) as ``repr`` fields, padded with empty fields to
+    ``width``.  ``cache`` is the file's float cache (:func:`_float_fields`).
+    """
+    n = len(lead)
+    if not n:
+        return
+    fields = _float_fields(values, cache)
+    k = len(fields) // n
+    if k == 1:
+        rows = fields
+    elif k:
+        rows = list(map("".join, zip(*[iter(fields)] * k)))
+    else:
+        rows = [""] * n
+    head = _csv_start(start, more=bool(lead[0]) or width > 0)
+    end = "," * (width - k) + "\r\n"
+    fh.write(head + (end + head).join(map(operator.add, lead, rows)) + end)
+
+
+def _coordinate_fields(axes: tuple[np.ndarray, ...], width: int) -> list[str]:
+    """Each grid point's coordinates in C order as ``",c0,c1,..."``, padded
+    with empty fields to ``width``."""
+    pad = "," * (width - len(axes))
+    formatted = [["," + repr(v) for v in np.asarray(a, dtype=float).tolist()] for a in axes]
+    return ["".join(c) + pad for c in itertools.product(*formatted)]
 
 
 def export_tables_csv(result: SolveResult, path: str) -> None:
     """Plot-ready dump: node, table kind, grid coordinates, value."""
     tabs = list(result.pre_tables.values()) + list(result.post_tables.values())
     width = max((len(t.axes) for t in tabs), default=0)
-    coords: dict[int, list[list[str]]] = {}  # stages share their axes objects
+    coords: dict[int, list[str]] = {}  # stages share their axes objects
+    cache: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "kind"] + [f"s{i}" for i in range(width)] + ["value"])
+        csv.writer(fh).writerow(["node", "kind"] + [f"s{i}" for i in range(width)] + ["value"])
         for t in tabs:
-            if not t.axes:
-                w.writerow([t.node, t.kind] + [""] * width + [repr(float(t.values.reshape(-1)[0]))])
-                continue
             if id(t.axes) not in coords:
-                coords[id(t.axes)] = _coordinate_rows(t.axes, width)
-            values = map(repr, t.values.ravel().tolist())
-            w.writerows([t.node, t.kind, *c, v] for c, v in zip(coords[id(t.axes)], values))
+                coords[id(t.axes)] = _coordinate_fields(t.axes, width)
+            write_csv_rows(fh, [t.node, t.kind], coords[id(t.axes)], t.values, 1, cache)
 
 
 def export_policy_csv(result: SolveResult, path: str) -> None:
+    """Plot-ready dump: node, entering-state coordinates, decision."""
     entries = result.policy.entries
     swidth = max((len(axes) for axes, _ in entries.values()), default=0)
     dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
-    coords: dict[int, list[list[str]]] = {}
+    coords: dict[int, list[str]] = {}
+    cache: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["node"]
-            + [f"s{i}" for i in range(swidth)]
-            + [f"x{i}" for i in range(dwidth)]
+        csv.writer(fh).writerow(
+            ["node"] + [f"s{i}" for i in range(swidth)] + [f"x{i}" for i in range(dwidth)]
         )
         for node, (axes, arr) in entries.items():
-            ndim = arr.shape[-1]
-            pad = [""] * (dwidth - ndim)
-            rows = arr.reshape(math.prod(arr.shape[:-1]), ndim).tolist()
-            decisions = [list(map(repr, row)) + pad for row in rows]
-            if not axes:
-                w.writerows([node] + [""] * swidth + dec for dec in decisions)
-                continue
             if id(axes) not in coords:
-                coords[id(axes)] = _coordinate_rows(axes, swidth)
-            w.writerows([node, *c, *dec] for c, dec in zip(coords[id(axes)], decisions))
+                coords[id(axes)] = _coordinate_fields(axes, swidth)
+            write_csv_rows(fh, [node], coords[id(axes)], arr, dwidth, cache)
+
+
+def _json_ready(obj):
+    """``obj`` with each infinite float replaced by the string "inf" or "-inf",
+    which :func:`float` (and so the model and spec readers) reads back."""
+    if isinstance(obj, float):
+        return ("inf" if obj > 0 else "-inf") if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def json_text(payload, indent: int | None = None) -> str:
+    """Standard, deterministic JSON (sorted keys, repr floats): infinities are
+    written as strings, and a NaN raises ``ValueError`` instead of being
+    written.  A payload of finite numbers reads as ``json.dumps`` writes it."""
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=indent, allow_nan=False)
 
 
 def report_json(result: SolveResult, extra: dict | None = None) -> str:
-    """Deterministic JSON report (sorted keys, repr floats)."""
+    """Deterministic JSON report (see :func:`json_text`)."""
     payload = result.report_dict()
     if extra:
         payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json_text(payload, indent=2)

@@ -456,8 +456,6 @@ class PartialMin(ExtFun):
     def value_many(self, X):
         from . import dp  # deferred: dp depends on efun
 
-        if not len(X):
-            return np.empty(0)
         # one search for all rows: minimize_batch searches each state alone
         vals, _, _ = dp.minimize_batch(
             lambda I, Y: self.inner.value_many(np.hstack([X[I], Y])),

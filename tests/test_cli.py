@@ -9,6 +9,7 @@ from treedp import cli, market
 
 from conftest import (
     arbitrage_model,
+    binomial_tree,
     duplicated_asset_model,
     get_bench,
     sshaped_t2_model,
@@ -234,6 +235,43 @@ class TestHugeNumbers:
             capsys.readouterr()
             assert code == want, argv
             assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == [], argv
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+class TestStandardJson:
+    """Reports spell an infinite value "inf"; JSON has no Infinity or NaN."""
+
+    def test_infeasible_model(self, tmp_path, capsys):
+        # a claim the zero budget cannot pay: every value is +inf
+        tree = binomial_tree(1)
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices={"r": [1.0], "u": [2.0], "d": [0.5]},
+            cost=market.PowerIlliquidity(0.1, 2.0),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            claims={"r": 1.0}, initial_cash=0.0, cash_lower=0.0,
+            constraints={0: (np.array([0.0]), np.array([0.0]))},
+        )
+        path = tmp_path / "unpayable.json"
+        path.write_text(json.dumps(market.market_to_dict(model)))
+        out = tmp_path / "o"
+        args = [str(path), "--form", "terminal", "--radius", "0.5", "--points", "17",
+                "--out", str(out)]
+        capsys.readouterr()
+        for command, extra in (("solve", []), ("oracle", ["--grids=-1:1:3"])):
+            assert cli.main([command, *args, *extra]) == 0
+            stdout = capsys.readouterr().out
+            report = json.loads((out / f"{command}_report.json").read_text(),
+                                parse_constant=_no_constant)
+            assert json.loads(stdout, parse_constant=_no_constant)
+            if command == "solve":
+                assert report["value"] == report["forward_value"] == "inf"
+            else:
+                # two equal infinities: no gap, and the oracle agrees
+                assert report["solve_value"] == report["brute_force_value"] == "inf"
+                assert report["gap"] == 0.0 and report["pass"]
 
 
 class TestOracle:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -111,6 +112,49 @@ class TestCheckHorizonPositivity:
         # and the classical reference sees no arbitrage: the zero-profit
         # line is why the solver needs the projection route instead
         assert cones.no_arbitrage_lp(tree, prices) is None
+
+
+def _ref_export_witness_csv(self: cones.CheckReport, path: str) -> None:
+    """The witness exporter as it was, one csv.writer row per node."""
+    witness = self.witness or {}
+    width = max((len(v) for v in witness.values()), default=0)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["node"] + [f"x{i}" for i in range(width)])
+        for nid, vec in witness.items():
+            w.writerow([nid] + [repr(float(v)) for v in vec]
+                       + [""] * (width - len(vec)))
+
+
+class TestWitnessExport:
+    @staticmethod
+    def _assert_reference_bytes(rep, tmp_path):
+        rep.export_witness_csv(str(tmp_path / "got.csv"))
+        _ref_export_witness_csv(rep, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_duplicated_asset_binomial(self, tmp_path):
+        # two identical assets on a T=7 binomial tree: a witness at every decision node
+        tree = binomial_tree(7)
+        prices = {k: np.repeat(v, 2) for k, v in binomial_prices(tree, 1.0, 1.2, 0.85).items()}
+        model = market.MarketModel(
+            tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0), initial_cash=1.0,
+        )
+        rep = cones.check_horizon_positivity(market.build_problem_cash(model))
+        assert rep.verdict == "fails" and len(rep.witness) == 2**7 - 1
+        self._assert_reference_bytes(rep, tmp_path)
+
+    def test_odd_ids_and_floats(self, tmp_path):
+        witness = {
+            "a,b": [-0.0, 0.0, 5e-324],
+            'say "hi"': [1e16, 1e-5],
+            "two\nlines": [],
+            "": [INF, -INF, math.nan],
+        }
+        self._assert_reference_bytes(cones.CheckReport("fails", witness, []), tmp_path)
+        self._assert_reference_bytes(cones.CheckReport("fails", {"": []}, []), tmp_path)
+        self._assert_reference_bytes(cones.CheckReport("holds", None, []), tmp_path)
 
 
 class TestNoArbitrageLP:

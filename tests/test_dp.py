@@ -1,3 +1,6 @@
+import csv
+import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 
 import treedp as td
 from treedp import dp
-from treedp.efun import Affine, AffinePrecompose, IndicatorBox, PowerCost, Sampled1D, Sum
+from treedp.efun import (
+    Affine, AffinePrecompose, IndicatorBox, PartialMin, PowerCost, Sampled1D, Sum,
+)
 
 from conftest import (
+    BENCH_BUILDERS,
     arbitrage_model,
     axis_grid,
     binomial_tree,
@@ -84,6 +90,22 @@ class TestMinimizeSection:
 
         with pytest.raises(dp.NumericFailure, match="not a number"):
             dp.minimize_batch(objective, 1, 2)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_zero_states_give_empty_results(self, dim):
+        def objective(I, X):
+            raise AssertionError("no states, no evaluation")
+
+        no_rows = (np.zeros(0, dtype=np.intp), np.zeros((0, 1)))
+        results = [dp.minimize_batch(objective, dim, 0),
+                   dp._minimize_at(lambda K, S, X: objective(K, X), *no_rows, dim)]
+        for vals, xs, diag in results:
+            assert vals.shape == (0,) and xs.shape == (0, dim)
+            assert (diag["expansions"], diag["sweeps"], diag["max_box"]) == (0, 0, 0.0)
+            assert all(v.shape == (0,) for v in diag["per_state"].values())
+        if dim:  # a partial minimum searches its dim >= 1 minimized coordinates
+            inner = AffinePrecompose(PowerCost(1.0, 2.0, dim + 1), np.eye(dim + 1))
+            assert PartialMin(inner, 1).value_many(np.zeros((0, 1))).shape == (0,)
 
     def test_horizon_precheck(self):
         f = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-3.0])
@@ -375,17 +397,142 @@ class TestSolveInvariants:
         assert results[1] == results[2] == results[8]
 
 
+# ---------------------------------------------------------------------------
+# exports: the exporters as they were, one csv.writer row per grid state
+# ---------------------------------------------------------------------------
+
+
+def _ref_coordinate_rows(axes: tuple[np.ndarray, ...], width: int) -> list[list[str]]:
+    """Formatted grid coordinates in C order, padded to ``width`` columns."""
+    pad = [""] * (width - len(axes))
+    formatted = [list(map(repr, np.asarray(a, dtype=float).tolist())) for a in axes]
+    return [list(c) + pad for c in itertools.product(*formatted)]
+
+
+def _ref_export_tables_csv(result: dp.SolveResult, path: str) -> None:
+    """Plot-ready dump: node, table kind, grid coordinates, value."""
+    tabs = list(result.pre_tables.values()) + list(result.post_tables.values())
+    width = max((len(t.axes) for t in tabs), default=0)
+    coords: dict[int, list[list[str]]] = {}  # stages share their axes objects
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["node", "kind"] + [f"s{i}" for i in range(width)] + ["value"])
+        for t in tabs:
+            if not t.axes:
+                w.writerow([t.node, t.kind] + [""] * width + [repr(float(t.values.reshape(-1)[0]))])
+                continue
+            if id(t.axes) not in coords:
+                coords[id(t.axes)] = _ref_coordinate_rows(t.axes, width)
+            values = map(repr, t.values.ravel().tolist())
+            w.writerows([t.node, t.kind, *c, v] for c, v in zip(coords[id(t.axes)], values))
+
+
+def _ref_export_policy_csv(result: dp.SolveResult, path: str) -> None:
+    entries = result.policy.entries
+    swidth = max((len(axes) for axes, _ in entries.values()), default=0)
+    dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
+    coords: dict[int, list[list[str]]] = {}
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["node"]
+            + [f"s{i}" for i in range(swidth)]
+            + [f"x{i}" for i in range(dwidth)]
+        )
+        for node, (axes, arr) in entries.items():
+            ndim = arr.shape[-1]
+            pad = [""] * (dwidth - ndim)
+            rows = arr.reshape(math.prod(arr.shape[:-1]), ndim).tolist()
+            decisions = [list(map(repr, row)) + pad for row in rows]
+            if not axes:
+                w.writerows([node] + [""] * swidth + dec for dec in decisions)
+                continue
+            if id(axes) not in coords:
+                coords[id(axes)] = _ref_coordinate_rows(axes, swidth)
+            w.writerows([node, *c, *dec] for c, dec in zip(coords[id(axes)], decisions))
+
+
+#: ids the csv module must quote (and the empty id), and floats of every repr form
+ODD_IDS = ["a,b", 'say "hi"', "two\nlines", ""]
+ODD_FLOATS = np.array([
+    -0.0, 0.0, INF, -INF, np.nan, *np.array([0x7FF8000000000001], np.int64).view(float),
+    5e-324, 2.5e-310, 1e16, 1e-5, 0.1, -1.5, 1 / 3,
+])
+
+
+def _odd_result(state_axes: int, ndims: list[int]) -> dp.SolveResult:
+    """A hand-made result over ``ODD_IDS``: tables and decisions cycle
+    through ``ODD_FLOATS`` on ``state_axes`` shared axes (plus one table
+    with no axes); node i decides ``ndims[i]`` coordinates."""
+    axes = tuple(ODD_FLOATS[i : i + 3].copy() for i in range(state_axes))
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
+
+    def pick(k, n):
+        return np.resize(np.roll(ODD_FLOATS, k), n)
+
+    pre, post, policy = {}, {}, {}
+    for i, (nid, ndim) in enumerate(zip(ODD_IDS, ndims)):
+        pre[nid] = dp.ValueTable(nid, axes, pick(i, size).reshape(shape), "pre")
+        post[nid] = dp.ValueTable(nid, (), pick(i + 5, 1).reshape(()), "post")
+        policy[nid] = (axes, pick(2 * i, size * ndim).reshape(shape + (ndim,)))
+    return dp.SolveResult(INF, INF, dp.Policy(policy), td.AdaptedSequence({}), pre, post, {})
+
+
 class TestExports:
-    def test_csv_and_json(self, tmp_path):
+    """The exporters write the bytes of their csv.writer-per-row references."""
+
+    @staticmethod
+    def _assert_reference_bytes(res, tmp_path):
+        for export, ref in ((dp.export_tables_csv, _ref_export_tables_csv),
+                            (dp.export_policy_csv, _ref_export_policy_csv)):
+            export(res, str(tmp_path / "got.csv"))
+            ref(res, str(tmp_path / "want.csv"))
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", list(BENCH_BUILDERS))
+    def test_fixtures(self, name, tmp_path):
+        _, res = get_solved(name)
+        if name == "quad_t0":
+            assert res.pre_tables["r"].axes == ()
+        self._assert_reference_bytes(res, tmp_path)
+
+    def test_terminal_form(self, tmp_path):
+        problem, cfg = _oracle_case("terminal_cash_lower_t1")
+        assert problem.decision_dims == (2, 0)
+        self._assert_reference_bytes(dp.backward_solve(problem, cfg=cfg), tmp_path)
+
+    @pytest.mark.parametrize("state_axes, ndims", [
+        (2, [1, 2, 0, 3]),
+        (1, [0, 1, 0, 1]),
+        (0, [2, 0, 1, 0]),
+        (0, [0, 0, 0, 0]),  # the policy's rows are the node id alone
+    ])
+    def test_odd_ids_and_floats(self, state_axes, ndims, tmp_path):
+        self._assert_reference_bytes(_odd_result(state_axes, ndims), tmp_path)
+        text = (tmp_path / "got.csv").read_bytes().decode()
+        assert '"two\nlines"' in text and '"say ""hi"""' in text
+
+    def test_report_json_is_standard(self):
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        tree = td.ScenarioTree([td.Node("r", 0, None)])
+        f = Sum((IndicatorBox([0.0], [1.0]), IndicatorBox([2.0], [3.0])))
+        res = dp.backward_solve(dp.history_problem(tree, [1], {"r": f}, lower_bound=0.0),
+                                grids={})
+        report = json.loads(dp.report_json(res), parse_constant=no_constant)
+        assert report["value"] == report["forward_value"] == "inf"
+        assert float(report["value"]) == INF
+        assert json.loads(dp.json_text([-INF]), parse_constant=no_constant) == ["-inf"]
+        with pytest.raises(ValueError):
+            dp.json_text({"gap": [1.0, math.nan]})
+
+    def test_finite_report_keeps_json_dumps_bytes(self):
         _, res = get_solved("frictionless_t1")
-        dp.export_tables_csv(res, str(tmp_path / "tables.csv"))
-        dp.export_policy_csv(res, str(tmp_path / "policy.csv"))
-        tables = (tmp_path / "tables.csv").read_text().splitlines()
-        assert tables[0].startswith("node,kind")
-        assert len(tables) > 10
-        report = dp.report_json(res)
-        assert '"value"' in report
-        assert dp.report_json(res) == report  # deterministic
+        payload = res.report_dict()
+        assert dp.report_json(res) == json.dumps(payload, sort_keys=True, indent=2)
+        assert dp.report_json(res) == dp.report_json(res)  # deterministic
 
 
 # ---------------------------------------------------------------------------
