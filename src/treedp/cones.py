@@ -7,9 +7,11 @@ direction.  This module decides that condition:
 * analytically for market models with superlinear total costs;
 * by polyhedral cone propagation through the tree for problems whose
   per-leaf objectives have exact symbolic horizons (each leaf contributes
-  the halfspace rows R of its horizon's zero sublevel set, restricted to
-  the decisions on its path; the adapted cone {R y <= 0} is {0} iff
-  ker R = {0} and the cone is a subspace, one SVD and one bounded LP);
+  the halfspace rows R of its horizon's zero sublevel set, written into
+  its path's columns of the adapted vector y, which stacks the decisions
+  of every decision node in tree order; the adapted cone {R y <= 0} is
+  {0} iff ker R = {0} and the cone is a subspace, one SVD and one
+  bounded LP);
 * by sphere sampling otherwise, in which case only a found witness is
   conclusive and the verdict is otherwise "undecided".
 
@@ -18,6 +20,9 @@ problem can be restricted to the orthogonal complement of those
 directions per stage without changing the optimal value; ``null_space``
 computes the per-node subspaces exactly for linear/polyhedral structure
 (one kernel per stage) and ``project_problem`` applies the restriction.
+The projected problem keeps the original state and carries path
+objectives in the reduced decisions for every input, history mode
+included, so it can be checked and solved like any other problem.
 A classical frictionless no-arbitrage search is included as an
 independent reference check.
 """
@@ -26,10 +31,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from . import efun
@@ -39,7 +45,7 @@ from ._polyhedral import (
     kernel_basis,
     orthonormal_complement,
 )
-from .dp import Problem, StateMap, write_csv_rows
+from .dp import Problem, write_csv_rows
 from .efun import AffinePrecompose, ExtFun, Sum
 from .tree import AdaptedSequence, ScenarioTree
 
@@ -122,30 +128,26 @@ class DirectionSet:
 # ---------------------------------------------------------------------------
 
 
-def _adapted_layout(problem: Problem) -> tuple[list[str], dict[str, tuple[int, int]], int]:
-    nodes = [n.id for n in problem.decision_nodes()]
+def _adapted_layout(
+    problem: Problem,
+) -> tuple[dict[str, tuple[int, int]], int, dict[str, np.ndarray]]:
+    """Each decision node's columns ``(a, b)`` of the adapted vector (in
+    tree order), its length, and each leaf's path columns in path order."""
     offsets: dict[str, tuple[int, int]] = {}
     total = 0
-    for nid in nodes:
-        d = problem.decision_dim(nid)
-        offsets[nid] = (total, total + d)
+    for node in problem.decision_nodes():
+        d = problem.decision_dim(node.id)
+        offsets[node.id] = (total, total + d)
         total += d
-    return nodes, offsets, total
-
-
-def _leaf_selector(
-    problem: Problem, leaf_id: str, offsets: Mapping[str, tuple[int, int]], total: int
-) -> np.ndarray:
-    rows: list[np.ndarray] = []
-    for nid in problem.tree.path(leaf_id):
-        d = problem.decision_dim(nid)
-        if d == 0:
-            continue
-        a, b = offsets[nid]
-        sel = np.zeros((d, total))
-        sel[:, a:b] = np.eye(d)
-        rows.append(sel)
-    return np.vstack(rows) if rows else np.zeros((0, total))
+    tree = problem.tree
+    leaf_cols = {
+        leaf.id: np.array(
+            [c for nid in tree.path(leaf.id) if nid in offsets for c in range(*offsets[nid])],
+            dtype=np.int64,
+        )
+        for leaf in tree.leaves
+    }
+    return offsets, total, leaf_cols
 
 
 def path_objectives(problem: Problem) -> dict[str, ExtFun] | None:
@@ -196,34 +198,33 @@ def _leaf_horizons(
 
 
 def _stacked_rows(
-    problem: Problem,
-    horizons: Mapping[str, ExtFun],
-    offsets: Mapping[str, tuple[int, int]],
-    total: int,
+    horizons: Mapping[str, ExtFun], leaf_cols: Mapping[str, np.ndarray], total: int
 ) -> np.ndarray | None:
+    """Each leaf's zero-sublevel rows, written into its path columns.
+
+    ``+ 0.0`` turns -0.0 into 0.0 and keeps every other value, so the
+    cone LP and kernel SVD see the bits of a product with a dense 0/1
+    selector.
+    """
     stacked: list[np.ndarray] = []
-    for leaf in problem.tree.leaves:
-        rows = efun.sublevel_zero_cone(horizons[leaf.id])
+    for leaf, cols in leaf_cols.items():
+        rows = efun.sublevel_zero_cone(horizons[leaf])
         if rows is None:
             return None
-        sel = _leaf_selector(problem, leaf.id, offsets, total)
-        stacked.append(rows @ sel)
+        block = np.zeros((rows.shape[0], total))
+        block[:, cols] = rows + 0.0
+        stacked.append(block)
     return np.vstack(stacked) if stacked else np.zeros((0, total))
 
 
 def _witness_ok(
-    problem: Problem,
-    horizons: Mapping[str, ExtFun],
-    offsets: Mapping[str, tuple[int, int]],
-    total: int,
-    y: np.ndarray,
+    horizons: Mapping[str, ExtFun], leaf_cols: Mapping[str, np.ndarray], y: np.ndarray
 ) -> tuple[bool, dict[str, float]]:
     vals: dict[str, float] = {}
     ok = np.abs(y).sum() > 0
-    for leaf in problem.tree.leaves:
-        sel = _leaf_selector(problem, leaf.id, offsets, total)
-        v = horizons[leaf.id].value(sel @ y)
-        vals[leaf.id] = v
+    for leaf, cols in leaf_cols.items():
+        v = horizons[leaf].value(y[cols])
+        vals[leaf] = v
         ok = ok and v <= WITNESS_TOL
     return ok, vals
 
@@ -263,7 +264,7 @@ def check_horizon_positivity(
             ["no symbolic path objectives available for horizon analysis"],
             {},
         )
-    nodes, offsets, total = _adapted_layout(problem)
+    offsets, total, leaf_cols = _adapted_layout(problem)
     if total == 0:
         return CheckReport("holds", None, ["no decisions to check"], {})
     horizons, exact, notes = _leaf_horizons(objs)
@@ -273,13 +274,13 @@ def check_horizon_positivity(
         # horizon, so no sound witness search is possible
         method.append("horizon functions are certified lower bounds only")
         return CheckReport("undecided", None, method, details)
-    rows = _stacked_rows(problem, horizons, offsets, total)
+    rows = _stacked_rows(horizons, leaf_cols, total)
     if rows is not None:
         method.append("cone propagation: polyhedral zero-sublevel rows per leaf")
         y, details["cone"] = cone_certificate(rows, total)
         if y is None:
             return CheckReport("holds", None, method, details)
-        ok, vals = _witness_ok(problem, horizons, offsets, total, y)
+        ok, vals = _witness_ok(horizons, leaf_cols, y)
         if ok:
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _split_witness(offsets, y), method, details)
@@ -290,7 +291,7 @@ def check_horizon_positivity(
     dirs = np.vstack([np.eye(total), -np.eye(total), dirs])
     dirs /= np.abs(dirs).sum(axis=1, keepdims=True)
     for y in dirs:
-        ok, vals = _witness_ok(problem, horizons, offsets, total, y)
+        ok, vals = _witness_ok(horizons, leaf_cols, y)
         if ok:
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _split_witness(offsets, y), method, details)
@@ -393,11 +394,11 @@ def null_space(problem: Problem) -> DirectionSet:
     directions form a one-sided cone, in which case existence is not
     guaranteed by the linear-space route.
     """
-    nodes, offsets, total = _adapted_layout(problem)
+    offsets, total, leaf_cols = _adapted_layout(problem)
     analysis = problem.meta.get("market_analysis") or {}
     if analysis.get("cost_superlinear") and analysis.get("disutility_growth"):
         return DirectionSet(
-            {nid: np.zeros((problem.decision_dim(nid), 0)) for nid in nodes},
+            {nid: np.zeros((b - a, 0)) for nid, (a, b) in offsets.items()},
             "exact",
             {"method": "analytic: superlinear costs leave no null direction"},
         )
@@ -405,7 +406,7 @@ def null_space(problem: Problem) -> DirectionSet:
     if objs is None:
         return DirectionSet({}, "undecided", {"method": "no symbolic objectives"})
     horizons, exact, notes = _leaf_horizons(objs)
-    rows = _stacked_rows(problem, horizons, offsets, total) if exact else None
+    rows = _stacked_rows(horizons, leaf_cols, total) if exact else None
     if rows is None:
         return DirectionSet({}, "undecided", {"method": "no polyhedral rows", "notes": notes})
     subspace, ray = cone_is_subspace(rows, total)
@@ -417,19 +418,19 @@ def null_space(problem: Problem) -> DirectionSet:
     # the directions at a stage-t node are the kernel of the leaf rows
     # with every decision before stage t pinned to zero: one kernel per
     # stage, and none after an empty one (pinning more never grows a kernel)
-    times = {nid: problem.tree.node(nid).time for nid in nodes}
-    eye = np.eye(total)
+    tree = problem.tree
+    times = {nid: int(tree.times[tree.index(nid)]) for nid in offsets}
     kernels: dict[int, np.ndarray] = {}
     K = None
     for t in sorted(set(times.values())):
         if K is None or K.shape[1]:
-            past = [np.arange(*offsets[mid]) for mid in nodes if times[mid] < t]
-            stacked = np.vstack([rows, eye[np.concatenate(past)]]) if past else rows
-            K = kernel_basis(stacked)
+            past = [c for mid, (a, b) in offsets.items() if times[mid] < t for c in range(a, b)]
+            pins = np.zeros((len(past), total))
+            pins[np.arange(len(past)), past] = 1.0
+            K = kernel_basis(np.vstack([rows, pins]))
         kernels[t] = K
     per_node: dict[str, np.ndarray] = {}
-    for nid in nodes:
-        a, b = offsets[nid]
+    for nid, (a, b) in offsets.items():
         block = kernels[times[nid]][a:b, :]
         if block.size == 0 or not block.any():
             per_node[nid] = np.zeros((b - a, 0))
@@ -440,53 +441,41 @@ def null_space(problem: Problem) -> DirectionSet:
     return DirectionSet(per_node, "exact", {"method": "kernel of leaf value rows"})
 
 
-def _blockdiag(mats: list[np.ndarray]) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
 def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     """Restrict decisions to the orthogonal complement of the null directions.
 
     The restriction is applied by reparameterizing each node's decision on
-    an orthonormal basis of the complement (equivalently, summing the
+    an orthonormal basis Q of the complement (equivalently, summing the
     objective with the indicator of the complement subspace per stage,
     but without a measure-zero feasible set for the grid search).  By the
     null-direction indifference, the optimal value is unchanged, and the
     restricted problem satisfies horizon positivity.
+
+    The same construction serves every input, history mode included: the
+    projected problem keeps the original state (dims, initial state and
+    leaf objectives), its transition and stage functions map each reduced
+    decision Y back to the original decision Q Y, and its
+    ``meta["path_objectives"]`` are :func:`path_objectives` of the input
+    (explicit or derived from the history) composed with each leaf path's
+    block-diagonal basis, so the projected problem can be checked again.
     """
     if directions.kind != "exact":
         raise InexactNullSpace("null space is not certified exact; refusing to project")
-    tree = problem.tree
-    nodes, _, _ = _adapted_layout(problem)
     if directions.is_trivial():
         return problem
-    qmap: dict[str, np.ndarray] = {}
-    new_dim: dict[str, int] = {}
-    for nid in nodes:
-        basis = directions.per_node.get(nid)
-        d = problem.decision_dim(nid)
-        if basis is None or basis.shape[1] == 0:
-            qmap[nid] = np.eye(d)
-        else:
-            qmap[nid] = orthonormal_complement(basis, d)
-        new_dim[nid] = qmap[nid].shape[1]
+    tree = problem.tree
+    qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}
-    for nid in nodes:
-        t = tree.node(nid).time
-        if t in stage_dims and stage_dims[t] != new_dim[nid]:
+    for node in problem.decision_nodes():
+        basis = directions.per_node.get(node.id)
+        d = problem.decision_dim(node.id)
+        Q = np.eye(d) if basis is None or basis.shape[1] == 0 else orthonormal_complement(basis, d)
+        if stage_dims.setdefault(node.time, Q.shape[1]) != Q.shape[1]:
             raise InexactNullSpace(
                 "null-space dimensions differ across nodes of one stage; "
                 "cannot keep a stagewise decision layout"
             )
-        stage_dims[t] = new_dim[nid]
+        qmap[node.id] = Q
     dims = tuple(
         stage_dims.get(t, problem.decision_dims[t]) for t in range(tree.horizon + 1)
     )
@@ -505,29 +494,6 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     def transition(K: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return orig_tr(K, S, to_decision(K, Y))
 
-    if problem.state_map.is_history:
-        cum = np.cumsum(dims)
-        sm = StateMap(
-            tuple(int(c) for c in cum), np.zeros(0), transition, is_history=True
-        )
-        leaf_obj = {}
-        for leaf in tree.leaves:
-            blocks = [
-                qmap.get(nid, np.eye(problem.decision_dim(nid)))
-                for nid in tree.path(leaf.id)
-                if problem.decision_dim(nid) > 0
-            ]
-            M = _blockdiag(blocks)
-            leaf_obj[leaf.id] = AffinePrecompose(problem.leaf_objective[leaf.id], M)
-    else:
-        sm = StateMap(
-            problem.state_map.dims,
-            problem.state_map.initial,
-            transition,
-            is_history=False,
-        )
-        leaf_obj = dict(problem.leaf_objective)
-
     stage_funs = None
     if problem.stage_funs is not None:
         stage_funs = {}
@@ -538,9 +504,7 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
                 stage_funs[nid] = sf
             elif isinstance(sf, ExtFun):
                 sdim = sf.dim - problem.decision_dim(nid)
-                stage_funs[nid] = AffinePrecompose(
-                    sf, _blockdiag([np.eye(sdim), Q])
-                )
+                stage_funs[nid] = AffinePrecompose(sf, block_diag(np.eye(sdim), Q))
             else:
                 if id(sf) not in wrapped:
                     wrapped[id(sf)] = lambda K, S, Y, _f=sf: _f(K, S, to_decision(K, Y))
@@ -548,26 +512,23 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
 
     meta = dict(problem.meta)
     meta["projection"] = {
-        nid: directions.per_node.get(nid, np.zeros((problem.decision_dim(nid), 0)))
-        for nid in nodes
+        nid: directions.per_node.get(nid, np.zeros((Q.shape[0], 0))) for nid, Q in qmap.items()
     }
-    old_paths = problem.meta.get("path_objectives")
-    if old_paths is not None:
-        new_paths = {}
-        for leaf in tree.leaves:
-            blocks = [
-                qmap.get(nid, np.eye(problem.decision_dim(nid)))
-                for nid in tree.path(leaf.id)
-                if problem.decision_dim(nid) > 0
-            ]
-            new_paths[leaf.id] = AffinePrecompose(old_paths[leaf.id], _blockdiag(blocks))
-        meta["path_objectives"] = new_paths
+    paths = path_objectives(problem)
+    if paths is not None:
+        meta["path_objectives"] = {
+            leaf.id: AffinePrecompose(
+                paths[leaf.id],
+                block_diag(*(qmap[nid] for nid in tree.path(leaf.id) if nid in qmap)),
+            )
+            for leaf in tree.leaves
+        }
 
     return Problem(
         tree=tree,
         decision_dims=dims,
-        state_map=sm,
-        leaf_objective=leaf_obj,
+        state_map=replace(problem.state_map, transition=transition),
+        leaf_objective=dict(problem.leaf_objective),
         stage_funs=stage_funs,
         lower_bound=problem.lower_bound,
         meta=meta,

@@ -43,6 +43,8 @@ from .efun import ExtFun, HorizonConditionViolated
 from .tree import AdaptedSequence, Node, ScenarioTree
 
 INF = math.inf
+#: rows per objective call in a search, a decision-free stage and brute force
+_MAX_ROWS = 4096
 
 
 class SearchBoxExhausted(RuntimeError):
@@ -100,7 +102,6 @@ class SolveConfig:
     eps_opt: float = 1e-6        # optimality equality tolerance
     eps_gap: float = 1e-3        # relative table-vs-forward gap tolerance
     threads: int = 1             # validated, does not change the search
-    state_chunk: int = 64        # one objective call sees <= 64 x this many rows
 
     def __post_init__(self):
         if self.grid_points < 5 or self.grid_points % 2 == 0:
@@ -424,7 +425,7 @@ def minimize_batch(
     coordinate pattern search (Hooke–Jeeves polls) refines each state's
     best point until the step drops below ``eps_ref``.  Ties break to the
     lexicographically smallest grid point.  The objective sees at most
-    ``64 * cfg.state_chunk`` rows per call (or one state's whole mesh).
+    ``_MAX_ROWS`` rows per call (or one state's whole mesh).
     The grid phase keeps only each state's argmin, its value there and its
     boundary minimum.  Everything runs on the calling thread.
 
@@ -474,7 +475,6 @@ def minimize_batch(
     step0 = np.full(n_states, np.nan)
     active = np.ones(n_states, dtype=bool)
     B = cfg.box_init
-    max_rows = cfg.state_chunk * 64
 
     def eval_grid(states_idx: np.ndarray, mesh: np.ndarray, boundary: np.ndarray):
         """Per state: argmin over the mesh, the value there, the boundary minimum."""
@@ -491,14 +491,14 @@ def minimize_batch(
             return j, best, vals[:, boundary].min(axis=1)
 
         # whole states per chunk, so each state's mesh row is reduced in one piece
-        size = max(1, max_rows // k)
+        size = max(1, _MAX_ROWS // k)
         parts = [run(slice(a, a + size)) for a in range(0, len(states_idx), size)]
         return (np.concatenate(a) for a in zip(*parts))
 
     def eval_rows(I: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.concatenate([
-            np.asarray(objective(I[a : a + max_rows], X[a : a + max_rows]), dtype=float)
-            for a in range(0, len(I), max_rows)
+            np.asarray(objective(I[a : a + _MAX_ROWS], X[a : a + _MAX_ROWS]), dtype=float)
+            for a in range(0, len(I), _MAX_ROWS)
         ])
 
     prev_axis = None
@@ -547,7 +547,7 @@ def minimize_batch(
         fx = best_val[refine].copy()
         step = step0[refine].copy()
         live = step >= cfg.eps_ref
-        half = max(1, max_rows // 2)  # states per call: their + and - rows
+        half = max(1, _MAX_ROWS // 2)  # states per call: their + and - rows
         while live.any():
             improved = np.zeros(len(refine), dtype=bool)
             rows = np.flatnonzero(live)
@@ -607,14 +607,14 @@ def _minimize_at(
     ``names`` are the node ids by tree position (errors name row i's node
     ``names[K[i]]``), or one name for all rows.  With no decision to
     choose (``dim == 0``) this evaluates ``f`` at each row, in calls of
-    at most ``64 * cfg.state_chunk`` rows.
+    at most ``_MAX_ROWS`` rows.
     """
     n = states.shape[0]
     groups = None if isinstance(names, str) else K
     if dim == 0:
         parts = [np.zeros(0)]  # concatenates to no values when there are no rows
-        for a in range(0, n, cfg.state_chunk * 64):
-            rows = slice(a, a + cfg.state_chunk * 64)
+        for a in range(0, n, _MAX_ROWS):
+            rows = slice(a, a + _MAX_ROWS)
             X = np.zeros((len(K[rows]), 0))
             parts.append(np.asarray(f(K[rows], states[rows], X), dtype=float))
         vals = np.concatenate(parts)
@@ -1290,7 +1290,6 @@ def brute_force(
     problem: Problem,
     grids: Mapping[str, np.ndarray],
     guard: int = 10**7,
-    chunk: int = 1 << 12,
 ) -> tuple[float, AdaptedSequence]:
     """Exhaustive enumeration over per-node decision grids.
 
@@ -1323,8 +1322,8 @@ def brute_force(
     ids = problem._ids
     best_val = INF
     best_combo = -1
-    for start in range(0, total, chunk):
-        C = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _MAX_ROWS):
+        C = np.arange(start, min(start + _MAX_ROWS, total), dtype=np.int64)
         dec = {
             nodes[i].id: mats[i][(C // strides[i]) % sizes[i]] for i in range(len(nodes))
         }

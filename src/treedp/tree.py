@@ -63,12 +63,11 @@ class ScenarioTree:
             raise ValueError(f"duplicate node ids: {dupes}")
         self._nodes: dict[str, Node] = {n.id: n for n in nodes}
         self._order: tuple[str, ...] = tuple(ids)
-        self._children: dict[str, tuple[str, ...]] = {n.id: () for n in nodes}
         kids: dict[str, list[str]] = {n.id: [] for n in nodes}
         for n in nodes:
             if n.parent is not None and n.parent in kids:
                 kids[n.parent].append(n.id)
-        self._children = {k: tuple(v) for k, v in kids.items()}
+        self._children: dict[str, tuple[str, ...]] = {k: tuple(v) for k, v in kids.items()}
         self._roots: tuple[str, ...] = tuple(
             n.id for n in nodes if n.parent is None and n.time == 0
         )

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import treedp as td
-from treedp import cones, dp, market
+from treedp import cones, dp, efun, market
 from treedp._polyhedral import kernel_basis
-from treedp.efun import Sum
+from treedp.efun import Affine, AffinePrecompose, PowerCost, Sum
 
 from conftest import (
     arbitrage_model,
@@ -25,6 +25,12 @@ INF = math.inf
 
 def as_prices(model):
     return {n.id: model.Z(n.id) for n in model.tree.nodes}
+
+
+def history_sum_problem():
+    """One period, two root decisions, leaf objective s**2 - s of their sum s."""
+    f = AffinePrecompose(Sum((PowerCost(1, 2, 1), Affine([-1]))), [[1, 1]])
+    return dp.history_problem(binomial_tree(1), [2, 0], {"u": f, "d": f}, lower_bound=-1.0)
 
 
 class TestCheckHorizonPositivity:
@@ -312,6 +318,22 @@ class TestProjectProblem:
         with pytest.raises(cones.InexactNullSpace):
             cones.project_problem(problem, ds)
 
+    def test_history_problem_projects_and_solves(self):
+        # both leaves value s**2 - s of s = x0 + x1, the root's two decisions:
+        # x0 - x1 is a null direction, and the minimum is -1/4 at s = 1/2
+        problem = history_sum_problem()
+        projected = cones.project_problem(problem, cones.null_space(problem))
+        assert projected.decision_dims == (1, 0)
+        assert projected.state_map.dims == problem.state_map.dims
+        assert cones.check_horizon_positivity(projected).verdict == "holds"
+        axis = np.linspace(-1.0, 1.0, 41)
+        res = dp.backward_solve(projected, grids={0: (axis, axis)})
+        assert res.value == pytest.approx(-0.25, abs=1e-6)
+        assert res.forward_value == pytest.approx(-0.25, abs=1e-6)
+        assert dp.evaluate_strategy(projected, res.strategy) == res.forward_value
+        bf, _ = dp.brute_force(projected, {"r": np.linspace(-2.0, 2.0, 401)})
+        assert bf == pytest.approx(res.forward_value, abs=1e-3)
+
     def test_null_direction_indifference(self):
         problem = market.build_problem_cash(duplicated_asset_model())
         ds = cones.null_space(problem)
@@ -397,11 +419,75 @@ def moves_span(model) -> bool:
     return True
 
 
+def _ref_layout(problem):
+    """Column range of each decision node in the stacked adapted vector."""
+    offsets, total = {}, 0
+    for node in problem.decision_nodes():
+        d = problem.decision_dim(node.id)
+        offsets[node.id] = (total, total + d)
+        total += d
+    return offsets, total
+
+
+def _ref_leaf_selector(problem, leaf_id, offsets, total):
+    """Dense (path decisions x total) 0/1 matrix picking a leaf's path decisions."""
+    rows = []
+    for nid in problem.tree.path(leaf_id):
+        d = problem.decision_dim(nid)
+        if d == 0:
+            continue
+        a, b = offsets[nid]
+        sel = np.zeros((d, total))
+        sel[:, a:b] = np.eye(d)
+        rows.append(sel)
+    return np.vstack(rows) if rows else np.zeros((0, total))
+
+
+def _ref_stacked_rows(problem, horizons):
+    """Each leaf's zero-sublevel rows times its dense selector, stacked."""
+    offsets, total = _ref_layout(problem)
+    stacked = []
+    for leaf in problem.tree.leaves:
+        rows = efun.sublevel_zero_cone(horizons[leaf.id])
+        stacked.append(rows @ _ref_leaf_selector(problem, leaf.id, offsets, total))
+    return np.vstack(stacked) if stacked else np.zeros((0, total))
+
+
+def _ref_witness_values(problem, horizons, y):
+    """Each leaf's horizon at its path decisions, picked by the dense selector."""
+    offsets, total = _ref_layout(problem)
+    return {
+        leaf.id: horizons[leaf.id].value(_ref_leaf_selector(problem, leaf.id, offsets, total) @ y)
+        for leaf in problem.tree.leaves
+    }
+
+
+def assert_leaf_placement_matches_reference(problem, ys):
+    """Path columns place the leaf rows and read the path decisions bit for
+    bit as the dense selectors do (signed zeros included)."""
+    _, total, leaf_cols = cones._adapted_layout(problem)
+    horizons, _, _ = cones._leaf_horizons(cones.path_objectives(problem))
+    got = cones._stacked_rows(horizons, leaf_cols, total)
+    want = _ref_stacked_rows(problem, horizons)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    for y in ys:
+        _, vals = cones._witness_ok(horizons, leaf_cols, y)
+        assert repr(vals) == repr(_ref_witness_values(problem, horizons, y))
+
+
+def unit_directions(total, rng, n_random=4):
+    """The sampling search's first directions: +-unit vectors and random ones."""
+    dirs = np.vstack([np.eye(total), -np.eye(total), rng.standard_normal((n_random, total))])
+    return dirs / np.abs(dirs).sum(axis=1, keepdims=True)
+
+
 def null_space_reference(problem) -> dict[str, np.ndarray]:
     """Per-node null directions, one SVD of the full stacked system per node."""
-    nodes, offsets, total = cones._adapted_layout(problem)
+    offsets, total = _ref_layout(problem)
     horizons, _, _ = cones._leaf_horizons(cones.path_objectives(problem))
-    rows = cones._stacked_rows(problem, horizons, offsets, total)
+    rows = _ref_stacked_rows(problem, horizons)
+    nodes = list(offsets)
     tree = problem.tree
     per_node = {}
     for nid in nodes:
@@ -439,6 +525,10 @@ class TestMultiPeriodRandomTrees:
             )
             problem = market.build_problem_cash(model, radius=1.0, points=5)
             rep = cones.check_horizon_positivity(problem)
+            ys = unit_directions(_ref_layout(problem)[1], np.random.default_rng(k))
+            if rep.witness is not None:
+                ys = np.vstack([ys, np.concatenate(list(rep.witness.values()))])
+            assert_leaf_placement_matches_reference(problem, ys)
             if moves_span(model):
                 arb = cones.no_arbitrage_lp(model.tree, as_prices(model))
                 assert (rep.verdict == "holds") == (arb is None)
@@ -455,6 +545,23 @@ class TestMultiPeriodRandomTrees:
             assert all(np.array_equal(ds.per_node[n], ref[n]) for n in ref)
             seen["null"] += not ds.is_trivial()
         assert min(seen.values()) > 0, seen
+
+
+class TestLeafPlacement:
+    def test_history_problem(self):
+        problem = history_sum_problem()
+        assert_leaf_placement_matches_reference(
+            problem, unit_directions(2, np.random.default_rng(0)))
+
+    def test_signed_zeros(self):
+        # a -0.0 in the leaf rows and in the +-unit directions: the dense
+        # selector products carry 0.0 there, and so must the path columns
+        tree = binomial_tree(2)
+        leaf = Affine(np.array([-0.0, -1.0]))
+        problem = dp.history_problem(
+            tree, [1, 1, 0], {n.id: leaf for n in tree.leaves}, lower_bound=0.0)
+        assert_leaf_placement_matches_reference(
+            problem, unit_directions(3, np.random.default_rng(0)))
 
 
 class TestConditionalHorizonInequality:

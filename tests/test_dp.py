@@ -567,7 +567,7 @@ def _ref_minimize_batch(objective, dim, n_states, cfg=dp.DEFAULT_CONFIG, label="
     diag: dict = {"expansions": 0, "sweeps": 0, "max_box": 0.0, "per_state": per_state}
     B = cfg.box_init
     k = cfg.grid_points ** dim
-    max_rows = cfg.state_chunk * 64
+    max_rows = dp._MAX_ROWS
 
     def eval_grid(states_idx, mesh, boundary):
         def run(piece):
@@ -1004,10 +1004,12 @@ class TestSearchMatchesReference:
             return np.where((k == "nan") & near, np.nan, v)
 
         cfg = dp.SolveConfig(grid_points=grid_points, box_init=box_init, eps_ref=eps_ref,
-                             box_max=2.0**5, state_chunk=1)
+                             box_max=2.0**5)
         groups = np.arange(n) % 3
-        want = _search_outcome(_ref_minimize_batch, objective, dim, n, cfg, groups)
-        assert _search_outcome(dp.minimize_batch, objective, dim, n, cfg, groups) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dp, "_MAX_ROWS", 64)  # many calls per search phase
+            want = _search_outcome(_ref_minimize_batch, objective, dim, n, cfg, groups)
+            assert _search_outcome(dp.minimize_batch, objective, dim, n, cfg, groups) == want
 
     def test_rounded_back_step_is_polled(self):
         # box_init=0.3: (x + s) - s rounds away from x on some accepted + steps,
