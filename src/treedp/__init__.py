@@ -73,7 +73,6 @@ from .market import (
     Frictionless,
     InvalidModel,
     MarketModel,
-    NoCashAccount,
     PowerIlliquidity,
     SampledUtility,
     SShapedUtility,

@@ -46,6 +46,12 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(dp.json_text(payload, indent=2) + "\n")
 
 
+def _report(path: str, payload: dict) -> None:
+    """Write the report file at ``path`` and print the report."""
+    _write_json(path, payload)
+    print(dp.json_text(payload, indent=2))
+
+
 def _load(path: str):
     try:
         return market.load_market(path)
@@ -80,7 +86,7 @@ def _build(model, args):
     return market.build_problem_cash(model, radius=args.radius, points=args.points)
 
 
-def _check_payload(problem, seed: int = 0) -> tuple[dict, int]:
+def _check_payload(problem, seed: int = 0) -> tuple[dict, int, cones.CheckReport]:
     report = problem.meta["validation"]  # the builder validated the model
     check = cones.check_horizon_positivity(problem, seed=seed)
     payload = {
@@ -88,38 +94,32 @@ def _check_payload(problem, seed: int = 0) -> tuple[dict, int]:
         "horizon_positivity": check.report_dict(),
     }
     if check.verdict == "fails" or not report.required_ok():
-        return payload, EXIT_FAILS
+        return payload, EXIT_FAILS, check
     if check.verdict == "undecided":
-        return payload, EXIT_UNDECIDED
-    return payload, EXIT_OK
+        return payload, EXIT_UNDECIDED, check
+    return payload, EXIT_OK, check
 
 
 def cmd_check(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    payload, code = _check_payload(problem, seed=args.seed)
+    payload, code, check = _check_payload(problem, seed=args.seed)
     payload["exit_code"] = code
     out = _out_dir(args)
-    _write_json(os.path.join(out, "check_report.json"), payload)
-    if payload["horizon_positivity"]["witness"]:
-        check = cones.CheckReport(**{
-            k: payload["horizon_positivity"][k]
-            for k in ("verdict", "witness", "method", "details")
-        })
+    if check.witness:
         check.export_witness_csv(os.path.join(out, "witness.csv"))
-    print(dp.json_text(payload, indent=2))
+    _report(os.path.join(out, "check_report.json"), payload)
     return code
 
 
 def cmd_solve(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    check_payload, check_code = _check_payload(problem, seed=args.seed)
+    check_payload, check_code, _ = _check_payload(problem, seed=args.seed)
     if check_code != EXIT_OK and not args.force:
         payload = {"check": check_payload, "exit_code": check_code,
                    "note": "conditions not verified; rerun with --force to attempt anyway"}
-        _write_json(os.path.join(_out_dir(args), "solve_report.json"), payload)
-        print(dp.json_text(payload, indent=2))
+        _report(os.path.join(_out_dir(args), "solve_report.json"), payload)
         return check_code
     cfg = _solve_config(args)
     out = _out_dir(args)
@@ -132,8 +132,7 @@ def cmd_solve(args) -> int:
             "check": check_payload,
             "exit_code": EXIT_SOLVER,
         }
-        _write_json(os.path.join(out, "solve_report.json"), payload)
-        print(dp.json_text(payload, indent=2))
+        _report(os.path.join(out, "solve_report.json"), payload)
         return EXIT_SOLVER
     verify = dp.verify_optimality(problem, result, result.strategy, cfg=cfg)
     payload = result.report_dict()
@@ -176,8 +175,7 @@ def cmd_oracle(args) -> int:
         bf_value, bf_strategy = dp.brute_force(problem, grids)
     except BudgetExceeded as e:
         payload = {"error": "BudgetExceeded", "message": str(e), "exit_code": EXIT_BUDGET}
-        _write_json(os.path.join(out, "oracle_report.json"), payload)
-        print(dp.json_text(payload, indent=2))
+        _report(os.path.join(out, "oracle_report.json"), payload)
         return EXIT_BUDGET
     try:
         result = dp.backward_solve(problem, cfg=cfg)
@@ -189,8 +187,7 @@ def cmd_oracle(args) -> int:
             "brute_force_value": bf_value,
             "exit_code": EXIT_SOLVER,
         }
-        _write_json(os.path.join(out, "oracle_report.json"), payload)
-        print(dp.json_text(payload, indent=2))
+        _report(os.path.join(out, "oracle_report.json"), payload)
         return EXIT_SOLVER
     tol = max(args.tol, args.tol * abs(bf_value))
     # two equal infinities differ by nothing (their difference would be NaN)
@@ -207,8 +204,7 @@ def cmd_oracle(args) -> int:
         },
         "exit_code": EXIT_OK,
     }
-    _write_json(os.path.join(out, "oracle_report.json"), payload)
-    print(dp.json_text(payload, indent=2))
+    _report(os.path.join(out, "oracle_report.json"), payload)
     return EXIT_OK
 
 

@@ -259,19 +259,15 @@ class Problem:
 
     @cached_property
     def _lower_bounds(self) -> np.ndarray:
-        # one backward sweep; each node sums its children in tree order
+        # one backward sweep, one conditional expectation per stage
         tree = self.tree
+        T = tree.horizon
         out = np.zeros(len(tree))
-        start, kids, probs = tree.child_start, tree.child_pos, tree.child_prob
-        for t in range(tree.horizon, -1, -1):
-            for p in tree.positions_at(t).tolist():
-                if t == tree.horizon:
-                    out[p] = self.lower_bound_at(tree.nodes[p].id)
-                    continue
-                acc = 0.0
-                for e in range(start[p], start[p + 1]):
-                    acc += float(probs[e]) * float(out[kids[e]])
-                out[p] = acc
+        out[tree.positions_at(T)] = [self.lower_bound_at(n.id) for n in tree.nodes_at(T)]
+        for t in range(T - 1, -1, -1):
+            P = tree.positions_at(t)
+            slots = _child_slots(tree, P)
+            out[P] = _expect(slots, out[np.concatenate([c for _, c, _ in slots])], len(P))
         return out
 
     def expected_lower_bound(self, node_id: str) -> float:

@@ -8,18 +8,27 @@ endowment at the leaves.  Preferences are a nonconcave utility of
 terminal wealth, equivalently the disutility V(c) = -u(-c) of terminal
 expenditure.
 
-Two builders turn a model into a solvable problem:
+One builder turns a model into a solvable problem, in two forms.  In
+both, the state is (cash, holdings), starting at (initial cash, 0); each
+open stage trades at the marginal price plus the friction cost and pays
+its claim, a closed stage holds the position, and at the horizon the
+position is liquidated into terminal wealth, valued by the disutility
+of minus wealth.  Both forms honour ``trading_stages`` and the
+borrowing limit ``cash_lower``.
 
-* ``build_problem_cash``: decisions are the risky holdings, cash is
-  eliminated through the wealth dynamics, and the leaf objective values
-  the liquidated terminal position.
-* ``build_problem_terminal``: decisions are full portfolios (cash and
-  risky), intermediate spending is constrained nonpositive, and the
-  terminal disutility is applied to the final expenditure.
+* ``build_problem_cash``: each open stage decides the target risky
+  holdings.
+* ``build_problem_terminal``: the full-portfolio form, the cash form
+  plus a leading expenditure coordinate d_t <= 0 at each open stage,
+  which leaves the cash account.
 
-The two formulations have the same optimal value; the test suite checks
-this on every fixture.  ``validate`` decides the standing assumptions
-analytically per atom family and explains which existence route applies.
+The two forms have the same optimal value; the test suite checks this
+on every fixture.  A frictionless model that trades at every stage also
+gets each leaf's objective as a symbolic expression of its path
+decisions, in either form; one with a closed stage gets none, and its
+horizon check is undecided.  ``validate`` decides the standing
+assumptions analytically per atom family and explains which existence
+route applies.
 """
 
 from __future__ import annotations
@@ -47,10 +56,6 @@ INF = math.inf
 
 class InvalidModel(ValueError):
     """The market data violate a structural requirement."""
-
-
-class NoCashAccount(ValueError):
-    """The cash-reduced builder needs a perfectly liquid riskless asset."""
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,6 @@ class MarketModel:
     initial_cash: float = 0.0
     constraints: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = None
     utility_overrides: Mapping[str, Utility] = field(default_factory=dict)
-    cash_account: bool = True
     #: stages at which the position may be changed (None: every t < T);
     #: at other stages the market is closed and the position is held
     trading_stages: frozenset[int] | None = None
@@ -530,65 +534,53 @@ class _PositionData:
         return self.cost_groups.map(K, lambda node, rows: self.cost_model.cost_many(node, D[rows]))
 
 
-def _leaf_objectives(model: MarketModel, wrap) -> dict[str, ExtFun]:
-    """``wrap(disutility)`` per leaf, one shared object per distinct utility."""
-    shared: dict[int, ExtFun] = {}
-    out = {}
-    for leaf in model.tree.leaves:
-        u = model.utility_at(leaf.id)
-        if id(u) not in shared:
-            shared[id(u)] = wrap(u.disutility())
-        out[leaf.id] = shared[id(u)]
-    return out
-
-
-def _constraint_stage_fun(model: MarketModel, t: int, state_dim: int) -> ExtFun | None:
+def _decision_box(model: MarketModel, t: int, lead: int) -> IndicatorBox | None:
+    """Bounds of an open stage-t decision: the ``lead`` expenditure
+    coordinates are nonpositive and the holdings keep their box; None when
+    nothing is bounded."""
     bounds = model.holdings_bounds(t)
-    if bounds is None:
+    if bounds is None and not lead:
         return None
-    lo, up = bounds
-    sel = np.zeros((model.n_risky, state_dim + model.n_risky))
-    sel[:, state_dim:] = np.eye(model.n_risky)
-    return AffinePrecompose(IndicatorBox(lo, up), sel)
-
-
-def _wealth_row_cash(model: MarketModel, leaf_id: str) -> tuple[np.ndarray, float]:
-    """Coefficients of terminal wealth in the leaf's path decisions
-    (frictionless), plus the decision-independent part."""
-    tree = model.tree
-    path = tree.path(leaf_id)
     J = model.n_risky
-    T = tree.horizon
-    row = np.zeros(T * J)
-    for t in range(T):
-        dz = model.Z(path[t + 1]) - model.Z(path[t])
-        row[t * J : (t + 1) * J] = dz
-    const = (
-        model.initial_cash
-        - sum(model.claim(nid) for nid in path)
-        + model.endow(leaf_id)
-    )
-    return row, const
+    lo, up = bounds or (np.full(J, -INF), np.full(J, INF))
+    return IndicatorBox(np.concatenate([[-INF] * lead, lo]), np.concatenate([[0.0] * lead, up]))
 
 
-def _path_objectives_cash(model: MarketModel) -> dict[str, ExtFun] | None:
-    if not model.cost.is_frictionless() or model.trading_stages is not None:
-        return None
+def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
+    """Each leaf's objective as an expression over its path decisions.
+
+    A frictionless market that trades at every stage makes terminal
+    wealth affine in the decisions: the initial cash, the expenditures,
+    the gains phi_t . (Z_{t+1} - Z_t), the endowment and minus the claims
+    along the path.  The leaf objective is the disutility of minus that
+    wealth plus the decision boxes.  Any other model gets None.
+    """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
+    if not model.cost.is_frictionless() or not all(model.can_trade(t) for t in range(T)):
+        return None
+    d = lead + J
+    boxes = [_decision_box(model, t, lead) for t in range(T)]
     out: dict[str, ExtFun] = {}
     for leaf in tree.leaves:
-        row, const = _wealth_row_cash(model, leaf.id)
+        path = tree.path(leaf.id)
+        row = np.zeros(T * d)
+        for t in range(T):
+            row[t * d : t * d + lead] = 1.0
+            row[t * d + lead : (t + 1) * d] = model.Z(path[t + 1]) - model.Z(path[t])
+        const = (
+            model.initial_cash
+            - sum(model.claim(nid) for nid in path)
+            + model.endow(leaf.id)
+        )
         terms: list[ExtFun] = [
             AffinePrecompose(model.disutility_at(leaf.id), -row[None, :], [-const])
         ]
-        for t, nid in enumerate(tree.path(leaf.id)[:-1]):
-            bounds = model.holdings_bounds(t)
-            if bounds is None:
-                continue
-            sel = np.zeros((J, T * J))
-            sel[:, t * J : (t + 1) * J] = np.eye(J)
-            terms.append(AffinePrecompose(IndicatorBox(*bounds), sel))
+        for t, box in enumerate(boxes):
+            if box is not None:
+                sel = np.zeros((d, T * d))
+                sel[:, t * d : (t + 1) * d] = np.eye(d)
+                terms.append(AffinePrecompose(box, sel))
         out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
     return out
 
@@ -631,21 +623,23 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def build_problem_cash(
-    model: MarketModel, radius: float = 2.0, points: int = 33
-) -> Problem:
-    """Optimal investment with the cash account eliminated.
+def _build_problem(model: MarketModel, form: str, radius: float, points: int) -> Problem:
+    """The market's problem in either form.
 
-    Decisions are the target risky holdings per node before the final
-    stage; the state is (cash, holdings); the leaf objective is the
-    negative utility of liquidated terminal wealth plus endowment, net of
-    claims, so minimizing it maximizes expected utility.
+    The state entering each stage t < T is (cash, holdings), starting at
+    (``initial_cash``, 0).  An open stage decides the target holdings; in
+    the terminal form its decision leads with the expenditure d_t <= 0,
+    which leaves the cash account.  A closed stage decides nothing and
+    holds the position.  Each stage pays its trade at the marginal price
+    plus the friction cost, then its claim; the post-trade cash may not
+    drop below ``cash_lower``.  At T the position is liquidated into
+    terminal wealth, net of the claim and plus the endowment, and the leaf
+    objective is V(-wealth).
     """
-    if not model.cash_account:
-        raise NoCashAccount("cash-reduced form needs a riskless asset of price 1")
     tree = model.tree
     J, T = model.n_risky, tree.horizon
-    dims = tuple(J if model.can_trade(t) else 0 for t in range(T)) + (0,)
+    lead = int(form == "terminal")  # the expenditure coordinate
+    dims = tuple(lead + J if model.can_trade(t) else 0 for t in range(T)) + (0,)
     state_dims = tuple([J + 1] * T + [1])
 
     data = _PositionData.of(model)
@@ -656,42 +650,67 @@ def build_problem_cash(
         Z = np.take(data.Z, K, axis=0)
         if t < T:
             cash, phi = S[:, :1], S[:, 1:]
-            target = X if model.can_trade(t) else phi
+            trade = model.can_trade(t)
+            target = X[:, lead:] if trade else phi
             delta = target - phi
             spend = _rowdot(delta, Z) + data.cost(K, delta)
             new_cash = cash[:, 0] - data.claim[K] - spend
+            if lead and trade:
+                new_cash = new_cash + X[:, 0]
             return np.hstack([new_cash[:, None], target])
         cash, phi = S[:, 0], S[:, 1:]
         liq = _rowdot(phi, Z) - data.cost(K, -phi)
         wealth = cash + liq - data.claim[K] + data.endow[K]
         return wealth[:, None]
 
+    def borrowing_limit(box: ExtFun | None) -> StageFun:
+        lower = model.cash_lower - 1e-12
+
+        def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+            vals = 0.0 if box is None else box.value_many(np.hstack([S, X]))
+            return vals + np.where(transition(K, S, X)[:, 0] >= lower, 0.0, INF)
+
+        return fn
+
+    per_stage: dict[int, StageFun] = {}
+    for t in range(T):
+        box = _decision_box(model, t, lead) if model.can_trade(t) else None
+        if box is not None:
+            sel = np.zeros((box.dim, J + 1 + box.dim))
+            sel[:, J + 1 :] = np.eye(box.dim)
+            box = AffinePrecompose(box, sel)
+        if model.cash_lower is not None:
+            per_stage[t] = borrowing_limit(box)
+        elif box is not None:
+            per_stage[t] = box
+    stage_funs = {node.id: per_stage[node.time] for node in tree.nodes if node.time in per_stage}
+
+    leaf_obj: dict[str, ExtFun] = {}
+    shared: dict[int, ExtFun] = {}  # one leaf objective per distinct utility
+    for leaf in tree.leaves:
+        u = model.utility_at(leaf.id)
+        if id(u) not in shared:
+            shared[id(u)] = AffinePrecompose(u.disutility(), [[-1.0]])
+        leaf_obj[leaf.id] = shared[id(u)]
+
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
-    sm = StateMap(state_dims, initial, transition)
-    leaf_obj = _leaf_objectives(model, lambda dis: AffinePrecompose(dis, [[-1.0]]))
-    per_stage = {
-        t: _constraint_stage_fun(model, t, J + 1) for t in range(T) if model.can_trade(t)
-    }
-    stage_funs: dict[str, ExtFun] = {
-        node.id: per_stage[node.time]
-        for node in tree.nodes
-        if per_stage.get(node.time) is not None
-    }
     report = validate(model)
     meta: dict = {
         "market": model,
-        "form": "cash",
+        "form": form,
         "market_analysis": _analysis_stamp(model, report),
         "validation": report,
-        "grids": _default_grids(model, radius, points, points),
+        # the terminal form's expenditure moves the state along the cash
+        # axis, so that axis is denser than the holdings axes
+        "grids": _default_grids(model, radius, points, 2 * points - 1 if lead else points),
     }
-    paths = _path_objectives_cash(model)
+    paths = _path_objectives(model, lead)
     if paths is not None:
         meta["path_objectives"] = paths
     return Problem(
         tree=tree,
         decision_dims=dims,
-        state_map=sm,
+        state_map=StateMap(state_dims, initial, transition),
         leaf_objective=leaf_obj,
         stage_funs=stage_funs or None,
         lower_bound=model.lower_bound(),
@@ -699,141 +718,34 @@ def build_problem_cash(
     )
 
 
-def _path_objectives_terminal(model: MarketModel) -> dict[str, ExtFun] | None:
-    # decision block per stage t < T: (d_t, risky holdings), d_t = expenditure
-    if not model.cost.is_frictionless():
-        return None
-    tree = model.tree
-    J, T = model.n_risky, tree.horizon
-    d = J + 1
-    n = T * d
-    out: dict[str, ExtFun] = {}
-    for leaf in tree.leaves:
-        path = tree.path(leaf.id)
-        terms: list[ExtFun] = []
-        const = -model.initial_cash - model.endow(leaf.id)
-        row = np.zeros(n)
-        for t in range(T):
-            nid = path[t]
-            sel = np.zeros((1, n))
-            sel[0, t * d] = 1.0
-            terms.append(AffinePrecompose(IndicatorBox([-INF], [0.0]), sel))
-            bounds = model.holdings_bounds(t)
-            if bounds is not None:
-                selz = np.zeros((J, n))
-                selz[:, t * d + 1 : (t + 1) * d] = np.eye(J)
-                terms.append(AffinePrecompose(IndicatorBox(*bounds), selz))
-            # terminal expenditure: claims minus all unspent budget and gains
-            row[t * d] = -1.0
-            dz = model.Z(path[t + 1]) - model.Z(nid)
-            row[t * d + 1 : (t + 1) * d] = -dz
-            const += model.claim(nid)
-        const += model.claim(leaf.id)
-        terms.append(
-            AffinePrecompose(model.disutility_at(leaf.id), row[None, :], [const])
-        )
-        out[leaf.id] = Sum(tuple(terms))
-    return out
+def build_problem_cash(
+    model: MarketModel, radius: float = 2.0, points: int = 33
+) -> Problem:
+    """Optimal investment with the cash account eliminated.
+
+    Decisions at each open stage are the target risky holdings; the cash
+    account follows from the budget.  Minimizing the expected leaf
+    objective, the negative utility of liquidated terminal wealth,
+    maximizes expected utility.  ``points`` is the density of every state
+    grid axis.
+    """
+    return _build_problem(model, "cash", radius, points)
 
 
 def build_problem_terminal(
     model: MarketModel, radius: float = 2.0, points: int = 33
 ) -> Problem:
-    """Optimal investment in full portfolio variables with explicit budgets.
+    """Optimal investment in full portfolio variables.
 
-    Decisions at each node before the final stage are (d_t, risky
-    holdings): d_t is the expenditure allowed at the node, constrained
-    nonpositive, and the cash account absorbs exactly the budget identity
-    (total cost of the trade plus the claim equals d_t).  The position is
-    liquidated at the final stage and the terminal disutility applies to
-    the final expenditure.  The expenditure variable keeps every stage
-    constraint an axis-aligned box, which the coordinate pattern search
-    can follow; an inequality-form budget would put the optimum on a
-    diagonal wall.
+    The cash form with one more decision coordinate at each open stage:
+    the expenditure d_t <= 0, which leaves the cash account.  The
+    expenditure keeps every stage constraint an axis-aligned box, which
+    the coordinate pattern search can follow.  With a nondecreasing
+    utility, spending nothing is optimal, so both forms have the same
+    value.  The cash axis of the state grids has ``2 * points - 1``
+    points.
     """
-    tree = model.tree
-    J, T = model.n_risky, tree.horizon
-    d = J + 1
-    dims = tuple([d] * T + [0])
-    state_dims = tuple([d] * T + [1])
-
-    data = _PositionData.of(model)
-    times = tree.times
-    # the initial cash enters as a negative claim at the root
-    net_claim = data.claim - np.where(times == 0, model.initial_cash, 0.0)
-
-    def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        Z = np.take(data.Z, K, axis=0)
-        if times[K[0]] < T:
-            # state (cash, holdings); decision (expenditure d_t, holdings)
-            cash, phi = S[:, 0], S[:, 1:]
-            target = X[:, 1:]
-            delta = target - phi
-            new_cash = (
-                cash
-                + X[:, 0]
-                - (_rowdot(delta, Z) + data.cost(K, delta))
-                - net_claim[K]
-            )
-            return np.hstack([new_cash[:, None], target])
-        # forced liquidation: the final trade is minus the held portfolio
-        cash_prev, phi_prev = S[:, 0], S[:, 1:]
-        spend = (
-            -cash_prev
-            + _rowdot(-phi_prev, Z)
-            + data.cost(K, -phi_prev)
-            + net_claim[K]
-            - data.endow[K]
-        )
-        return spend[:, None]
-
-    per_stage: dict[int, StageFun] = {}
-    for t in range(T):
-        lo = np.concatenate([[-INF], np.full(J, -INF)])
-        up = np.concatenate([[0.0], np.full(J, INF)])
-        bounds = model.holdings_bounds(t)
-        if bounds is not None:
-            lo[1:], up[1:] = bounds
-        sel = np.zeros((d, d + d))
-        sel[:, d:] = np.eye(d)
-        box = AffinePrecompose(IndicatorBox(lo, up), sel)
-        if model.cash_lower is None:
-            per_stage[t] = box
-        else:
-            # borrowing limit: the post-trade cash account stays above it
-            def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray, _box=box) -> np.ndarray:
-                vals = _box.value_many(np.hstack([S, X]))
-                new_cash = transition(K, S, X)[:, 0]
-                return vals + np.where(new_cash >= model.cash_lower - 1e-12, 0.0, INF)
-
-            per_stage[t] = fn
-    stage_funs = {node.id: per_stage[node.time] for node in tree.nodes if node.time < T}
-
-    sm = StateMap(state_dims, np.zeros(d), transition)
-    leaf_obj = _leaf_objectives(model, lambda dis: dis)
-    report = validate(model)
-    meta: dict = {
-        "market": model,
-        "form": "terminal",
-        "market_analysis": _analysis_stamp(model, report),
-        "validation": report,
-        # the cash axis only needs the binding-budget region (wasted slack
-        # never helps a nondecreasing disutility), and it is denser than the
-        # holdings axes because the value varies along it at every stage
-        "grids": _default_grids(model, radius, points, 2 * points - 1),
-    }
-    paths = _path_objectives_terminal(model)
-    if paths is not None:
-        meta["path_objectives"] = paths
-    return Problem(
-        tree=tree,
-        decision_dims=dims,
-        state_map=sm,
-        leaf_objective=leaf_obj,
-        stage_funs=stage_funs,
-        lower_bound=model.lower_bound(),
-        meta=meta,
-    )
+    return _build_problem(model, "terminal", radius, points)
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,6 @@ class ScenarioTree:
     def children(self, node_id: str) -> tuple[Node, ...]:
         return tuple(self._nodes[c] for c in self._children[self.node(node_id).id])
 
-    def parent(self, node_id: str) -> Node | None:
-        p = self.node(node_id).parent
-        return self._nodes[p] if p is not None and p in self._nodes else None
-
     @property
     def leaves(self) -> tuple[Node, ...]:
         return self.nodes_at(self._horizon)

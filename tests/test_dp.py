@@ -877,6 +877,58 @@ ORACLE_CASES = ["quad_t0", "frictionless_t1", "sshaped_t2", "trinomial_t1", "pro
 #: the nested recursion is too slow for the other cases in a unit test
 EXACT_CASES = ["quad_t0", "frictionless_t1", "trinomial_t1", "projected_dup",
                "cash_hold_first", "terminal_cash_lower_t1"]
+#: (seed, T, n_risky, extras) of the random markets above
+RANDOM_MARKETS = [
+    (11, 2, 1, {}),
+    (12, 3, 1, {}),
+    (13, 2, 2, {"constraints": {0: (np.array([-0.5, -0.5]), np.array([0.5, 0.5]))}}),
+    (14, 2, 1, {"cash_lower": -0.5}),
+    (15, 2, 2, {"frictionless": True}),
+    (16, 2, 1, {"trading_stages": frozenset({1})}),
+]
+
+
+class TestMarketForms:
+    @pytest.mark.parametrize("seed, T, n_risky, extra", RANDOM_MARKETS,
+                             ids=[str(case[0]) for case in RANDOM_MARKETS])
+    def test_terminal_form_is_cash_form_plus_expenditure(self, seed, T, n_risky, extra):
+        # spending nothing, the terminal form computes the cash form's value
+        # bit for bit: one transition, one leaf objective, one set of limits
+        model = _random_market(seed, T, n_risky, **extra)
+        cash = market.build_problem_cash(model, radius=0.8, points=5)
+        term = market.build_problem_terminal(model, radius=0.8, points=5)
+        assert term.decision_dims == tuple(d + 1 if d else 0 for d in cash.decision_dims)
+        rng = np.random.default_rng(seed)
+        draws = [{n.id: rng.uniform(-0.5, 0.5, n_risky) for n in cash.decision_nodes()}
+                 for _ in range(5)]
+        # a large position breaks the holdings box and the borrowing limit
+        draws.append({n.id: np.full(n_risky, 2.0) for n in cash.decision_nodes()})
+        for holdings in draws:
+            v_cash = dp.evaluate_strategy(cash, td.AdaptedSequence(holdings))
+            v_term = dp.evaluate_strategy(term, td.AdaptedSequence(
+                {nid: np.concatenate([[0.0], x]) for nid, x in holdings.items()}))
+            assert v_term == v_cash
+
+
+class TestLowerBoundPass:
+    def test_matches_node_by_node_sum(self):
+        # each node sums its children's bounds in tree order, as a loop would
+        rng = np.random.default_rng(5)
+        tree = _random_tree(rng, 3)
+        bounds = {leaf.id: float(rng.uniform(-2.0, 0.0)) for leaf in tree.leaves}
+        problem = dp.history_problem(
+            tree, [0] * (tree.horizon + 1),
+            {leaf.id: Affine(np.zeros(0), 0.0) for leaf in tree.leaves}, bounds)
+        ref = dict(bounds)
+        for t in range(tree.horizon - 1, -1, -1):
+            for node in tree.nodes_at(t):
+                acc = 0.0
+                for child in tree.children(node.id):
+                    acc += child.prob * ref[child.id]
+                ref[node.id] = acc
+        assert {n.id: problem.expected_lower_bound(n.id) for n in tree.nodes} == ref
+
+
 _REF_CACHE: dict = {}
 
 

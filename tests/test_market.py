@@ -184,6 +184,49 @@ class TestBuilders:
             val = dp.evaluate_strategy(problem, td.AdaptedSequence({"r": np.array([z])}))
             assert val == pytest.approx(-exp_utility().value(1.0), abs=1e-12)
 
+    @staticmethod
+    def _forward_values(model, radius, points):
+        """Forward values of the cash and terminal forms, with criterion 08's tolerance."""
+        cash = dp.backward_solve(market.build_problem_cash(model, radius=radius, points=points))
+        term = dp.backward_solve(
+            market.build_problem_terminal(model, radius=radius, points=points),
+            cfg=dp.SolveConfig(eps_gap=0.01),
+        )
+        return cash.forward_value, term.forward_value, 1e-3 * (1.0 + abs(cash.forward_value))
+
+    def test_both_forms_honour_the_borrowing_limit(self):
+        tree = binomial_tree(1)
+        base = dict(
+            tree=tree, n_risky=1, prices={"r": [1.0], "u": [1.3], "d": [0.8]},
+            cost=market.PowerIlliquidity(0.1, 2.0),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            initial_cash=0.2,
+        )
+        limited = market.MarketModel(**base, cash_lower=0.0)
+        cash, term, tol = self._forward_values(limited, radius=1.0, points=65)
+        assert abs(term - cash) <= tol
+        free_cash, free_term, _ = self._forward_values(
+            market.MarketModel(**base), radius=1.0, points=65)
+        # the limit binds: no borrowing means a smaller position, a worse value
+        assert cash > free_cash + tol
+        assert term > free_term + tol
+
+    def test_both_forms_hold_at_closed_stages(self):
+        # the price moves only in the first period, whose market is closed;
+        # trading later gains nothing, so the value is that of the cash held
+        tree = binomial_tree(2)
+        prices = {n.id: [1.0 if n.id == "r" else 1.5 if n.id[0] == "u" else 0.9]
+                  for n in tree.nodes}
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices=prices,
+            cost=market.PowerIlliquidity(0.1, 2.0),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            initial_cash=0.5, trading_stages=frozenset({1}),
+        )
+        cash, term, _ = self._forward_values(model, radius=1.0, points=9)
+        assert -model.utility.value(0.5) == pytest.approx(-0.2, abs=1e-15)
+        assert cash == term == -model.utility.value(0.5)
+
     def test_trading_stage_gating(self):
         model = sshaped_t2_model()
         gated = market.MarketModel(
