@@ -7,15 +7,23 @@ family).  Deciding C = {0} therefore takes one SVD (the kernel) and one
 bounded LP, whatever the dimension: the subspace test when the kernel is
 trivial, else a vertex along a kernel vector as the witness.  The LPs
 are solved with HiGHS, which is deterministic for fixed input, so results
-are reproducible bit-for-bit.
+are reproducible bit-for-bit.  :func:`linprog` is the package's one LP
+entry: scipy is imported at its first call, so that a solve that never
+needs an LP never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 LP_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -38,18 +46,24 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _unit_direction(y: np.ndarray) -> np.ndarray | None:
-    """``y`` cleaned of LP/SVD noise and L1-normalized; None if it is 0.
+def _box_direction(y: np.ndarray) -> np.ndarray | None:
+    """``y`` cleaned of LP/SVD noise and scaled to max |y| = 1; None if it is 0.
 
     Coordinates within 1e-12 of 0 or of a bound of the unit box are set to
-    it, so that an LP vertex of exact data stays exact.
+    it, so that an LP vertex of exact data stays exact: its largest
+    coordinate is then +-1, and the scaling leaves it as it is.
     """
     y = np.array(y, dtype=float)
     y[np.abs(y) < 1e-12] = 0.0
     at_bound = np.abs(np.abs(y) - 1.0) < 1e-12
     y[at_bound] = np.sign(y[at_bound])
-    scale = np.abs(y).sum()
+    scale = np.abs(y).max(initial=0.0)
     return y / scale if scale > 0 else None
+
+
+def unit_l1(y: np.ndarray | None) -> np.ndarray | None:
+    """``y`` scaled to unit L1 norm (None stays None)."""
+    return None if y is None else y / np.abs(y).sum()
 
 
 def cone_nonzero_direction(rows: np.ndarray, dim: int) -> np.ndarray | None:
@@ -61,6 +75,12 @@ def cone_nonzero_direction(rows: np.ndarray, dim: int) -> np.ndarray | None:
 
 
 def cone_certificate(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
+    """:func:`cone_vertex` with the direction scaled to unit L1 norm."""
+    y, info = cone_vertex(rows, dim)
+    return unit_l1(y), info
+
+
+def cone_vertex(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
     """Decide {y : R y <= 0} = {0}; return (direction or None, cone size).
 
     The certificate: the cone is {0} iff ker R = {0} and the cone is a
@@ -69,9 +89,10 @@ def cone_certificate(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dic
     coordinates carry no SVD rounding (a horizon that is +inf on any loss
     rejects a direction off the kernel by 1e-17).  With a trivial kernel,
     the max-slack ray of :func:`cone_is_subspace` is a one-sided
-    direction; when neither exists the cone is ker R = {0}.  The size
-    record holds the nonzero ``rows``, ``dim``, ``kernel_dim`` and
-    ``lp_calls``.
+    direction; when neither exists the cone is ker R = {0}.  The direction
+    is scaled to max |y| = 1, so an LP vertex keeps its exact coordinates.
+    The size record holds the nonzero ``rows``, ``dim``, ``kernel_dim``
+    and ``lp_calls``.
     """
     rows = _normalize_rows(rows) if np.size(rows) else np.zeros((0, dim))
     info = {"rows": int(rows.shape[0]), "dim": int(dim), "kernel_dim": int(dim),
@@ -87,8 +108,8 @@ def cone_certificate(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dic
     if K.shape[1]:
         info["lp_calls"] += 1
         v = _lp_vertex(rows, dim, -K[:, 0])
-        y = _unit_direction(K[:, 0] if v is None else v)
-        if y is not None and np.all(rows @ y <= LP_TOL):
+        y = _box_direction(K[:, 0] if v is None else v)
+        if y is not None and np.all(rows @ unit_l1(y) <= LP_TOL):
             return y, info
     info["lp_calls"] += 1
     return _max_slack_ray(rows, dim), info
@@ -107,14 +128,14 @@ def _lp_vertex(rows: np.ndarray, dim: int, c: np.ndarray) -> np.ndarray | None:
 
 
 def _max_slack_ray(rows: np.ndarray, dim: int) -> np.ndarray | None:
-    """A ray y of the cone with R y != 0 (unit L1 norm), or None.
+    """A ray y of the cone with R y != 0 (max |y| = 1), or None.
 
     ``rows`` are unit-normalized.  One LP maximizes the total slack
     -sum(R y) over the cone within the unit box; a positive optimum
     certifies a one-sided direction.
     """
     v = _lp_vertex(rows, dim, rows.sum(axis=0))  # minimize sum(R y)
-    return None if v is None else _unit_direction(v)
+    return None if v is None else _box_direction(v)
 
 
 def cone_is_subspace(rows: np.ndarray, dim: int) -> tuple[bool, np.ndarray | None]:
@@ -126,7 +147,7 @@ def cone_is_subspace(rows: np.ndarray, dim: int) -> tuple[bool, np.ndarray | Non
     rows = _normalize_rows(rows) if np.size(rows) else np.zeros((0, dim))
     if rows.shape[0] == 0:
         return True, None  # the whole space
-    ray = _max_slack_ray(rows, dim)
+    ray = unit_l1(_max_slack_ray(rows, dim))
     return ray is None, ray
 
 

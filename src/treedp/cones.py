@@ -35,15 +35,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linprog
 
 from . import efun
 from ._polyhedral import (
-    cone_certificate,
     cone_is_subspace,
+    cone_vertex,
     kernel_basis,
+    linprog,
     orthonormal_complement,
+    unit_l1,
 )
 from .dp import Problem, write_csv_rows
 from .efun import AffinePrecompose, ExtFun, Sum
@@ -79,6 +79,9 @@ class CheckReport:
 
     A ``fails`` verdict always carries a nonzero adapted witness that has
     been re-verified against the symbolic horizon functions leaf by leaf.
+    The witness has unit L1 norm; the re-verification ran on it or on the
+    same direction scaled to max |y| = 1, where an LP vertex keeps its
+    exact coordinates (``method`` says so).
     """
 
     verdict: str  # "holds" | "fails" | "undecided"
@@ -269,18 +272,33 @@ def check_horizon_positivity(
         return CheckReport("holds", None, ["no decisions to check"], {})
     horizons, exact, notes = _leaf_horizons(objs)
     details: dict = {"exact_horizons": exact, "notes": notes}
-    if not exact:
-        # a lower bound being nonpositive proves nothing about the true
-        # horizon, so no sound witness search is possible
-        method.append("horizon functions are certified lower bounds only")
-        return CheckReport("undecided", None, method, details)
     rows = _stacked_rows(horizons, leaf_cols, total)
+    if not exact:
+        # a lower bound that is positive off 0 proves the condition (a sum
+        # whose domain point the calculus misses, such as borrowing limits
+        # that the zero strategy breaks); a nonpositive one proves nothing,
+        # so no sound witness search is possible
+        method.append("horizon functions are certified lower bounds only")
+        if rows is not None:
+            box, details["cone"] = cone_vertex(rows, total)
+            if box is None:
+                method.append("cone propagation: the lower bounds are positive off 0")
+                return CheckReport("holds", None, method, details)
+        return CheckReport("undecided", None, method, details)
     if rows is not None:
         method.append("cone propagation: polyhedral zero-sublevel rows per leaf")
-        y, details["cone"] = cone_certificate(rows, total)
-        if y is None:
+        box, details["cone"] = cone_vertex(rows, total)
+        if box is None:
             return CheckReport("holds", None, method, details)
+        y = unit_l1(box)
         ok, vals = _witness_ok(horizons, leaf_cols, y)
+        if not ok:
+            # the L1 scaling rounds an exact vertex ([1, -1, 1] becomes
+            # thirds), and a horizon that is +inf on any loss rejects the
+            # 1e-17 profit; the vertex itself keeps its exact coordinates
+            ok, vals = _witness_ok(horizons, leaf_cols, box)
+            if ok:
+                method.append("witness re-verified on the LP vertex (max |y| = 1)")
         if ok:
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _split_witness(offsets, y), method, details)
@@ -463,6 +481,8 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
         raise InexactNullSpace("null space is not certified exact; refusing to project")
     if directions.is_trivial():
         return problem
+    from scipy.linalg import block_diag
+
     tree = problem.tree
     qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._polyhedral import cone_nonzero_direction
+from ._polyhedral import cone_nonzero_direction, linprog
 
 INF = math.inf
 
@@ -154,7 +154,13 @@ class IndicatorBox(ExtFun):
         return np.where(ok, 0.0, INF)
 
     def domain_point(self):
-        return np.clip(np.zeros(self.dim), self.lower, self.upper)
+        # 0 clipped into the box, then moved off a bound it lands on by one
+        # unit (at most half the width), so that a point mapped onto it by
+        # a least-squares solve stays inside despite rounding
+        x = np.clip(np.zeros(self.dim), self.lower, self.upper)
+        with np.errstate(invalid="ignore"):  # inf - inf: a box at infinity
+            inward = np.fmin(1.0, (self.upper - self.lower) / 2.0)
+        return np.where(x == self.lower, x + inward, np.where(x == self.upper, x - inward, x))
 
     def is_indicator(self):
         return True
@@ -765,8 +771,6 @@ def _sphere_directions(dim: int, step: float = 1e-2, cap: int = 10000) -> np.nda
 def _sum_nonneg_lp(f: "Sum", region: ExtFun | None) -> SignReport | None:
     """Indicator children cut a polyhedral cone; one linear child is then
     checked on it exactly by a bounded LP."""
-    from scipy.optimize import linprog
-
     rows: list[np.ndarray] = []
     signed: list[tuple[float, ExtFun]] = []
     for w, t in zip(f.weights, f.terms):

@@ -553,7 +553,11 @@ def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
     wealth affine in the decisions: the initial cash, the expenditures,
     the gains phi_t . (Z_{t+1} - Z_t), the endowment and minus the claims
     along the path.  The leaf objective is the disutility of minus that
-    wealth plus the decision boxes.  Any other model gets None.
+    wealth plus the decision boxes.  The post-trade cash at each node of
+    the path is affine too: the initial cash, the expenditures and claims
+    so far, the gains of the earlier holdings, minus the value of the new
+    holdings.  A borrowing limit adds the halfspace indicator of each of
+    them.  Any other model gets None.
     """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
@@ -565,8 +569,11 @@ def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
     for leaf in tree.leaves:
         path = tree.path(leaf.id)
         row = np.zeros(T * d)
+        cash = np.zeros((T, T * d))  # post-trade cash at each path node, less its constant
         for t in range(T):
             row[t * d : t * d + lead] = 1.0
+            cash[t] = row
+            cash[t, t * d + lead : (t + 1) * d] = -model.Z(path[t])
             row[t * d + lead : (t + 1) * d] = model.Z(path[t + 1]) - model.Z(path[t])
         const = (
             model.initial_cash
@@ -581,6 +588,12 @@ def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
                 sel = np.zeros((d, T * d))
                 sel[:, t * d : (t + 1) * d] = np.eye(d)
                 terms.append(AffinePrecompose(box, sel))
+        if model.cash_lower is not None:
+            # one term for all of the path's limits: its domain point meets them all
+            const_cash = [model.initial_cash - sum(model.claim(nid) for nid in path[: t + 1])
+                          for t in range(T)]
+            lower = model.cash_lower - np.array(const_cash)
+            terms.append(AffinePrecompose(IndicatorBox(lower, np.full(T, INF)), cash))
         out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
     return out
 

@@ -77,6 +77,25 @@ class TestCheck:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("form", ["cash", "terminal"])
+    def test_buying_that_needs_borrowing_is_no_arbitrage(self, form, tmp_path, capsys):
+        # the price can only rise, but with no cash and no borrowing the
+        # investor cannot buy: the check holds and the optimum is not to trade
+        model = market.MarketModel(
+            tree=binomial_tree(1), n_risky=1, prices={"r": [1.0], "u": [2.0], "d": [1.5]},
+            cost=market.Frictionless(), utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            initial_cash=0.0, cash_lower=0.0,
+        )
+        path = tmp_path / "limited.json"
+        path.write_text(json.dumps(market.market_to_dict(model)))
+        out = tmp_path / "o"
+        args = [str(path), "--form", form, "--radius", "1", "--points", "33", "--out", str(out)]
+        assert cli.main(["check", *args]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        assert report["horizon_positivity"]["verdict"] == "holds"
+        assert cli.main(["solve", *args]) == 0
+        assert json.loads((out / "solve_report.json").read_text())["value"] == 0.0
+
     def test_out_dir_from_env(self, superlinear_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TREEDP_OUT", str(tmp_path / "env_out"))
         code = cli.main(["check", superlinear_file])

@@ -72,6 +72,31 @@ class TestCheckHorizonPositivity:
         assert rep.details["cone"] == {"rows": 2, "dim": 2, "kernel_dim": 1, "lp_calls": 1}
         assert not any("sampling" in m for m in rep.method)
 
+    def test_exact_vertex_witness_reverifies_before_its_scaling(self):
+        # two identical assets over two periods: the swap vertex is +-1 in
+        # all six coordinates, exact, but its L1 scaling (sixths) leaves a
+        # 1e-17 profit that the exponential utility's horizon rejects
+        moves = {"r": 4.0, "0": 4.375, "1": 3.75, "00": 4.625, "01": 3.875,
+                 "10": 4.0, "11": 3.625}
+        probs = {"0": 2 / 3, "1": 1 / 3, "00": 1 / 3, "01": 2 / 3, "10": 0.5, "11": 0.5}
+        tree = td.ScenarioTree(
+            [td.Node("r", 0, None, 1.0)]
+            + [td.Node(n, len(n), n[:-1] or "r", probs[n]) for n in ("0", "1", "00", "01", "10", "11")])
+        model = market.MarketModel(
+            tree=tree, n_risky=2, prices={n: [z, z] for n, z in moves.items()},
+            cost=market.Frictionless(), utility=exp_utility(), initial_cash=1.0,
+        )
+        problem = market.build_problem_cash(model)
+        rep = cones.check_horizon_positivity(problem)
+        assert rep.verdict == "fails"
+        assert "witness re-verified on the LP vertex (max |y| = 1)" in rep.method
+        assert not any("sampling" in m for m in rep.method)
+        y = np.concatenate(list(rep.witness.values()))
+        assert np.abs(y).sum() == pytest.approx(1.0, abs=1e-15)
+        assert sorted(set(np.abs(y))) == [1 / 6]
+        # a swap in every node: each node's two entries cancel
+        assert all(v[0] == -v[1] for v in rep.witness.values())
+
     def test_witness_reverifies_nodewise(self):
         model = arbitrage_model()
         problem = market.build_problem_cash(model)
@@ -545,6 +570,85 @@ class TestMultiPeriodRandomTrees:
             assert all(np.array_equal(ds.per_node[n], ref[n]) for n in ref)
             seen["null"] += not ds.is_trivial()
         assert min(seen.values()) > 0, seen
+
+
+def limited_model(rng) -> market.MarketModel:
+    """Random T=2 frictionless binomial market with a borrowing limit.
+
+    A node's children move the price up and down (no arbitrage), both up
+    (an arbitrage that needs borrowing) or both down (a short sale, which
+    the limit does not stop).  No initial cash: a cushion above the loss
+    region would make large gambles pay, beyond any small search radius.
+    """
+    tree = binomial_tree(2)
+    prices = {"r": np.array([1.0])}
+    for node in tree.nodes:
+        a = rng.uniform(0.05, 0.25)
+        moves = (1 + a, 1 + a / 4) if rng.random() < 0.4 else (1 + a, 1 - a)
+        if rng.random() < 0.15:
+            moves = (1 - a / 4, 1 - a)
+        for child, f in zip(tree.children(node.id), moves):
+            prices[child.id] = prices[node.id] * f
+    return market.MarketModel(
+        tree=tree, n_risky=1, prices=prices, cost=market.Frictionless(),
+        utility=market.SShapedUtility(2.0, 1.0, 2.0),
+        initial_cash=0.0, cash_lower=-float(rng.choice([0.0, 0.25])),
+    )
+
+
+class TestBorrowingLimit:
+    def test_limit_that_only_a_short_sale_meets(self):
+        # a root claim the empty account cannot pay: the zero strategy
+        # breaks the limit, a short sale pays it, and the value is finite
+        tree = binomial_tree(2)
+        prices = {n.id: [1.0 + 0.1 * (n.id.count("u") - n.id.count("d"))] for n in tree.nodes}
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices=prices, cost=market.Frictionless(),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            initial_cash=0.0, cash_lower=0.0, claims={"r": 0.1},
+        )
+        cash = cones.check_horizon_positivity(market.build_problem_cash(model))
+        assert cash.verdict == "holds" and cash.details["exact_horizons"]
+        # the expenditure boxes hide the shared domain point from the
+        # calculus; the lower bounds still prove the condition
+        term = cones.check_horizon_positivity(market.build_problem_terminal(model))
+        assert term.verdict == "holds" and not term.details["exact_horizons"]
+        assert "cone propagation: the lower bounds are positive off 0" in term.method
+        res = dp.backward_solve(market.build_problem_cash(model, radius=1.0, points=33),
+                                cfg=dp.SolveConfig(eps_gap=INF))
+        assert math.isfinite(res.forward_value)
+
+    def test_verdicts_against_backward_solve(self):
+        # the independent oracle: a bounded value does not move when the
+        # search radius doubles, and a failing witness is feasible and
+        # keeps lowering the objective as it is scaled up
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(10):
+            model = limited_model(rng)
+            reps = [cones.check_horizon_positivity(build(model, radius=1.0, points=5))
+                    for build in (market.build_problem_cash, market.build_problem_terminal)]
+            verdict = reps[0].verdict
+            assert reps[1].verdict == verdict
+            seen.add(verdict)
+            if verdict == "holds":
+                cfg = dp.SolveConfig(eps_gap=INF)
+                v1, v2 = (
+                    dp.backward_solve(market.build_problem_cash(model, radius=r, points=p),
+                                      cfg=cfg).forward_value
+                    for r, p in ((1.0, 33), (2.0, 65))
+                )
+                assert abs(v2 - v1) <= 1e-4
+                continue
+            assert verdict == "fails"
+            problem = market.build_problem_cash(model, radius=1.0, points=5)
+            values = [
+                dp.evaluate_strategy(problem, td.AdaptedSequence(
+                    {n: s * np.asarray(v) for n, v in reps[0].witness.items()}))
+                for s in (1.0, 2.0, 4.0, 8.0)
+            ]
+            assert np.isfinite(values).all() and np.all(np.diff(values) < 0), values
+        assert seen == {"holds", "fails"}
 
 
 class TestLeafPlacement:

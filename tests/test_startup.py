@@ -1,0 +1,64 @@
+"""scipy is loaded only by the LP-backed paths.
+
+Each case runs in a fresh interpreter, so that modules other tests loaded
+do not leak in: ``import treedp`` and a ``solve`` on the analytic route of
+the check leave scipy out of ``sys.modules``; a ``check`` of a frictionless
+model loads it for its cone LP.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import treedp
+from treedp import market
+
+from conftest import arbitrage_model, sshaped_t2_model
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(treedp.__file__)))
+
+
+def loads_scipy(code: str) -> bool:
+    """Whether ``code`` leaves scipy in ``sys.modules`` of a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    probe = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+def cli_code(argv: list[str]) -> str:
+    return f"from treedp import cli\nassert cli.main({argv!r}) == 0"
+
+
+def test_import_leaves_scipy_out():
+    assert not loads_scipy("import treedp, treedp.cli, treedp.cones")
+
+
+@pytest.fixture
+def market_file(tmp_path):
+    def write(model) -> str:
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market.market_to_dict(model)))
+        return str(path)
+
+    return write
+
+
+def test_solve_on_the_analytic_route_leaves_scipy_out(market_file, tmp_path):
+    # power illiquidity: the check is analytic, so no LP runs
+    path = market_file(sshaped_t2_model())
+    argv = ["solve", path, "--radius", "0.5", "--points", "9", "--out", str(tmp_path / "o")]
+    assert not loads_scipy(cli_code(argv))
+
+
+def test_frictionless_check_loads_scipy(market_file, tmp_path):
+    path = market_file(arbitrage_model())
+    code = (f"from treedp import cli\n"
+            f"assert cli.main(['check', {path!r}, '--out', {str(tmp_path / 'o')!r}]) == 2")
+    assert loads_scipy(code)
