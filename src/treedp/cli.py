@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps-gap", type=float, default=None,
                         help="relative table-vs-forward gap tolerance")
         sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility (>= 1); the search runs on one thread")
+                        help="worker processes a large stage search may split over "
+                             "(>= 1, at most the usable CPUs); results do not depend on it")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks")
         sp.add_argument("--out", default=None, help="output directory (default: TREEDP_OUT or .)")

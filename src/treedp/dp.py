@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -45,6 +46,9 @@ from .tree import AdaptedSequence, Node, ScenarioTree
 INF = math.inf
 #: rows per objective call in a search, a decision-free stage and brute force
 _MAX_ROWS = 4096
+#: fewest states per worker process of a split search (see :func:`_minimize_at`):
+#: a fork and pipe round trip costs about as much as searching this many states
+_MIN_SPLIT_STATES = 1000
 
 
 class SearchBoxExhausted(RuntimeError):
@@ -88,10 +92,12 @@ class BudgetExceeded(RuntimeError):
 class SolveConfig:
     """Solver tolerances and search parameters (all overridable).
 
-    ``threads`` must be >= 1 and is accepted so that callers passing it
-    (the CLI's ``--threads``) keep working, but it does not change how the
-    search runs: every search runs on the calling thread, so results are
-    the same for every value.
+    ``threads`` (>= 1) is the number of processes a large stage search may
+    run on: :func:`_minimize_at` splits the rows of a search over at most
+    ``threads`` forked worker processes, no more than the usable CPUs and
+    at least ``_MIN_SPLIT_STATES`` states each.  Every row is searched as
+    at one thread, so results are bit for bit the same for every value.
+    The nested exact recursion (:meth:`exact_refine`) runs at one thread.
     """
 
     grid_points: int = 33        # decision grid points per axis
@@ -101,7 +107,7 @@ class SolveConfig:
     eps_ref: float = 1e-6        # pattern-search step at which refinement stops
     eps_opt: float = 1e-6        # optimality equality tolerance
     eps_gap: float = 1e-3        # relative table-vs-forward gap tolerance
-    threads: int = 1             # validated, does not change the search
+    threads: int = 1             # processes a stage search may split over
 
     def __post_init__(self):
         if self.grid_points < 5 or self.grid_points % 2 == 0:
@@ -604,6 +610,11 @@ def _minimize_at(
     ``names[K[i]]``), or one name for all rows.  With no decision to
     choose (``dim == 0``) this evaluates ``f`` at each row, in calls of
     at most ``_MAX_ROWS`` rows.
+
+    With ``cfg.threads > 1`` a search of many rows splits them over worker
+    processes (:func:`_split_parts`, :func:`_split_search`).  If any part
+    fails, the whole search runs again on the calling thread, so an error
+    names the same node and state count as at one thread.
     """
     n = states.shape[0]
     groups = None if isinstance(names, str) else K
@@ -616,10 +627,94 @@ def _minimize_at(
         vals = np.concatenate(parts)
         _reject_nan(vals, None, names, groups)
         return vals, np.zeros((n, 0)), _search_diag(n)
-    return minimize_batch(
-        lambda I, X: f(K[I], np.take(states, I, axis=0), X), dim, n, cfg,
-        label=names, groups=groups,
-    )
+
+    def search(rows: slice) -> tuple[np.ndarray, np.ndarray, dict]:
+        Kr, Sr = K[rows], states[rows]
+        return minimize_batch(
+            lambda I, X: f(Kr[I], np.take(Sr, I, axis=0), X), dim, len(Kr), cfg,
+            label=names, groups=None if groups is None else Kr,
+        )
+
+    parts = _split_parts(cfg, n)
+    if parts > 1:
+        try:
+            return _split_search(search, n, parts)
+        except Exception:
+            pass  # searched again here, which raises what a one-thread search raises
+    return search(slice(None))
+
+
+def _split_parts(cfg: SolveConfig, n: int) -> int:
+    """Processes a search of ``n`` states splits over: at most ``cfg.threads``
+    and the usable CPUs, with at least ``_MIN_SPLIT_STATES`` states each.
+    One where ``os.fork`` is missing or other threads run, which a fork
+    would leave holding their locks in the child."""
+    if cfg.threads < 2 or n < 2 * _MIN_SPLIT_STATES or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cfg.threads, cpus, n // _MIN_SPLIT_STATES)
+
+
+def _split_search(
+    search: Callable[[slice], tuple[np.ndarray, np.ndarray, dict]], n: int, parts: int
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``search(rows)`` over ``parts`` contiguous row ranges of ``n`` rows, merged.
+
+    The calling process searches the first range and forked children the
+    others.  A child inherits ``search``, so nothing is pickled going in;
+    it pickles its result into a pipe and leaves by ``os._exit``, never
+    returning into the caller's code.  Rows are searched independently, so
+    the merged values, argmins and per-state counters are those of one
+    search, and its batch counters are the maxima over the parts.  Raises
+    if any part fails; no child outlives the call.
+    """
+    import pickle
+    import signal
+
+    cuts = [n * i // parts for i in range(parts + 1)]
+    pipes, live = [], []  # read ends, and the children not yet reaped
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        pickle.dump(search(slice(a, b)), out, pickle.HIGHEST_PROTOCOL)
+                        out.close()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            live.append(pid)
+        results = [search(slice(0, cuts[1]))]
+        for pipe in pipes:
+            data = pipe.read()  # all of it first: a child blocks on a full pipe
+            status = os.waitpid(live[0], 0)[1]
+            del live[0]
+            if status:
+                raise ChildProcessError(f"search worker ended with wait status {status}")
+            results.append(pickle.loads(data))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    vals, args, diags = zip(*results)
+    diag = {k: max(d[k] for d in diags) for k in ("expansions", "sweeps", "max_box")}
+    diag["per_state"] = {
+        k: np.concatenate([d["per_state"][k] for d in diags]) for k in diags[0]["per_state"]
+    }
+    return np.concatenate(vals), np.concatenate(args), diag
 
 
 def minimize_section(

@@ -2,6 +2,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import signal
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -948,12 +952,49 @@ def _same_arrays(a: dict, b: dict) -> bool:
         a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes() for k in a)
 
 
+@pytest.fixture
+def no_orphans():
+    """The test leaves no child process behind, reaped or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch, no_orphans):
+    """The pids that ``os.fork`` returns to the calling process during the test."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def split_everywhere(monkeypatch, forks):
+    """Every search of two or more states at ``threads > 1`` splits over
+    worker processes, on two usable CPUs at least."""
+    monkeypatch.setattr(dp, "_MIN_SPLIT_STATES", 1)
+    if len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return forks
+
+
 class TestStageBatchedMatchesPerNode:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    def test_backward_greedy_and_table_verification(self, name, threads):
+    def test_backward_greedy_and_table_verification(self, name, threads, request):
         problem, cfg, pre, post, policy, diags, fwd, decisions, verify = _reference(name)
+        forks = request.getfixturevalue("split_everywhere") if threads > 1 else None
         res = dp.backward_solve(problem, cfg=replace(cfg, threads=threads), check_gap=False)
+        if forks is not None:  # stage 0 searches only the initial state
+            assert bool(forks) == any(problem.decision_dims[1:])
         assert _same_arrays({k: t.values for k, t in res.pre_tables.items()},
                             {k: t.values for k, t in pre.items()})
         assert _same_arrays({k: t.values for k, t in res.post_tables.items()},
@@ -989,6 +1030,128 @@ class TestStageBatchedMatchesPerNode:
             states = problem.state_map.transition(root, S0, x0)
         ref = _ref_exact_min(problem, node, states, cfg.exact_refine())[0][0]
         assert dp.exact_cost_to_go(problem, node.id, states[0], cfg) == ref
+
+
+def _fan_problem(stage_funs) -> dp.Problem:
+    """r -> a, b, c -> one leaf each.  A middle node's entering state is r's
+    decision, and its objective is its stage function alone."""
+    mids = ["a", "b", "c"]
+    tree = td.ScenarioTree(
+        [td.Node("r", 0, None)]
+        + [td.Node(k, 1, "r", 1 / 3) for k in mids]
+        + [td.Node(k + "l", 2, k, 1.0) for k in mids])
+    sm = dp.StateMap((1, 1, 1), np.zeros(0),
+                     lambda K, S, X: X if tree.times[K[0]] == 0 else S)
+    return dp.Problem(tree=tree, decision_dims=(1, 1, 0), state_map=sm,
+                      leaf_objective={k + "l": Affine([0.0], 0.0) for k in mids},
+                      stage_funs=stage_funs, lower_bound=0.0)
+
+
+#: 41 entering states per middle node: at two parts the stage-1 search of
+#: 123 rows splits at row 61, among b's rows
+FAN_GRIDS = {t: (np.linspace(-2.0, 2.0, 41),) for t in (0, 1)}
+
+
+def _bowl(K, S, X):
+    return (X[:, 0] - S[:, 0]) ** 2
+
+
+def _fan_outcome(stage_funs, threads):
+    """The solve's values and decisions as bytes, or the error it raises."""
+    cfg = dp.SolveConfig(threads=threads)
+    try:
+        res = dp.backward_solve(_fan_problem(stage_funs), FAN_GRIDS, cfg, check_gap=False)
+    except (dp.NumericFailure, dp.SearchBoxExhausted) as e:
+        return type(e).__name__, str(e)
+    return tuple((k, t.values.tobytes(), res.policy.entries[k][1].tobytes())
+                 for k, t in res.pre_tables.items())
+
+
+class TestSplitSearch:
+    """A search split over worker processes (``threads > 1``) returns and
+    raises what the same search at one thread does, and no worker outlives it."""
+
+    @pytest.mark.parametrize("case", ["stuck_in_both_parts", "nan_in_both_parts"])
+    def test_errors_as_at_one_thread(self, case, split_everywhere):
+        if case == "stuck_in_both_parts":
+            # b's rows straddle the cut: the first part alone counts 20 of 41
+            funs = {"a": _bowl, "b": lambda K, S, X: np.zeros(len(K)), "c": _bowl}
+        else:
+            # the first part meets its NaN at box 4, the second at box 1; the
+            # search of all rows raises at box 1, naming c
+            funs = {"a": lambda K, S, X: np.where(np.abs(X[:, 0]) > 3, np.nan, 0.0),
+                    "b": _bowl,
+                    "c": lambda K, S, X: np.where(X[:, 0] > 0.5, np.nan, 0.0)}
+        want = _fan_outcome(funs, 1)
+        assert not split_everywhere
+        assert want[0] in ("SearchBoxExhausted", "NumericFailure")
+        assert _fan_outcome(funs, 2) == want
+        assert split_everywhere
+
+    def test_dead_worker_is_searched_again_here(self, split_everywhere):
+        parent = os.getpid()
+
+        def killed_in_worker(K, S, X):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _bowl(K, S, X)
+
+        funs = {"a": _bowl, "b": _bowl, "c": _bowl}
+        want = _fan_outcome(funs, 1)
+        assert _fan_outcome({**funs, "c": killed_in_worker}, 2) == want
+        assert split_everywhere
+
+    def test_interrupt_kills_and_reaps_the_workers(self, split_everywhere):
+        parent = os.getpid()
+
+        def interrupted_here(K, S, X):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return _bowl(K, S, X)
+
+        calls = []
+
+        def slow_worker(K, S, X):
+            if not calls:  # a worker still searching when the caller stops
+                calls.append(time.sleep(60))
+            return _bowl(K, S, X)
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _fan_outcome({"a": interrupted_here, "b": _bowl, "c": slow_worker}, 2)
+        assert time.perf_counter() - t0 < 30
+        assert split_everywhere
+
+    def test_workers_capped_by_usable_cpus(self, monkeypatch, forks):
+        # 64 states split into at most 64 parts, whatever the cap does; the
+        # later states need larger boxes, so the parts' batch counters differ
+        monkeypatch.setattr(dp, "_MIN_SPLIT_STATES", 1)
+        cpus = len(os.sched_getaffinity(0))
+        S = np.linspace(0.0, 40.0, 64)[:, None]
+        K = np.zeros(64, dtype=np.int64)
+        want = None
+        for threads in (1, 2, 8, 10**6):
+            forks.clear()
+            out = dp._minimize_at(_bowl, K, S, 1, dp.SolveConfig(threads=threads))
+            assert len(forks) == min(threads, cpus) - 1 <= cpus - 1
+            got = (out[0].tobytes(), out[1].tobytes(),
+                   {k: v.tobytes() for k, v in out[2]["per_state"].items()},
+                   [out[2][k] for k in ("expansions", "sweeps", "max_box")])
+            want = want or got
+            assert got == want
+
+    def test_no_split_while_other_threads_run(self, split_everywhere):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            outcome = _fan_outcome({"a": _bowl, "b": _bowl, "c": _bowl}, 2)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert not split_everywhere
+        assert outcome == _fan_outcome({"a": _bowl, "b": _bowl, "c": _bowl}, 1)
 
 
 def _search_outcome(search, objective, dim, n, cfg, groups):

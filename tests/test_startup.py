@@ -1,9 +1,11 @@
-"""scipy is loaded only by the LP-backed paths.
+"""Heavy modules are loaded only by the paths that need them.
 
 Each case runs in a fresh interpreter, so that modules other tests loaded
 do not leak in: ``import treedp`` and a ``solve`` on the analytic route of
 the check leave scipy out of ``sys.modules``; a ``check`` of a frictionless
-model loads it for its cone LP.
+model loads it for its cone LP.  No path loads ``multiprocessing`` or
+``concurrent.futures``: a search split over worker processes needs only
+``os``, ``pickle`` and ``signal``.
 """
 
 import json
@@ -21,15 +23,25 @@ from conftest import arbitrage_model, sshaped_t2_model
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(treedp.__file__)))
 
 
-def loads_scipy(code: str) -> bool:
-    """Whether ``code`` leaves scipy in ``sys.modules`` of a fresh interpreter."""
+#: modules that no path of the package needs
+NEVER_LOADED = ["multiprocessing", "concurrent.futures"]
+
+
+def loaded(code: str, names: list[str]) -> list[str]:
+    """Which of ``names`` ``code`` leaves in ``sys.modules`` of a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    probe = f"{code}\nimport sys\nprint('scipy' in sys.modules)"
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps([m for m in {names!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loads_scipy(code: str) -> bool:
+    """Whether ``code`` leaves scipy in ``sys.modules`` of a fresh interpreter."""
+    return loaded(code, ["scipy"]) == ["scipy"]
 
 
 def cli_code(argv: list[str]) -> str:
@@ -38,6 +50,10 @@ def cli_code(argv: list[str]) -> str:
 
 def test_import_leaves_scipy_out():
     assert not loads_scipy("import treedp, treedp.cli, treedp.cones")
+
+
+def test_import_leaves_process_pools_out():
+    assert loaded("import treedp, treedp.cli", NEVER_LOADED) == []
 
 
 @pytest.fixture
@@ -55,6 +71,15 @@ def test_solve_on_the_analytic_route_leaves_scipy_out(market_file, tmp_path):
     path = market_file(sshaped_t2_model())
     argv = ["solve", path, "--radius", "0.5", "--points", "9", "--out", str(tmp_path / "o")]
     assert not loads_scipy(cli_code(argv))
+
+
+def test_split_solve_leaves_process_pools_out(market_file, tmp_path):
+    # a threshold of one state splits every search of two or more states
+    path = market_file(sshaped_t2_model())
+    argv = ["solve", path, "--radius", "0.5", "--points", "9", "--threads", "2",
+            "--out", str(tmp_path / "o")]
+    code = f"from treedp import dp\ndp._MIN_SPLIT_STATES = 1\n{cli_code(argv)}"
+    assert loaded(code, NEVER_LOADED) == []
 
 
 def test_frictionless_check_loads_scipy(market_file, tmp_path):
