@@ -17,6 +17,7 @@ are written as plot-ready CSV side files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -189,7 +190,9 @@ def cmd_oracle(args) -> int:
         }
         _report(os.path.join(out, "oracle_report.json"), payload)
         return EXIT_SOLVER
-    tol = max(args.tol, args.tol * abs(bf_value))
+    # only a finite value scales the tolerance: an infinite one (nothing on the
+    # grids is feasible) is met only by the same infinity
+    tol = max(args.tol, args.tol * abs(bf_value)) if math.isfinite(bf_value) else args.tol
     # two equal infinities differ by nothing (their difference would be NaN)
     gap = 0.0 if solve_value == bf_value else abs(solve_value - bf_value)
     payload = {

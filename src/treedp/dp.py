@@ -44,8 +44,10 @@ from .efun import ExtFun, HorizonConditionViolated
 from .tree import AdaptedSequence, Node, ScenarioTree
 
 INF = math.inf
-#: rows per objective call in a search, a decision-free stage and brute force
+#: rows per objective call in a search and a decision-free stage
 _MAX_ROWS = 4096
+#: joint choices per block of brute force's sibling sums and minimum
+_BF_BLOCK = 2**16
 #: fewest states per worker process of a split search (see :func:`_minimize_at`):
 #: a fork and pipe round trip costs about as much as searching this many states
 _MIN_SPLIT_STATES = 1000
@@ -1388,15 +1390,32 @@ def brute_force(
     choice, global minimum returned; ties break to the first combination
     in lexicographic grid order.  Independent of the recursion: no tables,
     no interpolation, no refinement.
+
+    A node's entering state depends only on the decisions on its path, so
+    its stage value, transition and leaf value are evaluated once per
+    combination of those decisions: on an array with one axis per decision
+    node (``problem.decision_nodes()`` order), of the size of the product
+    of its path's grid sizes.  Siblings are then summed with ``_walk``'s
+    arithmetic, element by element, in C-order blocks of at most
+    ``_BF_BLOCK`` joint choices, so the value and the strategy are those
+    of a walk per joint choice, bit for bit.  More than ``guard`` joint
+    choices raise :class:`BudgetExceeded` before any evaluation; a decision
+    node without a grid, or with a grid of no rows or of the wrong width,
+    raises ValueError naming it.
     """
+    tree = problem.tree
     nodes = problem.decision_nodes()
     mats = []
     for n in nodes:
+        if n.id not in grids:
+            raise ValueError(f"no decision grid at {n.id!r}")
         g = np.atleast_2d(np.asarray(grids[n.id], dtype=float))
         if g.shape[0] == 1 and problem.decision_dim(n.id) == 1 and g.shape[1] > 1:
             g = g.T
         if g.shape[1] != problem.decision_dim(n.id):
             raise ValueError(f"grid at {n.id!r} has wrong decision dimension")
+        if g.shape[0] == 0:
+            raise ValueError(f"grid at {n.id!r} has no decisions")
         mats.append(g)
     sizes = [m.shape[0] for m in mats]
     total = 1
@@ -1406,31 +1425,83 @@ def brute_force(
             raise BudgetExceeded(
                 f"{total}+ combinations exceed the enumeration guard {guard}"
             )
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
 
     ids = problem._ids
+    T = tree.horizon
+    start, kids, probs = tree.child_start, tree.child_pos, tree.child_prob
+    axis_of = {tree.index(n.id): a for a, n in enumerate(nodes)}
+    ones = (1,) * len(nodes)
+    # a leaf's path cost plus leaf value, and the shape of each node's value
+    # (an axis of size 1 is a decision the value does not depend on)
+    leaf_cost: dict[int, np.ndarray] = {}
+    shape_of: dict[int, tuple[int, ...]] = {}
+
+    def visit(p: int, S: np.ndarray, acc: np.ndarray) -> None:
+        shape = S.shape[:-1]
+        a = axis_of.get(p)
+        if a is None:
+            X = np.zeros(shape + (0,))
+        else:
+            shape = shape[:a] + (sizes[a],) + shape[a + 1 :]
+            X = mats[a].reshape(ones[:a] + (sizes[a],) + ones[a + 1 :] + (-1,))
+        m = math.prod(shape)
+        Srows = np.broadcast_to(S, shape + S.shape[-1:]).reshape(m, S.shape[-1])
+        Xrows = np.broadcast_to(X, shape + X.shape[-1:]).reshape(m, X.shape[-1])
+        K = np.full(m, p)
+        here = problem.stage_values(K, Srows, Xrows)
+        _reject_nan(here, None, ids, K)
+        acc = acc + here.reshape(shape)
+        nxt = problem.state_map.transition(K, Srows, Xrows)
+        if tree.times[p] == T:
+            leaf = problem.leaf_values(K, nxt)
+            _reject_nan(leaf, None, ids, K)
+            leaf_cost[p] = acc + leaf.reshape(shape)
+            shape_of[p] = shape
+            return
+        nxt = nxt.reshape(shape + nxt.shape[-1:])
+        children = [int(c) for c in kids[start[p] : start[p + 1]]]
+        for c in children:
+            visit(c, nxt, acc)
+        shape_of[p] = np.broadcast_shapes(shape, *(shape_of[c] for c in children))
+
+    root = tree.index(tree.root.id)
+    S0 = problem.state_map.initial.reshape(ones + (-1,))
+    visit(root, S0, np.zeros(ones))
+
+    def value(p: int, block: tuple[slice, ...]) -> np.ndarray:
+        """Node p's expected cost-to-go over the joint choices of ``block``."""
+        cut = [b if n > 1 else slice(0, 1) for n, b in zip(shape_of[p], block)]
+        if p in leaf_cost:
+            return leaf_cost[p][tuple(cut)]
+        out = np.zeros([b.stop - b.start for b in cut])
+        for e in range(start[p], start[p + 1]):
+            out += probs[e] * value(int(kids[e]), block)
+        return out
+
+    # C-order blocks: single indices of the leading axes, ranges of the last
+    # split one, the trailing axes whole
+    split, tail = len(sizes), 1
+    while split > 0 and tail * sizes[split - 1] <= _BF_BLOCK:
+        split -= 1
+        tail *= sizes[split]
+    per_axis = [[slice(0, s)] for s in sizes]
+    if split > 0:
+        per_axis[: split - 1] = [[slice(i, i + 1) for i in range(s)] for s in sizes[: split - 1]]
+        s, step = sizes[split - 1], _BF_BLOCK // tail
+        per_axis[split - 1] = [slice(lo, min(lo + step, s)) for lo in range(0, s, step)]
+
     best_val = INF
-    best_combo = -1
-    for start in range(0, total, _MAX_ROWS):
-        C = np.arange(start, min(start + _MAX_ROWS, total), dtype=np.int64)
-        dec = {
-            nodes[i].id: mats[i][(C // strides[i]) % sizes[i]] for i in range(len(nodes))
-        }
-        m = C.shape[0]
-        S0 = np.repeat(problem.state_map.initial[None, :], m, axis=0)
-        vals = _walk(problem, S0, lambda p, S: dec.get(ids[p], np.zeros((m, 0))))
+    best_combo = None
+    for block in itertools.product(*per_axis):
+        vals = value(root, block)
         j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_combo = int(C[j])
-    if best_combo < 0:
+        if vals.flat[j] < best_val:
+            best_val = float(vals.flat[j])
+            at = np.unravel_index(j, vals.shape)
+            best_combo = [b.start + int(i) for b, i in zip(block, at)]
+    if best_combo is None:
         return INF, AdaptedSequence({})
-    decisions = {
-        nodes[i].id: mats[i][(best_combo // int(strides[i])) % sizes[i]]
-        for i in range(len(nodes))
-    }
+    decisions = {n.id: mats[a][best_combo[a]] for a, n in enumerate(nodes)}
     return best_val, AdaptedSequence(decisions)
 
 

@@ -305,6 +305,23 @@ class TestOracle:
         assert report["pass"]
         assert report["gap"] <= report["tolerance"]
 
+    def test_infinite_brute_force_fails_a_finite_solve(self, tmp_path, capsys):
+        # no grid point lies in the holdings box, so brute force finds nothing
+        # finite while the solve does: an infinite value scales no tolerance
+        spec = toy_model_dict()
+        spec["constraints"] = {"0": {"lower": [0.2], "upper": [0.4]}}
+        path = tmp_path / "boxed.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        code = cli.main(["oracle", str(path), "--grids=-1:1:2", "--radius", "1",
+                         "--points", "17", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["brute_force_value"] == report["gap"] == "inf"
+        assert isinstance(report["solve_value"], float)
+        assert report["tolerance"] == 1e-3
+        assert report["pass"] is False
+
     def test_budget_exceeded_exit_5(self, superlinear_file, tmp_path, capsys):
         code = cli.main([
             "oracle", superlinear_file, "--grids=-1:1:500",

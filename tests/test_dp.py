@@ -27,6 +27,7 @@ from conftest import (
     binomial_tree,
     get_bench,
     get_solved,
+    sshaped_t2_model,
 )
 from treedp import market
 
@@ -364,6 +365,209 @@ class TestBruteForce:
             dp.brute_force(problem, {leaf.id: axis_grid(-1.0, 1.0, 5) for leaf in tree.leaves})
         with pytest.raises(dp.NumericFailure, match=node):
             dp.forward_pass(problem, {}, {}, None, mode="exact")
+
+
+def reference_brute_force(problem, grids):
+    """Brute force by its definition: the exact value of each joint choice
+    (``evaluate_strategy``), in lexicographic grid order, first minimum kept."""
+    nodes = [n.id for n in problem.decision_nodes()]
+    best, arg = INF, {}
+    for combo in itertools.product(*(grids[n] for n in nodes)):
+        choice = dict(zip(nodes, combo))
+        v = dp.evaluate_strategy(problem, td.AdaptedSequence(choice))
+        if v < best:
+            best, arg = v, choice
+    return best, arg
+
+
+def walk_brute_force(problem, grids, rows=4096):
+    """The same enumeration with one ``_walk`` per chunk of joint choices."""
+    nodes = [n.id for n in problem.decision_nodes()]
+    mats = [grids[n] for n in nodes]
+    combos = np.indices([len(g) for g in mats]).reshape(len(mats), -1)
+    ids = problem._ids
+    best, arg = INF, {}
+    for a in range(0, combos.shape[1], rows):
+        C = combos[:, a : a + rows]
+        dec = {n: g[c] for n, g, c in zip(nodes, mats, C)}
+        S0 = np.repeat(problem.state_map.initial[None, :], C.shape[1], axis=0)
+        vals = dp._walk(problem, S0, lambda p, S: dec.get(ids[p], np.zeros((len(S), 0))))
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, arg = float(vals[j]), {n: d[j] for n, d in dec.items()}
+    return best, arg
+
+
+def assert_bitwise(got, want):
+    (v, strategy), (w, choice) = got, want
+    assert np.float64(v).tobytes() == np.float64(w).tobytes(), (v, w)
+    assert sorted(strategy.values) == sorted(choice)
+    for k, x in choice.items():
+        assert strategy.at(k).tobytes() == np.asarray(x, dtype=float).tobytes(), k
+
+
+def wavy_stage(K, S, X):
+    # nonconvex in the decision, and reads the entering history
+    return np.cos(3.0 * X.sum(axis=1)) + 0.25 * S.sum(axis=1)
+
+
+def uneven_tree():
+    """r has 2 children, a has 3 and b has 2: non-uniform branching."""
+    return td.ScenarioTree([
+        td.Node("r", 0, None, 1.0),
+        td.Node("a", 1, "r", 0.4), td.Node("b", 1, "r", 0.6),
+        td.Node("aa", 2, "a", 0.2), td.Node("ab", 2, "a", 0.3), td.Node("ac", 2, "a", 0.5),
+        td.Node("ba", 2, "b", 0.7), td.Node("bb", 2, "b", 0.3),
+    ])
+
+
+def history_case(tree, dims, boxes=None, seed=0, stage=wavy_stage):
+    """A history problem with ``stage`` costs and shifted quadratic leaves;
+    ``boxes`` maps a node to the holdings box its stage cost adds."""
+    rng = np.random.default_rng(seed)
+    width = int(np.sum(dims))
+    leaves = {
+        leaf.id: AffinePrecompose(
+            PowerCost(1.0, 2.0, 1), [rng.uniform(-1.0, 1.0, width)], [rng.uniform(-0.5, 0.5)])
+        for leaf in tree.leaves
+    }
+    stage_funs = {}
+    for n in tree.nodes:
+        box = (boxes or {}).get(n.id)
+        if box is None:
+            stage_funs[n.id] = stage
+        else:
+            ind = IndicatorBox(*box)
+
+            def boxed(K, S, X, ind=ind):
+                return stage(K, S, X) + ind.value_many(X)
+
+            stage_funs[n.id] = boxed
+    return dp.history_problem(tree, dims, leaves, lower_bound=-10.0, stage_funs=stage_funs)
+
+
+def node_grids(problem, lo=-1.0, hi=1.0, n=4, more=()):
+    """``n`` points per axis per decision node; ``more`` nodes get ``n + 1``."""
+    return {
+        node.id: axis_grid(lo, hi, n + (node.id in more), dim=problem.decision_dim(node.id))
+        for node in problem.decision_nodes()
+    }
+
+
+class TestBruteForceReference:
+    """``brute_force`` equals the exhaustive definition bit for bit."""
+
+    def test_uneven_branching(self):
+        problem = history_case(uneven_tree(), [1, 1, 0])
+        grids = node_grids(problem, n=3, more=("a", "r"))
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    def test_closed_interior_stage_and_deciding_leaves(self):
+        problem = history_case(uneven_tree(), [1, 0, 1], seed=1)
+        grids = node_grids(problem, n=2, more=("r", "ab"))
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    def test_deciding_leaves_only(self):
+        problem = history_case(binomial_tree(1), [0, 1], seed=2)
+        grids = node_grids(problem, n=7, more=("u",))
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    def test_two_dimensional_decisions(self):
+        problem = history_case(binomial_tree(1), [2, 1], seed=3)
+        grids = node_grids(problem, n=4, more=("d",))
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    def test_infinite_boxes(self):
+        boxes = {"r": ([-0.5], [0.75]), "a": ([-2.0], [0.0]), "bb": ([0.0], [2.0])}
+        problem = history_case(uneven_tree(), [1, 1, 1], boxes=boxes, seed=4)
+        grids = node_grids(problem, n=2, more=("r", "a", "b"))
+        got = dp.brute_force(problem, grids)
+        assert math.isfinite(got[0])
+        assert_bitwise(got, reference_brute_force(problem, grids))
+
+    def test_all_infeasible_grid(self):
+        problem = history_case(binomial_tree(1), [1, 1], boxes={"r": ([-0.5], [0.75])})
+        grids = node_grids(problem, n=3)
+        grids["r"] = axis_grid(1.0, 2.0, 3)
+        got = dp.brute_force(problem, grids)
+        assert got == (INF, td.AdaptedSequence({}))
+        assert_bitwise(got, reference_brute_force(problem, grids))
+
+    def test_no_decision_node(self):
+        model = replace(sshaped_t2_model(), trading_stages=frozenset())
+        problem = market.build_problem_cash(model, radius=1.0, points=17)
+        assert problem.decision_nodes() == []
+        assert_bitwise(dp.brute_force(problem, {}), reference_brute_force(problem, {}))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_BUILDERS))
+    def test_fixture_on_thinned_grids(self, name):
+        bench = get_bench(name)
+        grids = {k: g[:: max(1, len(g) // 6)] for k, g in bench.bf_grids.items()}
+        problem = bench.oracle_target()
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_BUILDERS))
+    def test_fixture_on_its_grids(self, name):
+        bench = get_bench(name)
+        problem = bench.oracle_target()
+        assert_bitwise(
+            dp.brute_force(problem, bench.bf_grids), walk_brute_force(problem, bench.bf_grids))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 30, 60, 2**16])
+    def test_blocks_and_a_tie_across_them(self, block, monkeypatch):
+        # the root's cost (x^2 - 1)^2 ties at x = -1 and x = 1, and nothing
+        # downstream reads x: the first of the two must win in every blocking
+        tree = binomial_tree(1)
+        leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[0.0, 1.0]], [-0.3 - i])
+                  for i, leaf in enumerate(tree.leaves)}
+        stage_funs = {"r": lambda K, S, X: (X[:, 0] ** 2 - 1.0) ** 2}
+        problem = dp.history_problem(tree, [1, 1], leaves, lower_bound=0.0,
+                                     stage_funs=stage_funs)
+        grids = {"r": axis_grid(-1.5, 1.5, 7), "u": axis_grid(-1.0, 1.0, 5),
+                 "d": axis_grid(-1.0, 1.0, 5)}
+        monkeypatch.setattr(dp, "_BF_BLOCK", block)
+        got = dp.brute_force(problem, grids)
+        assert got[1].at("r")[0] == -1.0
+        assert_bitwise(got, reference_brute_force(problem, grids))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 11])
+    def test_small_blocks_split_leading_axes(self, block, monkeypatch):
+        problem = history_case(uneven_tree(), [1, 1, 0], seed=5)
+        grids = node_grids(problem, n=3, more=("a",))
+        monkeypatch.setattr(dp, "_BF_BLOCK", block)
+        assert_bitwise(dp.brute_force(problem, grids), reference_brute_force(problem, grids))
+
+    def test_each_node_once_per_path_choice(self):
+        rows: dict[str, int] = {}
+
+        def counting(K, S, X):
+            node = problem._ids[int(K[0])]
+            rows[node] = rows.get(node, 0) + len(K)
+            return wavy_stage(K, S, X)
+
+        tree = uneven_tree()
+        problem = history_case(tree, [1, 1, 0], stage=counting)
+        grids = {"r": axis_grid(-1, 1, 3), "a": axis_grid(-1, 1, 4), "b": axis_grid(-1, 1, 5)}
+        with pytest.raises(dp.BudgetExceeded):
+            dp.brute_force(problem, grids, guard=59)
+        assert rows == {}
+        dp.brute_force(problem, grids)
+        path = {"r": 3, "a": 12, "b": 15}
+        assert rows == {n.id: path[n.id if n.time < 2 else n.parent] for n in tree.nodes}
+
+    @pytest.mark.parametrize("grid", ["missing", "empty"])
+    def test_malformed_grid_names_the_node(self, grid):
+        def untouchable(K, S, X):
+            raise AssertionError("evaluated before the grids were checked")
+
+        problem = history_case(binomial_tree(1), [1, 1], stage=untouchable)
+        grids = {"r": axis_grid(-1, 1, 3), "u": axis_grid(-1, 1, 3), "d": axis_grid(-1, 1, 3)}
+        if grid == "missing":
+            del grids["u"]
+        else:
+            grids["u"] = np.zeros((0, 1))
+        with pytest.raises(ValueError, match="'u'"):
+            dp.brute_force(problem, grids)
 
 
 class TestSolveInvariants:
