@@ -52,10 +52,8 @@ from .dp import (
     backward_solve,
     brute_force,
     evaluate_strategy,
-    exact_cost_to_go,
     expectation_chain,
     history_problem,
-    minimize_section,
     verify_optimality,
 )
 from .cones import (

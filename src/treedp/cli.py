@@ -4,7 +4,9 @@ Exit codes are a stable contract:
 
 * 0 - success / all conditions hold
 * 1 - malformed input
-* 2 - a checked condition fails (witness included in the report)
+* 2 - a checked condition fails (witness included in the report); for
+  ``oracle``, the solve and brute force differ by more than the tolerance
+  (the brute-force strategy is the witness)
 * 3 - a check is undecided
 * 4 - solver failure (search box exhausted, grids too coarse, or numbers the
   solver cannot order: a collapsed state grid or a NaN objective value)
@@ -195,20 +197,21 @@ def cmd_oracle(args) -> int:
     tol = max(args.tol, args.tol * abs(bf_value)) if math.isfinite(bf_value) else args.tol
     # two equal infinities differ by nothing (their difference would be NaN)
     gap = 0.0 if solve_value == bf_value else abs(solve_value - bf_value)
+    code = EXIT_OK if gap <= tol else EXIT_FAILS
     payload = {
         "solve_value": solve_value,
         "solve_table_value": result.value,
         "brute_force_value": bf_value,
         "gap": gap,
         "tolerance": tol,
-        "pass": bool(gap <= tol),
+        "pass": code == EXIT_OK,
         "brute_force_strategy": {
             k: list(map(float, v)) for k, v in bf_strategy.values.items()
         },
-        "exit_code": EXIT_OK,
+        "exit_code": code,
     }
     _report(os.path.join(out, "oracle_report.json"), payload)
-    return EXIT_OK
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

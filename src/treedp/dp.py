@@ -22,6 +22,11 @@ interpolation-free nested recursion) and reports both numbers; for small
 trees the nested recursion also verifies optimality
 (``verify_optimality(..., method="exact")``), reusing the minima that the
 exact forward pass attached to the strategy it returned.
+
+One stage-batched pass (:func:`_stagewise`) follows decisions down the
+tree and prices them for the forward passes, :func:`evaluate_strategy`,
+the expectation chain and the verifier; brute force keeps its own walk,
+as the independent oracle.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ import operator
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import efun
-from .efun import ExtFun, HorizonConditionViolated
+from .efun import ExtFun
 from .tree import AdaptedSequence, Node, ScenarioTree
 
 INF = math.inf
@@ -267,16 +271,8 @@ class Problem:
 
     @cached_property
     def _lower_bounds(self) -> np.ndarray:
-        # one backward sweep, one conditional expectation per stage
         tree = self.tree
-        T = tree.horizon
-        out = np.zeros(len(tree))
-        out[tree.positions_at(T)] = [self.lower_bound_at(n.id) for n in tree.nodes_at(T)]
-        for t in range(T - 1, -1, -1):
-            P = tree.positions_at(t)
-            slots = _child_slots(tree, P)
-            out[P] = _expect(slots, out[np.concatenate([c for _, c, _ in slots])], len(P))
-        return out
+        return _roll_back(tree, [self.lower_bound_at(n.id) for n in tree.leaves])
 
     def expected_lower_bound(self, node_id: str) -> float:
         """Conditional expectation of the lower bound given the node."""
@@ -719,39 +715,6 @@ def _split_search(
     return np.concatenate(vals), np.concatenate(args), diag
 
 
-def minimize_section(
-    f: ExtFun,
-    state,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-    decision_horizon: ExtFun | None = None,
-) -> tuple[float, np.ndarray]:
-    """Minimize ``f(state, .)`` over the trailing decision block.
-
-    ``f`` is an expression over (state, decision); the leading coordinates
-    are fixed at ``state``.  When ``decision_horizon`` is supplied it is
-    sanity-checked for positivity off the origin first, since that is what
-    guarantees a minimizer exists and the search box terminates.
-    Returns (+inf, empty) when no finite value exists.
-    """
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    dim = f.dim - state.shape[0]
-    if dim < 0:
-        raise ValueError("state longer than the function's input")
-    if decision_horizon is not None:
-        verdict, witness = efun.positivity_off_origin(decision_horizon)
-        if verdict == "fails":
-            raise HorizonConditionViolated(
-                "decision-block horizon is not positive off the origin", witness
-            )
-
-    vals, xs, _ = _minimize_at(
-        lambda K, S, X: f.value_many(np.hstack([S, X])),
-        np.zeros(1, dtype=np.int64), state[None, :], dim, cfg,
-    )
-    val = float(vals[0])
-    return val, (xs[0] if math.isfinite(val) else np.zeros(0))
-
-
 # ---------------------------------------------------------------------------
 # tables, policy, solve
 # ---------------------------------------------------------------------------
@@ -859,6 +822,19 @@ def _expect(slots: list, child_values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _roll_back(tree: ScenarioTree, at_leaves) -> np.ndarray:
+    """Per position, the conditional expectation of the values ``at_leaves``
+    (one per leaf, in ``tree.leaves`` order), one stage at a time."""
+    T = tree.horizon
+    out = np.zeros(len(tree))
+    out[tree.positions_at(T)] = at_leaves
+    for t in range(T - 1, -1, -1):
+        P = tree.positions_at(t)
+        slots = _child_slots(tree, P)
+        out[P] = _expect(slots, out[np.concatenate([c for _, c, _ in slots])], len(P))
+    return out
+
+
 def _table_continuation(
     problem: Problem, t: int, post: Mapping[str, "ValueTable"]
 ) -> Continuation:
@@ -884,63 +860,63 @@ def _table_continuation(
     return lambda K, Q: interp_multilinear(axes, values, Q, which=which[K])
 
 
-def _walk(
-    problem: Problem,
-    S0: np.ndarray,
-    choose: Callable[[int, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Expected total cost of each row of entering states ``S0`` at the root.
+class _Stage(NamedTuple):
+    """One stage of :func:`_stagewise`, one row per node."""
 
-    The walk is depth first and batched over rows: ``choose(p, S)``
-    returns the decisions (m, n) at the node of position p for its
-    entering states S.  A NaN stage or leaf value raises
-    :class:`NumericFailure` naming its node.
-    """
-    tree = problem.tree
-    T = tree.horizon
-    start, kids, probs = tree.child_start, tree.child_pos, tree.child_prob
-
-    def visit(p: int, S: np.ndarray, acc: np.ndarray) -> np.ndarray:
-        K = np.full(S.shape[0], p)
-        X = choose(p, S)
-        here = problem.stage_values(K, S, X)
-        _reject_nan(here, None, problem._ids, K)
-        acc = acc + here
-        nxt = problem.state_map.transition(K, S, X)
-        if tree.times[p] == T:
-            leaf = problem.leaf_values(K, nxt)
-            _reject_nan(leaf, None, problem._ids, K)
-            return acc + leaf
-        out = np.zeros(S.shape[0])
-        for e in range(start[p], start[p + 1]):
-            out += probs[e] * visit(int(kids[e]), nxt, acc)
-        return out
-
-    return visit(tree.index(tree.root.id), S0, np.zeros(S0.shape[0]))
+    K: np.ndarray     # positions of the stage's nodes
+    S: np.ndarray     # entering states
+    X: np.ndarray     # decisions
+    past: np.ndarray  # stage costs of each node's ancestors, summed from the root
+    cost: np.ndarray  # stage value at (S, X)
+    post: np.ndarray  # post-decision state
 
 
 def _stagewise(
     problem: Problem,
     decide: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Follow decisions down the tree one stage per call.
+) -> tuple[float, list[_Stage]]:
+    """Follow decisions down the tree one stage per call and price them.
 
     ``decide(t, K, S)`` returns the decisions of the stage-t nodes K at
-    their entering states S (one row per node).  Returns (K, S, X) per
-    stage.
+    their entering states S (one row per node); a decision-free stage
+    decides nothing without calling it.  Each stage evaluates its stage
+    values and transitions in one call each, and stage T its leaf values;
+    a NaN stage or leaf value raises :class:`NumericFailure` naming the
+    first such node in stage order.  A node's path cost is its parent's
+    plus its own stage value.  Returns the expected total cost at the
+    root (each leaf's path cost plus leaf value, combined backward by
+    conditional expectation) and the stages.
     """
     tree = problem.tree
-    out = []
+    stages: list[_Stage] = []
     for t in range(tree.horizon + 1):
         K = tree.positions_at(t)
         if t == 0:
             S = np.repeat(problem.state_map.initial[None, :], len(K), axis=0)
+            past = np.zeros(len(K))
         else:
-            S = nxt[tree.stage_index[tree.parent_pos[K]]]
-        X = decide(t, K, S)
-        out.append((K, S, X))
-        if t < tree.horizon:
-            nxt = problem.state_map.transition(K, S, X)
+            up = tree.stage_index[tree.parent_pos[K]]
+            S, past = post[up], path[up]
+        X = decide(t, K, S) if problem.decision_dims[t] else np.zeros((len(K), 0))
+        cost = problem.stage_values(K, S, X)
+        _reject_nan(cost, None, problem._ids, K)
+        post = problem.state_map.transition(K, S, X)
+        path = past + cost
+        stages.append(_Stage(K, S, X, past, cost, post))
+    leaf = problem.leaf_values(K, post)
+    _reject_nan(leaf, None, problem._ids, K)
+    return float(_roll_back(tree, path + leaf)[tree.index(tree.root.id)]), stages
+
+
+def _depth_first(tree: ScenarioTree) -> list[int]:
+    """Positions in depth-first order: each node, then its children's
+    subtrees in tree order (the order a strategy's decisions are keyed in)."""
+    start, kids = tree.child_start, tree.child_pos
+    out, todo = [], [tree.index(tree.root.id)]
+    while todo:
+        p = todo.pop()
+        out.append(p)
+        todo.extend(kids[start[p] : start[p + 1]][::-1].tolist())
     return out
 
 
@@ -1068,17 +1044,17 @@ def forward_pass(
     cfg: SolveConfig = DEFAULT_CONFIG,
     mode: str = "greedy",
 ) -> tuple[float, AdaptedSequence]:
-    """Walk the tree with the extracted policy and price it exactly.
+    """Follow the extracted policy down the tree and price it exactly.
 
     Decisions are adapted by construction (one per visited node).  Mode
     "greedy" re-minimizes each node's objective at the exactly visited
     state with table continuations (interior nodes interpolate their post
     table); mode "exact" re-minimizes it against the interpolation-free
-    nested recursion.  Both decide one stage per search and then price
-    the decisions with one depth-first walk.  ``pre`` and ``policy`` are
-    not read: both modes re-optimize instead of looking decisions up, and
-    the parameters stay so that positional callers
-    (perfbench/workloads.py) keep working.
+    nested recursion.  Both decide one stage per search, and
+    :func:`_stagewise` prices each stage's decisions as it takes them.
+    ``pre`` and ``policy`` are not read: both modes re-optimize instead of
+    looking decisions up, and the parameters stay so that positional
+    callers (perfbench/workloads.py) keep working.
 
     In mode "exact" each stage's search also yields the nested
     recursion's minimum at every (node, entering state) row of the stage,
@@ -1090,36 +1066,23 @@ def forward_pass(
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown forward mode {mode!r}")
-    tree = problem.tree
     exact_cfg = cfg.exact_refine()
     minima: dict[int, tuple[bytes, bytes, np.ndarray]] = {}
 
     def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
-        ndim = problem.decision_dims[t]
-        if ndim == 0:
-            return np.zeros((len(K), 0))
         if mode == "exact":
             vals, X, _ = _exact_min(problem, K, S, exact_cfg)
             minima[t] = (K.tobytes(), S.tobytes(), vals)
         else:
             f = _stage_objective(problem, _table_continuation(problem, t, post))
-            _, X, _ = _minimize_at(f, K, S, ndim, cfg, problem._ids)
+            _, X, _ = _minimize_at(f, K, S, problem.decision_dims[t], cfg, problem._ids)
         return np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
 
-    chosen = {
-        int(p): x for K, _, X in _stagewise(problem, decide) for p, x in zip(K, X)
-    }
-    decisions: dict[str, np.ndarray] = {}
-
-    def choose(p: int, S: np.ndarray) -> np.ndarray:
-        x = chosen[p]
-        if x.size:
-            decisions[tree.nodes[p].id] = x
-        return x[None, :]
-
-    value = _walk(problem, problem.state_map.initial[None, :], choose)[0]
+    value, stages = _stagewise(problem, decide)
+    chosen = {p: x for st in stages if st.X.shape[1] for p, x in zip(st.K.tolist(), st.X)}
+    decisions = {problem._ids[p]: chosen[p] for p in _depth_first(problem.tree) if p in chosen}
     record = _ExactMinima(problem, exact_cfg, minima) if mode == "exact" else None
-    return float(value), AdaptedSequence(decisions, _record=record)
+    return value, AdaptedSequence(decisions, _record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -1186,36 +1149,30 @@ class _ExactMinima:
         return vals if k == K.tobytes() and s == S.tobytes() else None
 
 
-def exact_cost_to_go(
-    problem: Problem, node_id: str, state, cfg: SolveConfig | None = None
-) -> float:
-    """Optimal cost-to-go from a node given its entering state (no tables)."""
-    cfg = (cfg or DEFAULT_CONFIG).exact_refine()
-    K = np.array([problem.tree.index(node_id)])
-    state = np.atleast_1d(np.asarray(state, dtype=float))
-    return float(_exact_min(problem, K, state[None, :], cfg)[0][0])
-
-
 # ---------------------------------------------------------------------------
 # strategies: evaluation, expectation chains, verification
 # ---------------------------------------------------------------------------
 
 
-def _strategy_choice(
+def _strategy_decisions(
     problem: Problem, strategy: AdaptedSequence
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The strategy's decision at each node, as a ``_walk`` chooser."""
-    nodes = problem.tree.nodes
+) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+    """The strategy's decisions at each stage, as a ``_stagewise`` decider.
 
-    def choose(p: int, S: np.ndarray) -> np.ndarray:
-        node_id = nodes[p].id
-        ndim = problem.decision_dim(node_id)
-        x = strategy.at(node_id) if ndim > 0 else np.zeros(0)
-        if x.shape != (ndim,):
-            raise ValueError(f"strategy at {node_id!r} has dimension {x.shape}, want {ndim}")
-        return np.repeat(x[None, :], S.shape[0], axis=0)
+    A decision node without a decision of the stage's dimension raises
+    ValueError naming it."""
 
-    return choose
+    def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
+        ndim = problem.decision_dims[t]
+        ids = [problem._ids[p] for p in K.tolist()]
+        xs = [strategy.values.get(i) for i in ids]
+        for node_id, x in zip(ids, xs):
+            if x is None or np.shape(x) != (ndim,):
+                have = "no decision" if x is None else f"dimension {np.shape(x)}"
+                raise ValueError(f"strategy at {node_id!r} has {have}, want {ndim}")
+        return np.array(xs, dtype=float)
+
+    return decide
 
 
 def _strategy_points(
@@ -1224,9 +1181,9 @@ def _strategy_points(
     result: "SolveResult | None",
     cfg: SolveConfig,
     method: str,
-) -> list[tuple]:
-    """Per stage along the strategy: (objective f, positions K, entering
-    states S, decisions X, f(K, S, X)), one row per node.
+) -> list[tuple[Callable, _Stage, np.ndarray]]:
+    """Per stage along the strategy: (objective f, the stage of the pass,
+    f at the strategy's decisions), one row per node.
 
     ``method="tables"`` gives f the solver's table continuation,
     ``method="exact"`` the nested recursion's.
@@ -1236,42 +1193,31 @@ def _strategy_points(
             raise ValueError("a solve result is required for method='tables'")
     elif method != "exact":
         raise ValueError(f"unknown verification method {method!r}")
-    choose = _strategy_choice(problem, strategy)
-
-    def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return np.concatenate([choose(int(p), S[i : i + 1]) for i, p in enumerate(K)])
-
     points = []
-    for t, (K, S, X) in enumerate(_stagewise(problem, decide)):
+    for t, st in enumerate(_stagewise(problem, _strategy_decisions(problem, strategy))[1]):
         if method == "exact":
             cont = _exact_continuation(problem, t, cfg.exact_refine())
         else:
             cont = _table_continuation(problem, t, result.post_tables)
-        f = _stage_objective(problem, cont)
-        points.append((f, K, S, X, f(K, S, X)))
+        points.append((_stage_objective(problem, cont), st, st.cost + cont(st.K, st.post)))
     return points
 
 
 def _chain(problem: Problem, points: list[tuple]) -> list[float]:
     """E h_t for t = 0..T: earlier stage costs plus each node's objective value."""
-    tree = problem.tree
-    past = np.zeros(len(tree))
+    probabilities = problem.tree.probabilities
     chain: list[float] = []
-    for _, K, S, X, here in points:
+    for _, st, here in points:
         total = 0.0
-        for v in (tree.probabilities[K] * (past[K] + here)).tolist():
+        for v in (probabilities[st.K] * (st.past + here)).tolist():
             total += v
         chain.append(float(total))
-        stage = problem.stage_values(K, S, X)
-        for rows, kids, _ in _child_slots(tree, K):
-            past[kids] = past[K[rows]] + stage[rows]
     return chain
 
 
 def evaluate_strategy(problem: Problem, strategy: AdaptedSequence) -> float:
     """Exact expected objective of an adapted strategy."""
-    S0 = problem.state_map.initial[None, :]
-    return float(_walk(problem, S0, _strategy_choice(problem, strategy))[0])
+    return _stagewise(problem, _strategy_decisions(problem, strategy))[0]
 
 
 def expectation_chain(
@@ -1344,7 +1290,7 @@ def verify_optimality(
     search when the strategy was returned by ``forward_pass(mode="exact")``
     (or ``backward_solve(forward="exact")``) on this same problem object,
     with a config whose :meth:`SolveConfig.exact_refine` compares equal,
-    and the walk enters the stage at bit-identical (node, state) rows:
+    and the strategy enters the stage at bit-identical (node, state) rows:
     the forward pass computed exactly these minima.  Every other strategy
     (copies, sums, bumped or edited ones) and every other config is
     searched as usual; the chain is always evaluated.
@@ -1355,7 +1301,7 @@ def verify_optimality(
     record = strategy._record
     recorded = method == "exact" and isinstance(record, _ExactMinima)
     gaps: dict[str, float] = {}
-    for t, (f, K, S, X, here) in enumerate(points):
+    for t, (f, (K, S, X, *_), here) in enumerate(points):
         if X.shape[1] == 0:
             # no decision: the minimum is the chain's own value at the same rows
             _reject_nan(here, None, problem._ids, K)
@@ -1395,10 +1341,11 @@ def brute_force(
     its stage value, transition and leaf value are evaluated once per
     combination of those decisions: on an array with one axis per decision
     node (``problem.decision_nodes()`` order), of the size of the product
-    of its path's grid sizes.  Siblings are then summed with ``_walk``'s
-    arithmetic, element by element, in C-order blocks of at most
-    ``_BF_BLOCK`` joint choices, so the value and the strategy are those
-    of a walk per joint choice, bit for bit.  More than ``guard`` joint
+    of its path's grid sizes.  Siblings are then summed with the
+    arithmetic of :func:`_stagewise` (path cost plus leaf value, then each
+    node's children in tree order), element by element, in C-order blocks
+    of at most ``_BF_BLOCK`` joint choices, so the value and the strategy
+    are those of :func:`evaluate_strategy` per joint choice, bit for bit.  More than ``guard`` joint
     choices raise :class:`BudgetExceeded` before any evaluation; a decision
     node without a grid, or with a grid of no rows or of the wrong width,
     raises ValueError naming it.

@@ -315,12 +315,12 @@ class TestOracle:
         out = tmp_path / "o"
         code = cli.main(["oracle", str(path), "--grids=-1:1:2", "--radius", "1",
                          "--points", "17", "--out", str(out)])
-        assert code == 0
+        assert code == 2
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["brute_force_value"] == report["gap"] == "inf"
         assert isinstance(report["solve_value"], float)
         assert report["tolerance"] == 1e-3
-        assert report["pass"] is False
+        assert report["pass"] is False and report["exit_code"] == 2
 
     def test_budget_exceeded_exit_5(self, superlinear_file, tmp_path, capsys):
         code = cli.main([

@@ -40,16 +40,28 @@ def quad_problem():
     return dp.history_problem(tree, [1], {"r": f}, lower_bound=0.0)
 
 
+def minimize_section(f, state, cfg=dp.DEFAULT_CONFIG):
+    """Minimize ``f(state, .)`` over the trailing decision block with the
+    solver's search; (+inf, empty) when no finite value exists."""
+    state = np.atleast_1d(np.asarray(state, dtype=float))
+    vals, xs, _ = dp._minimize_at(
+        lambda K, S, X: f.value_many(np.hstack([S, X])),
+        np.zeros(1, dtype=np.int64), state[None, :], f.dim - state.shape[0], cfg,
+    )
+    val = float(vals[0])
+    return val, (xs[0] if math.isfinite(val) else np.zeros(0))
+
+
 class TestMinimizeSection:
     def test_quadratic(self):
         f = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-3.0])
-        val, arg = dp.minimize_section(f, [])
+        val, arg = minimize_section(f, [])
         assert val == pytest.approx(0.0, abs=1e-6)
         assert arg[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_linear_over_box(self):
         f = Sum((IndicatorBox([0.0], [1.0]), Affine([1.0], 0.0)))
-        val, arg = dp.minimize_section(f, [])
+        val, arg = minimize_section(f, [])
         assert val == pytest.approx(0.0, abs=1e-9)
         assert arg[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -66,27 +78,27 @@ class TestMinimizeSection:
                        (np.arange(-5000, 5001) / 1000.0 - 1) ** 2 + 0.5),
             slope_left=-INF, slope_right=INF,
         )
-        val, arg = dp.minimize_section(f, [])
+        val, arg = minimize_section(f, [])
         assert val == pytest.approx(0.0, abs=1e-6)
         assert arg[0] == pytest.approx(-1.0, abs=1e-3)
 
     def test_uniformly_infeasible(self):
         f = Sum((IndicatorBox([0.0], [1.0]), IndicatorBox([2.0], [3.0])))
-        val, arg = dp.minimize_section(f, [])
+        val, arg = minimize_section(f, [])
         assert val == INF
         assert arg.size == 0
 
     def test_with_state_block(self):
         # f(s, x) = (x - s)^2 at s = 1.25
         f = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[-1.0, 1.0]])
-        val, arg = dp.minimize_section(f, [1.25])
+        val, arg = minimize_section(f, [1.25])
         assert val == pytest.approx(0.0, abs=1e-9)
         assert arg[0] == pytest.approx(1.25, abs=1e-6)
 
     def test_flat_direction_exhausts(self):
         f = Affine([0.0], 1.0)  # constant: no boundary dominance ever
         with pytest.raises(dp.SearchBoxExhausted):
-            dp.minimize_section(f, [])
+            minimize_section(f, [])
 
     def test_nan_objective_fails_closed(self):
         # np.argmin would take the NaN for the minimum
@@ -112,12 +124,6 @@ class TestMinimizeSection:
             inner = AffinePrecompose(PowerCost(1.0, 2.0, dim + 1), np.eye(dim + 1))
             assert PartialMin(inner, 1).value_many(np.zeros((0, 1))).shape == (0,)
 
-    def test_horizon_precheck(self):
-        f = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-3.0])
-        from treedp.efun import Homog1D
-        with pytest.raises(td.HorizonConditionViolated):
-            dp.minimize_section(f, [], decision_horizon=Homog1D(0.0, 1.0))
-
     def test_ties_break_to_lexicographic_smallest(self):
         # symmetric double well on the decision grid: both +-1 are minima
         f = Sampled1D(
@@ -125,7 +131,7 @@ class TestMinimizeSection:
             slope_left=-INF, slope_right=INF,
         )
         cfg = dp.SolveConfig(grid_points=5, eps_ref=1.0)  # grid only, B=1..2
-        val, arg = dp.minimize_section(f, [], cfg=cfg)
+        val, arg = minimize_section(f, [], cfg=cfg)
         assert arg[0] == -1.0
 
 
@@ -381,17 +387,31 @@ def reference_brute_force(problem, grids):
 
 
 def walk_brute_force(problem, grids, rows=4096):
-    """The same enumeration with one ``_walk`` per chunk of joint choices."""
+    """The same enumeration with one depth-first walk per chunk of joint
+    choices, each node evaluated on all rows of the chunk."""
+    tree = problem.tree
     nodes = [n.id for n in problem.decision_nodes()]
     mats = [grids[n] for n in nodes]
     combos = np.indices([len(g) for g in mats]).reshape(len(mats), -1)
-    ids = problem._ids
+
+    def visit(node, S, acc, dec):
+        K = np.full(S.shape[0], tree.index(node.id))
+        X = dec.get(node.id, np.zeros((len(S), 0)))
+        acc = acc + problem.stage_values(K, S, X)
+        nxt = problem.state_map.transition(K, S, X)
+        if tree.is_leaf(node.id):
+            return acc + problem.leaf_values(K, nxt)
+        out = np.zeros(S.shape[0])
+        for child in tree.children(node.id):
+            out += child.prob * visit(child, nxt, acc, dec)
+        return out
+
     best, arg = INF, {}
     for a in range(0, combos.shape[1], rows):
         C = combos[:, a : a + rows]
         dec = {n: g[c] for n, g, c in zip(nodes, mats, C)}
         S0 = np.repeat(problem.state_map.initial[None, :], C.shape[1], axis=0)
-        vals = dp._walk(problem, S0, lambda p, S: dec.get(ids[p], np.zeros((len(S), 0))))
+        vals = visit(tree.root, S0, np.zeros(C.shape[1]), dec)
         j = int(np.argmin(vals))
         if vals[j] < best:
             best, arg = float(vals[j]), {n: d[j] for n, d in dec.items()}
@@ -568,6 +588,81 @@ class TestBruteForceReference:
             grids["u"] = np.zeros((0, 1))
         with pytest.raises(ValueError, match="'u'"):
             dp.brute_force(problem, grids)
+
+
+STRATEGY_ENTRIES = {
+    "evaluate_strategy": lambda problem, s: dp.evaluate_strategy(problem, s),
+    "expectation_chain": lambda problem, s: dp.expectation_chain(problem, s, method="exact"),
+    "verify_optimality": lambda problem, s: dp.verify_optimality(problem, None, s, method="exact"),
+}
+
+
+class TestStagewisePass:
+    """``evaluate_strategy`` and the chain follow a strategy one stage per call."""
+
+    @staticmethod
+    def assert_one_choice_brute_force(problem, strategy):
+        one = {n.id: [strategy.at(n.id)] for n in problem.decision_nodes()}
+        got = dp.evaluate_strategy(problem, strategy)
+        assert np.float64(got).tobytes() == np.float64(dp.brute_force(problem, one)[0]).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BENCH_BUILDERS))
+    def test_fixture_equals_brute_force_of_one_choice(self, name):
+        bench = get_bench(name)
+        problem = bench.oracle_target()
+        rng = np.random.default_rng(7)
+        r = bench.draw_radius
+        strategy = td.AdaptedSequence({
+            n.id: rng.uniform(-r, r, problem.decision_dim(n.id)) for n in problem.decision_nodes()
+        })
+        self.assert_one_choice_brute_force(problem, strategy)
+
+    @pytest.mark.parametrize("dims", [[1, 1, 1], [1, 0, 1], [0, 1, 0]])
+    def test_uneven_branching_equals_brute_force_of_one_choice(self, dims):
+        # r has 2 children and a has 3: the partial third child slot
+        problem = history_case(uneven_tree(), dims, seed=sum(dims))
+        rng = np.random.default_rng(8)
+        strategy = td.AdaptedSequence(
+            {n.id: rng.uniform(-1.0, 1.0, 1) for n in problem.decision_nodes()})
+        self.assert_one_choice_brute_force(problem, strategy)
+
+    def test_one_call_per_stage(self, monkeypatch):
+        T = 9
+        calls = {"stage_values": 0, "transition": 0}
+        problem = history_case(binomial_tree(T), [1] * (T + 1))
+        history = problem.state_map.transition
+
+        def transition(K, S, X):
+            calls["transition"] += 1
+            return history(K, S, X)
+
+        problem = replace(problem, state_map=replace(problem.state_map, transition=transition))
+        stage_values = dp.Problem.stage_values
+
+        def counted(self, K, S, X):
+            calls["stage_values"] += 1
+            return stage_values(self, K, S, X)
+
+        monkeypatch.setattr(dp.Problem, "stage_values", counted)
+        rng = np.random.default_rng(9)
+        strategy = td.AdaptedSequence(
+            {n.id: rng.uniform(-1.0, 1.0, 1) for n in problem.tree.nodes})
+        value = dp.evaluate_strategy(problem, strategy)
+        assert calls == {"stage_values": T + 1, "transition": T + 1}
+        assert value == _ref_walk(problem, lambda node, S: strategy.at(node.id)[None, :])
+
+    @pytest.mark.parametrize("entry", sorted(STRATEGY_ENTRIES))
+    @pytest.mark.parametrize("strategy, message", [
+        ({"u": [0.5]}, "strategy at 'd' has no decision, want 1"),
+        ({"u": [0.5], "d": [0.5, 0.5]}, r"strategy at 'd' has dimension \(2,\), want 1"),
+    ])
+    def test_bad_decision_names_the_node(self, entry, strategy, message):
+        tree = binomial_tree(1)
+        leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-0.5 - i])
+                  for i, leaf in enumerate(tree.leaves)}
+        problem = dp.history_problem(tree, [0, 1], leaves, lower_bound=0.0)
+        with pytest.raises(ValueError, match=message):
+            STRATEGY_ENTRIES[entry](problem, td.AdaptedSequence(strategy))
 
 
 class TestSolveInvariants:
@@ -1233,7 +1328,8 @@ class TestStageBatchedMatchesPerNode:
             node = tree.children(tree.root.id)[0]
             states = problem.state_map.transition(root, S0, x0)
         ref = _ref_exact_min(problem, node, states, cfg.exact_refine())[0][0]
-        assert dp.exact_cost_to_go(problem, node.id, states[0], cfg) == ref
+        K = np.array([tree.index(node.id)])
+        assert dp._exact_min(problem, K, states[:1], cfg.exact_refine())[0][0] == ref
 
 
 def _fan_problem(stage_funs) -> dp.Problem:
