@@ -35,7 +35,6 @@ from .efun import (
     horizon,
     horizon_numeric,
     horizon_with_flags,
-    is_nonnegative_on,
     to_spec,
 )
 from .dp import (

@@ -160,12 +160,10 @@ def _oracle_grids(problem, spec: str) -> dict[str, np.ndarray]:
         print(f"error: bad grid spec {spec!r}, want lo:hi:count", file=sys.stderr)
         raise SystemExit(EXIT_MALFORMED)
     axis = np.linspace(lo, hi, n)
-    grids = {}
-    for node in problem.decision_nodes():
-        dim = problem.decision_dim(node.id)
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        grids[node.id] = np.stack(mesh, axis=-1).reshape(-1, dim)
-    return grids
+    return {
+        node.id: dp._decision_mesh(axis, problem.decision_dim(node.id))
+        for node in problem.decision_nodes()
+    }
 
 
 def cmd_oracle(args) -> int:

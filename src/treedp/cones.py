@@ -472,7 +472,8 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     The same construction serves every input, history mode included: the
     projected problem keeps the original state (dims, initial state and
     leaf objectives), its transition and stage functions map each reduced
-    decision Y back to the original decision Q Y, and its
+    decision Y back to the original decision Q Y (a callable stage
+    function gets the post-decision state unchanged), and its
     ``meta["path_objectives"]`` are :func:`path_objectives` of the input
     (explicit or derived from the history) composed with each leaf path's
     block-diagonal basis, so the projected problem can be checked again.
@@ -527,7 +528,7 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
                 stage_funs[nid] = AffinePrecompose(sf, block_diag(np.eye(sdim), Q))
             else:
                 if id(sf) not in wrapped:
-                    wrapped[id(sf)] = lambda K, S, Y, _f=sf: _f(K, S, to_decision(K, Y))
+                    wrapped[id(sf)] = lambda K, S, Y, post, _f=sf: _f(K, S, to_decision(K, Y), post)
                 stage_funs[nid] = wrapped[id(sf)]
 
     meta = dict(problem.meta)

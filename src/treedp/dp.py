@@ -23,10 +23,12 @@ trees the nested recursion also verifies optimality
 (``verify_optimality(..., method="exact")``), reusing the minima that the
 exact forward pass attached to the strategy it returned.
 
-One stage-batched pass (:func:`_stagewise`) follows decisions down the
-tree and prices them for the forward passes, :func:`evaluate_strategy`,
-the expectation chain and the verifier; brute force keeps its own walk,
-as the independent oracle.
+One stage step (:meth:`Problem.step`) evaluates each row's transition
+and stage cost once, for the search objective, the stage-batched pass
+and brute force.  One stage-batched pass (:func:`_stagewise`) follows
+decisions down the tree and prices them for the forward passes,
+:func:`evaluate_strategy`, the expectation chain and the verifier; brute
+force keeps its own walk, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class StateMap:
         )
 
 
-StageFun = ExtFun | Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+StageFun = ExtFun | Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -215,10 +217,11 @@ class Problem:
     coordinates.
 
     Stage functions are ExtFuns of (state, decision) or callables
-    ``(K, S, X)`` with the row convention of :class:`StateMap`.  Rows are
-    evaluated per distinct function object, so nodes that share one
-    object (a builder's per-stage constraint, one leaf objective per
-    utility) are evaluated in one call.
+    ``(K, S, X, post)`` with the row convention of :class:`StateMap`;
+    ``post`` is the rows' post-decision state, computed once by
+    :meth:`step`.  Rows are evaluated per distinct function object, so
+    nodes that share one object (a builder's per-stage constraint, one
+    leaf objective per utility) are evaluated in one call.
     """
 
     tree: ScenarioTree
@@ -250,15 +253,19 @@ class Problem:
     def decision_nodes(self) -> list[Node]:
         return [n for n in self.tree.nodes if self.decision_dim(n.id) > 0]
 
-    def stage_values(self, K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def step(self, K: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stage cost, post-decision state) of each row: the transition
+        runs once, then the stage functions (an ExtFun sees ``[S, X]``)."""
+        post = self.state_map.transition(K, S, X)
+
         def evaluate(fn, rows):
             if fn is None:
                 return np.zeros(S[rows].shape[0])
             if isinstance(fn, ExtFun):
                 return fn.value_many(np.hstack([S[rows], X[rows]]))
-            return fn(K[rows], S[rows], X[rows])
+            return fn(K[rows], S[rows], X[rows], post[rows])
 
-        return self._stage_groups.map(K, evaluate)
+        return self._stage_groups.map(K, evaluate), post
 
     def leaf_values(self, K: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Leaf objective of each row's leaf at its terminal state."""
@@ -780,8 +787,8 @@ def _stage_objective(
     """The recursion at a stage: (K, S, X) -> stage cost + cont(K, post-decision state)."""
 
     def f(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        vals = problem.stage_values(K, S, X)
-        return vals + cont(K, problem.state_map.transition(K, S, X))
+        cost, post = problem.step(K, S, X)
+        return cost + cont(K, post)
 
     return f
 
@@ -880,10 +887,10 @@ def _stagewise(
     ``decide(t, K, S)`` returns the decisions of the stage-t nodes K at
     their entering states S (one row per node); a decision-free stage
     decides nothing without calling it.  Each stage evaluates its stage
-    values and transitions in one call each, and stage T its leaf values;
-    a NaN stage or leaf value raises :class:`NumericFailure` naming the
-    first such node in stage order.  A node's path cost is its parent's
-    plus its own stage value.  Returns the expected total cost at the
+    values and transitions in one :meth:`Problem.step`, and stage T its
+    leaf values; a NaN stage or leaf value raises :class:`NumericFailure`
+    naming the first such node in stage order.  A node's path cost is its
+    parent's plus its own stage value.  Returns the expected total cost at the
     root (each leaf's path cost plus leaf value, combined backward by
     conditional expectation) and the stages.
     """
@@ -898,9 +905,8 @@ def _stagewise(
             up = tree.stage_index[tree.parent_pos[K]]
             S, past = post[up], path[up]
         X = decide(t, K, S) if problem.decision_dims[t] else np.zeros((len(K), 0))
-        cost = problem.stage_values(K, S, X)
+        cost, post = problem.step(K, S, X)
         _reject_nan(cost, None, problem._ids, K)
-        post = problem.state_map.transition(K, S, X)
         path = past + cost
         stages.append(_Stage(K, S, X, past, cost, post))
     leaf = problem.leaf_values(K, post)
@@ -1338,7 +1344,7 @@ def brute_force(
     no interpolation, no refinement.
 
     A node's entering state depends only on the decisions on its path, so
-    its stage value, transition and leaf value are evaluated once per
+    its step (:meth:`Problem.step`) and leaf value are evaluated once per
     combination of those decisions: on an array with one axis per decision
     node (``problem.decision_nodes()`` order), of the size of the product
     of its path's grid sizes.  Siblings are then summed with the
@@ -1395,10 +1401,9 @@ def brute_force(
         Srows = np.broadcast_to(S, shape + S.shape[-1:]).reshape(m, S.shape[-1])
         Xrows = np.broadcast_to(X, shape + X.shape[-1:]).reshape(m, X.shape[-1])
         K = np.full(m, p)
-        here = problem.stage_values(K, Srows, Xrows)
+        here, nxt = problem.step(K, Srows, Xrows)
         _reject_nan(here, None, ids, K)
         acc = acc + here.reshape(shape)
-        nxt = problem.state_map.transition(K, Srows, Xrows)
         if tree.times[p] == T:
             leaf = problem.leaf_values(K, nxt)
             _reject_nan(leaf, None, ids, K)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._polyhedral import cone_nonzero_direction, linprog
+from ._polyhedral import cone_nonzero_direction
 
 INF = math.inf
 
@@ -643,20 +643,6 @@ def horizon_numeric(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Outcome of a nonnegativity check.
-
-    ``verdict`` is "nonnegative" (analytic certificate), "violated" (with a
-    witness point), or "sampled-nonnegative" (weaker: a sampling sweep
-    found no violation).
-    """
-
-    verdict: str
-    witness: np.ndarray | None
-    method: str
-
-
 def _analytic_nonneg(f: ExtFun) -> bool | None:
     """True if f >= 0 everywhere is certified analytically, False if f is
     certainly negative somewhere, None if inconclusive."""
@@ -755,120 +741,17 @@ def sublevel_zero_cone(f: ExtFun) -> np.ndarray | None:
     return None
 
 
-def _sphere_directions(dim: int, step: float = 1e-2, cap: int = 10000) -> np.ndarray:
+def _sphere_directions(dim: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
-        ang = np.arange(0.0, 2 * math.pi, step)
+        ang = np.arange(0.0, 2 * math.pi, 1e-2)
         return np.column_stack([np.cos(ang), np.sin(ang)])
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((cap, dim))
+    dirs = rng.standard_normal((10000, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
     return np.vstack([axes, dirs])
-
-
-def _sum_nonneg_lp(f: "Sum", region: ExtFun | None) -> SignReport | None:
-    """Indicator children cut a polyhedral cone; one linear child is then
-    checked on it exactly by a bounded LP."""
-    rows: list[np.ndarray] = []
-    signed: list[tuple[float, ExtFun]] = []
-    for w, t in zip(f.weights, f.terms):
-        if t.is_indicator():
-            sub = sublevel_zero_cone(t)
-            if sub is None:
-                return None
-            rows.append(sub)
-            continue
-        if _analytic_nonneg(t) is True:
-            continue
-        signed.append((w, t))
-    if len(signed) != 1:
-        return None
-    w0, t0 = signed[0]
-    if not isinstance(t0, Affine) or t0.b != 0.0:
-        return None
-    if isinstance(region, IndicatorPolyCone):
-        rows.append(region.normals)
-    elif region is not None:
-        return None
-    R = np.vstack(rows) if rows else np.zeros((0, f.dim))
-    res = linprog(
-        w0 * t0.a,
-        A_ub=R if R.size else None,
-        b_ub=np.zeros(R.shape[0]) if R.size else None,
-        bounds=[(-1.0, 1.0)] * f.dim,
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    if res.fun >= -1e-9:
-        return SignReport("nonnegative", None, "analytic: linear programming over the cone")
-    x = np.asarray(res.x, dtype=float)
-    x[np.abs(x) < 1e-12] = 0.0
-    if f.value(x) < -1e-12:
-        return SignReport("violated", x, "analytic: linear programming over the cone")
-    return None
-
-
-def is_nonnegative_on(
-    f: ExtFun, region: ExtFun | None = None, step: float = 1e-2
-) -> SignReport:
-    """Decide whether f >= 0 on a region (a box/cone indicator, or all of R^n).
-
-    Structured expressions are decided analytically; otherwise the unit
-    sphere of the region is sampled with the given step and the result is
-    either a violating point or a weaker "sampled, no violation"
-    certificate, flagged as such.
-    """
-    nn = _analytic_nonneg(f)
-    if nn is True:
-        return SignReport("nonnegative", None, "analytic")
-    if isinstance(f, Sum):
-        rep = _sum_nonneg_lp(f, region)
-        if rep is not None:
-            return rep
-    if isinstance(f, Affine) and (region is None or isinstance(region, IndicatorBox)):
-        lo = region.lower if region is not None else np.full(f.dim, -INF)
-        up = region.upper if region is not None else np.full(f.dim, INF)
-        total = f.b
-        for i in range(f.dim):
-            c = f.a[i]
-            if c > 0:
-                total += c * lo[i] if not math.isinf(lo[i]) else -INF
-            elif c < 0:
-                total += c * up[i] if not math.isinf(up[i]) else -INF
-        if total >= 0:
-            return SignReport("nonnegative", None, "analytic")
-        for scale in (1.0, 2.0, 4.0, 8.0, 16.0):
-            x = np.where(
-                f.a > 0,
-                np.maximum(lo, -scale),
-                np.where(f.a < 0, np.minimum(up, scale), 0.0),
-            )
-            x = np.clip(x, lo, up)
-            if f.value(x) < 0:
-                return SignReport("violated", x, "analytic")
-        return SignReport("sampled-nonnegative", None, "analytic-inconclusive")
-    if isinstance(f, Homog1D):
-        lo, up = -INF, INF
-        if isinstance(region, IndicatorBox):
-            lo, up = region.lower[0], region.upper[0]
-        if up > 0 and f.slope_pos < 0:
-            return SignReport("violated", np.array([min(up, 1.0)]), "analytic")
-        if lo < 0 and f.slope_neg > 0:
-            return SignReport("violated", np.array([max(lo, -1.0)]), "analytic")
-        return SignReport("nonnegative", None, "analytic")
-    dirs = _sphere_directions(f.dim, step)
-    if region is not None:
-        inside = region.value_many(dirs) == 0.0
-        dirs = dirs[inside]
-    if dirs.shape[0]:
-        vals = f.value_many(dirs)
-        bad = np.where(vals < -1e-12)[0]
-        if bad.size:
-            return SignReport("violated", dirs[bad[0]], "sampled")
-    return SignReport("sampled-nonnegative", None, "sampled")
 
 
 def positivity_off_origin(f: ExtFun) -> tuple[str, np.ndarray | None]:

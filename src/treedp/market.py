@@ -679,9 +679,9 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
     def borrowing_limit(box: ExtFun | None) -> StageFun:
         lower = model.cash_lower - 1e-12
 
-        def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
+        def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray, post: np.ndarray) -> np.ndarray:
             vals = 0.0 if box is None else box.value_many(np.hstack([S, X]))
-            return vals + np.where(transition(K, S, X)[:, 0] >= lower, 0.0, INF)
+            return vals + np.where(post[:, 0] >= lower, 0.0, INF)
 
         return fn
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -358,6 +359,35 @@ class TestProjectProblem:
         assert dp.evaluate_strategy(projected, res.strategy) == res.forward_value
         bf, _ = dp.brute_force(projected, {"r": np.linspace(-2.0, 2.0, 401)})
         assert bf == pytest.approx(res.forward_value, abs=1e-3)
+
+    def test_projected_borrowing_limit_matches_unprojected_brute_force(self):
+        # two identical assets bought from cash 1 with the floor at 0.8: the
+        # limit (a callable reading the post-trade cash) caps the position at
+        # 0.2 and binds, while the swap (1, -1) stays a null direction
+        model = dataclasses.replace(duplicated_asset_model(), cash_lower=0.8)
+        problem = market.build_problem_cash(model, radius=2.0, points=33)
+        ds = cones.null_space(problem)
+        assert ds.kind == "exact" and ds.per_node["r"].shape == (2, 1)
+        swap = ds.per_node["r"][:, 0]
+        assert abs(swap[0] + swap[1]) < 1e-12 and abs(swap[0]) > 0.5
+        projected = cones.project_problem(problem, ds)
+        assert projected.decision_dims == (1, 0)
+        assert callable(projected.stage_funs["r"])
+        assert not isinstance(projected.stage_funs["r"], efun.ExtFun)
+        res = dp.backward_solve(projected, cfg=dp.SolveConfig(eps_ref=1e-12))
+        # on this grid the unprojected minimum lies on the floor, at holdings
+        # summing to 0.2 (first in grid order: -0.3 and 0.5)
+        axis = np.linspace(-0.5, 0.5, 21)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        bf, choice = dp.brute_force(problem, {"r": grid})
+        assert choice.at("r").sum() == pytest.approx(0.2, abs=1e-15)
+        assert res.value == pytest.approx(bf, abs=1e-9)
+        assert res.forward_value == pytest.approx(bf, abs=1e-9)
+        free = dataclasses.replace(model, cash_lower=None)
+        free_problem = market.build_problem_cash(free, radius=2.0, points=33)
+        free_res = dp.backward_solve(
+            cones.project_problem(free_problem, cones.null_space(free_problem)))
+        assert res.value > free_res.value + 1e-3
 
     def test_null_direction_indifference(self):
         problem = market.build_problem_cash(duplicated_asset_model())

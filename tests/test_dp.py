@@ -358,7 +358,7 @@ class TestBruteForce:
                   for i, leaf in enumerate(tree.leaves)}
         stage_funs = None
         if where == "stage":
-            stage_funs = {"r": lambda K, S, X: np.full(len(K), np.nan)}
+            stage_funs = {"r": lambda K, S, X, post: np.full(len(K), np.nan)}
         else:
             leaves["d"] = NanLeaf([1.0])
         problem = dp.history_problem(tree, [0, 1], leaves, lower_bound=0.0,
@@ -397,8 +397,8 @@ def walk_brute_force(problem, grids, rows=4096):
     def visit(node, S, acc, dec):
         K = np.full(S.shape[0], tree.index(node.id))
         X = dec.get(node.id, np.zeros((len(S), 0)))
-        acc = acc + problem.stage_values(K, S, X)
-        nxt = problem.state_map.transition(K, S, X)
+        cost, nxt = problem.step(K, S, X)
+        acc = acc + cost
         if tree.is_leaf(node.id):
             return acc + problem.leaf_values(K, nxt)
         out = np.zeros(S.shape[0])
@@ -426,7 +426,7 @@ def assert_bitwise(got, want):
         assert strategy.at(k).tobytes() == np.asarray(x, dtype=float).tobytes(), k
 
 
-def wavy_stage(K, S, X):
+def wavy_stage(K, S, X, post):
     # nonconvex in the decision, and reads the entering history
     return np.cos(3.0 * X.sum(axis=1)) + 0.25 * S.sum(axis=1)
 
@@ -459,8 +459,8 @@ def history_case(tree, dims, boxes=None, seed=0, stage=wavy_stage):
         else:
             ind = IndicatorBox(*box)
 
-            def boxed(K, S, X, ind=ind):
-                return stage(K, S, X) + ind.value_many(X)
+            def boxed(K, S, X, post, ind=ind):
+                return stage(K, S, X, post) + ind.value_many(X)
 
             stage_funs[n.id] = boxed
     return dp.history_problem(tree, dims, leaves, lower_bound=-10.0, stage_funs=stage_funs)
@@ -540,7 +540,7 @@ class TestBruteForceReference:
         tree = binomial_tree(1)
         leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[0.0, 1.0]], [-0.3 - i])
                   for i, leaf in enumerate(tree.leaves)}
-        stage_funs = {"r": lambda K, S, X: (X[:, 0] ** 2 - 1.0) ** 2}
+        stage_funs = {"r": lambda K, S, X, post: (X[:, 0] ** 2 - 1.0) ** 2}
         problem = dp.history_problem(tree, [1, 1], leaves, lower_bound=0.0,
                                      stage_funs=stage_funs)
         grids = {"r": axis_grid(-1.5, 1.5, 7), "u": axis_grid(-1.0, 1.0, 5),
@@ -560,10 +560,10 @@ class TestBruteForceReference:
     def test_each_node_once_per_path_choice(self):
         rows: dict[str, int] = {}
 
-        def counting(K, S, X):
+        def counting(K, S, X, post):
             node = problem._ids[int(K[0])]
             rows[node] = rows.get(node, 0) + len(K)
-            return wavy_stage(K, S, X)
+            return wavy_stage(K, S, X, post)
 
         tree = uneven_tree()
         problem = history_case(tree, [1, 1, 0], stage=counting)
@@ -577,7 +577,7 @@ class TestBruteForceReference:
 
     @pytest.mark.parametrize("grid", ["missing", "empty"])
     def test_malformed_grid_names_the_node(self, grid):
-        def untouchable(K, S, X):
+        def untouchable(K, S, X, post):
             raise AssertionError("evaluated before the grids were checked")
 
         problem = history_case(binomial_tree(1), [1, 1], stage=untouchable)
@@ -628,7 +628,7 @@ class TestStagewisePass:
 
     def test_one_call_per_stage(self, monkeypatch):
         T = 9
-        calls = {"stage_values": 0, "transition": 0}
+        calls = {"step": 0, "transition": 0}
         problem = history_case(binomial_tree(T), [1] * (T + 1))
         history = problem.state_map.transition
 
@@ -637,18 +637,18 @@ class TestStagewisePass:
             return history(K, S, X)
 
         problem = replace(problem, state_map=replace(problem.state_map, transition=transition))
-        stage_values = dp.Problem.stage_values
+        step = dp.Problem.step
 
         def counted(self, K, S, X):
-            calls["stage_values"] += 1
-            return stage_values(self, K, S, X)
+            calls["step"] += 1
+            return step(self, K, S, X)
 
-        monkeypatch.setattr(dp.Problem, "stage_values", counted)
+        monkeypatch.setattr(dp.Problem, "step", counted)
         rng = np.random.default_rng(9)
         strategy = td.AdaptedSequence(
             {n.id: rng.uniform(-1.0, 1.0, 1) for n in problem.tree.nodes})
         value = dp.evaluate_strategy(problem, strategy)
-        assert calls == {"stage_values": T + 1, "transition": T + 1}
+        assert calls == {"step": T + 1, "transition": T + 1}
         assert value == _ref_walk(problem, lambda node, S: strategy.at(node.id)[None, :])
 
     @pytest.mark.parametrize("entry", sorted(STRATEGY_ENTRIES))
@@ -850,7 +850,8 @@ class TestExports:
 def _ref_objective(problem, node, cont):
     def f(S, X):
         K = np.full(S.shape[0], problem.tree.index(node.id))
-        return problem.stage_values(K, S, X) + cont(problem.state_map.transition(K, S, X))
+        cost, post = problem.step(K, S, X)
+        return cost + cont(post)
 
     return f
 
@@ -1025,8 +1026,8 @@ def _ref_walk(problem, choose):
     def visit(node, S, acc):
         K = np.full(S.shape[0], tree.index(node.id))
         X = choose(node, S)
-        acc = acc + problem.stage_values(K, S, X)
-        nxt = problem.state_map.transition(K, S, X)
+        cost, nxt = problem.step(K, S, X)
+        acc = acc + cost
         if tree.is_leaf(node.id):
             return acc + problem.leaf_objective[node.id].value_many(nxt)
         out = np.zeros(S.shape[0])
@@ -1083,7 +1084,7 @@ def _ref_verify(problem, post, strategy, cfg, method):
             _, S, X, here = points[node.id]
             total += tree.probability(node.id) * (past[node.id] + here)
             K = np.full(1, tree.index(node.id))
-            stage = float(problem.stage_values(K, S, X)[0])
+            stage = float(problem.step(K, S, X)[0][0])
             for child in tree.children(node.id):
                 past[child.id] = past[node.id] + stage
         chain.append(float(total))
@@ -1352,7 +1353,7 @@ def _fan_problem(stage_funs) -> dp.Problem:
 FAN_GRIDS = {t: (np.linspace(-2.0, 2.0, 41),) for t in (0, 1)}
 
 
-def _bowl(K, S, X):
+def _bowl(K, S, X, post=None):
     return (X[:, 0] - S[:, 0]) ** 2
 
 
@@ -1375,13 +1376,13 @@ class TestSplitSearch:
     def test_errors_as_at_one_thread(self, case, split_everywhere):
         if case == "stuck_in_both_parts":
             # b's rows straddle the cut: the first part alone counts 20 of 41
-            funs = {"a": _bowl, "b": lambda K, S, X: np.zeros(len(K)), "c": _bowl}
+            funs = {"a": _bowl, "b": lambda K, S, X, post: np.zeros(len(K)), "c": _bowl}
         else:
             # the first part meets its NaN at box 4, the second at box 1; the
             # search of all rows raises at box 1, naming c
-            funs = {"a": lambda K, S, X: np.where(np.abs(X[:, 0]) > 3, np.nan, 0.0),
+            funs = {"a": lambda K, S, X, post: np.where(np.abs(X[:, 0]) > 3, np.nan, 0.0),
                     "b": _bowl,
-                    "c": lambda K, S, X: np.where(X[:, 0] > 0.5, np.nan, 0.0)}
+                    "c": lambda K, S, X, post: np.where(X[:, 0] > 0.5, np.nan, 0.0)}
         want = _fan_outcome(funs, 1)
         assert not split_everywhere
         assert want[0] in ("SearchBoxExhausted", "NumericFailure")
@@ -1391,10 +1392,10 @@ class TestSplitSearch:
     def test_dead_worker_is_searched_again_here(self, split_everywhere):
         parent = os.getpid()
 
-        def killed_in_worker(K, S, X):
+        def killed_in_worker(K, S, X, post):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return _bowl(K, S, X)
+            return _bowl(K, S, X, post)
 
         funs = {"a": _bowl, "b": _bowl, "c": _bowl}
         want = _fan_outcome(funs, 1)
@@ -1404,17 +1405,17 @@ class TestSplitSearch:
     def test_interrupt_kills_and_reaps_the_workers(self, split_everywhere):
         parent = os.getpid()
 
-        def interrupted_here(K, S, X):
+        def interrupted_here(K, S, X, post):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return _bowl(K, S, X)
+            return _bowl(K, S, X, post)
 
         calls = []
 
-        def slow_worker(K, S, X):
+        def slow_worker(K, S, X, post):
             if not calls:  # a worker still searching when the caller stops
                 calls.append(time.sleep(60))
-            return _bowl(K, S, X)
+            return _bowl(K, S, X, post)
 
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
@@ -1705,7 +1706,7 @@ class TestExactVerificationReusesForwardMinima:
         leaves = {leaf.id: AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-0.5 - i])
                   for i, leaf in enumerate(tree.leaves)}
         problem = dp.history_problem(tree, [0, 1], leaves, lower_bound=0.0,
-                                     stage_funs={"r": lambda K, S, X: np.full(len(K), np.nan)})
+                                     stage_funs={"r": lambda K, S, X, post: np.full(len(K), np.nan)})
         strategy = td.AdaptedSequence({leaf.id: np.array([0.5]) for leaf in tree.leaves})
         with pytest.raises(dp.NumericFailure, match="node 'r'"):
             dp.verify_optimality(problem, None, strategy, method="exact")

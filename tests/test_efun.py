@@ -121,11 +121,13 @@ class TestHorizonRules:
         assert H.value([-1.0]) == 0.0
 
     def test_sum_affine_power_derived(self):
+        # horizon of Z*z + power cost: +inf off 0, 0 at 0
         f = Sum((Affine([1.0], 0.0), PowerCost(1.0, 2.0, 1)))
         H = td.horizon(f)
-        assert H.value([-1.0]) == INF
-        lad = td.horizon_numeric(f, [-1.0], [0.0])
-        assert lad.diverged_to_inf
+        assert H.value([0.0]) == 0.0
+        for w in (1.0, -1.0):
+            assert H.value([w]) == INF
+            assert td.horizon_numeric(f, [w], [0.0]).diverged_to_inf
 
     def test_affine(self):
         H = td.horizon(Affine([2.0, -1.0], 5.0))
@@ -316,41 +318,6 @@ class TestHorizonOracle:
                 assert rhs >= lhs - 1e-9
                 if exact:
                     assert agree(rhs, lhs, tol=1e-9)
-
-
-class TestIsNonnegativeOn:
-    def test_relu_like_certificate(self):
-        rep = td.is_nonnegative_on(Homog1D(0.0, 1.5))
-        assert rep.verdict == "nonnegative"
-
-    def test_affine_counterexample_on_halfline(self):
-        region = IndicatorBox([0.0], [INF])
-        rep = td.is_nonnegative_on(Affine([-1.0], 0.0), region)
-        assert rep.verdict == "violated"
-        assert rep.witness is not None
-        assert rep.witness[0] == pytest.approx(1.0)
-        assert Affine([-1.0], 0.0).value(rep.witness) == pytest.approx(-1.0)
-
-    def test_total_cost_horizon_certificate(self):
-        # horizon of Z*z + power cost: +inf off 0, 0 at 0
-        f = Sum((Affine([1.0], 0.0), PowerCost(1.0, 2.0, 1)))
-        H = td.horizon(f)
-        rep = td.is_nonnegative_on(H)
-        assert rep.verdict == "nonnegative"
-        assert H.value([0.0]) == 0.0
-        for w in (1.0, -1.0):
-            assert H.value([w]) == INF
-            assert td.horizon_numeric(f, [w], [0.0]).diverged_to_inf
-
-    def test_sampled_fallback(self):
-        H = td.horizon(AffinePrecompose(SShapedDisutility(2.0, 1.0, 1.0), [[1.0, 1.0]]))
-        rep = td.is_nonnegative_on(H)
-        assert rep.verdict in ("nonnegative", "sampled-nonnegative")
-        rep2 = td.is_nonnegative_on(
-            AffinePrecompose(Affine([-1.0], 0.0), [[1.0, 1.0]]),
-            IndicatorPolyCone([[-1.0, 0.0], [0.0, -1.0]]),
-        )
-        assert rep2.verdict == "violated"
 
 
 # the examples of README's "Function expressions", children filled in

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -210,6 +211,36 @@ class TestBuilders:
         # the limit binds: no borrowing means a smaller position, a worse value
         assert cash > free_cash + tol
         assert term > free_term + tol
+
+    def test_nonbinding_limit_costs_nothing(self, monkeypatch):
+        # the limit reads the post-trade cash of the one transition per row, so
+        # a floor no state reaches adds no transition or cost row and moves no bit
+        rows = {"transition": 0, "cost": 0}
+        cost = market._PositionData.cost
+
+        def counted_cost(self, K, D):
+            rows["cost"] += len(K)
+            return cost(self, K, D)
+
+        monkeypatch.setattr(market._PositionData, "cost", counted_cost)
+        outcomes = []
+        for lower in (None, -100.0):
+            model = dataclasses.replace(sshaped_t2_model(), cash_lower=lower)
+            problem = market.build_problem_cash(model, radius=1.0, points=65)
+            transition = problem.state_map.transition
+
+            def counted(K, S, X, transition=transition):
+                rows["transition"] += len(K)
+                return transition(K, S, X)
+
+            object.__setattr__(problem.state_map, "transition", counted)
+            rows.update(transition=0, cost=0)
+            res = dp.backward_solve(problem)
+            strategy = {k: x.tobytes() for k, x in res.strategy.values.items()}
+            outcomes.append((dict(rows), float(res.value).hex(),
+                             float(res.forward_value).hex(), strategy))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == {"transition": 2_928_341, "cost": 2_928_341}
 
     def test_both_forms_hold_at_closed_stages(self):
         # the price moves only in the first period, whose market is closed;
