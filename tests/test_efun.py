@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import treedp as td
 from treedp import efun
+from treedp._polyhedral import cone_nonzero_direction
 from treedp.efun import (
     Affine,
     AffinePrecompose,
@@ -121,13 +122,11 @@ class TestHorizonRules:
         assert H.value([-1.0]) == 0.0
 
     def test_sum_affine_power_derived(self):
-        # horizon of Z*z + power cost: +inf off 0, 0 at 0
         f = Sum((Affine([1.0], 0.0), PowerCost(1.0, 2.0, 1)))
         H = td.horizon(f)
-        assert H.value([0.0]) == 0.0
-        for w in (1.0, -1.0):
-            assert H.value([w]) == INF
-            assert td.horizon_numeric(f, [w], [0.0]).diverged_to_inf
+        assert H.value([-1.0]) == INF
+        lad = td.horizon_numeric(f, [-1.0], [0.0])
+        assert lad.diverged_to_inf
 
     def test_affine(self):
         H = td.horizon(Affine([2.0, -1.0], 5.0))
@@ -318,6 +317,59 @@ class TestHorizonOracle:
                 assert rhs >= lhs - 1e-9
                 if exact:
                     assert agree(rhs, lhs, tol=1e-9)
+
+
+class TestIsNonnegativeOn:
+    """Sign questions on a region, decided by ``positivity_off_origin``
+    (region as an indicator term) and its exact ``sublevel_zero_cone``."""
+
+    def test_relu_like_certificate(self):
+        f = Homog1D(0.0, 1.5)
+        # {f <= 0} is exactly the halfline x <= 0, where f is 0
+        np.testing.assert_array_equal(efun.sublevel_zero_cone(f), [[1.0]])
+        verdict, witness = efun.positivity_off_origin(f)
+        assert verdict == "fails"
+        assert witness[0] < 0
+        assert f.value(witness) == 0.0
+
+    def test_affine_counterexample_on_halfline(self):
+        region = IndicatorBox([0.0], [INF])
+        verdict, witness = efun.positivity_off_origin(Sum((Affine([-1.0], 0.0), region)))
+        assert verdict == "fails"
+        assert witness is not None
+        assert witness[0] == pytest.approx(1.0)
+        assert Affine([-1.0], 0.0).value(witness) == pytest.approx(-1.0)
+
+    def test_total_cost_horizon_certificate(self):
+        # horizon of Z*z + power cost: +inf off 0, 0 at 0
+        f = Sum((Affine([1.0], 0.0), PowerCost(1.0, 2.0, 1)))
+        H = td.horizon(f)
+        rows = efun.sublevel_zero_cone(H)
+        assert rows is not None
+        assert cone_nonzero_direction(rows, 1) is None
+        assert efun.positivity_off_origin(H)[0] != "fails"
+        assert H.value([0.0]) == 0.0
+        for w in (1.0, -1.0):
+            assert H.value([w]) == INF
+            assert td.horizon_numeric(f, [w], [0.0]).diverged_to_inf
+
+    def test_sampled_fallback(self):
+        H = td.horizon(AffinePrecompose(SShapedDisutility(2.0, 1.0, 1.0), [[1.0, 1.0]]))
+        verdict, witness = efun.positivity_off_origin(H)
+        assert verdict == "fails"
+        assert H.value(witness) == 0.0
+        ang = np.arange(0.0, 2 * math.pi, 1e-2)
+        assert (H.value_many(np.column_stack([np.cos(ang), np.sin(ang)])) >= 0).all()
+        # a signed term makes the structural rule inconclusive; the sampled
+        # directions find the counterexample inside the orthant
+        g = Sum((
+            AffinePrecompose(Affine([-1.0], 0.0), [[1.0, 1.0]]),
+            IndicatorPolyCone([[-1.0, 0.0], [0.0, -1.0]]),
+        ))
+        verdict2, witness2 = efun.positivity_off_origin(g)
+        assert verdict2 == "fails"
+        assert (witness2 >= 0).all()
+        assert g.value(witness2) <= 0.0
 
 
 # the examples of README's "Function expressions", children filled in
