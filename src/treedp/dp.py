@@ -42,7 +42,7 @@ import operator
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,6 +222,15 @@ class Problem:
     :meth:`step`.  Rows are evaluated per distinct function object, so
     nodes that share one object (a builder's per-stage constraint, one
     leaf objective per utility) are evaluated in one call.
+
+    ``local_keys`` (one hashable per node id, or None) lets
+    :func:`backward_solve` search each class of bit-identical subtrees
+    once (see :attr:`_representatives`).  A node's key must cover
+    everything its stage function, the transition and its leaf objective
+    read from its position ``K``; nodes with equal keys must be
+    interchangeable bit for bit.  That is the builder's obligation, and
+    whoever replaces ``stage_funs`` or ``state_map`` on a keyed problem
+    owns it.  None shares nothing.
     """
 
     tree: ScenarioTree
@@ -231,6 +240,7 @@ class Problem:
     stage_funs: Mapping[str, StageFun] | None = None
     lower_bound: float | Mapping[str, float] = 0.0
     meta: dict = field(default_factory=dict)
+    local_keys: Mapping[str, Hashable] | None = None
 
     def __post_init__(self):
         T = self.tree.horizon
@@ -240,6 +250,10 @@ class Problem:
             if leaf.id not in self.leaf_objective:
                 raise ValueError(f"no leaf objective at {leaf.id!r}")
         nodes = self.tree.nodes
+        if self.local_keys is not None:
+            for n in nodes:
+                if n.id not in self.local_keys:
+                    raise ValueError(f"no local key at {n.id!r}")
         stage = self.stage_funs or {}
         object.__setattr__(self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes]))
         object.__setattr__(
@@ -280,6 +294,37 @@ class Problem:
     def _lower_bounds(self) -> np.ndarray:
         tree = self.tree
         return _roll_back(tree, [self.lower_bound_at(n.id) for n in tree.leaves])
+
+    @cached_property
+    def _representatives(self) -> np.ndarray:
+        """Per position, the index within ``positions_at`` of its stage of
+        the first node whose subtree is bit-identical to its own.
+
+        Classes are built bottom-up, one stage at a time.  Two nodes of a
+        stage share a class when their local keys are equal, their stage
+        functions and leaf objectives are the same objects, and their
+        children agree in tree order in probability bits and class.  By
+        the dynamic programming principle such nodes have bit-identical
+        tables, argmins and search counters.  Without local keys every
+        node is its own representative.
+        """
+        tree = self.tree
+        if self.local_keys is None:
+            return tree.stage_index
+        start, kids = tree.child_start.tolist(), tree.child_pos
+        prob_bits = tree.child_prob.view(np.int64).tolist()
+        stage_fn, leaf_fn = self._stage_groups.gid.tolist(), self._leaf_groups.gid.tolist()
+        first = np.empty(len(tree), dtype=np.int64)  # position of each class's first node
+        for t in range(tree.horizon, -1, -1):
+            classes: dict = {}
+            for p in tree.positions_at(t).tolist():
+                a, b = start[p], start[p + 1]
+                key = (
+                    self.local_keys[self._ids[p]], stage_fn[p], leaf_fn[p],
+                    tuple(zip(prob_bits[a:b], first[kids[a:b]].tolist())),
+                )
+                first[p] = classes.setdefault(key, p)
+        return tree.stage_index[first]
 
     def expected_lower_bound(self, node_id: str) -> float:
         """Conditional expectation of the lower bound given the node."""
@@ -959,11 +1004,22 @@ def backward_solve(
     post-decision state (t = 0..T-1); siblings share them, so the
     conditional-expectation step is a gridwise weighted sum, the node's
     post table, which its continuation then interpolates.  Each stage is
-    one search over every (node, grid state) row of the stage.  Horizon
+    one search over the (node, grid state) rows of the stage.  Horizon
     positivity (cones.check_horizon_positivity) is a precondition: without
     it the expanding search box has nothing to bracket and the solve ends
     in :class:`SearchBoxExhausted`.  A grid axis that is not finite and
     strictly increasing raises :class:`NumericFailure`.
+
+    With ``problem.local_keys`` a stage searches only the rows of its
+    representatives, one node per class of bit-identical subtrees (the
+    class's first node in ``positions_at`` order), and scatters their
+    values, argmins and per-state counters back to every node of the
+    class.  Tables, policy entries, diagnostics and the lower-bound check
+    are then built per node as without sharing, so the result is the
+    unshared one bit for bit.  The first NaN value and the first stuck
+    state fall on the node they fall on in an unshared solve, so
+    :class:`NumericFailure` and :class:`SearchBoxExhausted` name the same
+    node and state count.
 
     The returned ``value`` is the table root value; ``forward_value``
     re-evaluates the true objective of the extracted policy with
@@ -1000,11 +1056,19 @@ def backward_solve(
             for node, table in zip(nodes, u):
                 post[node.id] = ValueTable(node.id, out_axes, table, "post")
         f = _stage_objective(problem, _table_continuation(problem, t, post))
-        K = np.repeat(P, len(mesh))
-        vals, args, diag = _minimize_at(f, K, np.tile(mesh, (n, 1)), ndim, cfg, problem._ids)
-        stacked = vals.reshape((n,) + shape)
-        args = args.reshape((n,) + shape + (ndim,))
-        counters = {k: v.reshape(n, -1).max(axis=1) for k, v in diag["per_state"].items()}
+        # search the representatives only, then scatter to every node of the stage
+        rep = problem._representatives[P]
+        own = np.flatnonzero(rep == np.arange(n))
+        scatter = np.searchsorted(own, rep)
+        K = np.repeat(P[own], len(mesh))
+        vals, args, diag = _minimize_at(
+            f, K, np.tile(mesh, (len(own), 1)), ndim, cfg, problem._ids
+        )
+        stacked = vals.reshape((len(own),) + shape)[scatter]
+        args = args.reshape((len(own),) + shape + (ndim,))[scatter]
+        counters = {
+            k: v.reshape(len(own), -1).max(axis=1)[scatter] for k, v in diag["per_state"].items()
+        }
         flat = stacked.reshape(n, -1)
         finite = np.isfinite(flat)
         low = np.where(finite, flat, INF).min(axis=1)

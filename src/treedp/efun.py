@@ -718,19 +718,20 @@ def sublevel_zero_cone(f: ExtFun) -> np.ndarray | None:
     if isinstance(f, SShapedDisutility):
         return np.array([[1.0]])
     if isinstance(f, Sum):
-        signed = 0
+        # the sum is <= 0 exactly where every term is when all terms are
+        # nonnegative, or when one term is signed and the others are
+        # indicators; a finite nonnegative term next to a signed one can
+        # offset it, so no intersection of the terms' cones is exact
+        finite = [t for t in f.terms if not t.is_indicator()]
+        if len(finite) > 1 and any(_analytic_nonneg(t) is not True for t in finite):
+            return None
         rows = []
         for t in f.terms:
-            nn = _analytic_nonneg(t)
-            if nn is not True and not t.is_indicator():
-                signed += 1
-                if signed > 1:
-                    return None
             sub = sublevel_zero_cone(t)
             if sub is None:
                 return None
             rows.append(sub)
-        return np.vstack(rows) if rows else np.zeros((0, n))
+        return np.vstack(rows)
     if isinstance(f, AffinePrecompose):
         if f.offset.any():
             return None

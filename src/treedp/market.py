@@ -706,6 +706,13 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
             shared[id(u)] = AffinePrecompose(u.disutility(), [[-1.0]])
         leaf_obj[leaf.id] = shared[id(u)]
 
+    # what the transition reads from a position: prices, claim, endowment
+    # and cost parameters, compared as bits (stage functions and leaf
+    # objectives are shared per stage and per utility, compared by identity)
+    params = np.array([model.cost.params_at(n.id) for n in tree.nodes], dtype=float)
+    local = np.column_stack([data.Z, data.claim, data.endow, params])
+    local_keys = {n.id: row.tobytes() for n, row in zip(tree.nodes, local)}
+
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
     report = validate(model)
     meta: dict = {
@@ -728,6 +735,7 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         stage_funs=stage_funs or None,
         lower_bound=model.lower_bound(),
         meta=meta,
+        local_keys=local_keys,
     )
 
 

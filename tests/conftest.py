@@ -7,6 +7,7 @@ so the state grids cover the optimum with adequate resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -177,6 +178,33 @@ def duplicated_asset_model() -> market.MarketModel:
     return market.MarketModel(
         tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
         utility=exp_utility(), initial_cash=1.0,
+    )
+
+
+def twin_market(tree=None, n_risky: int = 1, **extra) -> market.MarketModel:
+    """Binomial T=3 market (or on ``tree``) whose subtrees under u and d are
+    twins: the first move leaves the prices at 1, every later move scales
+    them by 1.25 or 0.8; ``n_risky`` assets all have these prices."""
+    tree = tree or binomial_tree(3)
+    prices = {
+        n.id: [math.prod(1.25 if c == "u" else 0.8 for c in n.id[1:])] * n_risky
+        for n in tree.nodes
+    }
+    base = dict(cost=market.PowerIlliquidity(0.1, 2.0), utility=market.SShapedUtility(2.0, 1.0, 1.0))
+    return market.MarketModel(tree=tree, n_risky=n_risky, prices=prices, initial_cash=1.0,
+                              **{**base, **extra})
+
+
+def solve_bytes(problem: dp.Problem, cfg: dp.SolveConfig = dp.DEFAULT_CONFIG) -> tuple:
+    """Everything ``backward_solve`` returns, as bytes and plain values."""
+    res = dp.backward_solve(problem, cfg=cfg)
+    return (
+        float(res.value).hex(), float(res.forward_value).hex(),
+        {k: x.tobytes() for k, x in res.strategy.values.items()},
+        {k: t.values.tobytes() for k, t in res.pre_tables.items()},
+        {k: t.values.tobytes() for k, t in res.post_tables.items()},
+        {k: a.tobytes() for k, (_, a) in res.policy.entries.items()},
+        res.diagnostics,
     )
 
 

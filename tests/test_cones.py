@@ -18,7 +18,9 @@ from conftest import (
     exp_utility,
     get_bench,
     random_frictionless_model,
+    solve_bytes,
     sshaped_t2_model,
+    twin_market,
 )
 
 INF = math.inf
@@ -388,6 +390,24 @@ class TestProjectProblem:
         free_res = dp.backward_solve(
             cones.project_problem(free_problem, cones.null_space(free_problem)))
         assert res.value > free_res.value + 1e-3
+
+    def test_projection_drops_the_local_keys(self):
+        # the projected stage functions read each node's null-space basis
+        # through K, and twin subtrees may get bases that differ in bits, so
+        # the builder's local keys do not carry over
+        model = twin_market(binomial_tree(2), n_risky=2, cost=market.Frictionless(),
+                            utility=exp_utility())
+        problem = market.build_problem_cash(model, radius=1.0, points=9)
+        tree = problem.tree
+        assert problem._representatives[tree.index("d")] == tree.stage_index[tree.index("u")]
+        directions = cones.null_space(problem)
+        assert directions.per_node["u"].shape == directions.per_node["d"].shape == (2, 1)
+        projected = cones.project_problem(problem, directions)
+        assert projected.local_keys is None
+
+        stripped = dataclasses.replace(problem, local_keys=None)
+        assert solve_bytes(projected) == solve_bytes(
+            cones.project_problem(stripped, cones.null_space(stripped)))
 
     def test_null_direction_indifference(self):
         problem = market.build_problem_cash(duplicated_asset_model())

@@ -24,10 +24,13 @@ from conftest import (
     BENCH_BUILDERS,
     arbitrage_model,
     axis_grid,
+    binomial_prices,
     binomial_tree,
     get_bench,
     get_solved,
+    solve_bytes,
     sshaped_t2_model,
+    twin_market,
 )
 from treedp import market
 
@@ -1727,3 +1730,124 @@ class TestExactVerificationReusesForwardMinima:
         assert n == 1
         assert rep == count.stage_searches(problem, td.AdaptedSequence(dict(strategy.values)))[1]
         assert not rep[2]
+
+
+# ---------------------------------------------------------------------------
+# subtree sharing: one search per class of bit-identical subtrees
+# ---------------------------------------------------------------------------
+
+
+def _twin_probability_tree():
+    tree = binomial_tree(3)
+    probs = {"uuu": 0.625, "uud": 0.375}
+    return td.ScenarioTree([replace(n, prob=probs.get(n.id, n.prob)) for n in tree.nodes])
+
+
+#: one deep item that differs between the twins under u and d, and the
+#: deepest node whose data it changes
+TWIN_CASES = {
+    "claim": (dict(claims={"uud": 0.05}), "uud"),
+    "probability": (dict(tree=_twin_probability_tree()), "uu"),
+    "cost": (dict(cost=market.PowerIlliquidity(0.1, 2.0, per_node={"uu": (0.2, 2.0)})), "uu"),
+    "endowment": (dict(endowment={"uud": 0.1}), "uud"),
+    "utility": (dict(utility_overrides={"uud": market.SShapedUtility(3.0, 1.0, 0.8)}), "uud"),
+}
+
+
+def _representative(problem, node_id):
+    """The id of the node whose search serves ``node_id``."""
+    tree = problem.tree
+    p = tree.index(node_id)
+    return tree.nodes_at(int(tree.times[p]))[problem._representatives[p]].id
+
+
+class TestSubtreeSharing:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(TWIN_CASES))
+    def test_twins_that_differ_deep_stay_apart(self, case, threads, request):
+        extra, deep = TWIN_CASES[case]
+        problem = market.build_problem_cash(twin_market(**extra), radius=1.0, points=9)
+        for k in range(1, len(deep) + 1):  # every twin pair on the way to the item
+            here = deep[:k]
+            assert _representative(problem, here) == here
+            assert _representative(problem, "d" + here[1:]) != here
+        # the twins that the item does not touch still share
+        assert _representative(problem, "dd") == "ud"
+        if threads > 1:
+            request.getfixturevalue("split_everywhere")
+        cfg = dp.SolveConfig(threads=threads)
+        unshared = replace(problem, local_keys=None)
+        assert solve_bytes(problem, cfg) == solve_bytes(unshared, cfg)
+
+    def test_identical_twins_share(self):
+        problem = market.build_problem_cash(twin_market(), radius=1.0, points=9)
+        for node in problem.tree.nodes[1:]:
+            twin = "u" + node.id[1:]
+            assert _representative(problem, node.id) == _representative(problem, twin)
+        assert _representative(problem, "d") == "u"
+
+    def test_recombining_binomial_searches_each_class_once(self):
+        # the perturbation-free deep-binomial market (up 1.2, down 0.85), T=5:
+        # recombined nodes agree bit for bit unless their price rounds apart
+        tree = binomial_tree(5)
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.2, 0.85),
+            cost=market.PowerIlliquidity(0.1, 2.0),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0), initial_cash=1.0,
+        )
+        problem = market.build_problem_cash(model, radius=1.0, points=9)
+        classes = [len(set(problem._representatives[tree.positions_at(t)].tolist()))
+                   for t in range(6)]
+        # a perfect lattice has t + 1 classes at stage t
+        assert classes == [1, 2, 3, 5, 7, 10]
+        rows = []
+        transition = problem.state_map.transition
+
+        def counted(K, S, X):
+            rows[-1] += len(K)
+            return transition(K, S, X)
+
+        # the unshared copy keeps this state map, so both solves are counted
+        object.__setattr__(problem.state_map, "transition", counted)
+        outcomes = []
+        for p in (problem, replace(problem, local_keys=None)):
+            rows.append(0)
+            outcomes.append(solve_bytes(p))
+        assert outcomes[0] == outcomes[1]
+        assert rows[0] < rows[1] / 2
+
+    @staticmethod
+    def _twin_history(stage):
+        """A history problem on binomial T=2 whose nodes u and d are twins:
+        one stage function object at both, one leaf objective at every leaf."""
+        tree = binomial_tree(2)
+        leaf = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0, 1.0]], [-0.25])
+        problem = dp.history_problem(
+            tree, [1, 1, 0], {n.id: leaf for n in tree.leaves}, lower_bound=-10.0,
+            stage_funs={"u": stage, "d": stage},
+            meta={"grids": {0: (np.linspace(-2, 2, 5),), 1: (np.linspace(-2, 2, 5),) * 2}},
+        )
+        return replace(problem, local_keys={n.id: 0 for n in tree.nodes})
+
+    @pytest.mark.parametrize("stage, error, message", [
+        (lambda K, S, X, post: np.where(X[:, 0] > 0.5, np.nan, 0.0),
+         dp.NumericFailure, "node 'u': objective value is not a number"),
+        (lambda K, S, X, post: -X[:, 0] ** 4,
+         dp.SearchBoxExhausted, "node 'u': search box reached 1024.0 without boundary "
+                                "dominance at 5 grid state"),
+    ])
+    def test_errors_name_the_node_of_an_unshared_solve(self, stage, error, message):
+        problem = self._twin_history(stage)
+        assert _representative(problem, "d") == "u"
+        texts = []
+        for p in (problem, replace(problem, local_keys=None)):
+            with pytest.raises(error) as info:
+                dp.backward_solve(p)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(message)
+
+    def test_local_keys_must_cover_every_node(self):
+        problem = self._twin_history(wavy_stage)
+        with pytest.raises(ValueError, match="no local key at 'dd'"):
+            replace(problem, local_keys={n.id: 0 for n in problem.tree.nodes[:-1]})

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -370,6 +371,72 @@ class TestIsNonnegativeOn:
         assert verdict2 == "fails"
         assert (witness2 >= 0).all()
         assert g.value(witness2) <= 0.0
+
+
+#: dyadic coefficients: on integer directions every value and row product is exact
+_COEFFS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+def _random_term(rng, n):
+    """One of Affine, Homog1D, IndicatorBox, IndicatorPolyCone, or one of
+    them behind an AffinePrecompose, on R^n."""
+    kind = rng.integers(5)
+    if kind == 0:
+        return Affine(rng.choice(_COEFFS, n), 0.0)
+    if kind == 1 or (kind == 4 and n == 1):
+        h = Homog1D(rng.choice((-INF,) + _COEFFS), rng.choice(_COEFFS + (INF,)))
+        return h if n == 1 else AffinePrecompose(h, rng.choice(_COEFFS, (1, n)))
+    if kind == 2:
+        return IndicatorBox(rng.choice((-INF, 0.0), n), rng.choice((0.0, INF), n))
+    if kind == 3:
+        return IndicatorPolyCone(rng.choice(_COEFFS, (int(rng.integers(1, 3)), n)))
+    m = int(rng.integers(1, 4))
+    return AffinePrecompose(_random_term(rng, m), rng.choice(_COEFFS, (m, n)))
+
+
+class TestSublevelZeroCone:
+    def test_finite_term_beside_a_signed_one_is_not_trusted(self):
+        # 0.5 |y2| offsets y1 < 0, so the sum's zero sublevel is larger than
+        # the intersection of its terms' zero sublevels
+        from conftest import binomial_tree
+        from treedp import cones, dp
+
+        f = Sum((
+            Affine([1, 0]),
+            AffinePrecompose(Homog1D(-0.5, 0.5), [[0, 1]]),
+            IndicatorPolyCone([[-1, -1]]),
+        ))
+        assert f.value([-1.0, 1.5]) == -0.25
+        assert efun.sublevel_zero_cone(f) is None
+        problem = dp.history_problem(
+            binomial_tree(1), [2, 0], {"u": f, "d": f}, lower_bound=-1.0)
+        report = cones.check_horizon_positivity(problem)
+        assert report.verdict in ("fails", "undecided")
+        if report.verdict == "fails":
+            assert all(v <= 0.0 for v in report.details["witness_horizon_values"].values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_describe_the_zero_sublevel(self, seed):
+        rng = np.random.default_rng(seed)
+        exact = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            terms = tuple(_random_term(rng, n) for _ in range(int(rng.integers(1, 4))))
+            f = terms[0] if len(terms) == 1 else Sum(terms)
+            rows = efun.sublevel_zero_cone(f)
+            if rows is None:
+                continue
+            exact += 1
+            lattice = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+            ys = np.vstack([lattice[np.abs(lattice).sum(axis=1) > 0],
+                            rng.standard_normal((200, n))])
+            inside = f.value_many(ys) <= 1e-12
+            if rows.shape[0]:
+                cone = (ys @ rows.T).max(axis=1) <= 1e-9
+            else:
+                cone = np.ones(len(ys), dtype=bool)
+            assert (inside == cone).all(), (f, rows, ys[inside != cone][:3])
+        assert exact >= 30  # the rule is exercised, not only declined
 
 
 # the examples of README's "Function expressions", children filled in
