@@ -59,7 +59,6 @@ from .cones import (
     CheckReport,
     DirectionSet,
     InexactNullSpace,
-    ModelNotFrictionless,
     NotASubspace,
     check_horizon_positivity,
     no_arbitrage_lp,

@@ -66,20 +66,6 @@ def unit_l1(y: np.ndarray | None) -> np.ndarray | None:
     return None if y is None else y / np.abs(y).sum()
 
 
-def cone_nonzero_direction(rows: np.ndarray, dim: int) -> np.ndarray | None:
-    """Return a nonzero y with R y <= 0 (unit L1 norm), or None if the cone is {0}.
-
-    See :func:`cone_certificate`.
-    """
-    return cone_certificate(rows, dim)[0]
-
-
-def cone_certificate(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
-    """:func:`cone_vertex` with the direction scaled to unit L1 norm."""
-    y, info = cone_vertex(rows, dim)
-    return unit_l1(y), info
-
-
 def cone_vertex(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
     """Decide {y : R y <= 0} = {0}; return (direction or None, cone size).
 

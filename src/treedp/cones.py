@@ -47,7 +47,7 @@ from ._polyhedral import (
 )
 from .dp import Problem, write_csv_rows
 from .efun import AffinePrecompose, ExtFun, Sum
-from .tree import AdaptedSequence, ScenarioTree
+from .tree import ScenarioTree
 
 INF = math.inf
 WITNESS_TOL = 1e-9
@@ -69,10 +69,6 @@ class InexactNullSpace(RuntimeError):
     """Refusing to project with a null space that is not certified exact."""
 
 
-class ModelNotFrictionless(ValueError):
-    """The classical no-arbitrage check applies only when costs vanish."""
-
-
 @dataclass
 class CheckReport:
     """Outcome of the horizon positivity check.
@@ -88,11 +84,6 @@ class CheckReport:
     witness: dict[str, list[float]] | None
     method: list[str]
     details: dict = field(default_factory=dict)
-
-    def witness_sequence(self) -> AdaptedSequence | None:
-        if self.witness is None:
-            return None
-        return AdaptedSequence({k: np.asarray(v, float) for k, v in self.witness.items()})
 
     def report_dict(self) -> dict:
         return {
@@ -388,13 +379,6 @@ def no_arbitrage_lp(
     if min(wealth.values()) < -1e-9 or max(wealth.values()) <= 1e-12:
         return None
     return strategy
-
-
-def no_arbitrage_for_model(model) -> dict[str, np.ndarray] | None:
-    """Model-level wrapper; rejects models with trading frictions."""
-    if not model.cost.is_frictionless():
-        raise ModelNotFrictionless("arbitrage reference requires zero cost integrands")
-    return no_arbitrage_lp(model.tree, model.prices)
 
 
 # ---------------------------------------------------------------------------

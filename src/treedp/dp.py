@@ -1641,10 +1641,3 @@ def json_text(payload, indent: int | None = None) -> str:
     written.  A payload of finite numbers reads as ``json.dumps`` writes it."""
     return json.dumps(_json_ready(payload), sort_keys=True, indent=indent, allow_nan=False)
 
-
-def report_json(result: SolveResult, extra: dict | None = None) -> str:
-    """Deterministic JSON report (see :func:`json_text`)."""
-    payload = result.report_dict()
-    if extra:
-        payload.update(extra)
-    return json_text(payload, indent=2)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._polyhedral import cone_nonzero_direction
+from ._polyhedral import cone_vertex, unit_l1
 
 INF = math.inf
 
@@ -765,7 +765,7 @@ def positivity_off_origin(f: ExtFun) -> tuple[str, np.ndarray | None]:
     nn = _analytic_nonneg(f)
     rows = sublevel_zero_cone(f)
     if nn is True and rows is not None:
-        d = cone_nonzero_direction(rows, f.dim)
+        d = unit_l1(cone_vertex(rows, f.dim)[0])
         if d is None:
             return "positive", None
         if f.value(d) <= 1e-12:

@@ -49,7 +49,14 @@ from .efun import (
     SShapedDisutility,
     Sum,
 )
-from .tree import Node, ScenarioTree, TreeFormatError, tree_from_records, tree_to_records
+from .tree import (
+    Node,
+    ScenarioTree,
+    TreeFormatError,
+    json_object_problem,
+    tree_from_records,
+    tree_to_records,
+)
 
 INF = math.inf
 
@@ -353,10 +360,6 @@ class ValidationReport:
 
     def holds(self, name: str) -> bool:
         return self.status(name) == "holds"
-
-    def analytic_route_ok(self) -> bool:
-        """True when existence follows without any arbitrage-type check."""
-        return self.holds("cost_growth_strict") and self.holds("disutility_growth")
 
     def required_ok(self) -> bool:
         """The utility-side conditions every model must satisfy."""
@@ -773,21 +776,14 @@ def build_problem_terminal(
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-MARKET_SCHEMA = {
-    "type": "object",
-    "required": ["assets", "cost", "utility", "tree"],
-    "properties": {
-        "assets": {"type": "integer", "minimum": 1},
-        "initial_cash": {"type": "number"},
-        "cash_lower": {"type": "number"},
-        "cost": {"type": "object", "required": ["kind"]},
-        "utility": {"type": "object", "required": ["kind"]},
-        "constraints": {"type": "object"},
-        "trading_stages": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "tree": {"type": "array"},
-    },
-    "additionalProperties": False,
-}
+#: the top level of a market file, as :data:`tree.TREE_RECORD`; ``cost``
+#: and ``utility`` take any value here, and the reader of their ``kind``
+#: checks it
+MARKET_FIELDS = (
+    {"assets": "an integer >= 1", "cost": None, "utility": None, "tree": "an array"},
+    {"initial_cash": "a number", "cash_lower": "a number", "constraints": "an object",
+     "trading_stages": "an array of integers >= 0"},
+)
 
 
 def _number(d: Mapping, key: str, where: str) -> float:
@@ -860,14 +856,10 @@ def _kind_to_dict(obj, table: Mapping[str, type]) -> dict:
 
 
 def market_from_dict(d: Mapping) -> MarketModel:
-    import jsonschema
-
-    try:
-        jsonschema.validate(d, MARKET_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path)
-        raise InvalidModel(f"market file at {path or '<root>'}: {e.message}") from None
-    tree = tree_from_records(list(d["tree"]))
+    problem = json_object_problem(d, *MARKET_FIELDS)
+    if problem is not None:
+        raise InvalidModel(f"market file at <root>: {problem}")
+    tree = tree_from_records(d["tree"])
     J = int(d["assets"])
     prices = {}
     claims = {}

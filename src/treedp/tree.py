@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -327,35 +329,75 @@ class AdaptedSequence:
 
 # -- JSON interchange ----------------------------------------------------
 
-TREE_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["id", "time", "parent", "prob"],
-        "properties": {
-            "id": {"type": "string"},
-            "time": {"type": "integer", "minimum": 0},
-            "parent": {"type": ["string", "null"]},
-            "prob": {"type": "number"},
-            "data": {"type": "object"},
-        },
-        "additionalProperties": False,
-    },
+
+def _is_integer(v: Any) -> bool:
+    return not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    )
+
+
+#: the JSON type tests of the loaders, by the name their messages give.
+#: As JSON Schema counts: a bool is neither an integer nor a number, an
+#: integer-valued float such as ``0.0`` is an integer, and NaN and the
+#: infinities are numbers (a market model rejects them as not finite).
+JSON_TYPES: dict[str, Callable[[Any], bool]] = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "an integer >= 0": lambda v: _is_integer(v) and v >= 0,
+    "an integer >= 1": lambda v: _is_integer(v) and v >= 1,
+    "an object": lambda v: isinstance(v, dict),
+    "an array": lambda v: isinstance(v, list),
+    "an array of integers >= 0": lambda v: (
+        isinstance(v, list) and all(_is_integer(x) and x >= 0 for x in v)
+    ),
 }
+
+#: the required keys of a tree record, then the optional ones, each with
+#: its :data:`JSON_TYPES` name
+TREE_RECORD = (
+    {"id": "a string", "time": "an integer >= 0", "parent": "a string or null",
+     "prob": "a number"},
+    {"data": "an object"},
+)
+
+
+def json_object_problem(
+    obj: Any, required: Mapping[str, str | None], optional: Mapping[str, str | None]
+) -> str | None:
+    """The first way ``obj`` breaks its field table, or None if it keeps it.
+
+    ``obj`` must be a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``; each value must pass the
+    :data:`JSON_TYPES` test named for its key (None: any value).
+    """
+    if not isinstance(obj, dict):
+        return f"{reprlib.repr(obj)} is not an object"
+    for key in required:
+        if key not in obj:
+            return f"{key!r} is missing"
+    fields = {**required, **optional}
+    for key, value in obj.items():
+        if key not in fields:
+            return f"unknown key {reprlib.repr(key)}"
+        kind = fields[key]
+        if kind is not None and not JSON_TYPES[kind](value):
+            return f"{key!r} is not {kind}: {reprlib.repr(value)}"
+    return None
 
 
 def tree_from_records(records: list[dict]) -> ScenarioTree:
     """Build and validate a tree from loaded JSON records.
 
-    Rejects (``TreeFormatError``) on any schema or invariant violation.
+    Rejects (``TreeFormatError``) any record that is not a
+    :data:`TREE_RECORD` and any invariant violation.
     """
-    import jsonschema
-
-    try:
-        jsonschema.validate(records, TREE_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path)
-        raise TreeFormatError(f"tree record at {path or '<root>'}: {e.message}") from None
+    if not isinstance(records, list):
+        raise TreeFormatError(f"tree record at <root>: {reprlib.repr(records)} is not an array")
+    for i, r in enumerate(records):
+        problem = json_object_problem(r, *TREE_RECORD)
+        if problem is not None:
+            raise TreeFormatError(f"tree record at {i}: {problem}")
     nodes = [
         Node(
             id=r["id"],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treedp import cli, market
+from treedp.tree import tree_from_records
 
 from conftest import (
     arbitrage_model,
@@ -44,6 +45,14 @@ def toy_model_dict() -> dict:
             {"id": "d", "time": 1, "parent": "r", "prob": 0.5, "data": {"Z": [0.5]}},
         ],
     }
+
+
+def _drop(key: str, record: int | None = None):
+    """A mutation that deletes ``key`` from a market file or from one of its records."""
+    def mutate(d: dict) -> None:
+        del (d if record is None else d["tree"][record])[key]
+
+    return mutate
 
 
 @pytest.fixture
@@ -157,6 +166,77 @@ class TestCheck:
         stderr = capsys.readouterr().err
         assert stderr.startswith("error:") and field in stderr
         assert "Traceback" not in stderr
+
+    # one case per JSON type rule of a market file and of its tree records;
+    # a mutation that returns a document replaces the file's
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: [], "market file at <root>: [] is not an object"),
+        (_drop("assets"), "'assets' is missing"),
+        (_drop("cost"), "'cost' is missing"),
+        (_drop("utility"), "'utility' is missing"),
+        (_drop("tree"), "'tree' is missing"),
+        (lambda d: d.update(extra=1), "unknown key 'extra'"),
+        (lambda d: d.update(assets=0), "'assets' is not an integer >= 1"),
+        (lambda d: d.update(assets=True), "'assets' is not an integer >= 1"),
+        (lambda d: d.update(assets=1.5), "'assets' is not an integer >= 1"),
+        (lambda d: d.update(assets="1"), "'assets' is not an integer >= 1"),
+        (lambda d: d.update(initial_cash="1"), "'initial_cash' is not a number"),
+        (lambda d: d.update(initial_cash=True), "'initial_cash' is not a number"),
+        (lambda d: d.update(initial_cash=None), "'initial_cash' is not a number"),
+        (lambda d: d.update(trading_stages=[-1]), "'trading_stages' is not an array"),
+        (lambda d: d.update(trading_stages=["0"]), "'trading_stages' is not an array"),
+        (lambda d: d.update(trading_stages={}), "'trading_stages' is not an array"),
+        (lambda d: d.update(constraints=[]), "'constraints' is not an object"),
+        (lambda d: d.update(tree={}), "'tree' is not an array"),
+        (lambda d: d["tree"].__setitem__(1, "u"), "tree record at 1: 'u' is not an object"),
+        (_drop("id", record=1), "tree record at 1: 'id' is missing"),
+        (_drop("time", record=1), "tree record at 1: 'time' is missing"),
+        (_drop("parent", record=1), "tree record at 1: 'parent' is missing"),
+        (_drop("prob", record=1), "tree record at 1: 'prob' is missing"),
+        (lambda d: d["tree"][1].update(extra=1), "tree record at 1: unknown key 'extra'"),
+        (lambda d: d["tree"][1].update(id=1), "tree record at 1: 'id' is not a string"),
+        (lambda d: d["tree"][1].update(time=-1), "tree record at 1: 'time' is not an integer"),
+        (lambda d: d["tree"][1].update(time=True), "tree record at 1: 'time' is not an integer"),
+        (lambda d: d["tree"][1].update(time=0.5), "tree record at 1: 'time' is not an integer"),
+        (lambda d: d["tree"][1].update(parent=1), "tree record at 1: 'parent' is not a string"),
+        (lambda d: d["tree"][1].update(prob="0.5"), "tree record at 1: 'prob' is not a number"),
+        (lambda d: d["tree"][1].update(prob=True), "tree record at 1: 'prob' is not a number"),
+        (lambda d: d["tree"][1].update(data=[]), "tree record at 1: 'data' is not an object"),
+    ], ids=["top_array", "no_assets", "no_cost", "no_utility", "no_tree", "unknown_key",
+            "assets_0", "assets_true", "assets_1.5", "assets_string",
+            "cash_string", "cash_true", "cash_null",
+            "stages_negative", "stages_string", "stages_object", "constraints_array",
+            "tree_object", "record_string", "record_no_id", "record_no_time",
+            "record_no_parent", "record_no_prob", "record_unknown_key", "id_number",
+            "time_negative", "time_true", "time_half", "parent_number",
+            "prob_string", "prob_true", "data_array"])
+    def test_json_type_violation_exit_1(self, mutate, field, tmp_path, capsys):
+        model = toy_model_dict()
+        replaced = mutate(model)
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(model if replaced is None else replaced))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check", str(p), "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and field in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["tree"][0].update(time=0.0),
+        lambda d: d["tree"][0].update(prob=1),
+    ], ids=["time_0.0", "prob_int"])
+    def test_json_type_edge_values_load(self, mutate, tmp_path):
+        model = toy_model_dict()
+        mutate(model)
+        p = tmp_path / "edge.json"
+        p.write_text(json.dumps(model))
+        expected = market.market_to_dict(market.market_from_dict(toy_model_dict()))
+        assert market.market_to_dict(market.load_market(str(p))) == expected
+
+    def test_record_without_data_loads(self):
+        records = [{"id": "r", "time": 0, "parent": None, "prob": 1.0}]
+        assert tree_from_records(records).root.data == {}
 
 
 class TestSolve:

@@ -48,7 +48,7 @@ class TestCheckHorizonPositivity:
         problem = market.build_problem_cash(model)
         rep = cones.check_horizon_positivity(problem)
         assert rep.verdict == "fails"
-        witness = rep.witness_sequence()
+        witness = td.AdaptedSequence({k: np.asarray(v, float) for k, v in rep.witness.items()})
         assert witness is not None and witness.norm() > 0
         # the witness is the buy-one-share direction, and the arbitrage
         # reference finds the same one
@@ -105,7 +105,7 @@ class TestCheckHorizonPositivity:
         problem = market.build_problem_cash(model)
         rep = cones.check_horizon_positivity(problem)
         objs = cones.path_objectives(problem)
-        witness = rep.witness_sequence()
+        witness = td.AdaptedSequence({k: np.asarray(v, float) for k, v in rep.witness.items()})
         for leaf in model.tree.leaves:
             H = td.horizon(objs[leaf.id])
             path_vec = np.concatenate(
@@ -223,17 +223,6 @@ class TestNoArbitrageLP:
         assert strat is not None
         wealth = cones.terminal_wealth(tree, prices, strat)
         assert min(wealth.values()) >= -1e-9 and max(wealth.values()) > 1e-9
-
-    def test_model_wrapper_rejects_frictions(self):
-        with pytest.raises(cones.ModelNotFrictionless):
-            cones.no_arbitrage_for_model(
-                market.MarketModel(
-                    tree=binomial_tree(1), n_risky=1,
-                    prices={"r": [1.0], "u": [2.0], "d": [0.5]},
-                    cost=market.PowerIlliquidity(0.1, 2.0),
-                    utility=market.SShapedUtility(2.0, 1.0, 1.0),
-                )
-            )
 
 
 class TestNullSpace:

@@ -827,7 +827,7 @@ class TestExports:
         f = Sum((IndicatorBox([0.0], [1.0]), IndicatorBox([2.0], [3.0])))
         res = dp.backward_solve(dp.history_problem(tree, [1], {"r": f}, lower_bound=0.0),
                                 grids={})
-        report = json.loads(dp.report_json(res), parse_constant=no_constant)
+        report = json.loads(dp.json_text(res.report_dict(), indent=2), parse_constant=no_constant)
         assert report["value"] == report["forward_value"] == "inf"
         assert float(report["value"]) == INF
         assert json.loads(dp.json_text([-INF]), parse_constant=no_constant) == ["-inf"]
@@ -837,8 +837,9 @@ class TestExports:
     def test_finite_report_keeps_json_dumps_bytes(self):
         _, res = get_solved("frictionless_t1")
         payload = res.report_dict()
-        assert dp.report_json(res) == json.dumps(payload, sort_keys=True, indent=2)
-        assert dp.report_json(res) == dp.report_json(res)  # deterministic
+        text = dp.json_text(res.report_dict(), indent=2)
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
+        assert text == dp.json_text(res.report_dict(), indent=2)  # deterministic
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import treedp as td
 from treedp import efun
-from treedp._polyhedral import cone_nonzero_direction
+from treedp._polyhedral import cone_vertex
 from treedp.efun import (
     Affine,
     AffinePrecompose,
@@ -347,7 +347,7 @@ class TestIsNonnegativeOn:
         H = td.horizon(f)
         rows = efun.sublevel_zero_cone(H)
         assert rows is not None
-        assert cone_nonzero_direction(rows, 1) is None
+        assert cone_vertex(rows, 1)[0] is None
         assert efun.positivity_off_origin(H)[0] != "fails"
         assert H.value([0.0]) == 0.0
         for w in (1.0, -1.0):

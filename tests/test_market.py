@@ -20,7 +20,7 @@ class TestValidate:
                      "utility_loss_decay", "disutility_growth",
                      "disutility_orthant", "free_disposal"):
             assert rep.holds(name), name
-        assert rep.analytic_route_ok()
+        assert rep.holds("cost_growth_strict") and rep.holds("disutility_growth")
 
     def test_frictionless_strict_fails_and_directs_to_reference(self):
         tree = binomial_tree(1)
@@ -34,7 +34,7 @@ class TestValidate:
         assert rep.status("cost_growth") == "equality"
         assert rep.status("cost_growth_strict") == "fails"
         assert "no-arbitrage" in rep.conditions["cost_growth_strict"]["note"]
-        assert not rep.analytic_route_ok()
+        assert not (rep.holds("cost_growth_strict") and rep.holds("disutility_growth"))
         assert rep.required_ok()
 
     def test_flat_utility_fails_loss_decay(self):

@@ -1,6 +1,6 @@
 """The cone test against a coordinate-LP reference.
 
-``cone_nonzero_direction`` decides {y : R y <= 0} = {0} from one SVD and
+``cone_vertex`` decides {y : R y <= 0} = {0} from one SVD and
 at most two LPs.  The reference below pushes each of the 2n coordinates
 to its bound over the cone within the unit box: slow, but a direct
 transcription of the definition.
@@ -13,9 +13,9 @@ from scipy.optimize import linprog
 from treedp._polyhedral import (
     LP_TOL,
     _normalize_rows,
-    cone_certificate,
     cone_is_subspace,
-    cone_nonzero_direction,
+    cone_vertex,
+    unit_l1,
 )
 
 
@@ -85,7 +85,7 @@ def test_verdict_matches_coordinate_lps(family):
     for _ in range(60):
         n = int(rng.integers(2, 6)) if family == "rank_deficient" else int(rng.integers(1, 6))
         rows = FAMILIES[family](rng, n)
-        y = cone_nonzero_direction(rows, n)
+        y = unit_l1(cone_vertex(rows, n)[0])
         ref = coordinate_lp_direction(rows, n)
         assert (y is None) == (ref is None), (rows, y, ref)
         verdicts.add(y is None)
@@ -100,16 +100,20 @@ def test_verdict_matches_coordinate_lps(family):
 
 def test_certificate_counts():
     # a line (kernel), a half-line (one-sided), and {0}
-    y, info = cone_certificate(np.array([[1.0, 1.0], [-2.0, -2.0]]), 2)
+    y, info = cone_vertex(np.array([[1.0, 1.0], [-2.0, -2.0]]), 2)
+    y = unit_l1(y)
     assert info == {"rows": 2, "dim": 2, "kernel_dim": 1, "lp_calls": 1}
     assert np.allclose(np.abs(y), 0.5) and y.sum() == 0.0
-    y, info = cone_certificate(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 2)
+    y, info = cone_vertex(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), 2)
+    y = unit_l1(y)
     assert info == {"rows": 3, "dim": 2, "kernel_dim": 0, "lp_calls": 1}
     assert y.tolist() == [0.0, -1.0]
-    y, info = cone_certificate(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), 2)
+    y, info = cone_vertex(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), 2)
+    y = unit_l1(y)
     assert y is None and info["lp_calls"] == 1
     # no rows: the whole space; zero rows are dropped
-    y, info = cone_certificate(np.zeros((2, 3)), 3)
+    y, info = cone_vertex(np.zeros((2, 3)), 3)
+    y = unit_l1(y)
     assert y.tolist() == [1.0, 0.0, 0.0] and info["rows"] == 0 and info["kernel_dim"] == 3
 
 
@@ -126,5 +130,5 @@ def test_huge_rows_keep_their_direction():
     assert np.allclose(_normalize_rows(rows), [[0.5**0.5, -(0.5**0.5)], [0.6, 0.8]])
     assert rows[0, 0] == 1e308  # the caller's rows are not scaled in place
     # {y : y1 <= y2, 3 y1 + 4 y2 <= 0} is not {0}, and the huge row still binds
-    y = cone_nonzero_direction(rows, 2)
+    y = unit_l1(cone_vertex(rows, 2)[0])
     assert y is not None and y[0] <= y[1] + 1e-12

@@ -5,7 +5,8 @@ do not leak in: ``import treedp`` and a ``solve`` on the analytic route of
 the check leave scipy out of ``sys.modules``; a ``check`` of a frictionless
 model loads it for its cone LP.  No path loads ``multiprocessing`` or
 ``concurrent.futures``: a search split over worker processes needs only
-``os``, ``pickle`` and ``signal``.
+``os``, ``pickle`` and ``signal``.  None loads ``jsonschema`` either: the
+loaders check each JSON field themselves.
 """
 
 import json
@@ -24,7 +25,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(treedp.__file__)))
 
 
 #: modules that no path of the package needs
-NEVER_LOADED = ["multiprocessing", "concurrent.futures"]
+NEVER_LOADED = ["multiprocessing", "concurrent.futures", "jsonschema"]
 
 
 def loaded(code: str, names: list[str]) -> list[str]:
