@@ -10,6 +10,11 @@ are solved with HiGHS, which is deterministic for fixed input, so results
 are reproducible bit-for-bit.  :func:`linprog` is the package's one LP
 entry: scipy is imported at its first call, so that a solve that never
 needs an LP never loads scipy.
+
+Many small cones at once, one per tree node, are stacked as (B, m, d)
+blocks: :func:`kernel_bases` takes one batched SVD of the distinct blocks,
+and :func:`block_slacks` one LP over the block-diagonal system, whose
+optimum splits into each block's own.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 LP_TOL = 1e-9
+#: an LP optimum beyond this certifies a nonzero direction (a one-sided ray's slack)
+SLACK_TOL = 1e-7
 
 
 def linprog(*args, **kwargs):
@@ -26,24 +33,37 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, their Euclidean norms) along the last axis; a norm beyond the
+    float range first scales its row by its largest entry, so that huge
+    data keeps its direction instead of becoming 0."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=-1)
+    huge = np.isinf(norms)
+    if huge.any():
+        huge &= np.isfinite(rows).all(axis=-1)
+        rows = rows.copy()
+        rows[huge] /= np.abs(rows[huge]).max(axis=-1)[:, None]
+        norms[huge] = np.linalg.norm(rows[huge], axis=-1)
+    return rows, norms
+
+
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0:
         return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    huge = np.isinf(norms)
-    if huge.any():
-        # a norm beyond the float range: scale the row by its largest entry
-        # first, so that huge data keeps its direction instead of becoming 0
-        huge &= np.isfinite(rows).all(axis=1)
-        rows = rows.copy()
-        rows[huge] /= np.abs(rows[huge]).max(axis=1)[:, None]
-        norms[huge] = np.linalg.norm(rows[huge], axis=1)
+    rows, norms = _row_norms(rows)
     keep = norms > 0
-    rows = rows[keep]
-    norms = norms[keep]
-    return rows / norms[:, None]
+    return rows[keep] / norms[keep][:, None]
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a (..., m, d) stack scaled to unit norm; zero rows stay 0.
+
+    Rows and blocks keep their places, so that blocks of equal shape stay
+    stacked; a zero row constrains nothing."""
+    rows, norms = _row_norms(np.asarray(rows, dtype=float))
+    return rows / np.where(norms > 0, norms, 1.0)[..., None]
 
 
 def _box_direction(y: np.ndarray) -> np.ndarray | None:
@@ -103,12 +123,12 @@ def cone_vertex(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
 
 def _lp_vertex(rows: np.ndarray, dim: int, c: np.ndarray) -> np.ndarray | None:
     """Minimizer of c . y over the cone within the unit box, if the minimum
-    is below -1e-7 (a nonzero direction); None otherwise."""
+    is below -SLACK_TOL (a nonzero direction); None otherwise."""
     res = linprog(
         c, A_ub=rows, b_ub=np.zeros(rows.shape[0]), bounds=[(-1.0, 1.0)] * dim,
         method="highs",
     )
-    if res.status == 0 and -res.fun > 1e-7:
+    if res.status == 0 and -res.fun > SLACK_TOL:
         return np.asarray(res.x, dtype=float)
     return None
 
@@ -155,3 +175,65 @@ def orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     if basis.size == 0:
         return np.eye(dim)
     return kernel_basis(basis.T.reshape(-1, dim))
+
+
+def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
+    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack.
+
+    One batched SVD runs over the distinct blocks only, so blocks with
+    equal bytes get bit-identical bases, and an all-zero block gets the
+    exact identity.  Each block gets its own array.
+    """
+    B, m, d = blocks.shape
+    flat = np.ascontiguousarray(blocks, dtype=float).reshape(B, m * d)
+    if not flat.size:
+        return [np.eye(d) for _ in range(B)]
+    keys = flat.view(np.dtype((np.void, 8 * m * d)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = flat[first].reshape(-1, m, d)
+    bases = [np.eye(d) for _ in first]
+    live = np.flatnonzero(distinct.reshape(len(first), -1).any(axis=1))
+    if live.size:
+        _, s, vt = np.linalg.svd(distinct[live])
+        tol = rtol * max(m, d) * s[:, :1]
+        for i, rank, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), vt):
+            bases[i] = v[rank:].T
+    return [bases[i].copy() for i in inverse.ravel().tolist()]
+
+
+def block_slacks(groups: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Largest one-sided slack of each block's cone {y : R y <= 0}.
+
+    ``groups`` are (B, m, d) stacks of unit rows.  One LP maximizes the
+    total slack -sum(R y) over the block-diagonal cone within the unit
+    box; objective and constraints split by block, so each block's part
+    of the optimum is that block's own (:func:`_max_slack_ray` on it
+    alone), and a slack above SLACK_TOL certifies a one-sided direction
+    there.
+    Returns per group (slack per block, the block's part y).
+    """
+    from scipy.sparse import coo_matrix
+
+    rows, cols, vals = [], [], []
+    r0 = c0 = 0
+    for g in groups:
+        B, m, d = g.shape
+        r = r0 + np.arange(B * m).reshape(B, m, 1)
+        c = c0 + (np.arange(B) * d)[:, None, None] + np.arange(d)
+        rows.append(np.broadcast_to(r, g.shape).ravel())
+        cols.append(np.broadcast_to(c, g.shape).ravel())
+        vals.append(g.ravel())
+        r0, c0 = r0 + B * m, c0 + B * d
+    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(r0, c0)).tocsr()
+    c = np.concatenate([g.sum(axis=1).ravel() for g in groups])  # minimize sum(R y)
+    res = linprog(c, A_ub=A, b_ub=np.zeros(r0), bounds=(-1.0, 1.0), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"block cone LP failed: {res.message}")
+    out, c0 = [], 0
+    for g in groups:
+        B, _, d = g.shape
+        y = np.asarray(res.x[c0 : c0 + B * d], dtype=float).reshape(B, d)
+        out.append((-np.einsum("bmd,bd->b", g, y), y))
+        c0 += B * d
+    return out

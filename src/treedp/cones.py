@@ -5,13 +5,21 @@ objective's horizon function is positive along every nonzero adapted
 direction.  This module decides that condition:
 
 * analytically for market models with superlinear total costs;
-* by polyhedral cone propagation through the tree for problems whose
-  per-leaf objectives have exact symbolic horizons (each leaf contributes
-  the halfspace rows R of its horizon's zero sublevel set, written into
-  its path's columns of the adapted vector y, which stacks the decisions
-  of every decision node in tree order; the adapted cone {R y <= 0} is
-  {0} iff ker R = {0} and the cone is a subspace, one SVD and one
-  bounded LP);
+* node by node when the builder attached each decision node's own
+  zero-sublevel rows (``meta["node_rows"]``: frictionless markets that
+  trade at every stage, without a borrowing limit): the adapted cone is
+  {0} iff every node's one-period cone is, which one batched SVD over the
+  small node blocks and one LP over their block-diagonal system decide
+  (the node route, :func:`_node_system` proves the split);
+* otherwise by polyhedral cone propagation over the whole tree for
+  problems whose per-leaf objectives have exact symbolic horizons (each
+  leaf contributes the halfspace rows R of its horizon's zero sublevel
+  set, written into its path's columns of the adapted vector y, which
+  stacks the decisions of every decision node in tree order; the adapted
+  cone {R y <= 0} is {0} iff ker R = {0} and the cone is a subspace, one
+  SVD and one bounded LP: the stacked route, which borrowing limits,
+  closed stages and history-mode problems take, and the node route's
+  test oracle);
 * by sphere sampling otherwise, in which case only a found witness is
   conclusive and the verdict is otherwise "undecided".
 
@@ -19,7 +27,9 @@ When the condition fails because null directions form a linear space, the
 problem can be restricted to the orthogonal complement of those
 directions per stage without changing the optimal value; ``null_space``
 computes the per-node subspaces exactly for linear/polyhedral structure
-(one kernel per stage) and ``project_problem`` applies the restriction.
+(each node's own kernel on the node route, one kernel of the stacked
+rows per stage otherwise) and ``project_problem`` applies the
+restriction.
 The projected problem keeps the original state and carries path
 objectives in the reduced decisions for every input, history mode
 included, so it can be checked and solved like any other problem.
@@ -38,12 +48,17 @@ import numpy as np
 
 from . import efun
 from ._polyhedral import (
+    SLACK_TOL,
+    _box_direction,
+    block_slacks,
     cone_is_subspace,
     cone_vertex,
     kernel_basis,
+    kernel_bases,
     linprog,
     orthonormal_complement,
     unit_l1,
+    unit_rows,
 )
 from .dp import Problem, write_csv_rows
 from .efun import AffinePrecompose, ExtFun, Sum
@@ -74,10 +89,12 @@ class CheckReport:
     """Outcome of the horizon positivity check.
 
     A ``fails`` verdict always carries a nonzero adapted witness that has
-    been re-verified against the symbolic horizon functions leaf by leaf.
-    The witness has unit L1 norm; the re-verification ran on it or on the
-    same direction scaled to max |y| = 1, where an LP vertex keeps its
-    exact coordinates (``method`` says so).
+    been re-verified against the symbolic horizon functions leaf by leaf
+    (on the node route, the leaves below the one node where it is
+    nonzero: every other leaf's path sees the zero direction, where a
+    horizon is 0).  The witness has unit L1 norm; the re-verification
+    ran on it or on the same direction scaled to max |y| = 1, where an LP
+    vertex keeps its exact coordinates (``method`` says so).
     """
 
     verdict: str  # "holds" | "fails" | "undecided"
@@ -230,6 +247,145 @@ def _split_witness(
 
 
 # ---------------------------------------------------------------------------
+# the node route
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _NodeSystem:
+    """The node rows as unit rows, stacked per (stage, row count): each
+    group is (tree positions (B,), rows (B, m, d)); ``rows`` counts the
+    nonzero rows and ``dim`` the decision coordinates of every node."""
+
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    rows: int
+    dim: int
+
+
+def _node_system(problem: Problem) -> _NodeSystem | None:
+    """The builder's per-node rows (``meta["node_rows"]``), or None.
+
+    ``node_rows[t] = (rows, start)`` gives the i-th node of
+    ``positions_at(t)`` the rows ``rows[start[i]:start[i + 1]]`` over its
+    own decision: -(Z_c - Z_n) for each child c (led by -1 for the
+    expenditure coordinate in the terminal form), then the rows of its
+    decision box horizon.  Each node's cone is C_n = {y_n : R_n y_n <= 0}.
+
+    Why the adapted cone splits into them.  Write g_n(c) = d_n +
+    theta_n . (Z_c - Z_n) for the one-period gain of the decision y_n at
+    its child c, K_n for the box rows' cone, and V_m for the gains of
+    the ancestors' decisions summed down to m.  The adapted cone is
+    C = {y : y_n in K_n for all n, V_l >= 0 at every leaf l}.  A nonzero
+    y_n in C_n, zero elsewhere, lies in C.  Conversely let every C_n be a
+    subspace, and take y in C.  Backward from the leaves, V_n >= 0 at
+    every node: the children have V_c = V_n + g_n(c) >= 0, so V_n < 0
+    would put y_n in C_n with every g_n(c) > 0, which a subspace does
+    not allow.  Forward from the root, where V = 0: each g_n(c) = V_c >= 0
+    puts y_n in C_n, so every g_n(c) = 0 and every child has V_c = 0
+    again.  So C is the direct sum of the node subspaces, and a node
+    cone that is not a subspace gives C a one-sided ray.  Hence C = {0}
+    iff every C_n = {0}; C is a subspace iff every C_n is, and then the
+    null directions at each node are ker R_n, the directions the
+    stacked route finds there.  The argument needs only linear gains and
+    a cone K_n per node, so holdings boxes, the expenditure's d <= 0 and
+    a projection y_n = Q_n z_n (rows R_n Q_n) all keep it; a borrowing
+    limit couples the nodes of a path, and its builders attach no rows.
+    """
+    node_rows = problem.meta.get("node_rows")
+    if node_rows is None:
+        return None
+    groups = []
+    nonzero = dim = 0
+    for t, (rows, start) in node_rows.items():
+        P = problem.tree.positions_at(t)
+        rows = unit_rows(rows)
+        nonzero += int(rows.any(axis=1).sum())
+        dim += len(P) * rows.shape[1]
+        counts = np.diff(start)
+        for m in np.unique(counts).tolist():
+            sel = np.flatnonzero(counts == m)
+            groups.append((P[sel], rows[start[sel][:, None] + np.arange(m)]))
+    return _NodeSystem(groups, nonzero, dim)
+
+
+def _node_witness(problem: Problem, p: int, y: np.ndarray) -> dict[str, list[float]]:
+    """The adapted direction that is ``y`` at position ``p`` and 0 elsewhere,
+    per decision node in tree order."""
+    dims = problem.decision_dims
+    out = {n.id: [0.0] * dims[n.time] for n in problem.tree.nodes if dims[n.time]}
+    out[problem.tree.nodes[p].id] = [float(v) for v in y]
+    return out
+
+
+def _leaves_below(tree: ScenarioTree, p: int) -> list[str]:
+    level = [p]
+    start, kids = tree.child_start, tree.child_pos
+    while tree.times[level[0]] < tree.horizon:
+        level = [c for q in level for c in kids[start[q] : start[q + 1]].tolist()]
+    return [tree.nodes[q].id for q in sorted(level)]
+
+
+def _check_by_node(
+    problem: Problem, system: _NodeSystem, samples: int, seed: int
+) -> CheckReport:
+    """The check on the node cones: one batched SVD gives each node's
+    kernel, and one block LP looks for a one-sided ray at the nodes with
+    none.  The witness is :func:`cone_vertex` on the last node in tree
+    order whose cone is not {0}."""
+    if system.dim == 0:
+        return CheckReport("holds", None, ["no decisions to check"], {})
+    method = ["cone propagation: one-period rows per decision node"]
+    kernel_dims = [np.array([b.shape[1] for b in kernel_bases(R)]) for _, R in system.groups]
+    last = max((int(P[k > 0].max(initial=-1)) for (P, _), k in zip(system.groups, kernel_dims)),
+               default=-1)
+    cone = {"rows": system.rows, "dim": system.dim,
+            "kernel_dim": int(sum(k.sum() for k in kernel_dims)), "lp_calls": 0}
+    pointed = [(P[k == 0], R[k == 0]) for (P, R), k in zip(system.groups, kernel_dims)
+               if (k == 0).any()]
+    if pointed:
+        cone["lp_calls"] += 1
+        for (P, _), (slack, _) in zip(pointed, block_slacks([R for _, R in pointed])):
+            last = max(last, int(P[slack > SLACK_TOL].max(initial=-1)))
+    details: dict = {"route": "node", "nodes": sum(len(P) for P, _ in system.groups),
+                     "cone": cone}
+    if last < 0:
+        return CheckReport("holds", None, method, details)
+
+    tree = problem.tree
+    P, R = next((P, R) for P, R in system.groups if last in P)
+    rows = R[int(np.flatnonzero(P == last)[0])]
+    box, info = cone_vertex(rows, rows.shape[1])
+    cone["lp_calls"] += info["lp_calls"]
+    objs = path_objectives(problem) or {}
+    below = _leaves_below(tree, last)
+    horizons, exact, _ = _leaf_horizons({leaf: objs[leaf] for leaf in below if leaf in objs})
+    if box is not None and exact and len(horizons) == len(below):
+        # a leaf's path vector holds one decision per stage, so the node's
+        # columns in it follow the earlier stages' dimensions
+        dims = problem.decision_dims
+        a = sum(dims[: tree.times[last]])
+        cols = dict.fromkeys(below, np.arange(sum(dims)))
+
+        def verify(y: np.ndarray) -> tuple[bool, dict[str, float]]:
+            vec = np.zeros(sum(dims))
+            vec[a : a + len(y)] = y
+            return _witness_ok(horizons, cols, vec)
+
+        y = unit_l1(box)
+        ok, vals = verify(y)
+        if not ok:
+            # as on the stacked route: the vertex keeps its exact coordinates
+            ok, vals = verify(box)
+            if ok:
+                method.append("witness re-verified on the LP vertex (max |y| = 1)")
+        if ok:
+            details["witness_node"] = tree.nodes[last].id
+            details["witness_horizon_values"] = vals
+            return CheckReport("fails", _node_witness(problem, last, y), method, details)
+    method.append("node witness failed re-verification; deciding on the stacked rows")
+    return _check_stacked(problem, samples, seed, method)
+
+
+# ---------------------------------------------------------------------------
 # the positivity check
 # ---------------------------------------------------------------------------
 
@@ -243,24 +399,47 @@ def check_horizon_positivity(
     defined and minimizers exist; on frictionless market fixtures it
     reduces to the classical no-arbitrage condition, which
     :func:`no_arbitrage_lp` checks independently.
+
+    Superlinear costs decide it analytically.  A problem with node rows
+    (``meta["node_rows"]``) takes the node route: the cone is {0} iff
+    every node's own cone is (see :func:`_node_system`); ``method`` says
+    "one-period rows per decision node", ``details["route"]`` is
+    ``"node"``, ``details["cone"]`` sums the nodes' ``rows``, ``dim``
+    and ``kernel_dim`` and counts the ``lp_calls``, and a ``fails``
+    witness is nonzero at one node only, ``details["witness_node"]``,
+    re-verified on the horizons of the leaves below it (the others see
+    the zero direction).  Any other problem with symbolic path
+    objectives takes the stacked route ("polyhedral zero-sublevel rows
+    per leaf"), which is also the fallback when a node witness fails its
+    re-verification.
     """
-    method: list[str] = []
     analysis = problem.meta.get("market_analysis") or {}
     if analysis.get("cost_superlinear") and analysis.get("disutility_growth"):
-        method.append("analytic: superlinear total cost pins every nonzero trade direction")
+        method = ["analytic: superlinear total cost pins every nonzero trade direction"]
         return CheckReport("holds", None, method, {"market_analysis": dict(analysis)})
+    system = _node_system(problem)
+    if system is not None:
+        return _check_by_node(problem, system, samples, seed)
+    return _check_stacked(problem, samples, seed, [])
 
+
+def _check_stacked(
+    problem: Problem, samples: int, seed: int, method: list[str]
+) -> CheckReport:
+    """The check on every leaf's zero-sublevel rows stacked into one cone
+    over the whole adapted vector: one SVD and one bounded LP, then
+    sphere sampling if the LP direction fails re-verification."""
     objs = path_objectives(problem)
     if objs is None:
         return CheckReport(
             "undecided",
             None,
-            ["no symbolic path objectives available for horizon analysis"],
+            method + ["no symbolic path objectives available for horizon analysis"],
             {},
         )
     offsets, total, leaf_cols = _adapted_layout(problem)
     if total == 0:
-        return CheckReport("holds", None, ["no decisions to check"], {})
+        return CheckReport("holds", None, method + ["no decisions to check"], {})
     horizons, exact, notes = _leaf_horizons(objs)
     details: dict = {"exact_horizons": exact, "notes": notes}
     rows = _stacked_rows(horizons, leaf_cols, total)
@@ -395,15 +574,28 @@ def null_space(problem: Problem) -> DirectionSet:
     the optimum.  Raises :class:`NotASubspace` when the nonpositive-horizon
     directions form a one-sided cone, in which case existence is not
     guaranteed by the linear-space route.
+
+    With node rows, one block LP looks for a one-sided ray at every node
+    (the error's ``ray`` is nonzero at the last such node in tree order
+    only), and each node's basis is the kernel of its own rows, from one
+    batched SVD: nodes with bit-identical rows get bit-identical bases,
+    and a node whose rows are all zero the exact identity (``meta``:
+    method "kernel of node rows" and the node count).  Otherwise the
+    stacked route takes the kernel of every leaf's rows with the earlier
+    stages pinned to zero, one SVD per stage (method "kernel of leaf
+    value rows").  Both give the same subspaces (:func:`_node_system`).
     """
-    offsets, total, leaf_cols = _adapted_layout(problem)
     analysis = problem.meta.get("market_analysis") or {}
     if analysis.get("cost_superlinear") and analysis.get("disutility_growth"):
         return DirectionSet(
-            {nid: np.zeros((b - a, 0)) for nid, (a, b) in offsets.items()},
+            {n.id: np.zeros((problem.decision_dim(n.id), 0)) for n in problem.decision_nodes()},
             "exact",
             {"method": "analytic: superlinear costs leave no null direction"},
         )
+    system = _node_system(problem)
+    if system is not None:
+        return _null_space_by_node(problem, system)
+    offsets, total, leaf_cols = _adapted_layout(problem)
     objs = path_objectives(problem)
     if objs is None:
         return DirectionSet({}, "undecided", {"method": "no symbolic objectives"})
@@ -443,6 +635,40 @@ def null_space(problem: Problem) -> DirectionSet:
     return DirectionSet(per_node, "exact", {"method": "kernel of leaf value rows"})
 
 
+def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
+    """Each node's kernel ker R_n, after one block LP found no one-sided ray."""
+    if not system.groups:
+        return DirectionSet({}, "exact", {"method": "kernel of node rows", "nodes": 0})
+    slacks = block_slacks([R for _, R in system.groups])
+    rays = [(int(P[i]), y[i]) for (P, _), (slack, y) in zip(system.groups, slacks)
+            for i in np.flatnonzero(slack > SLACK_TOL)]
+    if rays:
+        p, y = max(rays, key=lambda r: r[0])
+        raise NotASubspace(
+            "nonpositive-horizon directions form a one-sided cone, not a subspace "
+            f"(at node {problem.tree.nodes[p].id!r})",
+            ray=_node_witness(problem, p, unit_l1(_box_direction(y))),
+        )
+    bases = {int(p): B for P, R in system.groups for p, B in zip(P, kernel_bases(R))}
+    nodes = problem.tree.nodes
+    return DirectionSet(
+        {nodes[p].id: bases[p] for p in sorted(bases)},
+        "exact",
+        {"method": "kernel of node rows", "nodes": len(bases)},
+    )
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks along the diagonal of a zero matrix (a block of shape
+    (d, 0) takes d rows and no column)."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     """Restrict decisions to the orthogonal complement of the null directions.
 
@@ -460,14 +686,14 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     function gets the post-decision state unchanged), and its
     ``meta["path_objectives"]`` are :func:`path_objectives` of the input
     (explicit or derived from the history) composed with each leaf path's
-    block-diagonal basis, so the projected problem can be checked again.
+    block-diagonal basis, and its node rows, if the input has them, are
+    each node's rows times its basis, so the projected problem can be
+    checked again, on the same route.
     """
     if directions.kind != "exact":
         raise InexactNullSpace("null space is not certified exact; refusing to project")
     if directions.is_trivial():
         return problem
-    from scipy.linalg import block_diag
-
     tree = problem.tree
     qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}
@@ -509,7 +735,7 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
                 stage_funs[nid] = sf
             elif isinstance(sf, ExtFun):
                 sdim = sf.dim - problem.decision_dim(nid)
-                stage_funs[nid] = AffinePrecompose(sf, block_diag(np.eye(sdim), Q))
+                stage_funs[nid] = AffinePrecompose(sf, _block_diagonal([np.eye(sdim), Q]))
             else:
                 if id(sf) not in wrapped:
                     wrapped[id(sf)] = lambda K, S, Y, post, _f=sf: _f(K, S, to_decision(K, Y), post)
@@ -521,12 +747,28 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     }
     paths = path_objectives(problem)
     if paths is not None:
+        # each leaf path's block-diagonal basis, one stage's blocks for all
+        # leaves at a time (a leaf's ancestor at stage t picks the block)
+        ancestors = {tree.horizon: tree.positions_at(tree.horizon)}
+        for t in range(tree.horizon - 1, -1, -1):
+            ancestors[t] = tree.parent_pos[ancestors[t + 1]]
+        blocks = np.zeros((len(tree.leaves), sum(Q.shape[1] for Q in bases.values()),
+                           sum(Q.shape[2] for Q in bases.values())))
+        r = c = 0
+        for t in sorted(bases):
+            _, d, k = bases[t].shape
+            blocks[:, r : r + d, c : c + k] = bases[t][stage_index[ancestors[t]]]
+            r, c = r + d, c + k
         meta["path_objectives"] = {
-            leaf.id: AffinePrecompose(
-                paths[leaf.id],
-                block_diag(*(qmap[nid] for nid in tree.path(leaf.id) if nid in qmap)),
-            )
-            for leaf in tree.leaves
+            leaf.id: AffinePrecompose(paths[leaf.id], B) for leaf, B in zip(tree.leaves, blocks)
+        }
+    node_rows = problem.meta.get("node_rows")
+    if node_rows is not None:
+        # y_n = Q_n z_n: each node's rows act on its reduced decision
+        meta["node_rows"] = {
+            t: (np.einsum("rd,rdk->rk", rows, bases[t][np.repeat(
+                np.arange(len(start) - 1), np.diff(start))]) + 0.0, start)
+            for t, (rows, start) in node_rows.items() if bases[t].shape[2]
         }
 
     return Problem(

@@ -926,7 +926,7 @@ class _Stage(NamedTuple):
 def _stagewise(
     problem: Problem,
     decide: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[float, list[_Stage]]:
+) -> tuple[float, list[_Stage], np.ndarray]:
     """Follow decisions down the tree one stage per call and price them.
 
     ``decide(t, K, S)`` returns the decisions of the stage-t nodes K at
@@ -937,7 +937,7 @@ def _stagewise(
     naming the first such node in stage order.  A node's path cost is its
     parent's plus its own stage value.  Returns the expected total cost at the
     root (each leaf's path cost plus leaf value, combined backward by
-    conditional expectation) and the stages.
+    conditional expectation), the stages and the leaf values.
     """
     tree = problem.tree
     stages: list[_Stage] = []
@@ -956,7 +956,7 @@ def _stagewise(
         stages.append(_Stage(K, S, X, past, cost, post))
     leaf = problem.leaf_values(K, post)
     _reject_nan(leaf, None, problem._ids, K)
-    return float(_roll_back(tree, path + leaf)[tree.index(tree.root.id)]), stages
+    return float(_roll_back(tree, path + leaf)[tree.index(tree.root.id)]), stages, leaf
 
 
 def _depth_first(tree: ScenarioTree) -> list[int]:
@@ -1148,7 +1148,7 @@ def forward_pass(
             _, X, _ = _minimize_at(f, K, S, problem.decision_dims[t], cfg, problem._ids)
         return np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
 
-    value, stages = _stagewise(problem, decide)
+    value, stages, _ = _stagewise(problem, decide)
     chosen = {p: x for st in stages if st.X.shape[1] for p, x in zip(st.K.tolist(), st.X)}
     decisions = {problem._ids[p]: chosen[p] for p in _depth_first(problem.tree) if p in chosen}
     record = _ExactMinima(problem, exact_cfg, minima) if mode == "exact" else None
@@ -1263,13 +1263,31 @@ def _strategy_points(
             raise ValueError("a solve result is required for method='tables'")
     elif method != "exact":
         raise ValueError(f"unknown verification method {method!r}")
-    points = []
-    for t, st in enumerate(_stagewise(problem, _strategy_decisions(problem, strategy))[1]):
+    tree = problem.tree
+    T = tree.horizon
+    _, stages, leaf = _stagewise(problem, _strategy_decisions(problem, strategy))
+    points: list = [None] * (T + 1)
+    below = leaf  # the stage-(t+1) objective values at the strategy's rows
+    for t in range(T, -1, -1):
+        st = stages[t]
         if method == "exact":
             cont = _exact_continuation(problem, t, cfg.exact_refine())
         else:
             cont = _table_continuation(problem, t, result.post_tables)
-        points.append((_stage_objective(problem, cont), st, st.cost + cont(st.K, st.post)))
+        nested = method == "exact" or t == T or (t == T - 1 and problem.decision_dims[T] == 0)
+        if t == T:
+            after = leaf
+        elif nested and problem.decision_dims[t + 1] == 0:
+            # the children decide nothing and enter at these post states, so
+            # the nested continuation is their values just computed
+            _reject_nan(below, None, problem._ids, stages[t + 1].K)
+            slots = _child_slots(tree, st.K)
+            kids = np.concatenate([c for _, c, _ in slots])
+            after = _expect(slots, below[tree.stage_index[kids]], len(st.K))
+        else:
+            after = cont(st.K, st.post)
+        below = st.cost + after
+        points[t] = (_stage_objective(problem, cont), st, below)
     return points
 
 

@@ -26,7 +26,9 @@ The two forms have the same optimal value; the test suite checks this
 on every fixture.  A frictionless model that trades at every stage also
 gets each leaf's objective as a symbolic expression of its path
 decisions, in either form; one with a closed stage gets none, and its
-horizon check is undecided.  ``validate`` decides the standing
+horizon check is undecided.  Without a borrowing limit it also gets each
+decision node's own zero-sublevel rows, on which the check and the null
+space decide node by node.  ``validate`` decides the standing
 assumptions analytically per atom family and explains which existence
 route applies.
 """
@@ -48,6 +50,8 @@ from .efun import (
     Sampled1D,
     SShapedDisutility,
     Sum,
+    horizon,
+    sublevel_zero_cone,
 )
 from .tree import (
     Node,
@@ -601,6 +605,58 @@ def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
     return out
 
 
+def _node_rows(
+    model: MarketModel, lead: int, Z: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+    """Each decision node's zero-sublevel rows over its own decision, from
+    the (positions, assets) prices ``Z``.
+
+    Per stage t, ``(rows, start)``: the i-th node of ``positions_at(t)``
+    owns ``rows[start[i]:start[i + 1]]``, one row -(1, Z_c - Z_n) per
+    child c (the expenditure 1 in the terminal form only), then the rows
+    of the stage's decision box horizon.  Built when the adapted cone of
+    the path objectives splits into these node cones (see
+    :mod:`treedp.cones`): a frictionless market that trades at every
+    stage, without a borrowing limit, whose every leaf disutility has
+    the zero sublevel {c <= 0} (loss slope > 0, gain slope 0); None
+    otherwise.  The rows carry the bits of the path objectives' rows.
+    """
+    tree = model.tree
+    T = tree.horizon
+    if (not model.cost.is_frictionless() or model.cash_lower is not None
+            or not all(model.can_trade(t) for t in range(T))):
+        return None
+    seen: dict[int, bool] = {}
+    for leaf in tree.leaves:
+        u = model.utility_at(leaf.id)
+        if id(u) not in seen:
+            rows = sublevel_zero_cone(horizon(u.disutility()))
+            seen[id(u)] = rows is not None and rows.tolist() == [[1.0]]
+        if not seen[id(u)]:
+            return None
+    d = lead + model.n_risky
+    out = {}
+    for t in range(T):
+        box = _decision_box(model, t, lead)
+        box_rows = np.zeros((0, d)) if box is None else sublevel_zero_cone(box.horizon_cone())
+        P = tree.positions_at(t)
+        first = tree.child_start[P]
+        counts = tree.child_start[P + 1] - first
+        start = np.concatenate([[0], np.cumsum(counts + len(box_rows))])
+        # the e-th child entry of the stage lands at its node's start plus its rank
+        ends = np.cumsum(counts)
+        rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        at = np.repeat(start[:-1], counts) + rank
+        kids = tree.child_pos[np.repeat(first, counts) + rank]
+        rows = np.empty((start[-1], d))
+        rows[at, :lead] = -1.0
+        rows[at, lead:] = -(Z[kids] - Z[np.repeat(P, counts)]) + 0.0
+        for k, r in enumerate(box_rows):
+            rows[start[:-1] + counts + k] = r
+        out[t] = (rows, start)
+    return out
+
+
 def _default_grids(
     model: MarketModel, radius: float, points: int, cash_points: int
 ) -> dict[int, tuple[np.ndarray, ...]]:
@@ -730,6 +786,9 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
     paths = _path_objectives(model, lead)
     if paths is not None:
         meta["path_objectives"] = paths
+    node_rows = _node_rows(model, lead, data.Z)
+    if node_rows is not None:
+        meta["node_rows"] = node_rows
     return Problem(
         tree=tree,
         decision_dims=dims,

@@ -7,6 +7,7 @@ so the state grids cover the optimum with adequate resolution.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -193,6 +194,13 @@ def twin_market(tree=None, n_risky: int = 1, **extra) -> market.MarketModel:
     base = dict(cost=market.PowerIlliquidity(0.1, 2.0), utility=market.SShapedUtility(2.0, 1.0, 1.0))
     return market.MarketModel(tree=tree, n_risky=n_risky, prices=prices, initial_cash=1.0,
                               **{**base, **extra})
+
+
+def stacked_route(problem: dp.Problem) -> dp.Problem:
+    """``problem`` without the builder's node rows: its check and null space
+    take the stacked route, the oracle of the node route."""
+    meta = {k: v for k, v in problem.meta.items() if k != "node_rows"}
+    return dataclasses.replace(problem, meta=meta)
 
 
 def solve_bytes(problem: dp.Problem, cfg: dp.SolveConfig = dp.DEFAULT_CONFIG) -> tuple:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import treedp as td
-from treedp import cones, dp, efun, market
+from treedp import _polyhedral, cones, dp, efun, market
 from treedp._polyhedral import kernel_basis
 from treedp.efun import Affine, AffinePrecompose, PowerCost, Sum
 
@@ -20,6 +20,7 @@ from conftest import (
     random_frictionless_model,
     solve_bytes,
     sshaped_t2_model,
+    stacked_route,
     twin_market,
 )
 
@@ -76,9 +77,10 @@ class TestCheckHorizonPositivity:
         assert not any("sampling" in m for m in rep.method)
 
     def test_exact_vertex_witness_reverifies_before_its_scaling(self):
-        # two identical assets over two periods: the swap vertex is +-1 in
-        # all six coordinates, exact, but its L1 scaling (sixths) leaves a
-        # 1e-17 profit that the exponential utility's horizon rejects
+        # two identical assets over two periods: on the stacked rows the swap
+        # vertex is +-1 in all six coordinates, exact, but its L1 scaling
+        # (sixths) leaves a 1e-17 profit that the exponential utility's
+        # horizon rejects
         moves = {"r": 4.0, "0": 4.375, "1": 3.75, "00": 4.625, "01": 3.875,
                  "10": 4.0, "11": 3.625}
         probs = {"0": 2 / 3, "1": 1 / 3, "00": 1 / 3, "01": 2 / 3, "10": 0.5, "11": 0.5}
@@ -90,7 +92,7 @@ class TestCheckHorizonPositivity:
             cost=market.Frictionless(), utility=exp_utility(), initial_cash=1.0,
         )
         problem = market.build_problem_cash(model)
-        rep = cones.check_horizon_positivity(problem)
+        rep = cones.check_horizon_positivity(stacked_route(problem))
         assert rep.verdict == "fails"
         assert "witness re-verified on the LP vertex (max |y| = 1)" in rep.method
         assert not any("sampling" in m for m in rep.method)
@@ -99,6 +101,12 @@ class TestCheckHorizonPositivity:
         assert sorted(set(np.abs(y))) == [1 / 6]
         # a swap in every node: each node's two entries cancel
         assert all(v[0] == -v[1] for v in rep.witness.values())
+        # the node route swaps at the last node only, whose halves are exact
+        node = cones.check_horizon_positivity(problem)
+        assert node.verdict == "fails" and node.details["witness_node"] == "1"
+        assert node.witness == {"r": [0.0, 0.0], "0": [0.0, 0.0], "1": [-0.5, 0.5]}
+        assert node.method == ["cone propagation: one-period rows per decision node"]
+        assert node.details["witness_horizon_values"] == {"10": 0.0, "11": 0.0}
 
     def test_witness_reverifies_nodewise(self):
         model = arbitrage_model()
@@ -382,8 +390,7 @@ class TestProjectProblem:
 
     def test_projection_drops_the_local_keys(self):
         # the projected stage functions read each node's null-space basis
-        # through K, and twin subtrees may get bases that differ in bits, so
-        # the builder's local keys do not carry over
+        # through K, so the builder's local keys do not carry over
         model = twin_market(binomial_tree(2), n_risky=2, cost=market.Frictionless(),
                             utility=exp_utility())
         problem = market.build_problem_cash(model, radius=1.0, points=9)
@@ -587,7 +594,8 @@ class TestMultiPeriodRandomTrees:
                 n_assets=n_assets, duplicated=n_assets == 2 and k % 3 == 0,
                 balanced=k % 2 == 0, utility=utilities[k % 2],
             )
-            problem = market.build_problem_cash(model, radius=1.0, points=5)
+            # the stacked route, bit for bit against the dense references
+            problem = stacked_route(market.build_problem_cash(model, radius=1.0, points=5))
             rep = cones.check_horizon_positivity(problem)
             ys = unit_directions(_ref_layout(problem)[1], np.random.default_rng(k))
             if rep.witness is not None:
@@ -734,3 +742,203 @@ class TestConditionalHorizonInequality:
                     lhs = sum(c.prob * H_kids[c.id].value(w) for c in kids)
                     rhs = H_mix.value(w)
                     assert lhs <= rhs + 1e-9
+
+
+def _projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.T
+
+
+def _null_or_ray(problem):
+    try:
+        return cones.null_space(problem)
+    except cones.NotASubspace as err:
+        return err
+
+
+def assert_routes_agree(problem):
+    """The node route against the stacked route on one problem: equal
+    verdicts, a node witness that re-verifies on every leaf's horizon,
+    NotASubspace on both or neither, and null spaces whose projectors
+    agree within 1e-12.  Returns (node report, node null space or error)."""
+    assert "node_rows" in problem.meta
+    oracle = stacked_route(problem)
+    node, stacked = (cones.check_horizon_positivity(p) for p in (problem, oracle))
+    assert node.verdict == stacked.verdict, (node, stacked)
+    assert node.details["route"] == "node" and "route" not in stacked.details
+    if node.witness is not None:
+        assert sum(np.any(v) for v in node.witness.values()) == 1
+        horizons = {leaf: td.horizon(f) for leaf, f in cones.path_objectives(problem).items()}
+        y = np.concatenate(list(node.witness.values()))
+        assert max(_ref_witness_values(problem, horizons, y).values()) <= cones.WITNESS_TOL
+    ds, ref = _null_or_ray(problem), _null_or_ray(oracle)
+    assert type(ds) is type(ref)
+    if isinstance(ds, cones.NotASubspace):
+        assert sum(np.any(v) for v in ds.ray.values()) == 1
+    else:
+        assert ds.per_node.keys() == ref.per_node.keys()
+        for nid, basis in ds.per_node.items():
+            assert basis.shape == ref.per_node[nid].shape
+            gap = np.abs(_projector(basis) - _projector(ref.per_node[nid])).max(initial=0.0)
+            assert gap <= 1e-12
+    return node, ds
+
+
+def random_bounds(rng, n_assets, T):
+    """Holdings boxes on some stages: each side free, at 0 or at +-1."""
+    out = {}
+    for t in range(T):
+        if rng.random() < 0.5:
+            lo = rng.choice([-INF, -1.0, 0.0], size=n_assets)
+            up = rng.choice([INF, 1.0], size=n_assets)
+            out[t] = (lo, up)
+    return out or None
+
+
+class TestNodeRoute:
+    """The node route decides on each node's one-period rows; the stacked
+    route over the whole adapted vector is its oracle."""
+
+    def test_agrees_with_the_stacked_route_on_random_trees(self):
+        rng = np.random.default_rng(2029)
+        utilities = (market.SShapedUtility(2.0, 1.0, 1.0), exp_utility())
+        seen = {"holds": 0, "fails": 0, "null": 0, "one_sided": 0, "bounded": 0, "terminal": 0}
+        for k in range(40):
+            n_assets = int(rng.integers(1, 3))
+            T = int(rng.integers(1, 4))
+            model = random_frictionless_tree(
+                rng, T=T, n_branch=int(rng.integers(2, 4)), n_assets=n_assets,
+                duplicated=n_assets == 2 and k % 3 == 0, balanced=k % 2 == 0,
+                utility=utilities[k % 2],
+            )
+            if k % 4 == 3:
+                model = dataclasses.replace(model, constraints=random_bounds(rng, n_assets, T))
+                seen["bounded"] += model.constraints is not None
+            build = market.build_problem_terminal if k % 5 == 4 else market.build_problem_cash
+            seen["terminal"] += build is market.build_problem_terminal
+            rep, ds = assert_routes_agree(build(model, radius=1.0, points=5))
+            seen[rep.verdict] += 1
+            if isinstance(ds, cones.NotASubspace):
+                seen["one_sided"] += 1
+            else:
+                seen["null"] += not ds.is_trivial()
+        for k in range(20):
+            assert_routes_agree(market.build_problem_cash(random_frictionless_model(rng)))
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("case", ["constant_price", "arbitrage", "duplicated", "sure_loss"])
+    def test_special_markets(self, case):
+        tree = binomial_tree(2)
+        prices = binomial_prices(tree, 1.0, 1.4, 0.7)
+        if case == "constant_price":
+            # zero profit along the whole holdings line: a kernel at every node
+            prices = {n.id: np.array([1.0]) for n in tree.nodes}
+        elif case == "duplicated":
+            prices = {k: np.repeat(v, 2) for k, v in prices.items()}
+        elif case == "arbitrage":
+            # both moves out of d go up: buying there wins
+            prices["du"], prices["dd"] = prices["d"] * 1.5, prices["d"] * 1.2
+        else:
+            # both moves out of u go down: shorting there wins
+            prices["uu"], prices["ud"] = prices["u"] * 0.5, prices["u"] * 0.6
+        model = market.MarketModel(
+            tree=tree, n_risky=len(prices["r"]), prices=prices, cost=market.Frictionless(),
+            utility=exp_utility(), initial_cash=1.0,
+        )
+        for build in (market.build_problem_cash, market.build_problem_terminal):
+            rep, ds = assert_routes_agree(build(model, radius=1.0, points=5))
+            assert rep.verdict == "fails"
+            assert isinstance(ds, cones.NotASubspace) == (case in ("arbitrage", "sure_loss"))
+
+    def test_projected_problems_check_and_solve_as_stacked_ones(self):
+        tree = binomial_tree(2)
+        prices = {k: np.repeat(v, 2) for k, v in binomial_prices(tree, 1.0, 1.4, 0.7).items()}
+        two = market.MarketModel(tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
+                                 utility=exp_utility(), initial_cash=1.0)
+        for problem in (market.build_problem_cash(duplicated_asset_model(), radius=2.0, points=33),
+                        market.build_problem_cash(two, radius=1.0, points=9)):
+            node = cones.project_problem(problem, cones.null_space(problem))
+            stacked = cones.project_problem(problem, cones.null_space(stacked_route(problem)))
+            rep, ds = assert_routes_agree(node)
+            assert rep.verdict == "holds" and ds.is_trivial()
+            assert cones.check_horizon_positivity(stacked).verdict == "holds"
+            a, b = dp.backward_solve(node), dp.backward_solve(stacked)
+            assert a.value == pytest.approx(b.value, abs=1e-9)
+            assert a.forward_value == pytest.approx(b.forward_value, abs=1e-9)
+
+    def test_twin_nodes_get_bit_identical_bases(self):
+        # the subtrees under u and d are twins; the first move leaves the
+        # prices at 1, so the root's rows are zero and every root trade is null
+        model = twin_market(binomial_tree(2), n_risky=2, cost=market.Frictionless())
+        ds = cones.null_space(market.build_problem_cash(model, radius=1.0, points=9))
+        assert ds.per_node["u"].shape == (2, 1)
+        assert ds.per_node["u"].tobytes() == ds.per_node["d"].tobytes()
+        assert ds.per_node["r"].tobytes() == np.eye(2).tobytes()
+
+    def test_route_follows_the_builder(self):
+        model = duplicated_asset_model()
+        assert "node_rows" in market.build_problem_cash(model).meta
+        tilted = market.SampledUtility(np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.5]),
+                                       slope_left=1.0, slope_right=-0.5)
+        for other in (
+            dataclasses.replace(model, cash_lower=0.8),
+            dataclasses.replace(twin_market(binomial_tree(2), cost=market.Frictionless()),
+                                trading_stages=frozenset({0})),
+            # gains hurt at a linear rate too: each leaf's zero sublevel is {0}
+            dataclasses.replace(model, utility=tilted),
+        ):
+            problem = market.build_problem_cash(other, radius=1.0, points=5)
+            assert "node_rows" not in problem.meta
+            rep = cones.check_horizon_positivity(problem)
+            assert "route" not in rep.details
+            assert not any("per decision node" in m for m in rep.method)
+        rep = cones.check_horizon_positivity(history_sum_problem())
+        assert rep.method == ["cone propagation: polyhedral zero-sublevel rows per leaf"]
+
+    @pytest.mark.parametrize("T, n_risky, verdict", [(12, 1, "holds"), (8, 2, "fails")])
+    def test_no_linear_algebra_wider_than_a_node(self, T, n_risky, verdict, monkeypatch):
+        tree = binomial_tree(T)
+        prices = {k: np.repeat(v, n_risky) for k, v in binomial_prices(tree, 1.0, 1.2, 0.85).items()}
+        model = market.MarketModel(
+            tree=tree, n_risky=n_risky, prices=prices, cost=market.Frictionless(),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0), initial_cash=1.0,
+        )
+        problem = market.build_problem_cash(model, radius=1.0, points=5)
+        widths = []
+
+        def wrap(fn):
+            def counted(a, *args, **kwargs):
+                widths.append(np.shape(a)[-1])
+                return fn(a, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
+        monkeypatch.setattr(_polyhedral, "kernel_basis", wrap(_polyhedral.kernel_basis))
+        monkeypatch.setattr(cones, "kernel_basis", wrap(cones.kernel_basis))
+        rep = cones.check_horizon_positivity(problem)
+        assert rep.verdict == verdict and rep.details["route"] == "node"
+        assert rep.details["nodes"] == 2**T - 1
+        ds = cones.null_space(problem)
+        assert ds.meta["method"] == "kernel of node rows"
+        assert sum(b.shape[1] for b in ds.per_node.values()) == (2**T - 1) * (n_risky - 1)
+        assert widths and max(widths) <= n_risky
+
+    def test_projection_places_the_bases_as_block_diag(self):
+        from scipy.linalg import block_diag
+
+        # the terminal form's expenditure box makes every stage function an
+        # ExtFun, which the projection precomposes with diag(I, Q)
+        tree = binomial_tree(2)
+        prices = {k: np.repeat(v, 2) for k, v in binomial_prices(tree, 1.0, 1.4, 0.7).items()}
+        model = market.MarketModel(tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
+                                   utility=exp_utility(), initial_cash=1.0)
+        problem = market.build_problem_terminal(model, radius=1.0, points=5)
+        ds = cones.null_space(problem)
+        projected = cones.project_problem(problem, ds)
+        Q = {nid: _polyhedral.orthonormal_complement(b, 3) for nid, b in ds.per_node.items()}
+        paths = projected.meta["path_objectives"]
+        for leaf in tree.leaves:
+            want = block_diag(*(Q[nid] for nid in tree.path(leaf.id)[:-1]))
+            assert paths[leaf.id].matrix.tobytes() == want.tobytes()
+        for nid, Qn in Q.items():
+            want = block_diag(np.eye(3), Qn)
+            assert projected.stage_funs[nid].matrix.tobytes() == want.tobytes()

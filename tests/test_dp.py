@@ -654,6 +654,37 @@ class TestStagewisePass:
         assert calls == {"step": T + 1, "transition": T + 1}
         assert value == _ref_walk(problem, lambda node, S: strategy.at(node.id)[None, :])
 
+    @pytest.mark.parametrize("method", ["tables", "exact"])
+    @pytest.mark.parametrize("name", sorted(BENCH_BUILDERS))
+    def test_chain_values_equal_each_stage_continuation(self, name, method):
+        # the pass reuses a decision-free stage's values as its parent's
+        # nested continuation; each stage's own continuation is the reference
+        bench, res = get_solved(name)
+        problem, cfg = bench.problem, bench.cfg
+        stages = dp._stagewise(problem, dp._strategy_decisions(problem, res.strategy))[1]
+        want = []
+        for t, st in enumerate(stages):
+            cont = (dp._exact_continuation(problem, t, cfg.exact_refine()) if method == "exact"
+                    else dp._table_continuation(problem, t, res.post_tables))
+            want.append(st.cost + cont(st.K, st.post))
+        got = [here for _, _, here in dp._strategy_points(problem, res.strategy, res, cfg, method)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_leaf_values_evaluated_once(self, monkeypatch):
+        # sshaped_t3's last two stages decide nothing: the pass's leaf values
+        # serve stage T and stage T-1's continuation
+        bench, res = get_solved("sshaped_t3")
+        calls = []
+        leaf_values = dp.Problem.leaf_values
+
+        def counted(self, K, states):
+            calls.append(len(K))
+            return leaf_values(self, K, states)
+
+        monkeypatch.setattr(dp.Problem, "leaf_values", counted)
+        dp.expectation_chain(bench.problem, res.strategy, res, bench.cfg)
+        assert calls == [8]
+
     @pytest.mark.parametrize("entry", sorted(STRATEGY_ENTRIES))
     @pytest.mark.parametrize("strategy, message", [
         ({"u": [0.5]}, "strategy at 'd' has no decision, want 1"),
