@@ -75,7 +75,6 @@ from .market import (
     ValidationReport,
     build_problem_cash,
     build_problem_terminal,
-    liquidation_value,
     load_market,
     market_from_dict,
     market_to_dict,

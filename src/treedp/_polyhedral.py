@@ -169,14 +169,6 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of span(basis)."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.size == 0:
-        return np.eye(dim)
-    return kernel_basis(basis.T.reshape(-1, dim))
-
-
 def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
     """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack.
 

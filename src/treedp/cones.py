@@ -56,7 +56,6 @@ from ._polyhedral import (
     kernel_basis,
     kernel_bases,
     linprog,
-    orthonormal_complement,
     unit_l1,
     unit_rows,
 )
@@ -370,19 +369,41 @@ def _check_by_node(
             vec[a : a + len(y)] = y
             return _witness_ok(horizons, cols, vec)
 
-        y = unit_l1(box)
-        ok, vals = verify(y)
-        if not ok:
-            # as on the stacked route: the vertex keeps its exact coordinates
-            ok, vals = verify(box)
-            if ok:
-                method.append("witness re-verified on the LP vertex (max |y| = 1)")
+        y, ok, vals = _verify_vertex(box, verify, method)
         if ok:
             details["witness_node"] = tree.nodes[last].id
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _node_witness(problem, last, y), method, details)
     method.append("node witness failed re-verification; deciding on the stacked rows")
     return _check_stacked(problem, samples, seed, method)
+
+
+def _verify_vertex(
+    box: np.ndarray,
+    verify: Callable[[np.ndarray], tuple[bool, dict[str, float]]],
+    method: list[str],
+) -> tuple[np.ndarray, bool, dict[str, float]]:
+    """``verify`` the LP vertex ``box`` as a witness: (the direction at unit
+    L1 norm, whether it verified, the horizon values).
+
+    The L1 scaling rounds an exact vertex ([1, -1, 1] becomes thirds), and
+    a horizon that is +inf on any loss rejects the 1e-17 profit; so the
+    vertex itself, which keeps its exact coordinates, may verify instead.
+    """
+    y = unit_l1(box)
+    ok, vals = verify(y)
+    if not ok:
+        ok, vals = verify(box)
+        if ok:
+            method.append("witness re-verified on the LP vertex (max |y| = 1)")
+    return y, ok, vals
+
+
+def _superlinear(problem: Problem) -> bool:
+    """Whether the builder's market analysis finds superlinear total costs
+    and disutility growth, which pin every nonzero trade direction."""
+    analysis = problem.meta.get("market_analysis") or {}
+    return bool(analysis.get("cost_superlinear") and analysis.get("disutility_growth"))
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +434,10 @@ def check_horizon_positivity(
     per leaf"), which is also the fallback when a node witness fails its
     re-verification.
     """
-    analysis = problem.meta.get("market_analysis") or {}
-    if analysis.get("cost_superlinear") and analysis.get("disutility_growth"):
+    if _superlinear(problem):
         method = ["analytic: superlinear total cost pins every nonzero trade direction"]
-        return CheckReport("holds", None, method, {"market_analysis": dict(analysis)})
+        analysis = dict(problem.meta["market_analysis"])
+        return CheckReport("holds", None, method, {"market_analysis": analysis})
     system = _node_system(problem)
     if system is not None:
         return _check_by_node(problem, system, samples, seed)
@@ -460,15 +481,8 @@ def _check_stacked(
         box, details["cone"] = cone_vertex(rows, total)
         if box is None:
             return CheckReport("holds", None, method, details)
-        y = unit_l1(box)
-        ok, vals = _witness_ok(horizons, leaf_cols, y)
-        if not ok:
-            # the L1 scaling rounds an exact vertex ([1, -1, 1] becomes
-            # thirds), and a horizon that is +inf on any loss rejects the
-            # 1e-17 profit; the vertex itself keeps its exact coordinates
-            ok, vals = _witness_ok(horizons, leaf_cols, box)
-            if ok:
-                method.append("witness re-verified on the LP vertex (max |y| = 1)")
+        y, ok, vals = _verify_vertex(
+            box, lambda v: _witness_ok(horizons, leaf_cols, v), method)
         if ok:
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _split_witness(offsets, y), method, details)
@@ -585,8 +599,7 @@ def null_space(problem: Problem) -> DirectionSet:
     stages pinned to zero, one SVD per stage (method "kernel of leaf
     value rows").  Both give the same subspaces (:func:`_node_system`).
     """
-    analysis = problem.meta.get("market_analysis") or {}
-    if analysis.get("cost_superlinear") and analysis.get("disutility_growth"):
+    if _superlinear(problem):
         return DirectionSet(
             {n.id: np.zeros((problem.decision_dim(n.id), 0)) for n in problem.decision_nodes()},
             "exact",
@@ -695,12 +708,22 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     if directions.is_trivial():
         return problem
     tree = problem.tree
+    # each node's complement Q is the kernel of its basis' transpose: one
+    # batched SVD per stage (and basis shape) over the nodes with null
+    # directions; the others keep the identity
+    nodes = problem.decision_nodes()
+    null: dict[tuple, list[str]] = {}
+    for node in nodes:
+        basis = directions.per_node.get(node.id)
+        if basis is not None and basis.size:
+            null.setdefault((node.time, basis.shape), []).append(node.id)
+    complement: dict[str, np.ndarray] = {}
+    for ids in null.values():
+        complement.update(zip(ids, kernel_bases(np.stack([directions.per_node[i].T for i in ids]))))
     qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}
-    for node in problem.decision_nodes():
-        basis = directions.per_node.get(node.id)
-        d = problem.decision_dim(node.id)
-        Q = np.eye(d) if basis is None or basis.shape[1] == 0 else orthonormal_complement(basis, d)
+    for node in nodes:
+        Q = complement[node.id] if node.id in complement else np.eye(problem.decision_dim(node.id))
         if stage_dims.setdefault(node.time, Q.shape[1]) != Q.shape[1]:
             raise InexactNullSpace(
                 "null-space dimensions differ across nodes of one stage; "

@@ -20,8 +20,9 @@ the true objective of the extracted policy in a forward pass (mode
 ``greedy`` re-minimizes against the tables, ``exact`` against the
 interpolation-free nested recursion) and reports both numbers; for small
 trees the nested recursion also verifies optimality
-(``verify_optimality(..., method="exact")``), reusing the minima that the
-exact forward pass attached to the strategy it returned.
+(``verify_optimality(..., method="exact")``).  Verification by either
+continuation reuses the minima that the forward pass of the same
+continuation attached to the strategy it returned.
 
 One stage step (:meth:`Problem.step`) evaluates each row's transition
 and stage cost once, for the search objective, the stage-batched pass
@@ -1118,41 +1119,70 @@ def forward_pass(
 
     Decisions are adapted by construction (one per visited node).  Mode
     "greedy" re-minimizes each node's objective at the exactly visited
-    state with table continuations (interior nodes interpolate their post
-    table); mode "exact" re-minimizes it against the interpolation-free
-    nested recursion.  Both decide one stage per search, and
+    state with table continuations on ``post`` (interior nodes
+    interpolate their post table); mode "exact" re-minimizes it against
+    the interpolation-free nested recursion, searched with
+    ``cfg.exact_refine()``.  Both decide one stage per search, and
     :func:`_stagewise` prices each stage's decisions as it takes them.
     ``pre`` and ``policy`` are not read: both modes re-optimize instead of
     looking decisions up, and the parameters stay so that positional
     callers (perfbench/workloads.py) keep working.
 
-    In mode "exact" each stage's search also yields the nested
-    recursion's minimum at every (node, entering state) row of the stage,
-    which is what :func:`verify_optimality` compares the strategy against.
-    The returned strategy carries those minima (:class:`_ExactMinima`)
-    for as long as it lives, so exact verification of this very strategy
-    reads them instead of searching again; nothing is kept elsewhere, and
-    a second call searches afresh.
+    Each stage's search also yields the minimum at every (node, entering
+    state) row of the stage, which is what :func:`verify_optimality`
+    compares the strategy against.  The returned strategy carries those
+    minima (:class:`_StageMinima`) for as long as it lives, so verifying
+    this very strategy by the same continuation (``method="tables"`` on
+    the same ``post`` mapping after a greedy pass, ``method="exact"``
+    after an exact one) reads them instead of searching again; nothing is
+    kept elsewhere, and a second call searches afresh.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown forward mode {mode!r}")
-    exact_cfg = cfg.exact_refine()
+    tables, search_cfg = (post, cfg) if mode == "greedy" else (None, cfg.exact_refine())
     minima: dict[int, tuple[bytes, bytes, np.ndarray]] = {}
 
     def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
-        if mode == "exact":
-            vals, X, _ = _exact_min(problem, K, S, exact_cfg)
-            minima[t] = (K.tobytes(), S.tobytes(), vals)
-        else:
-            f = _stage_objective(problem, _table_continuation(problem, t, post))
-            _, X, _ = _minimize_at(f, K, S, problem.decision_dims[t], cfg, problem._ids)
+        f = _stage_objective(problem, _continuation(problem, t, tables, search_cfg))
+        vals, X, _ = _minimize_at(f, K, S, problem.decision_dims[t], search_cfg, problem._ids)
+        minima[t] = (K.tobytes(), S.tobytes(), vals)
         return np.where(np.isnan(X).any(axis=1, keepdims=True), 0.0, X)
 
     value, stages, _ = _stagewise(problem, decide)
     chosen = {p: x for st in stages if st.X.shape[1] for p, x in zip(st.K.tolist(), st.X)}
     decisions = {problem._ids[p]: chosen[p] for p in _depth_first(problem.tree) if p in chosen}
-    record = _ExactMinima(problem, exact_cfg, minima) if mode == "exact" else None
+    record = _StageMinima(problem, search_cfg, tables, minima)
     return value, AdaptedSequence(decisions, _record=record)
+
+
+@dataclass(frozen=True, eq=False)
+class _StageMinima:
+    """The minima that one forward pass computed: per decision stage t, the
+    bytes of the stage's positions K and entering states S and the minimum
+    at each (K[i], S[i]) row, searched with ``cfg`` on the post ``tables``
+    (None: by the nested recursion)."""
+
+    problem: Problem
+    cfg: SolveConfig
+    tables: Mapping[str, ValueTable] | None
+    stages: Mapping[int, tuple[bytes, bytes, np.ndarray]]
+
+    def lookup(
+        self, problem: Problem, cfg: SolveConfig, tables: Mapping | None, t: int,
+        K: np.ndarray, S: np.ndarray,
+    ) -> np.ndarray | None:
+        """The stage-t minima if they were computed for this very problem
+        object, an equal search config, this very tables object (or None
+        for both) and bit-identical rows, else None.
+
+        The minimum at (node, entering state) does not depend on the
+        decision taken there, so the values are valid for any strategy that
+        enters the stage at the same states."""
+        if (self.problem is not problem or self.cfg != cfg or self.tables is not tables
+                or t not in self.stages):
+            return None
+        k, s, vals = self.stages[t]
+        return vals if k == K.tobytes() and s == S.tobytes() else None
 
 
 # ---------------------------------------------------------------------------
@@ -1170,6 +1200,8 @@ def _exact_continuation(problem: Problem, t: int, cfg: SolveConfig) -> Continuat
     """
     if t == problem.tree.horizon:
         return problem.leaf_values
+    f = _stage_objective(problem, _exact_continuation(problem, t + 1, cfg))
+    dim = problem.decision_dims[t + 1]
 
     def cont(K: np.ndarray, states: np.ndarray) -> np.ndarray:
         slots = _child_slots(problem.tree, K)
@@ -1178,45 +1210,20 @@ def _exact_continuation(problem: Problem, t: int, cfg: SolveConfig) -> Continuat
             [states[rows] if isinstance(rows, slice) else np.take(states, rows, axis=0)
              for rows, _, _ in slots]
         )
-        vals = _exact_min(problem, kids, entering, cfg)[0]
+        vals = _minimize_at(f, kids, entering, dim, cfg, problem._ids)[0]
         return _expect(slots, vals, len(K))
 
     return cont
 
 
-def _exact_min(
-    problem: Problem, K: np.ndarray, states: np.ndarray, cfg: SolveConfig
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Optimal values and decisions at a batch of (node, entering state) rows
-    of one stage, no tables."""
-    t = int(problem.tree.times[K[0]])  # all rows of a batch are at one stage
-    f = _stage_objective(problem, _exact_continuation(problem, t, cfg))
-    return _minimize_at(f, K, states, problem.decision_dims[t], cfg, problem._ids)
-
-
-@dataclass(frozen=True, eq=False)
-class _ExactMinima:
-    """The nested recursion's minima that one exact forward pass computed:
-    per decision stage t, the bytes of the stage's positions K and entering
-    states S and the minimum at each (K[i], S[i]) row."""
-
-    problem: Problem
-    cfg: SolveConfig
-    stages: Mapping[int, tuple[bytes, bytes, np.ndarray]]
-
-    def lookup(
-        self, problem: Problem, cfg: SolveConfig, t: int, K: np.ndarray, S: np.ndarray
-    ) -> np.ndarray | None:
-        """The stage-t minima if they were computed for this very problem
-        object, an equal search config and bit-identical rows, else None.
-
-        The minimum at (node, entering state) does not depend on the
-        decision taken there, so the values are valid for any strategy that
-        enters the stage at the same states."""
-        if self.problem is not problem or self.cfg != cfg or t not in self.stages:
-            return None
-        k, s, vals = self.stages[t]
-        return vals if k == K.tobytes() and s == S.tobytes() else None
+def _continuation(
+    problem: Problem, t: int, tables: Mapping[str, ValueTable] | None, cfg: SolveConfig
+) -> Continuation:
+    """The stage-t continuation on the post ``tables``, or by the nested
+    recursion searched with ``cfg`` when ``tables`` is None."""
+    if tables is None:
+        return _exact_continuation(problem, t, cfg)
+    return _table_continuation(problem, t, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -1245,6 +1252,21 @@ def _strategy_decisions(
     return decide
 
 
+def _search_setup(
+    result: "SolveResult | None", cfg: SolveConfig, method: str
+) -> tuple[Mapping[str, ValueTable] | None, SolveConfig]:
+    """The post tables and search config of a verification ``method``: the
+    solve's own tables and ``cfg`` for "tables", no tables and
+    ``cfg.exact_refine()`` (the nested recursion) for "exact"."""
+    if method == "exact":
+        return None, cfg.exact_refine()
+    if method != "tables":
+        raise ValueError(f"unknown verification method {method!r}")
+    if result is None:
+        raise ValueError("a solve result is required for method='tables'")
+    return result.post_tables, cfg
+
+
 def _strategy_points(
     problem: Problem,
     strategy: AdaptedSequence,
@@ -1256,13 +1278,9 @@ def _strategy_points(
     f at the strategy's decisions), one row per node.
 
     ``method="tables"`` gives f the solver's table continuation,
-    ``method="exact"`` the nested recursion's.
+    ``method="exact"`` the nested recursion's (see :func:`_search_setup`).
     """
-    if method == "tables":
-        if result is None:
-            raise ValueError("a solve result is required for method='tables'")
-    elif method != "exact":
-        raise ValueError(f"unknown verification method {method!r}")
+    tables, search_cfg = _search_setup(result, cfg, method)
     tree = problem.tree
     T = tree.horizon
     _, stages, leaf = _stagewise(problem, _strategy_decisions(problem, strategy))
@@ -1270,11 +1288,8 @@ def _strategy_points(
     below = leaf  # the stage-(t+1) objective values at the strategy's rows
     for t in range(T, -1, -1):
         st = stages[t]
-        if method == "exact":
-            cont = _exact_continuation(problem, t, cfg.exact_refine())
-        else:
-            cont = _table_continuation(problem, t, result.post_tables)
-        nested = method == "exact" or t == T or (t == T - 1 and problem.decision_dims[T] == 0)
+        cont = _continuation(problem, t, tables, search_cfg)
+        nested = tables is None or t == T or (t == T - 1 and problem.decision_dims[T] == 0)
         if t == T:
             after = leaf
         elif nested and problem.decision_dims[t + 1] == 0:
@@ -1324,9 +1339,9 @@ def expectation_chain(
     final element is always the exact objective value of the strategy.
 
     The chain evaluates each node's objective at the strategy's own
-    decision, so it never reads the minima an exact forward pass attaches
-    to its strategy (see :func:`verify_optimality`): those are minima
-    over the decision, not values at it.
+    decision, so it never reads the minima a forward pass attaches to its
+    strategy (see :func:`verify_optimality`): those are minima over the
+    decision, not values at it.
     """
     points = _strategy_points(problem, strategy, result, cfg or DEFAULT_CONFIG, method)
     return _chain(problem, points)
@@ -1374,20 +1389,23 @@ def verify_optimality(
     only up to interpolation error; ``method="exact"`` removes that caveat
     for small trees by re-minimizing with the nested recursion.
 
-    With ``method="exact"``, a decision stage's minima come without a
-    search when the strategy was returned by ``forward_pass(mode="exact")``
-    (or ``backward_solve(forward="exact")``) on this same problem object,
-    with a config whose :meth:`SolveConfig.exact_refine` compares equal,
-    and the strategy enters the stage at bit-identical (node, state) rows:
-    the forward pass computed exactly these minima.  Every other strategy
-    (copies, sums, bumped or edited ones) and every other config is
-    searched as usual; the chain is always evaluated.
+    A decision stage's minima come without a search when the strategy was
+    returned by :func:`forward_pass` (or :func:`backward_solve`) on this
+    same problem object and every key of its record (:class:`_StageMinima`)
+    matches: the search config compares equal (``cfg`` for "tables",
+    :meth:`SolveConfig.exact_refine` for "exact"), the tables are the
+    same object (``result.post_tables`` after a greedy pass for "tables",
+    none after an exact pass for "exact"), and the strategy enters the
+    stage at bit-identical (node, state) rows: the forward pass computed
+    exactly these minima.  So ``treedp solve`` verifies its greedy
+    strategy without searching again.  Every other strategy (copies,
+    bumped or edited ones), config, result or method is searched as
+    usual; the chain is always evaluated.
     """
     points = _strategy_points(problem, strategy, result, cfg, method)
     chain = _chain(problem, points)
-    search_cfg = cfg.exact_refine() if method == "exact" else cfg
-    record = strategy._record
-    recorded = method == "exact" and isinstance(record, _ExactMinima)
+    tables, search_cfg = _search_setup(result, cfg, method)
+    record = strategy._record if isinstance(strategy._record, _StageMinima) else None
     gaps: dict[str, float] = {}
     for t, (f, (K, S, X, *_), here) in enumerate(points):
         if X.shape[1] == 0:
@@ -1395,7 +1413,7 @@ def verify_optimality(
             _reject_nan(here, None, problem._ids, K)
             best = here
         else:
-            best = record.lookup(problem, search_cfg, t, K, S) if recorded else None
+            best = record.lookup(problem, search_cfg, tables, t, K, S) if record else None
             if best is None:
                 best = _minimize_at(f, K, S, X.shape[1], search_cfg, problem._ids)[0]
         for p, h, b in zip(K.tolist(), here.tolist(), best.tolist()):

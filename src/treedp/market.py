@@ -316,21 +316,6 @@ class MarketModel:
         return -max(sups)
 
 
-def liquidation_value(
-    model: MarketModel, node_id: str, phi, with_frictions: bool = False
-) -> float:
-    """Proceeds from closing the position ``phi`` at the node's prices.
-
-    The frictional variant subtracts the cost of the closing trade -phi.
-    """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    node = model.tree.node(node_id)
-    value = float(phi @ model.Z(node_id))
-    if with_frictions:
-        value -= float(model.cost.cost_many(node, -phi[None, :])[0])
-    return value
-
-
 # ---------------------------------------------------------------------------
 # validation of the standing assumptions
 # ---------------------------------------------------------------------------

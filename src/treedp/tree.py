@@ -12,7 +12,6 @@ Trees are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import reprlib
 from dataclasses import dataclass, field
@@ -224,28 +223,6 @@ class ScenarioTree:
                 p *= node.prob
         return p
 
-    def conditional_expectation(
-        self, t: int, values: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Stage-t conditional expectation of stage-(t+1) per-node scalars.
-
-        At each stage-t node the result is the child-probability-weighted
-        sum of ``values`` over its children, with the extended-real
-        convention that any +inf child value makes the result +inf.
-        """
-        if not 0 <= t < self._horizon:
-            raise ValueError(f"stage {t} out of range [0, {self._horizon})")
-        out: dict[str, float] = {}
-        for node in self.nodes_at(t):
-            acc = 0.0
-            for child in self.children(node.id):
-                v = float(values[child.id])
-                if math.isnan(v) or v == -math.inf:
-                    raise ValueError(f"value at node {child.id!r} is {v}")
-                acc += child.prob * v
-            out[node.id] = acc
-        return out
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -299,12 +276,9 @@ class AdaptedSequence:
     """A decision per node: the tree form of an adapted process.
 
     ``values`` maps node id to the stage decision vector at that node.
-    Supports the little algebra needed for direction arguments (sums and
-    scalar multiples are nodewise).
 
-    ``_record`` is private data of the function that produced the
-    sequence (dp's exact forward pass keeps the node minima it computed
-    there); it is not compared, and sums and multiples drop it.
+    ``_record`` is private data of dp's forward pass, which keeps there
+    the stage minima it computed; it is not compared.
     """
 
     values: Mapping[str, np.ndarray]
@@ -312,19 +286,6 @@ class AdaptedSequence:
 
     def at(self, node_id: str) -> np.ndarray:
         return np.asarray(self.values[node_id], dtype=float)
-
-    def __add__(self, other: "AdaptedSequence") -> "AdaptedSequence":
-        if set(self.values) != set(other.values):
-            raise ValueError("adapted sequences are defined on different nodes")
-        return AdaptedSequence(
-            {k: self.at(k) + other.at(k) for k in self.values}
-        )
-
-    def scaled(self, c: float) -> "AdaptedSequence":
-        return AdaptedSequence({k: c * self.at(k) for k in self.values})
-
-    def norm(self) -> float:
-        return float(sum(np.abs(v).sum() for v in self.values.values()))
 
 
 # -- JSON interchange ----------------------------------------------------

@@ -224,10 +224,10 @@ def test_criterion_07_null_space_and_projection():
     rng = np.random.default_rng(SEED + 4)
     worst = 0.0
     for _ in range(20):
-        x = td.AdaptedSequence({"r": rng.uniform(-0.5, 0.5, 2)})
-        shift = td.AdaptedSequence({"r": basis @ rng.uniform(-1.0, 1.0, 1)})
-        a = dp.evaluate_strategy(original, x)
-        b = dp.evaluate_strategy(original, x + shift)
+        x = rng.uniform(-0.5, 0.5, 2)
+        shift = basis @ rng.uniform(-1.0, 1.0, 1)
+        a = dp.evaluate_strategy(original, td.AdaptedSequence({"r": x}))
+        b = dp.evaluate_strategy(original, td.AdaptedSequence({"r": x + shift}))
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     report(
         7,

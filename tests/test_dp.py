@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import itertools
 import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -1365,7 +1367,10 @@ class TestStageBatchedMatchesPerNode:
             states = problem.state_map.transition(root, S0, x0)
         ref = _ref_exact_min(problem, node, states, cfg.exact_refine())[0][0]
         K = np.array([tree.index(node.id)])
-        assert dp._exact_min(problem, K, states[:1], cfg.exact_refine())[0][0] == ref
+        t, exact_cfg = node.time, cfg.exact_refine()
+        f = dp._stage_objective(problem, dp._exact_continuation(problem, t, exact_cfg))
+        vals = dp._minimize_at(f, K, states[:1], problem.decision_dims[t], exact_cfg, problem._ids)[0]
+        assert vals[0] == ref
 
 
 def _fan_problem(stage_funs) -> dp.Problem:
@@ -1658,13 +1663,14 @@ class _SearchCounter:
 
         monkeypatch.setattr(dp, "_minimize_at", counted)
 
-    def stage_searches(self, problem, strategy, cfg=dp.DEFAULT_CONFIG):
-        """(searches of exact verification beyond those of its chain, report)."""
+    def stage_searches(self, problem, strategy, cfg=dp.DEFAULT_CONFIG, result=None,
+                       method="exact"):
+        """(searches of verification beyond those of its chain, report)."""
         before = self.outer
-        dp.expectation_chain(problem, strategy, cfg=cfg, method="exact")
+        dp.expectation_chain(problem, strategy, result, cfg, method)
         chain = self.outer - before
         before = self.outer
-        rep = dp.verify_optimality(problem, None, strategy, cfg=cfg, method="exact")
+        rep = dp.verify_optimality(problem, result, strategy, cfg, method)
         return self.outer - before - chain, _report(rep)
 
 
@@ -1702,7 +1708,6 @@ class TestExactVerificationReusesForwardMinima:
         bumped = td.AdaptedSequence({k: v + 0.1 for k, v in strategy.values.items()})
         assert stage_searches(copy) == (stages, rep)
         assert stage_searches(bumped)[0] == stages
-        assert stage_searches(strategy + bumped.scaled(0.0))[0] == stages
         # exact_refine() pins eps_ref and threads, so the nested search is the same
         assert stage_searches(strategy, replace(cfg, eps_ref=1e-3, threads=2)) == (0, rep)
         assert stage_searches(strategy, replace(cfg, margin=2.0))[0] == stages
@@ -1762,6 +1767,65 @@ class TestExactVerificationReusesForwardMinima:
         assert n == 1
         assert rep == count.stage_searches(problem, td.AdaptedSequence(dict(strategy.values)))[1]
         assert not rep[2]
+
+
+def _deep_binomial(seed):
+    """The problem that the deep-binomial benchmark solves
+    (``perfbench/inputs.py``, ``treedp solve --radius 1 --points 9``)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return market.build_problem_cash(inputs.deep_binomial_model(seed), radius=1.0, points=9)
+
+
+class TestTableVerificationReusesGreedyMinima:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ORACLE_CASES[:6] + ["deep_binomial_1"])
+    def test_solve_verifies_its_strategy_without_searching(
+        self, name, threads, monkeypatch, request
+    ):
+        if name == "deep_binomial_1":
+            problem, cfg = _deep_binomial(1), dp.SolveConfig()
+        else:
+            problem, cfg = _oracle_case(name)
+        if threads > 1:
+            request.getfixturevalue("split_everywhere")
+        cfg = replace(cfg, threads=threads)
+        res = dp.backward_solve(problem, cfg=cfg)
+        count = _SearchCounter(monkeypatch)
+        rep = dp.verify_optimality(problem, res, res.strategy, cfg)
+        assert count.outer == 0
+        copy = td.AdaptedSequence(dict(res.strategy.values))
+        ref = dp.verify_optimality(problem, res, copy, cfg)
+        assert count.outer == sum(d > 0 for d in problem.decision_dims)
+        assert dp.json_text(rep.report_dict()) == dp.json_text(ref.report_dict())
+
+    @pytest.mark.parametrize(
+        "name", ["frictionless_t1", "cash_hold_first", "terminal_cash_lower_t1"])
+    def test_stage_searches_run_only_without_a_matching_record(self, name, monkeypatch):
+        problem, cfg = _oracle_case(name)
+        stages = sum(d > 0 for d in problem.decision_dims)
+        res = dp.backward_solve(problem, cfg=cfg, check_gap=False)
+        strategy = res.strategy
+        count = _SearchCounter(monkeypatch)
+
+        def searches(p=problem, r=res, s=strategy, c=cfg, method="tables"):
+            return count.stage_searches(p, s, c, r, method)
+
+        n, rep = searches()
+        assert n == 0
+        assert searches(s=td.AdaptedSequence(dict(strategy.values))) == (stages, rep)
+        bumped = td.AdaptedSequence({k: v + 0.1 for k, v in strategy.values.items()})
+        assert searches(s=bumped)[0] == stages
+        # equal tables in another mapping object are searched
+        assert searches(r=replace(res, post_tables=dict(res.post_tables))) == (stages, rep)
+        assert searches(c=replace(cfg, margin=2.0))[0] == stages
+        # the same data in another problem object is searched
+        assert searches(p=replace(problem)) == (stages, rep)
+        # a greedy record holds table minima, not the nested recursion's
+        assert searches(method="exact")[0] == stages
 
 
 # ---------------------------------------------------------------------------

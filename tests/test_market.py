@@ -291,32 +291,42 @@ class TestDegenerateHorizon:
         assert verdicts == ["holds", "holds"]
 
 
+def liquidated(model, leaf_id, phi):
+    """Terminal wealth of the position ``phi`` and no cash at a leaf: the
+    stage-T liquidation of the market problem's transition, which closes
+    the position at the leaf's prices net of the closing trade's cost."""
+    problem = market.build_problem_cash(model)
+    K = np.array([model.tree.index(leaf_id)])
+    S = np.concatenate([[0.0], phi])[None, :]
+    return float(problem.state_map.transition(K, S, np.zeros((1, 0)))[0, 0])
+
+
 class TestLiquidationValue:
     def test_zero_position(self):
         model = sshaped_t2_model()
-        assert market.liquidation_value(model, "r", [0.0]) == 0.0
+        assert liquidated(model, "uu", [0.0]) == 0.0
 
     def test_frictionless(self):
         tree = binomial_tree(1)
         model = market.MarketModel(
             tree=tree, n_risky=1,
-            prices={"r": [3.0], "u": [2.0], "d": [0.5]},
+            prices={"r": [1.0], "u": [3.0], "d": [0.5]},
             cost=market.Frictionless(),
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
         )
-        assert market.liquidation_value(model, "r", [2.0]) == 6.0
+        assert liquidated(model, "u", [2.0]) == 6.0
 
     def test_with_frictions_derived(self):
         tree = binomial_tree(1)
         model = market.MarketModel(
             tree=tree, n_risky=1,
-            prices={"r": [1.0], "u": [2.0], "d": [0.5]},
+            prices={"r": [2.0], "u": [1.0], "d": [0.5]},
             cost=market.PowerIlliquidity(1.0, 2.0),
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
         )
         # closing one unit: proceeds 1, closing trade -1 costs |−1|^2 = 1
-        assert model.cost.cost_many(tree.node("r"), np.array([[-1.0]]))[0] == 1.0
-        assert market.liquidation_value(model, "r", [1.0], with_frictions=True) == 0.0
+        assert model.cost.cost_many(tree.node("u"), np.array([[-1.0]]))[0] == 1.0
+        assert liquidated(model, "u", [1.0]) == 0.0
 
 
 class TestModelProperties:
