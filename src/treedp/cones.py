@@ -12,8 +12,10 @@ direction.  This module decides that condition:
   small node blocks and one LP over their block-diagonal system decide
   (the node route, :func:`_node_system` proves the split);
 * otherwise by polyhedral cone propagation over the whole tree for
-  problems whose per-leaf objectives have exact symbolic horizons (each
-  leaf contributes the halfspace rows R of its horizon's zero sublevel
+  problems whose builder attached path objectives with exact symbolic
+  horizons (``meta["path_objectives"]``: each leaf's objective as an
+  expression over its path decisions, in path order; each leaf
+  contributes the halfspace rows R of its horizon's zero sublevel
   set, written into its path's columns of the adapted vector y, which
   stacks the decisions of every decision node in tree order; the adapted
   cone {R y <= 0} is {0} iff ker R = {0} and the cone is a subspace, one
@@ -31,8 +33,9 @@ computes the per-node subspaces exactly for linear/polyhedral structure
 rows per stage otherwise) and ``project_problem`` applies the
 restriction.
 The projected problem keeps the original state and carries path
-objectives in the reduced decisions for every input, history mode
-included, so it can be checked and solved like any other problem.
+objectives in the reduced decisions, so it can be checked and solved
+like any other problem.  The leaf paths come from the tree's ancestor
+table (:attr:`ScenarioTree.ancestors`).
 A classical frictionless no-arbitrage search is included as an
 independent reference check.
 """
@@ -60,7 +63,7 @@ from ._polyhedral import (
     unit_rows,
 )
 from .dp import Problem, write_csv_rows
-from .efun import AffinePrecompose, ExtFun, Sum
+from .efun import AffinePrecompose, ExtFun
 from .tree import ScenarioTree
 
 INF = math.inf
@@ -143,53 +146,14 @@ def _adapted_layout(
 ) -> tuple[dict[str, tuple[int, int]], int, dict[str, np.ndarray]]:
     """Each decision node's columns ``(a, b)`` of the adapted vector (in
     tree order), its length, and each leaf's path columns in path order."""
-    offsets: dict[str, tuple[int, int]] = {}
-    total = 0
-    for node in problem.decision_nodes():
-        d = problem.decision_dim(node.id)
-        offsets[node.id] = (total, total + d)
-        total += d
     tree = problem.tree
-    leaf_cols = {
-        leaf.id: np.array(
-            [c for nid in tree.path(leaf.id) if nid in offsets for c in range(*offsets[nid])],
-            dtype=np.int64,
-        )
-        for leaf in tree.leaves
-    }
-    return offsets, total, leaf_cols
-
-
-def path_objectives(problem: Problem) -> dict[str, ExtFun] | None:
-    """Per-leaf objective as an expression over the leaf's path decisions.
-
-    Available when the builder supplied them (meta["path_objectives"]) or
-    when the problem runs in history mode with symbolic stage functions;
-    None otherwise (no symbolic horizon analysis possible).
-    """
-    explicit = problem.meta.get("path_objectives")
-    if explicit is not None:
-        return dict(explicit)
-    if not problem.state_map.is_history:
-        return None
-    tree = problem.tree
-    n = int(problem.state_map.dims[-1])
-    cum = list(problem.state_map.dims)
-    out: dict[str, ExtFun] = {}
-    for leaf in tree.leaves:
-        terms: list[ExtFun] = [problem.leaf_objective[leaf.id]]
-        for nid in tree.path(leaf.id):
-            sf = (problem.stage_funs or {}).get(nid)
-            if sf is None:
-                continue
-            if not isinstance(sf, ExtFun):
-                return None
-            t = tree.node(nid).time
-            k = cum[t]
-            sel = np.hstack([np.eye(k), np.zeros((k, n - k))])
-            terms.append(AffinePrecompose(sf, sel))
-        out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    return out
+    dims = np.asarray(problem.decision_dims, dtype=np.int64)
+    width = dims[tree.times]
+    first = np.cumsum(width) - width  # each position's first column
+    offsets = {n.id: (int(a), int(a + w)) for n, a, w in zip(tree.nodes, first, width) if w}
+    anc = tree.ancestors
+    cols = np.hstack([first[anc[:, t], None] + np.arange(d) for t, d in enumerate(dims)])
+    return offsets, int(width.sum()), dict(zip((leaf.id for leaf in tree.leaves), cols))
 
 
 def _leaf_horizons(
@@ -316,11 +280,8 @@ def _node_witness(problem: Problem, p: int, y: np.ndarray) -> dict[str, list[flo
 
 
 def _leaves_below(tree: ScenarioTree, p: int) -> list[str]:
-    level = [p]
-    start, kids = tree.child_start, tree.child_pos
-    while tree.times[level[0]] < tree.horizon:
-        level = [c for q in level for c in kids[start[q] : start[q + 1]].tolist()]
-    return [tree.nodes[q].id for q in sorted(level)]
+    anc = tree.ancestors
+    return [tree.nodes[q].id for q in anc[anc[:, tree.times[p]] == p, -1].tolist()]
 
 
 def _check_by_node(
@@ -354,7 +315,7 @@ def _check_by_node(
     rows = R[int(np.flatnonzero(P == last)[0])]
     box, info = cone_vertex(rows, rows.shape[1])
     cone["lp_calls"] += info["lp_calls"]
-    objs = path_objectives(problem) or {}
+    objs = problem.meta.get("path_objectives") or {}
     below = _leaves_below(tree, last)
     horizons, exact, _ = _leaf_horizons({leaf: objs[leaf] for leaf in below if leaf in objs})
     if box is not None and exact and len(horizons) == len(below):
@@ -450,7 +411,7 @@ def _check_stacked(
     """The check on every leaf's zero-sublevel rows stacked into one cone
     over the whole adapted vector: one SVD and one bounded LP, then
     sphere sampling if the LP direction fails re-verification."""
-    objs = path_objectives(problem)
+    objs = problem.meta.get("path_objectives")
     if objs is None:
         return CheckReport(
             "undecided",
@@ -609,7 +570,7 @@ def null_space(problem: Problem) -> DirectionSet:
     if system is not None:
         return _null_space_by_node(problem, system)
     offsets, total, leaf_cols = _adapted_layout(problem)
-    objs = path_objectives(problem)
+    objs = problem.meta.get("path_objectives")
     if objs is None:
         return DirectionSet({}, "undecided", {"method": "no symbolic objectives"})
     horizons, exact, notes = _leaf_horizons(objs)
@@ -697,9 +658,9 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     leaf objectives), its transition and stage functions map each reduced
     decision Y back to the original decision Q Y (a callable stage
     function gets the post-decision state unchanged), and its
-    ``meta["path_objectives"]`` are :func:`path_objectives` of the input
-    (explicit or derived from the history) composed with each leaf path's
-    block-diagonal basis, and its node rows, if the input has them, are
+    ``meta["path_objectives"]`` are the input's (which its builder
+    attached) composed with each leaf path's block-diagonal basis, and
+    its node rows, if the input has them, are
     each node's rows times its basis, so the projected problem can be
     checked again, on the same route.
     """
@@ -768,19 +729,16 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     meta["projection"] = {
         nid: directions.per_node.get(nid, np.zeros((Q.shape[0], 0))) for nid, Q in qmap.items()
     }
-    paths = path_objectives(problem)
+    paths = problem.meta.get("path_objectives")
     if paths is not None:
         # each leaf path's block-diagonal basis, one stage's blocks for all
         # leaves at a time (a leaf's ancestor at stage t picks the block)
-        ancestors = {tree.horizon: tree.positions_at(tree.horizon)}
-        for t in range(tree.horizon - 1, -1, -1):
-            ancestors[t] = tree.parent_pos[ancestors[t + 1]]
         blocks = np.zeros((len(tree.leaves), sum(Q.shape[1] for Q in bases.values()),
                            sum(Q.shape[2] for Q in bases.values())))
         r = c = 0
         for t in sorted(bases):
             _, d, k = bases[t].shape
-            blocks[:, r : r + d, c : c + k] = bases[t][stage_index[ancestors[t]]]
+            blocks[:, r : r + d, c : c + k] = bases[t][stage_index[tree.ancestors[:, t]]]
             r, c = r + d, c + k
         meta["path_objectives"] = {
             leaf.id: AffinePrecompose(paths[leaf.id], B) for leaf, B in zip(tree.leaves, blocks)

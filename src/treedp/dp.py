@@ -47,7 +47,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .efun import ExtFun
+from .efun import AffinePrecompose, ExtFun, Sum
 from .tree import AdaptedSequence, Node, ScenarioTree
 
 INF = math.inf
@@ -188,14 +188,14 @@ class StateMap:
     are independent: a row's result may not depend on the other rows.
     The leaf objective composed with transitions along a path must equal
     the modeled objective for all decision paths; that soundness is the
-    model builder's obligation.  The history map (state = concatenated
-    decisions) is always sound and is the fallback for small problems.
+    model builder's obligation.  The history map of
+    :func:`history_problem` (state = concatenated decisions) is always
+    sound and is the fallback for small problems.
     """
 
     dims: tuple[int, ...]
     initial: np.ndarray
     transition: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    is_history: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -340,28 +340,44 @@ def history_problem(
     stage_funs: Mapping[str, StageFun] | None = None,
     meta: dict | None = None,
 ) -> Problem:
-    """Problem whose state is the raw concatenated decision history."""
+    """Problem whose state is the raw concatenated decision history.
+
+    The leaf objectives are then expressions over the path decisions, and
+    a stage-t function one over the first ``cum[t]`` of them.  So when
+    every stage function is an ExtFun, the problem carries its path
+    objectives (``meta["path_objectives"]``): each leaf's objective plus,
+    in path order, each path node's stage function precomposed with its
+    stage's prefix selector, one term per node that every leaf below it
+    shares.  A callable stage function leaves them out, and the horizon
+    check is undecided.
+    """
     dims = tuple(int(d) for d in decision_dims)
-    cum = np.cumsum(dims)
+    cum = [int(c) for c in np.cumsum(dims)]
 
     def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.hstack([S, X])
 
-    sm = StateMap(
-        dims=tuple(int(c) for c in cum),
-        initial=np.zeros(0),
-        transition=transition,
-        is_history=True,
-    )
-    return Problem(
+    problem = Problem(
         tree=tree,
         decision_dims=dims,
-        state_map=sm,
+        state_map=StateMap(dims=tuple(cum), initial=np.zeros(0), transition=transition),
         leaf_objective=dict(leaf_objective),
         stage_funs=stage_funs,
         lower_bound=lower_bound,
-        meta=meta or {},
+        meta=dict(meta or {}),
     )
+    funs = [(stage_funs or {}).get(node.id) for node in tree.nodes]
+    if any(f is not None and not isinstance(f, ExtFun) for f in funs):
+        return problem
+    sel = [np.hstack([np.eye(k), np.zeros((k, cum[-1] - k))]) for k in cum]
+    terms = [None if f is None else AffinePrecompose(f, sel[node.time])
+             for node, f in zip(tree.nodes, funs)]
+    paths: dict[str, ExtFun] = {}
+    for leaf, path in zip(tree.leaves, tree.ancestors.tolist()):
+        parts = [problem.leaf_objective[leaf.id]] + [terms[p] for p in path if terms[p] is not None]
+        paths[leaf.id] = parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    problem.meta["path_objectives"] = paths
+    return problem
 
 
 # ---------------------------------------------------------------------------

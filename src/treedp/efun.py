@@ -760,11 +760,12 @@ def positivity_off_origin(f: ExtFun) -> tuple[str, np.ndarray | None]:
 
     Returns ("positive", None), ("fails", witness with f(witness) <= 0), or
     ("undecided", None).  Intended for positively homogeneous functions,
-    for which checking unit directions suffices.
+    for which checking unit directions suffices.  Whenever
+    :func:`sublevel_zero_cone` gives the exact rows of {f <= 0}, one cone
+    LP decides; otherwise only a sampled unit direction can find a witness.
     """
-    nn = _analytic_nonneg(f)
     rows = sublevel_zero_cone(f)
-    if nn is True and rows is not None:
+    if rows is not None:
         d = unit_l1(cone_vertex(rows, f.dim)[0])
         if d is None:
             return "positive", None

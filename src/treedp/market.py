@@ -538,63 +538,67 @@ def _decision_box(model: MarketModel, t: int, lead: int) -> IndicatorBox | None:
     return IndicatorBox(np.concatenate([[-INF] * lead, lo]), np.concatenate([[0.0] * lead, up]))
 
 
-def _path_objectives(model: MarketModel, lead: int) -> dict[str, ExtFun] | None:
+def _path_objectives(
+    model: MarketModel, lead: int, data: _PositionData, moves: np.ndarray
+) -> dict[str, ExtFun]:
     """Each leaf's objective as an expression over its path decisions.
 
-    A frictionless market that trades at every stage makes terminal
-    wealth affine in the decisions: the initial cash, the expenditures,
-    the gains phi_t . (Z_{t+1} - Z_t), the endowment and minus the claims
+    In a frictionless market that trades at every stage, terminal wealth
+    is affine in the decisions: the initial cash, the expenditures, the
+    gains phi_t . (Z_{t+1} - Z_t), the endowment and minus the claims
     along the path.  The leaf objective is the disutility of minus that
-    wealth plus the decision boxes.  The post-trade cash at each node of
-    the path is affine too: the initial cash, the expenditures and claims
-    so far, the gains of the earlier holdings, minus the value of the new
-    holdings.  A borrowing limit adds the halfspace indicator of each of
-    them.  Any other model gets None.
+    wealth plus the decision boxes (one term per stage, shared by every
+    leaf).  The post-trade cash at each node of the path is affine too:
+    the initial cash, the expenditures and claims so far, the gains of
+    the earlier holdings, minus the value of the new holdings.  A
+    borrowing limit adds the halfspace indicator of each of them.
+
+    Every leaf's rows are built together, one stage at a time, from the
+    tree's ancestor table and the per-position price moves ``moves``
+    (Z_p - Z_parent(p)).
     """
     tree = model.tree
-    J, T = model.n_risky, tree.horizon
-    if not model.cost.is_frictionless() or not all(model.can_trade(t) for t in range(T)):
-        return None
-    d = lead + J
-    boxes = [_decision_box(model, t, lead) for t in range(T)]
+    T, anc = tree.horizon, tree.ancestors
+    d = lead + model.n_risky
+    row = np.zeros((len(anc), T * d))  # terminal wealth, less its constant
+    cash = np.zeros((len(anc), T, T * d))  # post-trade cash at each path node, less its constant
+    for t in range(T):
+        row[:, t * d : t * d + lead] = 1.0
+        cash[:, t] = row
+        cash[:, t, t * d + lead : (t + 1) * d] = -data.Z[anc[:, t]]
+        row[:, t * d + lead : (t + 1) * d] = moves[anc[:, t + 1]]
+    # the claims paid up to each path node, summed left to right (+ 0.0: a
+    # sum that starts from 0 is never -0.0)
+    claims = np.cumsum(data.claim[anc], axis=1) + 0.0
+    const = model.initial_cash - claims[:, T] + data.endow[anc[:, T]]
+    boxes: list[ExtFun] = []
+    for t in range(T):
+        box = _decision_box(model, t, lead)
+        if box is not None:
+            sel = np.zeros((d, T * d))
+            sel[:, t * d : (t + 1) * d] = np.eye(d)
+            boxes.append(AffinePrecompose(box, sel))
+    if model.cash_lower is not None:
+        lower = model.cash_lower - (model.initial_cash - claims[:, :T])
+    disutility: dict[int, ExtFun] = {}  # one per distinct utility
     out: dict[str, ExtFun] = {}
-    for leaf in tree.leaves:
-        path = tree.path(leaf.id)
-        row = np.zeros(T * d)
-        cash = np.zeros((T, T * d))  # post-trade cash at each path node, less its constant
-        for t in range(T):
-            row[t * d : t * d + lead] = 1.0
-            cash[t] = row
-            cash[t, t * d + lead : (t + 1) * d] = -model.Z(path[t])
-            row[t * d + lead : (t + 1) * d] = model.Z(path[t + 1]) - model.Z(path[t])
-        const = (
-            model.initial_cash
-            - sum(model.claim(nid) for nid in path)
-            + model.endow(leaf.id)
-        )
-        terms: list[ExtFun] = [
-            AffinePrecompose(model.disutility_at(leaf.id), -row[None, :], [-const])
-        ]
-        for t, box in enumerate(boxes):
-            if box is not None:
-                sel = np.zeros((d, T * d))
-                sel[:, t * d : (t + 1) * d] = np.eye(d)
-                terms.append(AffinePrecompose(box, sel))
+    for i, leaf in enumerate(tree.leaves):
+        u = model.utility_at(leaf.id)
+        if id(u) not in disutility:
+            disutility[id(u)] = u.disutility()
+        terms = [AffinePrecompose(disutility[id(u)], -row[i : i + 1], [-const[i]]), *boxes]
         if model.cash_lower is not None:
             # one term for all of the path's limits: its domain point meets them all
-            const_cash = [model.initial_cash - sum(model.claim(nid) for nid in path[: t + 1])
-                          for t in range(T)]
-            lower = model.cash_lower - np.array(const_cash)
-            terms.append(AffinePrecompose(IndicatorBox(lower, np.full(T, INF)), cash))
+            terms.append(AffinePrecompose(IndicatorBox(lower[i], np.full(T, INF)), cash[i]))
         out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
     return out
 
 
 def _node_rows(
-    model: MarketModel, lead: int, Z: np.ndarray
+    model: MarketModel, lead: int, moves: np.ndarray
 ) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
     """Each decision node's zero-sublevel rows over its own decision, from
-    the (positions, assets) prices ``Z``.
+    the per-position price moves ``moves`` (Z_p - Z_parent(p)).
 
     Per stage t, ``(rows, start)``: the i-th node of ``positions_at(t)``
     owns ``rows[start[i]:start[i + 1]]``, one row -(1, Z_c - Z_n) per
@@ -602,14 +606,13 @@ def _node_rows(
     of the stage's decision box horizon.  Built when the adapted cone of
     the path objectives splits into these node cones (see
     :mod:`treedp.cones`): a frictionless market that trades at every
-    stage, without a borrowing limit, whose every leaf disutility has
-    the zero sublevel {c <= 0} (loss slope > 0, gain slope 0); None
-    otherwise.  The rows carry the bits of the path objectives' rows.
+    stage (the caller's condition), without a borrowing limit, whose
+    every leaf disutility has the zero sublevel {c <= 0} (loss slope > 0,
+    gain slope 0); None otherwise.  The rows carry the bits of the path
+    objectives' rows.
     """
     tree = model.tree
-    T = tree.horizon
-    if (not model.cost.is_frictionless() or model.cash_lower is not None
-            or not all(model.can_trade(t) for t in range(T))):
+    if model.cash_lower is not None:
         return None
     seen: dict[int, bool] = {}
     for leaf in tree.leaves:
@@ -621,7 +624,7 @@ def _node_rows(
             return None
     d = lead + model.n_risky
     out = {}
-    for t in range(T):
+    for t in range(tree.horizon):
         box = _decision_box(model, t, lead)
         box_rows = np.zeros((0, d)) if box is None else sublevel_zero_cone(box.horizon_cone())
         P = tree.positions_at(t)
@@ -635,7 +638,7 @@ def _node_rows(
         kids = tree.child_pos[np.repeat(first, counts) + rank]
         rows = np.empty((start[-1], d))
         rows[at, :lead] = -1.0
-        rows[at, lead:] = -(Z[kids] - Z[np.repeat(P, counts)]) + 0.0
+        rows[at, lead:] = -moves[kids] + 0.0
         for k, r in enumerate(box_rows):
             rows[start[:-1] + counts + k] = r
         out[t] = (rows, start)
@@ -768,12 +771,13 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         # axis, so that axis is denser than the holdings axes
         "grids": _default_grids(model, radius, points, 2 * points - 1 if lead else points),
     }
-    paths = _path_objectives(model, lead)
-    if paths is not None:
-        meta["path_objectives"] = paths
-    node_rows = _node_rows(model, lead, data.Z)
-    if node_rows is not None:
-        meta["node_rows"] = node_rows
+    if model.cost.is_frictionless() and all(model.can_trade(t) for t in range(T)):
+        # the one-period price move into each position (0 at the root)
+        moves = data.Z - data.Z[np.maximum(tree.parent_pos, 0)]
+        meta["path_objectives"] = _path_objectives(model, lead, data, moves)
+        node_rows = _node_rows(model, lead, moves)
+        if node_rows is not None:
+            meta["node_rows"] = node_rows
     return Problem(
         tree=tree,
         decision_dims=dims,

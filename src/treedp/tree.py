@@ -192,6 +192,17 @@ class ScenarioTree:
         return self._arrays["child_prob"]
 
     @cached_property
+    def ancestors(self) -> np.ndarray:
+        """(leaves, T + 1) positions: row i is the path of the i-th leaf of
+        ``leaves``, root first (the positions of :meth:`path`)."""
+        T = self._horizon
+        out = np.empty((len(self.leaves), T + 1), dtype=np.int64)
+        out[:, T] = self.positions_at(T)
+        for t in range(T - 1, -1, -1):
+            out[:, t] = self.parent_pos[out[:, t + 1]]
+        return _frozen(out)
+
+    @cached_property
     def probabilities(self) -> np.ndarray:
         """Unconditional probability at each position (as :meth:`probability`)."""
         return _frozen(np.array([self.probability(n.id) for n in self.nodes]))

@@ -46,6 +46,38 @@ def binomial_prices(tree: td.ScenarioTree, z0: float, up: float, down: float) ->
     return prices
 
 
+def ragged_tree(rng: np.random.Generator, T: int) -> td.ScenarioTree:
+    """Tree with 1 to 3 children per interior node, drawn independently, its
+    nodes in shuffled input order (so positions do not follow the paths)."""
+    nodes = [td.Node("r", 0, None, 1.0)]
+    frontier = ["r"]
+    for t in range(1, T + 1):
+        nxt = []
+        for nid in frontier:
+            k = int(rng.integers(1, 4))
+            p = rng.integers(1, 5, k) / 1.0
+            for i, q in enumerate(p / p.sum()):
+                nodes.append(td.Node(f"{nid}.{i}", t, nid, float(q)))
+                nxt.append(f"{nid}.{i}")
+        frontier = nxt
+    return td.ScenarioTree([nodes[i] for i in rng.permutation(len(nodes))])
+
+
+def expr_bytes(f) -> tuple:
+    """An expression as nested tuples of its class names, term order and
+    the bytes of every array and float it holds (-0.0 and 0.0 differ)."""
+    if isinstance(f, td.ExtFun):
+        return (type(f).__name__,) + tuple(
+            (fl.name, expr_bytes(getattr(f, fl.name))) for fl in dataclasses.fields(f))
+    if isinstance(f, np.ndarray):
+        return (f.dtype.str, f.shape, f.tobytes())
+    if isinstance(f, (tuple, list)):
+        return tuple(expr_bytes(v) for v in f)
+    if isinstance(f, float):
+        return float(f).hex()
+    return (type(f).__name__, f)
+
+
 def exp_utility(lo: float = -8.0, hi: float = 8.0, step: float = 1e-3) -> market.SampledUtility:
     """u(w) = 1 - exp(-w): concave, bounded above, infinite loss slope."""
     w = np.arange(round(lo / step), round(hi / step) + 1) * step

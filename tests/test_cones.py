@@ -16,8 +16,10 @@ from conftest import (
     binomial_tree,
     duplicated_asset_model,
     exp_utility,
+    expr_bytes,
     get_bench,
     random_frictionless_model,
+    ragged_tree,
     solve_bytes,
     sshaped_t2_model,
     stacked_route,
@@ -112,7 +114,7 @@ class TestCheckHorizonPositivity:
         model = arbitrage_model()
         problem = market.build_problem_cash(model)
         rep = cones.check_horizon_positivity(problem)
-        objs = cones.path_objectives(problem)
+        objs = problem.meta["path_objectives"]
         witness = td.AdaptedSequence({k: np.asarray(v, float) for k, v in rep.witness.items()})
         for leaf in model.tree.leaves:
             H = td.horizon(objs[leaf.id])
@@ -537,7 +539,7 @@ def assert_leaf_placement_matches_reference(problem, ys):
     """Path columns place the leaf rows and read the path decisions bit for
     bit as the dense selectors do (signed zeros included)."""
     _, total, leaf_cols = cones._adapted_layout(problem)
-    horizons, _, _ = cones._leaf_horizons(cones.path_objectives(problem))
+    horizons, _, _ = cones._leaf_horizons(problem.meta["path_objectives"])
     got = cones._stacked_rows(horizons, leaf_cols, total)
     want = _ref_stacked_rows(problem, horizons)
     assert np.array_equal(got, want)
@@ -556,7 +558,7 @@ def unit_directions(total, rng, n_random=4):
 def null_space_reference(problem) -> dict[str, np.ndarray]:
     """Per-node null directions, one SVD of the full stacked system per node."""
     offsets, total = _ref_layout(problem)
-    horizons, _, _ = cones._leaf_horizons(cones.path_objectives(problem))
+    horizons, _, _ = cones._leaf_horizons(problem.meta["path_objectives"])
     rows = _ref_stacked_rows(problem, horizons)
     nodes = list(offsets)
     tree = problem.tree
@@ -715,6 +717,102 @@ class TestLeafPlacement:
             problem, unit_directions(3, np.random.default_rng(0)))
 
 
+def history_paths_by_leaf(problem):
+    """A history problem's path objectives derived one leaf at a time along
+    ``tree.path`` (None if a stage function is a callable): the oracle of
+    the ones ``history_problem`` attaches."""
+    tree = problem.tree
+    cum = list(problem.state_map.dims)
+    out = {}
+    for leaf in tree.leaves:
+        terms = [problem.leaf_objective[leaf.id]]
+        for nid in tree.path(leaf.id):
+            sf = (problem.stage_funs or {}).get(nid)
+            if sf is None:
+                continue
+            if not isinstance(sf, td.ExtFun):
+                return None
+            k = cum[tree.node(nid).time]
+            terms.append(AffinePrecompose(sf, np.hstack([np.eye(k), np.zeros((k, cum[-1] - k))])))
+        out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    return out
+
+
+def random_history_problem(rng, callable_stage=False):
+    """History problem on a shuffled ragged tree (T 1-3), 0-2 decisions per
+    stage (at least one at the root), random ExtFun leaf objectives and
+    ExtFun stage functions at some nodes (one of them a callable if
+    ``callable_stage``)."""
+    T = int(rng.integers(1, 4))
+    tree = ragged_tree(rng, T)
+    dims = [int(rng.integers(1, 3))] + [int(rng.integers(0, 3)) for _ in range(T - 1)] + [0]
+    cum = np.cumsum(dims)
+    leaves = {n.id: AffinePrecompose(td.SShapedDisutility(2.0, 1.0, 1.0), rng.normal(size=(1, cum[-1])))
+              for n in tree.leaves}
+    stage = {}
+    for node in tree.nodes:
+        k = int(cum[node.time])
+        kind = rng.integers(0, 4)
+        if node.time < T and kind:
+            stage[node.id] = (
+                td.IndicatorBox(rng.choice([-INF, 0.0], k), rng.choice([INF, 0.0], k)),
+                PowerCost(1.0, 2.0, k),
+                Affine(rng.normal(size=k)),
+            )[kind - 1]
+    if callable_stage:
+        stage[tree.nodes_at(0)[0].id] = lambda K, S, X, post: np.zeros(len(K))
+    return dp.history_problem(tree, dims, leaves, lower_bound=-10.0, stage_funs=stage)
+
+
+def leaves_below_by_walk(tree, p):
+    """Leaf ids below position ``p`` in position order, level by level."""
+    level = [p]
+    start, kids = tree.child_start, tree.child_pos
+    while tree.times[level[0]] < tree.horizon:
+        level = [c for q in level for c in kids[start[q] : start[q + 1]].tolist()]
+    return [tree.nodes[q].id for q in sorted(level)]
+
+
+class TestPathLayout:
+    """The history builder's path objectives, the adapted layout and the
+    leaves below a node, read off the tree's ancestor table, against
+    their per-leaf walks along ``tree.path``."""
+
+    def test_history_objectives_match_the_per_leaf_walk(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            problem = random_history_problem(rng)
+            got = problem.meta["path_objectives"]
+            want = history_paths_by_leaf(problem)
+            assert list(got) == list(want)
+            for leaf, f in got.items():
+                assert expr_bytes(f) == expr_bytes(want[leaf]), leaf
+
+    def test_callable_stage_function_leaves_the_check_undecided(self):
+        problem = random_history_problem(np.random.default_rng(1), callable_stage=True)
+        assert "path_objectives" not in problem.meta
+        rep = cones.check_horizon_positivity(problem)
+        assert rep.verdict == "undecided"
+        assert rep.method == ["no symbolic path objectives available for horizon analysis"]
+        assert cones.null_space(problem).kind == "undecided"
+
+    def test_layout_and_leaves_below_match_the_path_walks(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            problem = random_history_problem(rng)
+            tree = problem.tree
+            offsets, total, leaf_cols = cones._adapted_layout(problem)
+            assert (offsets, total) == _ref_layout(problem)
+            assert list(leaf_cols) == [leaf.id for leaf in tree.leaves]
+            for leaf in tree.leaves:
+                want = [c for nid in tree.path(leaf.id) if nid in offsets
+                        for c in range(*offsets[nid])]
+                assert leaf_cols[leaf.id].dtype == np.int64
+                assert leaf_cols[leaf.id].tolist() == want
+            for p in range(len(tree)):
+                assert cones._leaves_below(tree, p) == leaves_below_by_walk(tree, p)
+
+
 class TestConditionalHorizonInequality:
     def test_child_sum_of_horizons_below_horizon_of_sum(self):
         # per-node disutilities with node-dependent parameters: the
@@ -767,7 +865,7 @@ def assert_routes_agree(problem):
     assert node.details["route"] == "node" and "route" not in stacked.details
     if node.witness is not None:
         assert sum(np.any(v) for v in node.witness.values()) == 1
-        horizons = {leaf: td.horizon(f) for leaf, f in cones.path_objectives(problem).items()}
+        horizons = {leaf: td.horizon(f) for leaf, f in problem.meta["path_objectives"].items()}
         y = np.concatenate(list(node.witness.values()))
         assert max(_ref_witness_values(problem, horizons, y).values()) <= cones.WITNESS_TOL
     ds, ref = _null_or_ray(problem), _null_or_ray(oracle)

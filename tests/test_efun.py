@@ -354,6 +354,15 @@ class TestIsNonnegativeOn:
             assert H.value([w]) == INF
             assert td.horizon_numeric(f, [w], [0.0]).diverged_to_inf
 
+    def test_infinite_off_the_origin_is_positive(self):
+        # the horizon of z + PowerCost: +inf off 0, so every sampled
+        # direction reads +inf and only the exact cone can decide
+        f = Sum((Affine([1.0]), IndicatorBox([0.0], [0.0])))
+        assert efun.positivity_off_origin(f) == ("positive", None)
+        H = td.horizon(PartialMin(Sum((Affine([1.0, 0.0]), PowerCost(1.0, 2.0, 2))), 1))
+        assert H.value([0.0]) == 0.0
+        assert H.value([1.0]) == H.value([-1.0]) == INF
+
     def test_sampled_fallback(self):
         H = td.horizon(AffinePrecompose(SShapedDisutility(2.0, 1.0, 1.0), [[1.0, 1.0]]))
         verdict, witness = efun.positivity_off_origin(H)
@@ -361,8 +370,8 @@ class TestIsNonnegativeOn:
         assert H.value(witness) == 0.0
         ang = np.arange(0.0, 2 * math.pi, 1e-2)
         assert (H.value_many(np.column_stack([np.cos(ang), np.sin(ang)])) >= 0).all()
-        # a signed term makes the structural rule inconclusive; the sampled
-        # directions find the counterexample inside the orthant
+        # one signed term and an indicator: the exact cone's LP vertex is
+        # the counterexample inside the orthant
         g = Sum((
             AffinePrecompose(Affine([-1.0], 0.0), [[1.0, 1.0]]),
             IndicatorPolyCone([[-1.0, 0.0], [0.0, -1.0]]),

@@ -8,7 +8,7 @@ import pytest
 import treedp as td
 from treedp import cones, dp, market
 
-from conftest import binomial_tree, exp_utility, sshaped_t2_model
+from conftest import binomial_tree, exp_utility, expr_bytes, ragged_tree, sshaped_t2_model
 
 INF = math.inf
 
@@ -289,6 +289,103 @@ class TestDegenerateHorizon:
         assert term.value == cash.value
         verdicts = [cones.check_horizon_positivity(p).verdict for p in problems]
         assert verdicts == ["holds", "holds"]
+
+
+def path_objectives_by_leaf(model, lead):
+    """The path objectives built one leaf at a time along ``tree.path``:
+    the oracle of the builder's stage-at-a-time construction."""
+    tree = model.tree
+    J, T = model.n_risky, tree.horizon
+    d = lead + J
+    boxes = [market._decision_box(model, t, lead) for t in range(T)]
+    out = {}
+    for leaf in tree.leaves:
+        path = tree.path(leaf.id)
+        row = np.zeros(T * d)
+        cash = np.zeros((T, T * d))
+        for t in range(T):
+            row[t * d : t * d + lead] = 1.0
+            cash[t] = row
+            cash[t, t * d + lead : (t + 1) * d] = -model.Z(path[t])
+            row[t * d + lead : (t + 1) * d] = model.Z(path[t + 1]) - model.Z(path[t])
+        const = (
+            model.initial_cash
+            - sum(model.claim(nid) for nid in path)
+            + model.endow(leaf.id)
+        )
+        terms = [td.AffinePrecompose(model.disutility_at(leaf.id), -row[None, :], [-const])]
+        for t, box in enumerate(boxes):
+            if box is not None:
+                sel = np.zeros((d, T * d))
+                sel[:, t * d : (t + 1) * d] = np.eye(d)
+                terms.append(td.AffinePrecompose(box, sel))
+        if model.cash_lower is not None:
+            const_cash = [model.initial_cash - sum(model.claim(nid) for nid in path[: t + 1])
+                          for t in range(T)]
+            lower = model.cash_lower - np.array(const_cash)
+            terms.append(td.AffinePrecompose(td.IndicatorBox(lower, np.full(T, INF)), cash))
+        out[leaf.id] = terms[0] if len(terms) == 1 else td.Sum(tuple(terms))
+    return out
+
+
+def ragged_frictionless_model(rng):
+    """Random frictionless market on a ragged tree (T 1-3, 1-2 assets) with
+    holdings boxes, interior and leaf claims, endowments, utility
+    overrides and, in some draws, a borrowing limit; claims (some -0.0)
+    and prices are generic floats, so a change in summation order shows
+    in the bits."""
+    T, J = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    tree = ragged_tree(rng, T)
+    leaves = [n.id for n in tree.leaves]
+    boxes = {t: (rng.choice([-INF, -1.0, 0.0], J), rng.choice([INF, 0.5, 1.0], J))
+             for t in range(T) if rng.random() < 0.7} if rng.random() < 0.5 else {}
+    sampled = market.SampledUtility(np.array([-1.0, 0.0, 1.0]), np.array([-1.5, 0.0, 0.5]),
+                                    slope_left=2.0, slope_right=0.0)
+    return market.MarketModel(
+        tree=tree, n_risky=J, cost=market.Frictionless(),
+        prices={n.id: rng.uniform(0.5, 2.0, J) for n in tree.nodes},
+        utility=market.SShapedUtility(2.0, 1.0, 1.0),
+        utility_overrides={l: sampled for l in leaves if rng.random() < 0.3},
+        claims={n.id: -0.0 if rng.random() < 0.2 else float(rng.uniform(-0.2, 0.2))
+                for n in tree.nodes if rng.random() < 0.5},
+        endowment={l: float(rng.uniform(0.0, 0.3)) for l in leaves if rng.random() < 0.5},
+        initial_cash=float(rng.uniform(0.0, 1.5)),
+        constraints=boxes or None,
+        cash_lower=None if rng.random() < 0.5 else float(rng.uniform(-1.0, 0.0)),
+    )
+
+
+class TestPathObjectives:
+    def test_bit_identical_to_the_per_leaf_walk(self):
+        rng = np.random.default_rng(20)
+        seen = set()
+        for _ in range(40):
+            model = ragged_frictionless_model(rng)
+            seen.add((model.n_risky, model.cash_lower is None, model.constraints is None))
+            for lead, build in enumerate((market.build_problem_cash, market.build_problem_terminal)):
+                got = build(model, radius=1.0, points=3).meta["path_objectives"]
+                want = path_objectives_by_leaf(model, lead)
+                assert list(got) == list(want)
+                for leaf, f in got.items():
+                    assert expr_bytes(f) == expr_bytes(want[leaf]), leaf
+        assert len(seen) == 8  # every combination of assets, limit and boxes
+
+    def test_one_box_term_per_stage(self):
+        tree = binomial_tree(2)
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices={n.id: [1.0 + 0.1 * len(n.id)] for n in tree.nodes},
+            cost=market.Frictionless(), utility=market.SShapedUtility(2.0, 1.0, 1.0))
+        paths = market.build_problem_terminal(model).meta["path_objectives"]
+        boxes = [f.terms[1:] for f in paths.values()]
+        assert len(boxes[0]) == 2
+        assert all(a is b for terms in boxes for a, b in zip(terms, boxes[0]))
+
+    def test_none_with_a_closed_stage_or_frictions(self):
+        model = ragged_frictionless_model(np.random.default_rng(3))
+        for other in (dataclasses.replace(model, trading_stages=frozenset()),
+                      dataclasses.replace(model, cost=market.PowerIlliquidity(0.1, 2.0))):
+            meta = market.build_problem_cash(other, radius=1.0, points=3).meta
+            assert "path_objectives" not in meta and "node_rows" not in meta
 
 
 def liquidated(model, leaf_id, phi):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import treedp as td
 from treedp.tree import PROB_TOL
 
-from conftest import binomial_tree
+from conftest import binomial_tree, ragged_tree
 
 
 def conditional_expectation(tree, t, values):
@@ -165,6 +165,30 @@ def random_trees(draw):
                 nxt.append(cid)
         frontier = nxt
     return td.ScenarioTree(rng_nodes)
+
+
+class TestAncestors:
+    @given(random_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_leaf_paths(self, tree):
+        anc = tree.ancestors
+        assert anc.shape == (len(tree.leaves), tree.horizon + 1) and anc.dtype == np.int64
+        for leaf, row in zip(tree.leaves, anc.tolist()):
+            assert [tree.nodes[p].id for p in row] == tree.path(leaf.id)
+
+    def test_shuffled_ragged_trees(self):
+        rng = np.random.default_rng(7)
+        for T in (0, 1, 2, 3, 4):
+            tree = ragged_tree(rng, T)
+            for leaf, row in zip(tree.leaves, tree.ancestors.tolist()):
+                assert [tree.nodes[p].id for p in row] == tree.path(leaf.id)
+
+    def test_read_only_and_cached(self):
+        tree = binomial_tree(2)
+        assert tree.ancestors is tree.ancestors
+        assert not tree.ancestors.flags.writeable
+        with pytest.raises(ValueError):
+            tree.ancestors[0, 0] = 1
 
 
 class TestProperties:
