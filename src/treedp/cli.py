@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
 
 * 0 - success / all conditions hold
-* 1 - malformed input
+* 1 - malformed input: a model file or a command line (flag values included)
 * 2 - a checked condition fails (witness included in the report); for
   ``oracle``, the solve and brute force differ by more than the tolerance
   (the brute-force strategy is the witness)
@@ -84,14 +84,17 @@ def _solve_config(args) -> SolveConfig:
 
 
 def _build(model, args):
-    if args.form == "terminal":
-        return market.build_problem_terminal(model, radius=args.radius, points=args.points)
-    return market.build_problem_cash(model, radius=args.radius, points=args.points)
+    build = market.build_problem_terminal if args.form == "terminal" else market.build_problem_cash
+    try:
+        return build(model, radius=args.radius, points=args.points)
+    except ValueError as e:  # the grid flags
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_MALFORMED)
 
 
-def _check_payload(problem, seed: int = 0) -> tuple[dict, int, cones.CheckReport]:
+def _check_payload(problem) -> tuple[dict, int, cones.CheckReport]:
     report = problem.meta["validation"]  # the builder validated the model
-    check = cones.check_horizon_positivity(problem, seed=seed)
+    check = cones.check_horizon_positivity(problem)
     payload = {
         "validation": report.report_dict(),
         "horizon_positivity": check.report_dict(),
@@ -106,7 +109,8 @@ def _check_payload(problem, seed: int = 0) -> tuple[dict, int, cones.CheckReport
 def cmd_check(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    payload, code, check = _check_payload(problem, seed=args.seed)
+    _solve_config(args)  # a malformed solver flag is malformed input here too
+    payload, code, check = _check_payload(problem)
     payload["exit_code"] = code
     out = _out_dir(args)
     if check.witness:
@@ -118,13 +122,13 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
-    check_payload, check_code, _ = _check_payload(problem, seed=args.seed)
+    cfg = _solve_config(args)
+    check_payload, check_code, _ = _check_payload(problem)
     if check_code != EXIT_OK and not args.force:
         payload = {"check": check_payload, "exit_code": check_code,
                    "note": "conditions not verified; rerun with --force to attempt anyway"}
         _report(os.path.join(_out_dir(args), "solve_report.json"), payload)
         return check_code
-    cfg = _solve_config(args)
     out = _out_dir(args)
     try:
         result = dp.backward_solve(problem, cfg=cfg)
@@ -212,8 +216,17 @@ def cmd_oracle(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line error is malformed input: ``error: ...`` and exit 1
+    (argparse's own exit 2 is ``EXIT_FAILS`` here).  Subparsers are made
+    of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_MALFORMED, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="treedp",
         description="scenario-tree dynamic programming for nonconvex portfolio problems",
     )
@@ -237,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=None,
                         help="worker processes a large stage search may split over "
                              "(>= 1, at most the usable CPUs); results do not depend on it")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks")
         sp.add_argument("--out", default=None, help="output directory (default: TREEDP_OUT or .)")
 
     sp = sub.add_parser("check", help="validate model conditions and horizon positivity")

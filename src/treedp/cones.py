@@ -4,7 +4,9 @@ The backward recursion is only guaranteed to have minimizers when the
 objective's horizon function is positive along every nonzero adapted
 direction.  This module decides that condition:
 
-* analytically for market models with superlinear total costs;
+* analytically when the builder's validation report
+  (``meta["validation"]``) finds strict cost growth and disutility
+  growth, as for market models with superlinear total costs;
 * node by node when the builder attached each decision node's own
   zero-sublevel rows (``meta["node_rows"]``: frictionless markets that
   trade at every stage, without a borrowing limit): the adapted cone is
@@ -22,8 +24,11 @@ direction.  This module decides that condition:
   SVD and one bounded LP: the stacked route, which borrowing limits,
   closed stages and history-mode problems take, and the node route's
   test oracle);
-* by sphere sampling otherwise, in which case only a found witness is
-  conclusive and the verdict is otherwise "undecided".
+* by sphere sampling (:data:`SAMPLES` directions, seed 0) when a
+  horizon gives no polyhedral rows, or when the LP vertex fails
+  re-verification at both of its scalings and rounded to integers; only
+  a found witness is conclusive there, and the verdict is otherwise
+  "undecided".
 
 When the condition fails because null directions form a linear space, the
 problem can be restricted to the orthogonal complement of those
@@ -68,6 +73,7 @@ from .tree import ScenarioTree
 
 INF = math.inf
 WITNESS_TOL = 1e-9
+SAMPLES = 512  # random directions of the sampling fallback (seed 0)
 
 
 class NotASubspace(RuntimeError):
@@ -95,8 +101,10 @@ class CheckReport:
     (on the node route, the leaves below the one node where it is
     nonzero: every other leaf's path sees the zero direction, where a
     horizon is 0).  The witness has unit L1 norm; the re-verification
-    ran on it or on the same direction scaled to max |y| = 1, where an LP
-    vertex keeps its exact coordinates (``method`` says so).
+    ran on it, on the same direction scaled to max |y| = 1, where an LP
+    vertex keeps its exact coordinates, or on the vertex rounded to
+    nearby rationals and scaled to integer coordinates (``method`` says
+    which, and the witness is then that direction at unit L1 norm).
     """
 
     verdict: str  # "holds" | "fails" | "undecided"
@@ -284,9 +292,7 @@ def _leaves_below(tree: ScenarioTree, p: int) -> list[str]:
     return [tree.nodes[q].id for q in anc[anc[:, tree.times[p]] == p, -1].tolist()]
 
 
-def _check_by_node(
-    problem: Problem, system: _NodeSystem, samples: int, seed: int
-) -> CheckReport:
+def _check_by_node(problem: Problem, system: _NodeSystem) -> CheckReport:
     """The check on the node cones: one batched SVD gives each node's
     kernel, and one block LP looks for a one-sided ray at the nodes with
     none.  The witness is :func:`cone_vertex` on the last node in tree
@@ -336,7 +342,7 @@ def _check_by_node(
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _node_witness(problem, last, y), method, details)
     method.append("node witness failed re-verification; deciding on the stacked rows")
-    return _check_stacked(problem, samples, seed, method)
+    return _check_stacked(problem, method)
 
 
 def _verify_vertex(
@@ -350,6 +356,11 @@ def _verify_vertex(
     The L1 scaling rounds an exact vertex ([1, -1, 1] becomes thirds), and
     a horizon that is +inf on any loss rejects the 1e-17 profit; so the
     vertex itself, which keeps its exact coordinates, may verify instead.
+    An LP may return interior coordinates one ulp off a small rational
+    (0.5000000000000001), so last the vertex is rounded to the nearest
+    fractions with denominators <= 1000 and scaled to integers (below
+    2**53, so exact as floats), on which gains over prices with small
+    denominators come out exact.
     """
     y = unit_l1(box)
     ok, vals = verify(y)
@@ -357,14 +368,28 @@ def _verify_vertex(
         ok, vals = verify(box)
         if ok:
             method.append("witness re-verified on the LP vertex (max |y| = 1)")
+    if not ok:
+        from fractions import Fraction  # deferred: it imports decimal, and few checks get here
+
+        q = [Fraction(v).limit_denominator(1000) for v in box.tolist()]
+        scale = math.lcm(*(f.denominator for f in q))
+        ints = [int(f * scale) for f in q]
+        if max(map(abs, ints)) < 2**53:
+            z = np.array(ints, dtype=float)
+            ok, vals = verify(z)
+            if ok:
+                y = unit_l1(z)
+                method.append("witness re-verified on the LP vertex rounded to rationals "
+                              "(denominators <= 1000) and scaled to integers")
     return y, ok, vals
 
 
 def _superlinear(problem: Problem) -> bool:
-    """Whether the builder's market analysis finds superlinear total costs
+    """Whether the builder's validation report finds strict cost growth
     and disutility growth, which pin every nonzero trade direction."""
-    analysis = problem.meta.get("market_analysis") or {}
-    return bool(analysis.get("cost_superlinear") and analysis.get("disutility_growth"))
+    report = problem.meta.get("validation")
+    return (report is not None and report.holds("cost_growth_strict")
+            and report.holds("disutility_growth"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +397,7 @@ def _superlinear(problem: Problem) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_horizon_positivity(
-    problem: Problem, samples: int = 512, seed: int = 0
-) -> CheckReport:
+def check_horizon_positivity(problem: Problem) -> CheckReport:
     """Decide whether the only adapted direction with nonpositive horizon is 0.
 
     This is the hypothesis under which the backward recursion is well
@@ -382,8 +405,11 @@ def check_horizon_positivity(
     reduces to the classical no-arbitrage condition, which
     :func:`no_arbitrage_lp` checks independently.
 
-    Superlinear costs decide it analytically.  A problem with node rows
-    (``meta["node_rows"]``) takes the node route: the cone is {0} iff
+    Superlinear costs decide it analytically: the builder's validation
+    report (``meta["validation"]``) finds ``cost_growth_strict`` and
+    ``disutility_growth``, and ``details`` is empty, since the CLI's
+    report carries the validation beside the check.  A problem with node
+    rows (``meta["node_rows"]``) takes the node route: the cone is {0} iff
     every node's own cone is (see :func:`_node_system`); ``method`` says
     "one-period rows per decision node", ``details["route"]`` is
     ``"node"``, ``details["cone"]`` sums the nodes' ``rows``, ``dim``
@@ -393,21 +419,20 @@ def check_horizon_positivity(
     the zero direction).  Any other problem with symbolic path
     objectives takes the stacked route ("polyhedral zero-sublevel rows
     per leaf"), which is also the fallback when a node witness fails its
-    re-verification.
+    re-verification.  Where no LP direction re-verifies, the stacked
+    route samples :data:`SAMPLES` directions (seed 0) besides the +-unit
+    vectors.
     """
     if _superlinear(problem):
         method = ["analytic: superlinear total cost pins every nonzero trade direction"]
-        analysis = dict(problem.meta["market_analysis"])
-        return CheckReport("holds", None, method, {"market_analysis": analysis})
+        return CheckReport("holds", None, method, {})
     system = _node_system(problem)
     if system is not None:
-        return _check_by_node(problem, system, samples, seed)
-    return _check_stacked(problem, samples, seed, [])
+        return _check_by_node(problem, system)
+    return _check_stacked(problem, [])
 
 
-def _check_stacked(
-    problem: Problem, samples: int, seed: int, method: list[str]
-) -> CheckReport:
+def _check_stacked(problem: Problem, method: list[str]) -> CheckReport:
     """The check on every leaf's zero-sublevel rows stacked into one cone
     over the whole adapted vector: one SVD and one bounded LP, then
     sphere sampling if the LP direction fails re-verification."""
@@ -449,8 +474,7 @@ def _check_stacked(
             return CheckReport("fails", _split_witness(offsets, y), method, details)
         method.append("LP direction failed re-verification; falling back to sampling")
     method.append("sphere sampling over adapted directions")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, total))
+    dirs = np.random.default_rng(0).standard_normal((SAMPLES, total))
     dirs = np.vstack([np.eye(total), -np.eye(total), dirs])
     dirs /= np.abs(dirs).sum(axis=1, keepdims=True)
     for y in dirs:

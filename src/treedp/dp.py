@@ -124,6 +124,11 @@ class SolveConfig:
         for name in ("eps_ref", "eps_opt", "eps_gap"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if not (0 < self.box_init <= self.box_max < math.inf):
+            raise ValueError("box_init and box_max must be finite with 0 < box_init <= box_max, "
+                             f"got {self.box_init} and {self.box_max}")
+        if not (0 <= self.margin < math.inf):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 

@@ -339,7 +339,8 @@ class ValidationReport:
       exactly the free ones;
     * ``inada``: the extended case of infinite loss slope;
     * ``free_disposal``: the total cost is nondecreasing componentwise
-      (checked on the region where it can hold for power costs).
+      (for power costs, decided in closed form on the region where it
+      holds).
     """
 
     conditions: dict[str, dict]
@@ -423,7 +424,7 @@ def validate(model: MarketModel) -> ValidationReport:
     return ValidationReport(c)
 
 
-def _free_disposal_check(model: MarketModel, samples: int = 64) -> dict:
+def _free_disposal_check(model: MarketModel) -> dict:
     neg_price = [
         n.id for n in model.tree.nodes if (model.Z(n.id) < 0).any()
     ]
@@ -437,51 +438,27 @@ def _free_disposal_check(model: MarketModel, samples: int = 64) -> dict:
             "status": "holds",
             "note": "linear cost with nonnegative prices is monotone everywhere",
         }
-    # power costs are monotone only within |d_i| <= (Z_i/(p*coeff))**(1/(p-1))
+    # the power cost is separable: Z_i d_i + coeff |d_i|**p is nondecreasing
+    # in d_i exactly where d_i >= 0 or |d_i| <= (Z_i/(coeff p))**(1/(p-1))
     radius = INF
     for node in model.tree.nodes:
         lam, p = model.cost.params_at(node.id)
         z = model.Z(node.id)
-        # huge prices overflow the ratio: r = +inf bounds this node's radius
-        # from above and leaves the sampled radius to the other nodes
+        # huge prices overflow the ratio to +inf
         with np.errstate(over="ignore"):
             r = (np.minimum.reduce(z) / (lam * p)) ** (1.0 / (p - 1.0)) if z.size else INF
         radius = min(radius, float(r))
-    # when every node's radius overflows, sample within a finite radius
-    # whose interval width is still a float
-    radius = min(radius, np.finfo(float).max / 4)
-    rng = np.random.default_rng(7)
-    for node in model.tree.nodes:
-        base = rng.uniform(-radius, radius, size=(samples, model.n_risky))
-        drop = rng.uniform(0.0, 1.0, size=(samples, model.n_risky))
-        lower = np.maximum(base - drop, -radius)
-        # huge trades can make a cost +-inf or inf - inf; such a sample
-        # compares nothing, so it is reported instead of counted
-        with np.errstate(invalid="ignore"):
-            s_hi = model.total_cost_many(node, base)
-            s_lo = model.total_cost_many(node, lower)
-        if not (np.isfinite(s_hi).all() and np.isfinite(s_lo).all()):
-            return {
-                "status": "undecided",
-                "note": f"sampled total costs are not finite within radius {radius:.4g} "
-                        f"at node {node.id}: monotonicity not compared",
-            }
-        if (s_lo > s_hi + 1e-9).any():
-            return {
-                "status": "fails",
-                "note": f"monotonicity violated within radius {radius} at node {node.id}",
-            }
+    if model.n_risky and not math.isfinite(radius):
+        return {
+            "status": "undecided",
+            "note": "the monotone radius (Z_i/(coeff*exponent))**(1/(exponent-1)) "
+                    "overflows at every node (not finite): no region to state",
+        }
     return {
         "status": "holds",
-        "note": f"sampled monotone on componentwise-ordered pairs within radius {radius:.4g}",
-    }
-
-
-def _analysis_stamp(model: MarketModel, report: ValidationReport) -> dict:
-    return {
-        "cost_superlinear": not model.cost.is_frictionless(),
-        "frictionless": model.cost.is_frictionless(),
-        "disutility_growth": report.holds("disutility_growth"),
+        "note": f"closed form: nondecreasing in each d_i where d_i >= 0 or |d_i| <= "
+                f"{radius!r}, the least (Z_i/(coeff*exponent))**(1/(exponent-1)) "
+                f"over nodes and assets",
     }
 
 
@@ -694,8 +671,13 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
     plus the friction cost, then its claim; the post-trade cash may not
     drop below ``cash_lower``.  At T the position is liquidated into
     terminal wealth, net of the claim and plus the endowment, and the leaf
-    objective is V(-wealth).
+    objective is V(-wealth).  The state grids need ``points >= 2`` and a
+    finite ``radius > 0`` (ValueError otherwise).
     """
+    if not points >= 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     tree = model.tree
     J, T = model.n_risky, tree.horizon
     lead = int(form == "terminal")  # the expenditure coordinate
@@ -761,12 +743,8 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
     local_keys = {n.id: row.tobytes() for n, row in zip(tree.nodes, local)}
 
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
-    report = validate(model)
     meta: dict = {
-        "market": model,
-        "form": form,
-        "market_analysis": _analysis_stamp(model, report),
-        "validation": report,
+        "validation": validate(model),
         # the terminal form's expenditure moves the state along the cash
         # axis, so that axis is denser than the holdings axes
         "grids": _default_grids(model, radius, points, 2 * points - 1 if lead else points),

@@ -288,6 +288,38 @@ class TestSolve:
         assert "strictly increasing" in report["message"]
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["check", "MODEL", "--pionts", "9"],
+        ["check", "MODEL", "--points", "abc"],
+        [],
+    ], ids=["misspelt_flag", "bad_int", "no_command"])
+    def test_usage_error_exit_1(self, argv, toy_file, capsys):
+        # exit 2 would read as a failed condition
+        with pytest.raises(SystemExit) as err:
+            cli.main([toy_file if a == "MODEL" else a for a in argv])
+        assert err.value.code == cli.EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("flags", [
+        ["--points", "-3"], ["--points", "0"], ["--points", "1"],
+        ["--radius", "0"], ["--radius", "-1"], ["--radius", "nan"], ["--radius", "inf"],
+        ["--bmax", "nan"], ["--bmax", "inf"], ["--bmax", "0.5"],
+    ])
+    def test_malformed_grid_and_search_flags_exit_1(
+        self, command, flags, arbitrage_file, tmp_path, capsys
+    ):
+        # a forced solve of the arbitrage model would otherwise end in a
+        # traceback or exit 4, and its check in exit 2
+        argv = [command, arbitrage_file, *flags, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + (["--force"] if command == "solve" else []))
+        assert err.value.code == cli.EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+
 class TestHugeNumbers:
     @pytest.mark.parametrize("where, value, check_code, solve_code", [
         (("tree", 1, "data", "Z"), [1e308], 0, 4),
@@ -309,8 +341,8 @@ class TestHugeNumbers:
 
     @pytest.mark.parametrize("exponent", [2.0, 3.0])
     def test_huge_prices_at_every_node(self, exponent, tmp_path, capsys):
-        # every node's monotone radius overflows, so free disposal is sampled
-        # within a finite radius, where the total costs overflow in turn
+        # every node's monotone radius overflows, so free disposal has no
+        # finite region to state
         spec = toy_model_dict()
         spec["cost"]["exponent"] = exponent
         for node in spec["tree"]:

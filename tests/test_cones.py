@@ -448,8 +448,10 @@ class TestFrictionlessEquivalence:
         assert mismatches == 0
 
 
-def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, utility):
-    """Random T-period frictionless market with eighth-rational price moves.
+def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, utility,
+                            floats=False):
+    """Random T-period frictionless market with eighth-rational price moves
+    (with ``floats``, moves drawn uniformly from [-0.5, 0.5)).
 
     In balanced draws every node's child moves sum to zero, so the uniform
     measure is a martingale measure and there is no arbitrage; unbalanced
@@ -462,7 +464,10 @@ def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, u
     for t in range(1, T + 1):
         nxt = []
         for pid in frontier:
-            moves = rng.integers(-4, 5, size=(n_branch, n_assets)) / 8.0
+            if floats:
+                moves = rng.uniform(-0.5, 0.5, size=(n_branch, n_assets))
+            else:
+                moves = rng.integers(-4, 5, size=(n_branch, n_assets)) / 8.0
             q = rng.integers(1, 5, size=n_branch).astype(float)
             q /= q.sum()
             if balanced:
@@ -603,9 +608,12 @@ class TestMultiPeriodRandomTrees:
             if rep.witness is not None:
                 ys = np.vstack([ys, np.concatenate(list(rep.witness.values()))])
             assert_leaf_placement_matches_reference(problem, ys)
+            # the LP vertex, rounded to rationals where the LP left one-ulp
+            # noise, decides every draw without sampling
+            assert not any("sampling" in m for m in rep.method), rep.method
             if moves_span(model):
                 arb = cones.no_arbitrage_lp(model.tree, as_prices(model))
-                assert (rep.verdict == "holds") == (arb is None)
+                assert rep.verdict == ("holds" if arb is None else "fails")
                 seen[rep.verdict] += 1
             try:
                 ds = cones.null_space(problem)
@@ -619,6 +627,31 @@ class TestMultiPeriodRandomTrees:
             assert all(np.array_equal(ds.per_node[n], ref[n]) for n in ref)
             seen["null"] += not ds.is_trivial()
         assert min(seen.values()) > 0, seen
+
+    def test_float_priced_arbitrage_fails_on_both_routes(self):
+        # float price moves leave LP vertices that no small denominator makes
+        # exact; then the sphere sampler finds the witness, so without it
+        # these arbitrages would read "undecided"
+        rng = np.random.default_rng(2031)
+        utilities = (market.SShapedUtility(2.0, 1.0, 1.0), exp_utility())
+        arbitrages = sampled = 0
+        for k in range(8):
+            n_assets = int(rng.integers(1, 3))
+            model = random_frictionless_tree(
+                rng, T=int(rng.integers(2, 4)), n_branch=int(rng.integers(2, 4)),
+                n_assets=n_assets, duplicated=n_assets == 2 and k % 3 == 0,
+                balanced=k % 2 == 0, utility=utilities[k % 2], floats=True,
+            )
+            arb = cones.no_arbitrage_lp(model.tree, as_prices(model))
+            arbitrages += arb is not None
+            for build in (market.build_problem_cash, market.build_problem_terminal):
+                problem = build(model, radius=1.0, points=5)
+                for p in (problem, stacked_route(problem)):
+                    rep = cones.check_horizon_positivity(p)
+                    if arb is not None or moves_span(model):
+                        assert rep.verdict == ("holds" if arb is None else "fails"), rep
+                    sampled += "sphere sampling over adapted directions" in rep.method
+        assert arbitrages > 0 and sampled > 0, (arbitrages, sampled)
 
 
 def limited_model(rng) -> market.MarketModel:

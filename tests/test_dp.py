@@ -209,6 +209,15 @@ class TestInterpolation:
 
 
 class TestBackwardSolve:
+    @pytest.mark.parametrize("kwargs", [
+        dict(box_init=0.0), dict(box_init=-1.0), dict(box_init=math.nan),
+        dict(box_max=math.nan), dict(box_max=INF), dict(box_init=2.0, box_max=1.0),
+        dict(margin=-1.0), dict(margin=math.nan), dict(margin=INF),
+    ])
+    def test_config_rejects_bad_search_box(self, kwargs):
+        with pytest.raises(ValueError, match="box_init|margin"):
+            dp.SolveConfig(**kwargs)
+
     def test_t0_quadratic(self):
         res = dp.backward_solve(quad_problem(), grids={})
         assert res.value == pytest.approx(0.0, abs=1e-6)

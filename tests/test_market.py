@@ -8,7 +8,14 @@ import pytest
 import treedp as td
 from treedp import cones, dp, market
 
-from conftest import binomial_tree, exp_utility, expr_bytes, ragged_tree, sshaped_t2_model
+from conftest import (
+    binomial_prices,
+    binomial_tree,
+    exp_utility,
+    expr_bytes,
+    ragged_tree,
+    sshaped_t2_model,
+)
 
 INF = math.inf
 
@@ -103,6 +110,14 @@ class TestUtilityAtoms:
 
 
 class TestBuilders:
+    @pytest.mark.parametrize("radius, points", [
+        (1.0, 1), (1.0, 0), (1.0, -3), (0.0, 9), (-1.0, 9), (math.nan, 9), (INF, 9),
+    ])
+    def test_rejects_bad_grid_arguments(self, radius, points):
+        for build in (market.build_problem_cash, market.build_problem_terminal):
+            with pytest.raises(ValueError, match="points must be >= 2|radius must be finite"):
+                build(sshaped_t2_model(), radius=radius, points=points)
+
     def test_zero_strategy_feasible_terminal(self):
         model = sshaped_t2_model()
         problem = market.build_problem_terminal(model, radius=0.5, points=33)
@@ -452,6 +467,35 @@ class TestModelProperties:
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
         )
         assert market.validate(model).status("free_disposal") == "fails"
+
+    def test_free_disposal_radius_in_closed_form(self):
+        # per-node power costs: each node's radius is
+        # (min_i Z_i/(coeff*exponent))**(1/(exponent-1)), and the note states the least
+        tree = binomial_tree(2)
+        prices = binomial_prices(tree, 1.0, 1.3, 0.8)
+        model = market.MarketModel(
+            tree=tree, n_risky=2,
+            prices={nid: [z[0], 1.5 * z[0]] for nid, z in prices.items()},
+            cost=market.PowerIlliquidity(
+                0.1, 2.0, per_node={"u": (0.5, 3.0), "dd": (0.05, 1.5), "ud": (2.0, 2.5)}),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0),
+        )
+        radii = {}
+        for node in tree.nodes:
+            lam, p = model.cost.params_at(node.id)
+            radii[node.id] = (float(min(model.Z(node.id))) / (lam * p)) ** (1.0 / (p - 1.0))
+        disposal = market.validate(model).conditions["free_disposal"]
+        assert disposal["status"] == "holds"
+        assert disposal["note"].startswith("closed form")
+        radius = float(disposal["note"].split("|d_i| <= ")[1].split(",")[0])
+        assert radius == min(radii.values())
+        # exact: at the node and asset that set it, the total cost has its
+        # local minimum at d_i = -radius, so it is nondecreasing up to there
+        # and decreasing beyond it
+        nid = min(radii, key=radii.get)
+        cost = [model.total_cost_many(tree.node(nid), np.array([[s * radius, 0.0]]))[0]
+                for s in (-1.01, -1.0, -0.99)]
+        assert cost[1] < cost[0] and cost[1] < cost[2]
 
 
 class TestNodeDependentParameters:
