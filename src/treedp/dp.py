@@ -148,14 +148,16 @@ DEFAULT_CONFIG = SolveConfig()
 class RowGroups:
     """Rows of a batch grouped by a per-position object, compared by identity.
 
-    ``RowGroups(objs)`` takes one object (or None) per tree position.
-    ``map(K, fn)`` evaluates ``fn(object, rows)`` once per distinct object
-    among the rows' positions ``K`` and assembles the results in row
-    order; ``rows`` is ``slice(None)`` when one object covers every row,
-    so the common case evaluates the whole batch without copies.
+    ``RowGroups(objs, times)`` takes one object (or None) and the stage of
+    each tree position.  ``map(K, fn)`` evaluates ``fn(object, rows)`` once
+    per distinct object among the rows' positions ``K``, which lie at one
+    stage (as the rows of a :class:`StateMap` call), and assembles the
+    results in row order.  ``rows`` is ``slice(None)`` when one object
+    covers every position of that stage, decided once per stage, so the
+    common case evaluates the whole batch without copies or a look at K.
     """
 
-    def __init__(self, objs: Sequence[object]):
+    def __init__(self, objs: Sequence[object], times: np.ndarray):
         first: dict[int, int] = {}
         self.objs: list[object] = []
         gid = np.empty(len(objs), dtype=np.int64)
@@ -164,16 +166,23 @@ class RowGroups:
                 first[id(obj)] = len(self.objs)
                 self.objs.append(obj)
             gid[i] = first[id(obj)]
-        self.gid = gid
+        self.gid, self.times = gid, times
+        # per stage: the group of all its positions, or -1 when they differ
+        self.stage_gid = np.full(int(times.max(initial=-1)) + 1, -1, dtype=np.int64)
+        for t in np.unique(times).tolist():
+            g = gid[times == t]
+            if (g == g[0]).all():
+                self.stage_gid[t] = g[0]
 
     def map(
         self, K: np.ndarray, fn: Callable[[object, slice | np.ndarray], np.ndarray]
     ) -> np.ndarray:
         if len(self.objs) == 1:
             return np.asarray(fn(self.objs[0], slice(None)), dtype=float)
-        g = self.gid[K]
-        if (g == g[0]).all():
-            return np.asarray(fn(self.objs[g[0]], slice(None)), dtype=float)
+        u = self.stage_gid[self.times[K[0]]]
+        if u >= 0:
+            return np.asarray(fn(self.objs[u], slice(None)), dtype=float)
+        g = self.gid.take(K)
         out = np.empty(len(K))
         for u in np.unique(g):
             rows = np.flatnonzero(g == u)
@@ -260,10 +269,11 @@ class Problem:
             for n in nodes:
                 if n.id not in self.local_keys:
                     raise ValueError(f"no local key at {n.id!r}")
-        stage = self.stage_funs or {}
-        object.__setattr__(self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes]))
+        stage, times = self.stage_funs or {}, self.tree.times
         object.__setattr__(
-            self, "_leaf_groups", RowGroups([self.leaf_objective.get(n.id) for n in nodes])
+            self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes], times))
+        object.__setattr__(
+            self, "_leaf_groups", RowGroups([self.leaf_objective.get(n.id) for n in nodes], times)
         )
         object.__setattr__(self, "_ids", tuple(n.id for n in nodes))
 
@@ -430,21 +440,39 @@ def interp_multilinear(
         outside |= (q < ax[0] - tol) | (q > ax[-1] + tol)
         hi = np.clip(np.searchsorted(ax, q), 1, len(ax) - 1)
         lo = hi - 1
-        t = np.clip((q - ax[lo]) / (ax[hi] - ax[lo]), 0.0, 1.0)
+        at_lo = ax.take(lo)
+        t = np.clip((q - at_lo) / (ax.take(hi) - at_lo), 0.0, 1.0)
         base = base + lo * strides[d]
         live.append(d)
         weights[d] = (1.0 - t, t)
-    out = np.zeros(m)
-    hit_inf = outside
+    # per corner: its offset from the lower corner and its weight per row
+    corners = []
     for bits in itertools.product((0, 1), repeat=len(live)):
-        w = np.ones(m)
-        for d, b in zip(live, bits):
-            w = w * weights[d][b]
-        v = flat[base + sum(b * strides[d] for d, b in zip(live, bits))]
-        inf_here = np.isinf(v)
-        hit_inf |= (w > 0) & inf_here
-        out += w * np.where(inf_here, 0.0, v)
-    out[hit_inf] = INF
+        factors = [weights[d][b] for d, b in zip(live, bits)]
+        w = factors[0] if factors else np.ones(m)
+        for f in factors[1:]:
+            w = w * f
+        corners.append((sum(b * strides[d] for d, b in zip(live, bits)), w))
+    out = np.zeros(m)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a row summed again below
+        for off, w in corners:
+            out += w * flat.take(base + off)
+    # only a +inf or NaN corner (or an overflowing sum) leaves a sum that is
+    # not finite; those rows are summed again, +inf-aware: a +inf corner of
+    # positive weight makes the row +inf, one of zero weight adds nothing
+    redo = np.flatnonzero(~np.isfinite(out))
+    if redo.size:
+        acc = np.zeros(redo.size)
+        hit_inf = np.zeros(redo.size, dtype=bool)
+        for off, w in corners:
+            v = flat.take(base[redo] + off)
+            w = w[redo]
+            inf_here = np.isinf(v)
+            hit_inf |= (w > 0) & inf_here
+            acc += w * np.where(inf_here, 0.0, v)
+        acc[hit_inf] = INF
+        out[redo] = acc
+    out[outside] = INF
     return out
 
 
@@ -633,7 +661,8 @@ def minimize_batch(
                     cand = np.concatenate([x[part], x[part]])
                     cand[: len(part), d] += step[part]
                     cand[len(part) :, d] -= step[part]
-                    vals = np.asarray(objective(np.tile(refine[part], 2), cand), dtype=float)
+                    I = np.concatenate([refine[part]] * 2)
+                    vals = np.asarray(objective(I, cand), dtype=float)
                     plus[a : a + len(part)] = vals[: len(part)]
                     minus[a : a + len(part)] = vals[len(part) :]
                 _reject_nan(plus, refine[rows], label, groups)
@@ -691,19 +720,12 @@ def _minimize_at(
     n = states.shape[0]
     groups = None if isinstance(names, str) else K
     if dim == 0:
-        parts = [np.zeros(0)]  # concatenates to no values when there are no rows
-        for a in range(0, n, _MAX_ROWS):
-            rows = slice(a, a + _MAX_ROWS)
-            X = np.zeros((len(K[rows]), 0))
-            parts.append(np.asarray(f(K[rows], states[rows], X), dtype=float))
-        vals = np.concatenate(parts)
-        _reject_nan(vals, None, names, groups)
-        return vals, np.zeros((n, 0)), _search_diag(n)
+        return _evaluate(f, K, states, names), np.zeros((n, 0)), _search_diag(n)
 
     def search(rows: slice) -> tuple[np.ndarray, np.ndarray, dict]:
         Kr, Sr = K[rows], states[rows]
         return minimize_batch(
-            lambda I, X: f(Kr[I], np.take(Sr, I, axis=0), X), dim, len(Kr), cfg,
+            lambda I, X: f(Kr.take(I), Sr.take(I, axis=0), X), dim, len(Kr), cfg,
             label=names, groups=None if groups is None else Kr,
         )
 
@@ -714,6 +736,26 @@ def _minimize_at(
         except Exception:
             pass  # searched again here, which raises what a one-thread search raises
     return search(slice(None))
+
+
+def _evaluate(
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    K: np.ndarray,
+    states: np.ndarray,
+    names: Sequence[str] | str,
+) -> np.ndarray:
+    """``f(K, S, X)`` at each row with no decision to choose, in calls of at
+    most ``_MAX_ROWS`` rows; a NaN value raises :class:`NumericFailure`
+    naming its node (``names`` as for :func:`_minimize_at`)."""
+    X = np.zeros((len(K), 0))
+    parts = [
+        np.asarray(f(K[a : a + _MAX_ROWS], states[a : a + _MAX_ROWS], X[a : a + _MAX_ROWS]),
+                   dtype=float)
+        for a in range(0, len(K), _MAX_ROWS)
+    ]
+    vals = parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0)] + parts)
+    _reject_nan(vals, None, names, None if isinstance(names, str) else K)
+    return vals
 
 
 def _split_parts(cfg: SolveConfig, n: int) -> int:
@@ -860,25 +902,32 @@ def _stage_objective(
     return f
 
 
-def _child_slots(tree: ScenarioTree, K: np.ndarray) -> list[tuple]:
-    """The children of the rows of ``K``, slot by slot.
+def _child_slots(tree: ScenarioTree, K: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """The children of the rows of ``K`` (positions of one stage), slot by
+    slot, and all of them.
 
-    Slot j lists (rows of K that have a j-th child, that child's
-    position, its conditional probability); the rows are ``slice(None)``
-    when every row has a j-th child, which uniform branching gives in
-    every slot.
+    Slot j lists (rows of K that have a j-th child, that child's position,
+    its conditional probability); the rows are ``slice(None)`` when every
+    row has a j-th child, which uniform branching gives in every slot (read
+    from ``tree.uniform_children``).  The second result concatenates the
+    slots' child positions.
     """
+    if not len(K):
+        return [], np.zeros(0, dtype=np.int64)
+    uniform = tree.uniform_children.get(int(tree.times[K[0]]))
+    if uniform is not None:
+        col = tree.stage_index.take(K)
+        kids, probs = uniform[0].take(col, axis=1), uniform[1].take(col, axis=1)
+        return [(slice(None), c, p) for c, p in zip(kids, probs)], kids.reshape(-1)
     start = tree.child_start[K]
     count = tree.child_start[K + 1] - start
     slots = []
-    if not len(K):
-        return []
     full = int(count.min())
     for j in range(int(count.max())):
         rows = slice(None) if j < full else np.flatnonzero(count > j)
         e = start[rows] + j
         slots.append((rows, tree.child_pos[e], tree.child_prob[e]))
-    return slots
+    return slots, np.concatenate([c for _, c, _ in slots] or [np.zeros(0, dtype=np.int64)])
 
 
 def _expect(slots: list, child_values: np.ndarray, n: int) -> np.ndarray:
@@ -904,8 +953,8 @@ def _roll_back(tree: ScenarioTree, at_leaves) -> np.ndarray:
     out[tree.positions_at(T)] = at_leaves
     for t in range(T - 1, -1, -1):
         P = tree.positions_at(t)
-        slots = _child_slots(tree, P)
-        out[P] = _expect(slots, out[np.concatenate([c for _, c, _ in slots])], len(P))
+        slots, kids = _child_slots(tree, P)
+        out[P] = _expect(slots, out[kids], len(P))
     return out
 
 
@@ -931,7 +980,7 @@ def _table_continuation(
     axes = post[nodes[0].id].axes
     values = np.stack([post[n.id].values for n in nodes])
     which = tree.stage_index
-    return lambda K, Q: interp_multilinear(axes, values, Q, which=which[K])
+    return lambda K, Q: interp_multilinear(axes, values, Q, which=which.take(K))
 
 
 class _Stage(NamedTuple):
@@ -1072,8 +1121,7 @@ def backward_solve(
         ndim = problem.decision_dims[t]
         if t < T:
             out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
-            slots = _child_slots(tree, P)
-            kids = np.concatenate([c for _, c, _ in slots])
+            slots, kids = _child_slots(tree, P)
             u = _expect(slots, stacked[tree.stage_index[kids]], n)
             for node, table in zip(nodes, u):
                 post[node.id] = ValueTable(node.id, out_axes, table, "post")
@@ -1225,13 +1273,15 @@ def _exact_continuation(problem: Problem, t: int, cfg: SolveConfig) -> Continuat
     dim = problem.decision_dims[t + 1]
 
     def cont(K: np.ndarray, states: np.ndarray) -> np.ndarray:
-        slots = _child_slots(problem.tree, K)
-        kids = np.concatenate([c for _, c, _ in slots])
+        slots, kids = _child_slots(problem.tree, K)
         entering = np.concatenate(
-            [states[rows] if isinstance(rows, slice) else np.take(states, rows, axis=0)
+            [states if isinstance(rows, slice) else np.take(states, rows, axis=0)
              for rows, _, _ in slots]
         )
-        vals = _minimize_at(f, kids, entering, dim, cfg, problem._ids)[0]
+        if dim:
+            vals = _minimize_at(f, kids, entering, dim, cfg, problem._ids)[0]
+        else:
+            vals = _evaluate(f, kids, entering, problem._ids)
         return _expect(slots, vals, len(K))
 
     return cont
@@ -1317,8 +1367,7 @@ def _strategy_points(
             # the children decide nothing and enter at these post states, so
             # the nested continuation is their values just computed
             _reject_nan(below, None, problem._ids, stages[t + 1].K)
-            slots = _child_slots(tree, st.K)
-            kids = np.concatenate([c for _, c, _ in slots])
+            slots, kids = _child_slots(tree, st.K)
             after = _expect(slots, below[tree.stage_index[kids]], len(st.K))
         else:
             after = cont(st.K, st.post)

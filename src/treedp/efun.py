@@ -280,14 +280,13 @@ class SShapedDisutility(ExtFun):
 
     def value_many(self, X):
         c = X[:, 0]
-        loss = c < 0
         # beta*c overflows to +-inf, its exact limit; kappa*m/(1+m) with
         # m = |c|**gamma is written so that m = inf gives kappa, and tiny
-        # |c| overflows |c|**-gamma to inf, which gives -0.0
-        with np.errstate(over="ignore"):
-            out = self.beta * c
-            out[loss] = -self.kappa / (1.0 + np.abs(c[loss]) ** -self.gamma)
-        return out
+        # |c| overflows |c|**-gamma to inf, which gives -0.0.  The loss
+        # branch runs on every row, so |0|**-gamma divides by zero on rows
+        # that take beta*c
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.where(c < 0, -self.kappa / (1.0 + np.abs(c) ** -self.gamma), self.beta * c)
 
     def utility(self, w) -> float:
         """The underlying utility u(w) = -V(-w)."""
@@ -422,7 +421,15 @@ class AffinePrecompose(ExtFun):
         return self.matrix.shape[1]
 
     def value_many(self, X):
-        return self.inner.value_many(X @ self.matrix.T + self.offset)
+        A = self.matrix
+        if A.shape[1] > 1:
+            return self.inner.value_many(X @ A.T + self.offset)
+        # one input coordinate: X @ A.T sums each product onto +0.0, so a
+        # broadcast product plus (offset + 0.0) gives its bits, without
+        # matmul's elementwise loop
+        Y = X * A[:, 0]
+        Y += self.offset + 0.0
+        return self.inner.value_many(Y)
 
     def domain_point(self):
         cands = [np.zeros(self.dim)]

@@ -119,7 +119,10 @@ class PowerIlliquidity:
         # a cost too large for a float is +inf, the right value for the
         # solver (the trade is never chosen); lam > 0 keeps it from NaN
         with np.errstate(over="ignore"):
-            return lam * (np.abs(D) ** p).sum(axis=1)
+            powers = np.abs(D) ** p
+            # one asset: the sum is its only term (never -0.0, so adding
+            # it onto +0.0 would change no bit)
+            return lam * (powers[:, 0] if powers.shape[1] == 1 else powers.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +447,16 @@ def _free_disposal_check(model: MarketModel) -> dict:
     for node in model.tree.nodes:
         lam, p = model.cost.params_at(node.id)
         z = model.Z(node.id)
-        # huge prices overflow the ratio to +inf
+        if not z.size:
+            continue
+        zmin = np.minimum.reduce(z)
         with np.errstate(over="ignore"):
-            r = (np.minimum.reduce(z) / (lam * p)) ** (1.0 / (p - 1.0)) if z.size else INF
+            ratio = zmin / (lam * p)
+            r = ratio ** (1.0 / (p - 1.0))
+            if ratio == INF:
+                # a huge price overflows the ratio but not always its root:
+                # take that root in log space (zmin > 0 and lam * p > 0 here)
+                r = np.exp((np.log(zmin) - np.log(lam * p)) / (p - 1.0))
         radius = min(radius, float(r))
     if model.n_risky and not math.isfinite(radius):
         return {
@@ -476,9 +486,13 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _PositionData:
     """Per-position market data of the tree, built once per problem.
 
-    ``cost(K, D)`` is the friction cost of trade D[j] at the node of
-    position K[j]: one ``cost_many`` call per group of nodes that share
-    cost parameters, with a representative node of the group.
+    ``at(name, t, K)`` reads the ``claim`` or ``endow`` of the stage-t
+    positions K: one float when every stage-t node holds the same bits
+    (arithmetic with it equals that with the gathered rows, bit for bit),
+    else one value per row.  ``cost(K, D)`` is the friction cost of trade
+    D[j] at the node of position K[j]: one ``cost_many`` call per group of
+    nodes that share cost parameters, with a representative node of the
+    group.
     """
 
     Z: np.ndarray        # (N, J) prices
@@ -486,18 +500,36 @@ class _PositionData:
     endow: np.ndarray    # (N,)
     cost_model: Frictionless | PowerIlliquidity
     cost_groups: RowGroups
+    stage_values: Mapping[str, Mapping[int, float]]  # name -> stage -> shared value
 
     @classmethod
     def of(cls, model: MarketModel) -> "_PositionData":
-        nodes = model.tree.nodes
+        tree = model.tree
+        nodes = tree.nodes
         reps: dict = {}
+        values = {
+            "claim": np.array([model.claim(n.id) for n in nodes]),
+            "endow": np.array([model.endow(n.id) for n in nodes]),
+        }
+        shared: dict[str, dict[int, float]] = {name: {} for name in values}
+        for t in range(tree.horizon + 1):
+            P = tree.positions_at(t)
+            for name, v in values.items():
+                bits = v[P].view(np.int64)
+                if bits.size and (bits == bits[0]).all():
+                    shared[name][t] = float(v[P[0]])
         return cls(
             Z=np.array([model.Z(n.id) for n in nodes]).reshape(len(nodes), model.n_risky),
-            claim=np.array([model.claim(n.id) for n in nodes]),
-            endow=np.array([model.endow(n.id) for n in nodes]),
             cost_model=model.cost,
-            cost_groups=RowGroups([reps.setdefault(model.cost.params_at(n.id), n) for n in nodes]),
+            cost_groups=RowGroups(
+                [reps.setdefault(model.cost.params_at(n.id), n) for n in nodes], tree.times),
+            stage_values=shared,
+            **values,
         )
+
+    def at(self, name: str, t: int, K: np.ndarray) -> np.ndarray | float:
+        shared = self.stage_values[name].get(t)
+        return getattr(self, name).take(K) if shared is None else shared
 
     def cost(self, K: np.ndarray, D: np.ndarray) -> np.ndarray:
         return self.cost_groups.map(K, lambda node, rows: self.cost_model.cost_many(node, D[rows]))
@@ -686,24 +718,27 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
 
     data = _PositionData.of(model)
     times = tree.times
+    trades = [model.can_trade(t) for t in range(T)]
 
     def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         t = times[K[0]]
-        Z = np.take(data.Z, K, axis=0)
-        if t < T:
-            cash, phi = S[:, :1], S[:, 1:]
-            trade = model.can_trade(t)
-            target = X[:, lead:] if trade else phi
-            delta = target - phi
-            spend = _rowdot(delta, Z) + data.cost(K, delta)
-            new_cash = cash[:, 0] - data.claim[K] - spend
-            if lead and trade:
-                new_cash = new_cash + X[:, 0]
-            return np.hstack([new_cash[:, None], target])
-        cash, phi = S[:, 0], S[:, 1:]
-        liq = _rowdot(phi, Z) - data.cost(K, -phi)
-        wealth = cash + liq - data.claim[K] + data.endow[K]
-        return wealth[:, None]
+        Z = data.Z.take(K, axis=0)
+        phi = S[:, 1:]
+        if t == T:
+            liq = _rowdot(phi, Z) - data.cost(K, -phi)
+            wealth = S[:, 0] + liq - data.at("claim", t, K) + data.at("endow", t, K)
+            return wealth[:, None]
+        target = X[:, lead:] if trades[t] else phi
+        delta = target - phi
+        # (cash - claim) - (delta . Z + cost), then the expenditure
+        out = np.empty((len(K), J + 1))
+        cash = out[:, 0]
+        np.subtract(S[:, 0], data.at("claim", t, K), out=cash)
+        cash -= _rowdot(delta, Z) + data.cost(K, delta)
+        if lead and trades[t]:
+            cash += X[:, 0]
+        out[:, 1:] = target
+        return out
 
     def borrowing_limit(box: ExtFun | None) -> StageFun:
         lower = model.cash_lower - 1e-12

@@ -192,6 +192,21 @@ class ScenarioTree:
         return self._arrays["child_prob"]
 
     @cached_property
+    def uniform_children(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per stage t whose nodes all have the same number c >= 1 of
+        children: their (positions, conditional probabilities), each of
+        shape (c, nodes at t).  Column i belongs to the i-th node of
+        ``positions_at(t)`` (its ``stage_index``), row j to its j-th child
+        in input order."""
+        start, out = self.child_start, {}
+        for t, P in self._arrays["stage_pos"].items():
+            count = start[P + 1] - start[P]
+            if count.size and count[0] > 0 and (count == count[0]).all():
+                e = start[P] + np.arange(count[0])[:, None]
+                out[t] = (_frozen(self.child_pos[e]), _frozen(self.child_prob[e]))
+        return out
+
+    @cached_property
     def ancestors(self) -> np.ndarray:
         """(leaves, T + 1) positions: row i is the path of the i-th leaf of
         ``leaves``, root first (the positions of :meth:`path`)."""

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import warnings
 
 import numpy as np
@@ -339,10 +340,11 @@ class TestHugeNumbers:
         node[where[-1]] = value
         self._check_and_solve(spec, check_code, solve_code, tmp_path, capsys)
 
-    @pytest.mark.parametrize("exponent", [2.0, 3.0])
-    def test_huge_prices_at_every_node(self, exponent, tmp_path, capsys):
-        # every node's monotone radius overflows, so free disposal has no
-        # finite region to state
+    @pytest.mark.parametrize("exponent, status", [(2.0, "undecided"), (3.0, "holds")])
+    def test_huge_prices_at_every_node(self, exponent, status, tmp_path, capsys):
+        # the ratio Z/(coeff*exponent) overflows at every node; at exponent
+        # 3 its square root, 1.83e154, is still a float, so the radius is
+        # stated, while at exponent 2 the radius 5e308 itself is not a float
         spec = toy_model_dict()
         spec["cost"]["exponent"] = exponent
         for node in spec["tree"]:
@@ -350,8 +352,12 @@ class TestHugeNumbers:
         self._check_and_solve(spec, 0, 4, tmp_path, capsys)
         report = json.loads((tmp_path / "o" / "check_report.json").read_text())
         disposal = report["validation"]["conditions"]["free_disposal"]
-        assert disposal["status"] == "undecided"
-        assert "not finite" in disposal["note"]
+        assert disposal["status"] == status
+        if status == "holds":
+            radius = float(disposal["note"].split("<= ")[1].split(",")[0])
+            assert radius == pytest.approx(math.sqrt(1e308) / math.sqrt(0.3), rel=1e-12)
+        else:
+            assert "not finite" in disposal["note"]
 
     @staticmethod
     def _check_and_solve(spec, check_code, solve_code, tmp_path, capsys):
