@@ -656,17 +656,6 @@ def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
     )
 
 
-def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """The blocks along the diagonal of a zero matrix (a block of shape
-    (d, 0) takes d rows and no column)."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
 def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     """Restrict decisions to the orthogonal complement of the null directions.
 
@@ -680,8 +669,8 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     The same construction serves every input, history mode included: the
     projected problem keeps the original state (dims, initial state and
     leaf objectives), its transition and stage functions map each reduced
-    decision Y back to the original decision Q Y (a callable stage
-    function gets the post-decision state unchanged), and its
+    decision Y back to the original decision Q Y (a stage function gets
+    the post-decision state unchanged), and its
     ``meta["path_objectives"]`` are the input's (which its builder
     attached) composed with each leaf path's block-diagonal basis, and
     its node rows, if the input has them, are
@@ -733,21 +722,12 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     def transition(K: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return orig_tr(K, S, to_decision(K, Y))
 
-    stage_funs = None
-    if problem.stage_funs is not None:
-        stage_funs = {}
-        wrapped: dict[int, Callable] = {}  # one wrapper per shared callable
-        for nid, sf in problem.stage_funs.items():
-            Q = qmap.get(nid)
-            if Q is None:
-                stage_funs[nid] = sf
-            elif isinstance(sf, ExtFun):
-                sdim = sf.dim - problem.decision_dim(nid)
-                stage_funs[nid] = AffinePrecompose(sf, _block_diagonal([np.eye(sdim), Q]))
-            else:
-                if id(sf) not in wrapped:
-                    wrapped[id(sf)] = lambda K, S, Y, post, _f=sf: _f(K, S, to_decision(K, Y), post)
-                stage_funs[nid] = wrapped[id(sf)]
+    stage_funs = None if problem.stage_funs is None else {}
+    wrapped: dict[int, Callable] = {}  # one wrapper per shared stage function
+    for nid, sf in (problem.stage_funs or {}).items():
+        if nid in qmap and id(sf) not in wrapped:
+            wrapped[id(sf)] = lambda K, S, Y, post, _f=sf: _f(K, S, to_decision(K, Y), post)
+        stage_funs[nid] = wrapped[id(sf)] if nid in qmap else sf
 
     meta = dict(problem.meta)
     meta["projection"] = {

@@ -200,6 +200,8 @@ class StateMap:
     each row's node (all rows of one call are at one stage t), ``S`` the
     entering states (m, dims[t-1]) and ``X`` the decisions (m, n_t).  Rows
     are independent: a row's result may not depend on the other rows.
+    The result is the post-decision state: the next stage enters it, and
+    the stage functions read it as ``post`` (see :meth:`Problem.step`).
     The leaf objective composed with transitions along a path must equal
     the modeled objective for all decision paths; that soundness is the
     model builder's obligation.  The history map of
@@ -217,7 +219,7 @@ class StateMap:
         )
 
 
-StageFun = ExtFun | Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+StageFun = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -231,12 +233,14 @@ class Problem:
     R union {+inf}.  Every node of stage t decides ``decision_dims[t]``
     coordinates.
 
-    Stage functions are ExtFuns of (state, decision) or callables
-    ``(K, S, X, post)`` with the row convention of :class:`StateMap`;
-    ``post`` is the rows' post-decision state, computed once by
-    :meth:`step`.  Rows are evaluated per distinct function object, so
-    nodes that share one object (a builder's per-stage constraint, one
-    leaf objective per utility) are evaluated in one call.
+    Stage functions are callables ``(K, S, X, post)`` with the row
+    convention of :class:`StateMap`; ``post`` is the rows' post-decision
+    state, computed once by :meth:`step`.  ExtFun stage terms over
+    (state, decision) are taken by :func:`history_problem`, whose
+    post-decision state is exactly that.  Rows are evaluated per distinct
+    function object, so nodes that share one object (a builder's
+    per-stage constraint, one leaf objective per utility) are evaluated
+    in one call.
 
     ``local_keys`` (one hashable per node id, or None) lets
     :func:`backward_solve` search each class of bit-identical subtrees
@@ -270,6 +274,12 @@ class Problem:
                 if n.id not in self.local_keys:
                     raise ValueError(f"no local key at {n.id!r}")
         stage, times = self.stage_funs or {}, self.tree.times
+        for nid, fn in stage.items():
+            if nid not in self.tree:
+                raise ValueError(f"stage function at unknown node {nid!r}")
+            if isinstance(fn, ExtFun):
+                raise ValueError(f"stage function at {nid!r} is an ExtFun, not a callable "
+                                 "(K, S, X, post): history_problem takes ExtFun stage terms")
         object.__setattr__(
             self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes], times))
         object.__setattr__(
@@ -285,14 +295,12 @@ class Problem:
 
     def step(self, K: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(stage cost, post-decision state) of each row: the transition
-        runs once, then the stage functions (an ExtFun sees ``[S, X]``)."""
+        runs once, then each row's stage function reads (K, S, X, post)."""
         post = self.state_map.transition(K, S, X)
 
         def evaluate(fn, rows):
             if fn is None:
                 return np.zeros(S[rows].shape[0])
-            if isinstance(fn, ExtFun):
-                return fn.value_many(np.hstack([S[rows], X[rows]]))
             return fn(K[rows], S[rows], X[rows], post[rows])
 
         return self._stage_groups.map(K, evaluate), post
@@ -352,10 +360,14 @@ def history_problem(
     decision_dims: Sequence[int],
     leaf_objective: Mapping[str, ExtFun],
     lower_bound: float | Mapping[str, float],
-    stage_funs: Mapping[str, StageFun] | None = None,
+    stage_funs: Mapping[str, ExtFun | StageFun] | None = None,
     meta: dict | None = None,
 ) -> Problem:
     """Problem whose state is the raw concatenated decision history.
+
+    A stage function is a callable ``(K, S, X, post)`` or an ExtFun of
+    the rows ``[S, X]``, which here are ``post``: each distinct ExtFun is
+    evaluated through one callable of ``post``, shared as the ExtFun was.
 
     The leaf objectives are then expressions over the path decisions, and
     a stage-t function one over the first ``cum[t]`` of them.  So when
@@ -372,12 +384,16 @@ def history_problem(
     def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.hstack([S, X])
 
+    # one callable per distinct ExtFun (the last one made for it)
+    wrapped = {id(f): lambda K, S, X, post, _f=f: _f.value_many(post)
+               for f in (stage_funs or {}).values() if isinstance(f, ExtFun)}
     problem = Problem(
         tree=tree,
         decision_dims=dims,
         state_map=StateMap(dims=tuple(cum), initial=np.zeros(0), transition=transition),
         leaf_objective=dict(leaf_objective),
-        stage_funs=stage_funs,
+        stage_funs=None if stage_funs is None else {
+            nid: wrapped.get(id(f), f) for nid, f in stage_funs.items()},
         lower_bound=lower_bound,
         meta=dict(meta or {}),
     )

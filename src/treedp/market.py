@@ -261,6 +261,8 @@ class MarketModel:
             if not math.isfinite(v):
                 raise InvalidModel(f"claim at {nid!r} is not finite: {v}")
         for nid, v in self.endowment.items():
+            if nid not in self.tree:
+                raise InvalidModel(f"endowment at unknown node {nid!r}")
             if not self.tree.is_leaf(nid):
                 raise InvalidModel(f"endowment at non-leaf node {nid!r}")
             if not math.isfinite(v):
@@ -269,8 +271,15 @@ class MarketModel:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise InvalidModel(f"{name} is not finite: {v}")
+        stages = range(self.tree.horizon)  # the stages that decide
+        for t in sorted(self.trading_stages or ()):
+            if t not in stages:
+                raise InvalidModel(f"trading stage {t} is not a stage 0..{len(stages) - 1}")
         if self.constraints:
             for t, (lo, up) in self.constraints.items():
+                if t not in stages:
+                    raise InvalidModel(
+                        f"constraint bounds at stage {t}: not a stage 0..{len(stages) - 1}")
                 try:
                     IndicatorBox(lo, up)  # shape/order checks
                 except ValueError as e:
@@ -290,9 +299,6 @@ class MarketModel:
     def utility_at(self, leaf_id: str) -> Utility:
         return self.utility_overrides.get(leaf_id, self.utility)
 
-    def disutility_at(self, leaf_id: str) -> ExtFun:
-        return self.utility_at(leaf_id).disutility()
-
     def can_trade(self, t: int) -> bool:
         if t >= self.tree.horizon:
             return False
@@ -305,13 +311,6 @@ class MarketModel:
             return None
         lo, up = self.constraints[t]
         return np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(up, float))
-
-    def total_cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
-        """Total cost of the trade D at the node: price part plus friction."""
-        # a price part too large for a float is +-inf, its exact limit
-        with np.errstate(over="ignore"):
-            price = D @ self.Z(node.id)
-        return price + self.cost.cost_many(node, D)
 
     def lower_bound(self) -> float:
         """Integrable lower bound of the leaf disutility: -sup u."""
@@ -740,26 +739,24 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         out[:, 1:] = target
         return out
 
-    def borrowing_limit(box: ExtFun | None) -> StageFun:
-        lower = model.cash_lower - 1e-12
+    lower = None if model.cash_lower is None else model.cash_lower - 1e-12
+
+    def constraint(box: IndicatorBox | None) -> StageFun:
+        """The stage's decision box on X, then the limit on the post-trade cash."""
 
         def fn(K: np.ndarray, S: np.ndarray, X: np.ndarray, post: np.ndarray) -> np.ndarray:
-            vals = 0.0 if box is None else box.value_many(np.hstack([S, X]))
-            return vals + np.where(post[:, 0] >= lower, 0.0, INF)
+            vals = np.zeros(len(K)) if box is None else box.value_many(X)
+            if lower is not None:
+                vals += np.where(post[:, 0] >= lower, 0.0, INF)
+            return vals
 
         return fn
 
     per_stage: dict[int, StageFun] = {}
     for t in range(T):
-        box = _decision_box(model, t, lead) if model.can_trade(t) else None
-        if box is not None:
-            sel = np.zeros((box.dim, J + 1 + box.dim))
-            sel[:, J + 1 :] = np.eye(box.dim)
-            box = AffinePrecompose(box, sel)
-        if model.cash_lower is not None:
-            per_stage[t] = borrowing_limit(box)
-        elif box is not None:
-            per_stage[t] = box
+        box = _decision_box(model, t, lead) if trades[t] else None
+        if box is not None or lower is not None:
+            per_stage[t] = constraint(box)
     stage_funs = {node.id: per_stage[node.time] for node in tree.nodes if node.time in per_stage}
 
     leaf_obj: dict[str, ExtFun] = {}

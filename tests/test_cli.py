@@ -153,9 +153,16 @@ class TestCheck:
          "constraints at stage '0'"),
         (lambda d: d["cost"].update(per_node={"r": ["x", 2.0]}), "per_node"),
         (lambda d: d["tree"][1]["data"].update(utility="abc"), "utility at node 'u'"),
+        # the toy tree has T = 1: stage 0 is the only one that decides
+        (lambda d: d.update(constraints={"-1": {"lower": [-1.0], "upper": [1.0]}}),
+         "constraint bounds at stage -1: not a stage 0..0"),
+        (lambda d: d.update(constraints={"1": {"lower": [-1.0], "upper": [1.0]}}),
+         "constraint bounds at stage 1: not a stage 0..0"),
+        (lambda d: d.update(trading_stages=[0, 1]), "trading stage 1 is not a stage 0..0"),
     ], ids=["missing_coeff", "gamma_1", "kappa_inf", "string_price", "sampled_no_grid",
             "box_lower_above_upper",
-            "box_no_upper", "box_null_lower", "per_node_string", "leaf_utility_string"])
+            "box_no_upper", "box_null_lower", "per_node_string", "leaf_utility_string",
+            "box_stage_negative", "box_stage_horizon", "trading_stage_horizon"])
     def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
         model = toy_model_dict()
         mutate(model)

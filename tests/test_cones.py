@@ -750,17 +750,17 @@ class TestLeafPlacement:
             problem, unit_directions(3, np.random.default_rng(0)))
 
 
-def history_paths_by_leaf(problem):
+def history_paths_by_leaf(problem, stage_terms):
     """A history problem's path objectives derived one leaf at a time along
-    ``tree.path`` (None if a stage function is a callable): the oracle of
-    the ones ``history_problem`` attaches."""
+    ``tree.path`` from the stage terms it was built with (None if one is a
+    callable): the oracle of the ones ``history_problem`` attaches."""
     tree = problem.tree
     cum = list(problem.state_map.dims)
     out = {}
     for leaf in tree.leaves:
         terms = [problem.leaf_objective[leaf.id]]
         for nid in tree.path(leaf.id):
-            sf = (problem.stage_funs or {}).get(nid)
+            sf = stage_terms.get(nid)
             if sf is None:
                 continue
             if not isinstance(sf, td.ExtFun):
@@ -774,8 +774,8 @@ def history_paths_by_leaf(problem):
 def random_history_problem(rng, callable_stage=False):
     """History problem on a shuffled ragged tree (T 1-3), 0-2 decisions per
     stage (at least one at the root), random ExtFun leaf objectives and
-    ExtFun stage functions at some nodes (one of them a callable if
-    ``callable_stage``)."""
+    ExtFun stage terms at some nodes (one of them a callable if
+    ``callable_stage``); returns the problem and its stage terms."""
     T = int(rng.integers(1, 4))
     tree = ragged_tree(rng, T)
     dims = [int(rng.integers(1, 3))] + [int(rng.integers(0, 3)) for _ in range(T - 1)] + [0]
@@ -794,7 +794,7 @@ def random_history_problem(rng, callable_stage=False):
             )[kind - 1]
     if callable_stage:
         stage[tree.nodes_at(0)[0].id] = lambda K, S, X, post: np.zeros(len(K))
-    return dp.history_problem(tree, dims, leaves, lower_bound=-10.0, stage_funs=stage)
+    return dp.history_problem(tree, dims, leaves, lower_bound=-10.0, stage_funs=stage), stage
 
 
 def leaves_below_by_walk(tree, p):
@@ -814,15 +814,15 @@ class TestPathLayout:
     def test_history_objectives_match_the_per_leaf_walk(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            problem = random_history_problem(rng)
+            problem, stage = random_history_problem(rng)
             got = problem.meta["path_objectives"]
-            want = history_paths_by_leaf(problem)
+            want = history_paths_by_leaf(problem, stage)
             assert list(got) == list(want)
             for leaf, f in got.items():
                 assert expr_bytes(f) == expr_bytes(want[leaf]), leaf
 
     def test_callable_stage_function_leaves_the_check_undecided(self):
-        problem = random_history_problem(np.random.default_rng(1), callable_stage=True)
+        problem, _ = random_history_problem(np.random.default_rng(1), callable_stage=True)
         assert "path_objectives" not in problem.meta
         rep = cones.check_horizon_positivity(problem)
         assert rep.verdict == "undecided"
@@ -832,7 +832,7 @@ class TestPathLayout:
     def test_layout_and_leaves_below_match_the_path_walks(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
-            problem = random_history_problem(rng)
+            problem, _ = random_history_problem(rng)
             tree = problem.tree
             offsets, total, leaf_cols = cones._adapted_layout(problem)
             assert (offsets, total) == _ref_layout(problem)
@@ -1056,8 +1056,8 @@ class TestNodeRoute:
     def test_projection_places_the_bases_as_block_diag(self):
         from scipy.linalg import block_diag
 
-        # the terminal form's expenditure box makes every stage function an
-        # ExtFun, which the projection precomposes with diag(I, Q)
+        # the terminal form's expenditure box gives every stage a stage
+        # function, which the projection hands the decision Q y
         tree = binomial_tree(2)
         prices = {k: np.repeat(v, 2) for k, v in binomial_prices(tree, 1.0, 1.4, 0.7).items()}
         model = market.MarketModel(tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
@@ -1070,6 +1070,12 @@ class TestNodeRoute:
         for leaf in tree.leaves:
             want = block_diag(*(Q[nid] for nid in tree.path(leaf.id)[:-1]))
             assert paths[leaf.id].matrix.tobytes() == want.tobytes()
+        rng = np.random.default_rng(0)
         for nid, Qn in Q.items():
-            want = block_diag(np.eye(3), Qn)
-            assert projected.stage_funs[nid].matrix.tobytes() == want.tobytes()
+            K = np.full(64, tree.index(nid))
+            S, Y = rng.normal(size=(64, 3)), rng.normal(size=(64, Qn.shape[1]))
+            X = Y @ Qn.T
+            post = problem.state_map.transition(K, S, X)
+            want = problem.stage_funs[nid](K, S, X, post)
+            assert projected.stage_funs[nid](K, S, Y, post).tobytes() == want.tobytes()
+            assert 0.0 in want and INF in want

@@ -253,8 +253,9 @@ class TestBackwardSolve:
         )
         pull = AffinePrecompose(PowerCost(0.05, 2.0, 1), [[1.0]], [-0.7])
         problem = dp.Problem(
-            tree=tree, decision_dims=(1, 0, 0), state_map=sm,
-            leaf_objective={"l": bump}, stage_funs={"r": pull}, lower_bound=0.0,
+            tree=tree, decision_dims=(1, 0, 0), state_map=sm, leaf_objective={"l": bump},
+            # the root enters an empty state, so the decision is all the pull reads
+            stage_funs={"r": lambda K, S, X, post: pull.value_many(X)}, lower_bound=0.0,
         )
         grids = {0: (np.array([-2.0, 0.0, 2.0]),), 1: (np.array([-2.0, 0.0, 2.0]),)}
         with pytest.raises(dp.GridTooCoarse):
@@ -264,6 +265,25 @@ class TestBackwardSolve:
         fine = {t: (np.linspace(-2, 2, 801),) for t in (0, 1)}
         good = dp.backward_solve(problem, grids=fine)
         assert good.gap <= dp.DEFAULT_CONFIG.eps_gap * (1 + abs(good.value))
+
+    def test_stage_function_at_unknown_node_is_rejected(self):
+        # it would be dropped silently: the 1e9 cost would never be paid
+        tree = binomial_tree(1)
+        leaves = {n.id: Affine(np.array([1.0])) for n in tree.leaves}
+        costly = lambda K, S, X, post: np.full(len(K), 1e9)  # noqa: E731
+        for stage_funs in ({"zz": costly}, {"zz": IndicatorBox([0.0], [0.0])}):
+            with pytest.raises(ValueError, match="stage function at unknown node 'zz'"):
+                dp.history_problem(tree, [1, 0], leaves, lower_bound=0.0, stage_funs=stage_funs)
+
+    def test_extfun_stage_function_is_rejected(self):
+        tree = td.ScenarioTree([td.Node("r", 0, None)])
+        sm = dp.StateMap((1,), np.zeros(0), lambda K, S, X: X)
+        with pytest.raises(ValueError, match="at 'r' is an ExtFun.*history_problem takes ExtFun"):
+            dp.Problem(
+                tree=tree, decision_dims=(1,), state_map=sm,
+                leaf_objective={"r": Affine(np.array([1.0]))},
+                stage_funs={"r": IndicatorBox([0.0], [1.0])}, lower_bound=0.0,
+            )
 
     def test_infeasible_problem_reports_inf(self):
         tree = td.ScenarioTree([td.Node("r", 0, None)])

@@ -328,7 +328,7 @@ def path_objectives_by_leaf(model, lead):
             - sum(model.claim(nid) for nid in path)
             + model.endow(leaf.id)
         )
-        terms = [td.AffinePrecompose(model.disutility_at(leaf.id), -row[None, :], [-const])]
+        terms = [td.AffinePrecompose(model.utility_at(leaf.id).disutility(), -row[None, :], [-const])]
         for t, box in enumerate(boxes):
             if box is not None:
                 sel = np.zeros((d, T * d))
@@ -493,8 +493,8 @@ class TestModelProperties:
         # local minimum at d_i = -radius, so it is nondecreasing up to there
         # and decreasing beyond it
         nid = min(radii, key=radii.get)
-        cost = [model.total_cost_many(tree.node(nid), np.array([[s * radius, 0.0]]))[0]
-                for s in (-1.01, -1.0, -0.99)]
+        trades = np.array([[s * radius, 0.0] for s in (-1.01, -1.0, -0.99)])
+        cost = trades @ model.Z(nid) + model.cost.cost_many(tree.node(nid), trades)
         assert cost[1] < cost[0] and cost[1] < cost[2]
 
 
@@ -625,6 +625,20 @@ class TestJsonLoader:
         p.write_text(json.dumps(d))
         with pytest.raises(market.InvalidModel, match="non-leaf"):
             market.load_market(str(p))
+
+    def test_rejects_endowment_at_unknown_node(self):
+        with pytest.raises(market.InvalidModel, match="endowment at unknown node 'zz'"):
+            dataclasses.replace(sshaped_t2_model(), endowment={"zz": 1.0})
+
+    @pytest.mark.parametrize("t", [-1, 2, 9])
+    def test_rejects_stages_that_do_not_exist(self, t):
+        # T = 2: the stages that decide are 0 and 1
+        model = sshaped_t2_model()
+        box = (np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(market.InvalidModel, match=f"constraint bounds at stage {t}: not a stage 0..1"):
+            dataclasses.replace(model, constraints={0: box, t: box})
+        with pytest.raises(market.InvalidModel, match=f"trading stage {t} is not a stage 0..1"):
+            dataclasses.replace(model, trading_stages=frozenset({0, 1, t}))
 
     def test_utility_override_and_trading_stages_round_trip(self, tmp_path):
         d = self.model_dict()

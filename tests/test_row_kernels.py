@@ -10,6 +10,7 @@ not warn where its reference does not.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -446,3 +447,75 @@ class TestTransition:
             B = with_specials(rng, rng.standard_normal((300, J)))
             assert_same(market._rowdot, lambda A, B: np.einsum("ij,ij->i", A, B), A, B)
             assert_same(market._rowdot, lambda A, B: np.einsum("ij,ij->i", A, B), A[:, ::-1], B)
+
+
+# ---------------------------------------------------------------------------
+# the market's stage constraint
+# ---------------------------------------------------------------------------
+
+
+def stage_constraint_reference(K, S, X, post, model, t, lead):
+    """The decision box behind a 0/1 selector of the rows [S, X], plus the
+    borrowing limit on the post-trade cash; None when the stage has neither."""
+    box = market._decision_box(model, t, lead) if model.can_trade(t) else None
+    if box is None and model.cash_lower is None:
+        return None
+    vals = 0.0
+    if box is not None:
+        sel = np.zeros((box.dim, S.shape[1] + box.dim))
+        sel[:, S.shape[1]:] = np.eye(box.dim)
+        vals = AffinePrecompose(box, sel).value_many(np.hstack([S, X]))
+    if model.cash_lower is not None:
+        vals = vals + np.where(post[:, 0] >= model.cash_lower - 1e-12, 0.0, INF)
+    return np.asarray(vals, dtype=float)
+
+
+class TestStageConstraint:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stage_constraint_matches_the_selector_form(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_market(rng)
+        tree, J, T = model.tree, model.n_risky, model.tree.horizon
+        ends = [-INF, -1.0, -0.0, 0.0, 0.5, INF]
+        boxes = {}
+        for t in range(T):
+            if rng.random() < 0.6:
+                lo, up = np.sort(rng.choice(ends, (2, J)), axis=0)
+                boxes[t] = (lo, up)
+        lower = float(rng.choice([-0.5, 0.0, 1.0]))
+        for cash_lower, constraints in itertools.product((None, lower), (None, boxes or None)):
+            limited = dataclasses.replace(model, constraints=constraints, cash_lower=cash_lower)
+            for form in ("cash", "terminal"):
+                lead = int(form == "terminal")
+                problem = market._build_problem(limited, form, 1.0, 5)
+                stage_funs = problem.stage_funs or {}
+                for t in range(T):
+                    P = tree.positions_at(t)
+                    K = rng.choice(P, 200)
+                    n = problem.decision_dims[t]
+                    # finite states, and decisions finite or NaN, as the search
+                    # proposes them: the selector's 0 * inf (or 0 * NaN) would
+                    # make every other coordinate of such a row NaN
+                    S = with_specials(rng, rng.standard_normal((200, J + 1)), 0.1)
+                    S[~np.isfinite(S)] = -0.0
+                    X = with_specials(rng, rng.standard_normal((200, n)), 0.1)
+                    X[np.isinf(X)] = np.copysign(1e308, X[np.isinf(X)])
+                    bound = market._decision_box(limited, t, lead) if n else None
+                    if bound is not None:  # coordinates exactly on a finite bound
+                        side = np.where(rng.random(X.shape) < 0.5, bound.lower, bound.upper)
+                        on = (rng.random(X.shape) < 0.3) & np.isfinite(side)
+                        X[on] = side[on]
+                    with np.errstate(all="ignore"):  # the transition of NaN and 1e308 rows
+                        post = problem.state_map.transition(K, S, X)
+                    if cash_lower is not None:  # post-trade cash at and around the limit
+                        at = cash_lower - 1e-12
+                        post[:, 0] = rng.choice(
+                            [at, np.nextafter(at, -INF), np.nextafter(at, INF), -0.0, 0.0,
+                             cash_lower, INF, -INF, np.nan], 200)
+                    reference = functools.partial(
+                        stage_constraint_reference, model=limited, t=t, lead=lead)
+                    fn = stage_funs.get(tree.nodes[P[0]].id)
+                    assert (fn is None) == (reference(K, S, X, post) is None), (t, form)
+                    if fn is not None:
+                        assert all(stage_funs.get(tree.nodes[p].id) is fn for p in P)
+                        assert_same(fn, reference, K, S, X, post)
