@@ -3,18 +3,23 @@
 A polyhedral cone is given by halfspace rows R, meaning C = {y : R y <= 0}.
 Its lineality space C ∩ -C is ker R, so C = {0} exactly when ker R = {0}
 and C is a subspace (a theorem of the alternative in the Gordan/Stiemke
-family).  Deciding C = {0} therefore takes one SVD (the kernel) and one
-bounded LP, whatever the dimension: the subspace test when the kernel is
-trivial, else a vertex along a kernel vector as the witness.  The LPs
+family).  Deciding C = {0} therefore takes one SVD (the kernel) and at
+most one bounded LP for the decision: the subspace test when the kernel
+is trivial, else a vertex along a kernel vector as the witness.  The
+subspace test needs no LP when the SVD holds a Stiemke certificate, a
+lambda > 0 with lambda R = 0, in its left singular vectors
+(:func:`_stiemke`): at a node of a frictionless market that lambda is the
+node's risk-neutral measure, unique when the node is complete.  The LPs
 are solved with HiGHS, which is deterministic for fixed input, so results
 are reproducible bit-for-bit.  :func:`linprog` is the package's one LP
 entry: scipy is imported at its first call, so that a solve that never
 needs an LP never loads scipy.
 
 Many small cones at once, one per tree node, are stacked as (B, m, d)
-blocks: :func:`kernel_bases` takes one batched SVD of the distinct blocks,
-and :func:`block_slacks` one LP over the block-diagonal system, whose
-optimum splits into each block's own.
+blocks: :func:`kernel_bases` takes one batched SVD of the distinct blocks
+and reads each block's kernel and certificate from it, and
+:func:`block_slacks`, for blocks left undecided, one LP over the
+block-diagonal system, whose optimum splits into each block's own.
 """
 
 from __future__ import annotations
@@ -169,28 +174,72 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
-    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack.
+def kernel_bases(
+    blocks: np.ndarray, rtol: float = 1e-10
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack, and
+    whether each block's cone {y : R y <= 0} is certified a subspace.
 
     One batched SVD runs over the distinct blocks only, so blocks with
     equal bytes get bit-identical bases, and an all-zero block gets the
-    exact identity.  Each block gets its own array.
+    exact identity.  Each block gets its own array.  The certificate
+    (:func:`_stiemke`) reads the same SVD's left singular vectors; False
+    means undecided, not "one-sided".
     """
     B, m, d = blocks.shape
     flat = np.ascontiguousarray(blocks, dtype=float).reshape(B, m * d)
     if not flat.size:
-        return [np.eye(d) for _ in range(B)]
+        return [np.eye(d) for _ in range(B)], np.ones(B, dtype=bool)
     keys = flat.view(np.dtype((np.void, 8 * m * d)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     distinct = flat[first].reshape(-1, m, d)
     bases = [np.eye(d) for _ in first]
-    live = np.flatnonzero(distinct.reshape(len(first), -1).any(axis=1))
+    subspace = ~distinct.any(axis=(1, 2))  # no nonzero row: the whole space
+    live = np.flatnonzero(~subspace)
     if live.size:
-        _, s, vt = np.linalg.svd(distinct[live])
+        u, s, vt = np.linalg.svd(distinct[live])
         tol = rtol * max(m, d) * s[:, :1]
-        for i, rank, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), vt):
+        for i, rank, ui, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), u, vt):
             bases[i] = v[rank:].T
-    return [bases[i].copy() for i in inverse.ravel().tolist()]
+            subspace[i] = _stiemke(distinct[i], ui, rank)
+    inverse = inverse.ravel()
+    return [bases[i].copy() for i in inverse.tolist()], subspace[inverse]
+
+
+def _stiemke(rows: np.ndarray, u: np.ndarray, rank: int) -> bool:
+    """Whether {y : R y <= 0} is certified a subspace, from the left
+    singular vectors ``u`` of the (m, d) block R of rank ``rank``.
+
+    The certificate is Stiemke's: a lambda > 0 on the nonzero rows with
+    lambda R = 0 (at a node of a frictionless market, its risk-neutral
+    measure).  Then any y of the cone within the unit box has slacks
+    s = -R y >= 0 with lambda . s = -(lambda R) y <= |lambda R|_1, so its
+    total slack is at most |lambda R|_1 / min lambda, which must stay a
+    hundred times below SLACK_TOL.  lambda comes from one of two cases,
+    and its every entry must be >= 1e-6 max lambda: the left kernel of the
+    nonzero rows is one-dimensional and spanned by lambda (a complete
+    node, such as every binomial one); or the nonzero rows all lie along
+    the first right singular vector, in both orientations, with left
+    singular entries c_i, and lambda_i = |c_i| / (the sum of c_j**2 over
+    row i's orientation), so that the two orientations cancel.
+    """
+    nz = rows.any(axis=1)
+    if nz.sum() - rank == 1:
+        kernel = u[nz, rank:]  # on the nonzero rows, every column is a multiple of lambda
+        lam = kernel[:, np.argmax(np.einsum("ij,ij->j", kernel, kernel))]
+        lam = lam * np.sign(lam[np.argmax(np.abs(lam))])
+    elif rank == 1:
+        c = u[nz, 0]
+        up, down = c > 0, c < 0
+        if not (up.any() and down.any()):
+            return False
+        lam = np.abs(c) / np.where(up, c[up] @ c[up], c[down] @ c[down])
+    else:
+        return False
+    if not lam.min() >= 1e-6 * lam.max():
+        return False
+    residual = np.abs(lam @ rows[nz]).sum()
+    return bool(residual <= 1e-2 * SLACK_TOL * lam.min())
 
 
 def block_slacks(groups: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -11,8 +11,11 @@ direction.  This module decides that condition:
   zero-sublevel rows (``meta["node_rows"]``: frictionless markets that
   trade at every stage, without a borrowing limit): the adapted cone is
   {0} iff every node's one-period cone is, which one batched SVD over the
-  small node blocks and one LP over their block-diagonal system decide
-  (the node route, :func:`_node_system` proves the split);
+  small node blocks decides where each node's risk-neutral measure
+  certifies its cone a subspace (at every complete node, every binomial
+  one among them), and one LP over their block-diagonal system where
+  some node's is not (the node route, :func:`_node_system` proves the
+  split);
 * otherwise by polyhedral cone propagation over the whole tree for
   problems whose builder attached path objectives with exact symbolic
   horizons (``meta["path_objectives"]``: each leaf's objective as an
@@ -294,22 +297,26 @@ def _leaves_below(tree: ScenarioTree, p: int) -> list[str]:
 
 def _check_by_node(problem: Problem, system: _NodeSystem) -> CheckReport:
     """The check on the node cones: one batched SVD gives each node's
-    kernel, and one block LP looks for a one-sided ray at the nodes with
-    none.  The witness is :func:`cone_vertex` on the last node in tree
-    order whose cone is not {0}."""
+    kernel and, where the node's risk-neutral measure certifies it, that
+    its cone is a subspace.  Only when some node with a trivial kernel is
+    left undecided does one block LP look for a one-sided ray, at every
+    node with a trivial kernel.  The witness is :func:`cone_vertex` on
+    the last node in tree order whose cone is not {0}."""
     if system.dim == 0:
         return CheckReport("holds", None, ["no decisions to check"], {})
     method = ["cone propagation: one-period rows per decision node"]
-    kernel_dims = [np.array([b.shape[1] for b in kernel_bases(R)]) for _, R in system.groups]
+    kernels = [kernel_bases(R) for _, R in system.groups]
+    kernel_dims = [np.array([b.shape[1] for b in bases]) for bases, _ in kernels]
     last = max((int(P[k > 0].max(initial=-1)) for (P, _), k in zip(system.groups, kernel_dims)),
                default=-1)
     cone = {"rows": system.rows, "dim": system.dim,
             "kernel_dim": int(sum(k.sum() for k in kernel_dims)), "lp_calls": 0}
-    pointed = [(P[k == 0], R[k == 0]) for (P, R), k in zip(system.groups, kernel_dims)
+    pointed = [(P[k == 0], R[k == 0], subspace[k == 0])
+               for (P, R), k, (_, subspace) in zip(system.groups, kernel_dims, kernels)
                if (k == 0).any()]
-    if pointed:
+    if not all(subspace.all() for _, _, subspace in pointed):
         cone["lp_calls"] += 1
-        for (P, _), (slack, _) in zip(pointed, block_slacks([R for _, R in pointed])):
+        for (P, _, _), (slack, _) in zip(pointed, block_slacks([R for _, R, _ in pointed])):
             last = max(last, int(P[slack > SLACK_TOL].max(initial=-1)))
     details: dict = {"route": "node", "nodes": sum(len(P) for P, _ in system.groups),
                      "cone": cone}
@@ -413,7 +420,10 @@ def check_horizon_positivity(problem: Problem) -> CheckReport:
     every node's own cone is (see :func:`_node_system`); ``method`` says
     "one-period rows per decision node", ``details["route"]`` is
     ``"node"``, ``details["cone"]`` sums the nodes' ``rows``, ``dim``
-    and ``kernel_dim`` and counts the ``lp_calls``, and a ``fails``
+    and ``kernel_dim`` and counts the ``lp_calls`` that ran (the block LP
+    is skipped when every node with a trivial kernel is certified a
+    subspace by its risk-neutral measure, so an arbitrage-free binomial
+    market runs none and never imports scipy), and a ``fails``
     witness is nonzero at one node only, ``details["witness_node"]``,
     re-verified on the horizons of the leaves below it (the others see
     the zero direction).  Any other problem with symbolic path
@@ -574,12 +584,14 @@ def null_space(problem: Problem) -> DirectionSet:
     directions form a one-sided cone, in which case existence is not
     guaranteed by the linear-space route.
 
-    With node rows, one block LP looks for a one-sided ray at every node
-    (the error's ``ray`` is nonzero at the last such node in tree order
-    only), and each node's basis is the kernel of its own rows, from one
-    batched SVD: nodes with bit-identical rows get bit-identical bases,
-    and a node whose rows are all zero the exact identity (``meta``:
-    method "kernel of node rows" and the node count).  Otherwise the
+    With node rows, each node's basis is the kernel of its own rows, from
+    one batched SVD, which also certifies a node's cone a subspace where
+    its risk-neutral measure does; when some node is left undecided, one
+    block LP looks for a one-sided ray at every node (the error's ``ray``
+    is nonzero at the last such node in tree order only).  Nodes with
+    bit-identical rows get bit-identical bases, and a node whose rows are
+    all zero the exact identity (``meta``: method "kernel of node rows"
+    and the node count).  Otherwise the
     stacked route takes the kernel of every leaf's rows with the earlier
     stages pinned to zero, one SVD per stage (method "kernel of leaf
     value rows").  Both give the same subspaces (:func:`_node_system`).
@@ -634,12 +646,17 @@ def null_space(problem: Problem) -> DirectionSet:
 
 
 def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
-    """Each node's kernel ker R_n, after one block LP found no one-sided ray."""
+    """Each node's kernel ker R_n, from one batched SVD, once no node has a
+    one-sided ray: every node certified a subspace by that SVD, or else one
+    block LP over all nodes found none."""
     if not system.groups:
         return DirectionSet({}, "exact", {"method": "kernel of node rows", "nodes": 0})
-    slacks = block_slacks([R for _, R in system.groups])
-    rays = [(int(P[i]), y[i]) for (P, _), (slack, y) in zip(system.groups, slacks)
-            for i in np.flatnonzero(slack > SLACK_TOL)]
+    kernels = [kernel_bases(R) for _, R in system.groups]
+    rays = []
+    if not all(subspace.all() for _, subspace in kernels):
+        slacks = block_slacks([R for _, R in system.groups])
+        rays = [(int(P[i]), y[i]) for (P, _), (slack, y) in zip(system.groups, slacks)
+                for i in np.flatnonzero(slack > SLACK_TOL)]
     if rays:
         p, y = max(rays, key=lambda r: r[0])
         raise NotASubspace(
@@ -647,7 +664,7 @@ def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
             f"(at node {problem.tree.nodes[p].id!r})",
             ray=_node_witness(problem, p, unit_l1(_box_direction(y))),
         )
-    bases = {int(p): B for P, R in system.groups for p, B in zip(P, kernel_bases(R))}
+    bases = {int(p): B for (P, _), (K, _) in zip(system.groups, kernels) for p, B in zip(P, K)}
     nodes = problem.tree.nodes
     return DirectionSet(
         {nodes[p].id: bases[p] for p in sorted(bases)},
@@ -693,7 +710,8 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
             null.setdefault((node.time, basis.shape), []).append(node.id)
     complement: dict[str, np.ndarray] = {}
     for ids in null.values():
-        complement.update(zip(ids, kernel_bases(np.stack([directions.per_node[i].T for i in ids]))))
+        Q, _ = kernel_bases(np.stack([directions.per_node[i].T for i in ids]))
+        complement.update(zip(ids, Q))
     qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}
     for node in nodes:

@@ -267,6 +267,14 @@ class MarketModel:
                 raise InvalidModel(f"endowment at non-leaf node {nid!r}")
             if not math.isfinite(v):
                 raise InvalidModel(f"endowment at {nid!r} is not finite: {v}")
+        for nid in self.utility_overrides:
+            if nid not in self.tree:
+                raise InvalidModel(f"utility override at unknown node {nid!r}")
+            if not self.tree.is_leaf(nid):
+                raise InvalidModel(f"utility override at non-leaf node {nid!r}")
+        for nid in getattr(self.cost, "per_node", None) or ():
+            if nid not in self.tree:
+                raise InvalidModel(f"cost parameters at unknown node {nid!r}")
         for name in ("initial_cash", "cash_lower"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
@@ -932,12 +940,8 @@ def market_from_dict(d: Mapping) -> MarketModel:
         if "claim" in data:
             claims[node.id] = _number(data, "claim", where)
         if "endowment" in data:
-            if not tree.is_leaf(node.id):
-                raise InvalidModel(f"endowment at non-leaf node {node.id!r}")
             endowment[node.id] = _number(data, "endowment", where)
         if "utility" in data:
-            if not tree.is_leaf(node.id):
-                raise InvalidModel(f"utility override at non-leaf node {node.id!r}")
             overrides[node.id] = _kind_from_dict(
                 data["utility"], UTILITIES, "utility", f"utility at {where}"
             )

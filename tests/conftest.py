@@ -371,3 +371,52 @@ def random_frictionless_model(rng: np.random.Generator) -> market.MarketModel:
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
             initial_cash=1.0,
         )
+
+
+def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, utility,
+                            floats=False):
+    """Random T-period frictionless market with eighth-rational price moves
+    (with ``floats``, moves drawn uniformly from [-0.5, 0.5)).
+
+    In balanced draws every node's child moves sum to zero, so the uniform
+    measure is a martingale measure and there is no arbitrage; unbalanced
+    draws usually have one.  Duplicated draws copy the first asset's
+    prices into every other asset.
+    """
+    nodes = [td.Node("r", 0, None, 1.0)]
+    prices = {"r": np.full(n_assets, 4.0)}
+    frontier = ["r"]
+    for t in range(1, T + 1):
+        nxt = []
+        for pid in frontier:
+            if floats:
+                moves = rng.uniform(-0.5, 0.5, size=(n_branch, n_assets))
+            else:
+                moves = rng.integers(-4, 5, size=(n_branch, n_assets)) / 8.0
+            q = rng.integers(1, 5, size=n_branch).astype(float)
+            q /= q.sum()
+            if balanced:
+                moves[-1] = -moves[:-1].sum(axis=0)
+            if duplicated:
+                moves[:, 1:] = moves[:, :1]
+            for i in range(n_branch):
+                cid = f"{pid}{i}" if pid != "r" else str(i)
+                nodes.append(td.Node(cid, t, pid, float(q[i])))
+                prices[cid] = prices[pid] + moves[i]
+                nxt.append(cid)
+        frontier = nxt
+    return market.MarketModel(
+        tree=td.ScenarioTree(nodes), n_risky=n_assets, prices=prices,
+        cost=market.Frictionless(), utility=utility, initial_cash=1.0,
+    )
+
+
+def random_bounds(rng, n_assets, T):
+    """Holdings boxes on some stages: each side free, at 0 or at +-1."""
+    out = {}
+    for t in range(T):
+        if rng.random() < 0.5:
+            lo = rng.choice([-math.inf, -1.0, 0.0], size=n_assets)
+            up = rng.choice([math.inf, 1.0], size=n_assets)
+            out[t] = (lo, up)
+    return out or None

@@ -119,6 +119,26 @@ class TestCheck:
             cli.main(["check", str(p)])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["cost"].update(per_node={"zz": [0.5, 3.0]}),
+         "cost parameters at unknown node 'zz'"),
+        (lambda d: d["tree"][0]["data"].update(utility=d["utility"]),
+         "utility override at non-leaf node 'r'"),
+    ], ids=["cost_per_node", "utility_override"])
+    def test_model_off_the_tree_exit_1(self, mutate, message, tmp_path, capsys):
+        model = toy_model_dict()
+        mutate(model)
+        with pytest.raises(market.InvalidModel, match=message):
+            market.market_from_dict(model)
+        p = tmp_path / "off_tree.json"
+        p.write_text(json.dumps(model))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check", str(p), "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error:") and message in stderr
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize("mutate", [
         lambda d: d["tree"][1]["data"].update(Z=[float("nan")]),

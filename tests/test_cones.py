@@ -18,7 +18,9 @@ from conftest import (
     exp_utility,
     expr_bytes,
     get_bench,
+    random_bounds,
     random_frictionless_model,
+    random_frictionless_tree,
     ragged_tree,
     solve_bytes,
     sshaped_t2_model,
@@ -64,8 +66,24 @@ class TestCheckHorizonPositivity:
         rep = cones.check_horizon_positivity(bench.problem)
         assert rep.verdict == "holds"
         assert any("cone propagation" in m for m in rep.method)
-        # a trivial kernel and one LP: the cone is a subspace, so it is {0}
-        assert rep.details["cone"] == {"rows": 2, "dim": 1, "kernel_dim": 0, "lp_calls": 1}
+        # a trivial kernel, and the node's risk-neutral measure certifies the
+        # cone a subspace without an LP: so it is {0}
+        assert rep.details["cone"] == {"rows": 2, "dim": 1, "kernel_dim": 0, "lp_calls": 0}
+
+    def test_incomplete_node_runs_the_block_lp(self):
+        # four children and two assets: the left kernel of the node's rows is
+        # two-dimensional, so no unique measure decides it and the block LP does
+        moves = {"a": [1.0, 0.0], "b": [-1.0, 0.0], "c": [0.0, 1.0], "d": [0.0, -0.5]}
+        tree = td.ScenarioTree([td.Node("r", 0, None, 1.0)]
+                               + [td.Node(c, 1, "r", 0.25) for c in moves])
+        prices = {"r": np.array([4.0, 4.0])} | {c: 4.0 + np.array(m) for c, m in moves.items()}
+        model = market.MarketModel(
+            tree=tree, n_risky=2, prices=prices, cost=market.Frictionless(),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0), initial_cash=1.0,
+        )
+        rep = cones.check_horizon_positivity(market.build_problem_cash(model))
+        assert rep.verdict == "holds" and rep.details["route"] == "node"
+        assert rep.details["cone"] == {"rows": 4, "dim": 2, "kernel_dim": 0, "lp_calls": 1}
 
     def test_duplicated_assets_fail_with_exact_kernel_witness(self):
         # the swap of two identical assets is a two-sided zero-profit
@@ -446,44 +464,6 @@ class TestFrictionlessEquivalence:
             ok = (rep.verdict == "holds") == (arb is None)
             mismatches += 0 if ok else 1
         assert mismatches == 0
-
-
-def random_frictionless_tree(rng, T, n_branch, n_assets, duplicated, balanced, utility,
-                            floats=False):
-    """Random T-period frictionless market with eighth-rational price moves
-    (with ``floats``, moves drawn uniformly from [-0.5, 0.5)).
-
-    In balanced draws every node's child moves sum to zero, so the uniform
-    measure is a martingale measure and there is no arbitrage; unbalanced
-    draws usually have one.  Duplicated draws copy the first asset's
-    prices into every other asset.
-    """
-    nodes = [td.Node("r", 0, None, 1.0)]
-    prices = {"r": np.full(n_assets, 4.0)}
-    frontier = ["r"]
-    for t in range(1, T + 1):
-        nxt = []
-        for pid in frontier:
-            if floats:
-                moves = rng.uniform(-0.5, 0.5, size=(n_branch, n_assets))
-            else:
-                moves = rng.integers(-4, 5, size=(n_branch, n_assets)) / 8.0
-            q = rng.integers(1, 5, size=n_branch).astype(float)
-            q /= q.sum()
-            if balanced:
-                moves[-1] = -moves[:-1].sum(axis=0)
-            if duplicated:
-                moves[:, 1:] = moves[:, :1]
-            for i in range(n_branch):
-                cid = f"{pid}{i}" if pid != "r" else str(i)
-                nodes.append(td.Node(cid, t, pid, float(q[i])))
-                prices[cid] = prices[pid] + moves[i]
-                nxt.append(cid)
-        frontier = nxt
-    return market.MarketModel(
-        tree=td.ScenarioTree(nodes), n_risky=n_assets, prices=prices,
-        cost=market.Frictionless(), utility=utility, initial_cash=1.0,
-    )
 
 
 def moves_span(model) -> bool:
@@ -912,17 +892,6 @@ def assert_routes_agree(problem):
             gap = np.abs(_projector(basis) - _projector(ref.per_node[nid])).max(initial=0.0)
             assert gap <= 1e-12
     return node, ds
-
-
-def random_bounds(rng, n_assets, T):
-    """Holdings boxes on some stages: each side free, at 0 or at +-1."""
-    out = {}
-    for t in range(T):
-        if rng.random() < 0.5:
-            lo = rng.choice([-INF, -1.0, 0.0], size=n_assets)
-            up = rng.choice([INF, 1.0], size=n_assets)
-            out[t] = (lo, up)
-    return out or None
 
 
 class TestNodeRoute:

@@ -630,6 +630,17 @@ class TestJsonLoader:
         with pytest.raises(market.InvalidModel, match="endowment at unknown node 'zz'"):
             dataclasses.replace(sshaped_t2_model(), endowment={"zz": 1.0})
 
+    @pytest.mark.parametrize("nid, where", [("zz", "unknown"), ("u", "non-leaf")])
+    def test_rejects_utility_override_off_the_leaves(self, nid, where):
+        u = market.SShapedUtility(2.0, 1.0, 3.0)
+        with pytest.raises(market.InvalidModel, match=f"utility override at {where} node {nid!r}"):
+            dataclasses.replace(sshaped_t2_model(), utility_overrides={"uu": u, nid: u})
+
+    def test_rejects_cost_parameters_at_unknown_node(self):
+        cost = market.PowerIlliquidity(0.1, 2.0, per_node={"u": (0.5, 3.0), "zz": (0.5, 3.0)})
+        with pytest.raises(market.InvalidModel, match="cost parameters at unknown node 'zz'"):
+            dataclasses.replace(sshaped_t2_model(), cost=cost)
+
     @pytest.mark.parametrize("t", [-1, 2, 9])
     def test_rejects_stages_that_do_not_exist(self, t):
         # T = 2: the stages that decide are 0 and 1

@@ -1,22 +1,35 @@
-"""The cone test against a coordinate-LP reference.
+"""The cone test against a coordinate-LP reference, and the subspace
+certificate of ``kernel_bases`` against the block LP.
 
 ``cone_vertex`` decides {y : R y <= 0} = {0} from one SVD and
 at most two LPs.  The reference below pushes each of the 2n coordinates
 to its bound over the cone within the unit box: slow, but a direct
-transcription of the definition.
+transcription of the definition.  A block that ``kernel_bases``
+certifies a subspace must read no one-sided slack from
+``block_slacks``, and the node route must give the same bytes with the
+certificate switched off, when every node goes to the block LP.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from treedp import cones, market
 from treedp._polyhedral import (
     LP_TOL,
+    SLACK_TOL,
     _normalize_rows,
+    block_slacks,
     cone_is_subspace,
     cone_vertex,
+    kernel_bases,
     unit_l1,
+    unit_rows,
 )
+
+from conftest import exp_utility, random_bounds, random_frictionless_tree
 
 
 def coordinate_lp_direction(rows: np.ndarray, dim: int) -> np.ndarray | None:
@@ -132,3 +145,89 @@ def test_huge_rows_keep_their_direction():
     # {y : y1 <= y2, 3 y1 + 4 y2 <= 0} is not {0}, and the huge row still binds
     y = unit_l1(cone_vertex(rows, 2)[0])
     assert y is not None and y[0] <= y[1] + 1e-12
+
+
+def _node_moves(rng) -> np.ndarray:
+    """One node's price moves Z_c - Z_n: 2-4 children, 1-3 assets."""
+    m, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    kind = rng.integers(3)
+    if kind == 0:
+        moves = rng.uniform(-0.5, 0.5, size=(m, d))
+    elif kind == 1:
+        moves = rng.integers(-4, 5, size=(m, d)) / 8.0
+    else:  # a martingale under the uniform measure
+        moves = rng.uniform(-0.5, 0.5, size=(m, d))
+        moves[-1] = -moves[:-1].sum(axis=0)
+    if rng.random() < 0.2:
+        moves = np.abs(moves)  # one-signed: an arbitrage unless zero
+    if rng.random() < 0.3:
+        moves[rng.random(m) < 0.4] = 0.0
+    if rng.random() < 0.3:
+        moves[:, 1:] = moves[:, :1]
+    return moves * rng.choice([1.0, 1e-12, 1e150])
+
+
+def test_certified_blocks_read_no_slack():
+    rng = np.random.default_rng(2041)
+    blocks: dict[tuple, list] = {}
+    for _ in range(1500):
+        rows = unit_rows(-_node_moves(rng))
+        blocks.setdefault(rows.shape, []).append(rows)
+    groups = [np.stack(b) for b in blocks.values()]
+    seen = {"certified": 0, "undecided": 0, "parallel": 0, "one_sided": 0}
+    for R, (slack, _) in zip(groups, block_slacks(groups)):
+        _, subspace = kernel_bases(R)
+        assert np.all(slack[subspace] <= SLACK_TOL), slack[subspace].max()
+        seen["certified"] += int(subspace.sum())
+        seen["undecided"] += int((~subspace).sum())
+        seen["one_sided"] += int((slack > SLACK_TOL).sum())
+        # three or more nonzero rows along one line: the second case
+        seen["parallel"] += int((subspace & (R.any(axis=2).sum(axis=1) >= 3)
+                                 & (np.linalg.matrix_rank(R) == 1)).sum())
+    assert min(seen.values()) > 0, seen
+
+
+def _node_route_bytes(problem) -> tuple:
+    """The node route's check report (``lp_calls`` aside), witness CSV rows
+    and null-space bases or one-sided ray, as comparable bytes."""
+    rep = cones.check_horizon_positivity(problem).report_dict()
+    lp_calls = rep["details"].get("cone", {}).pop("lp_calls", None)
+    try:
+        ds = cones.null_space(problem)
+        null = [(k, b.shape, b.tobytes()) for k, b in ds.per_node.items()], ds.meta
+    except cones.NotASubspace as err:
+        null = str(err), repr(err.ray)
+    return repr(rep), null, lp_calls
+
+
+def test_node_route_bytes_do_not_depend_on_the_certificate(monkeypatch):
+    rng = np.random.default_rng(2043)
+    utilities = (market.SShapedUtility(2.0, 1.0, 1.0), exp_utility())
+    seen = {"holds": 0, "fails": 0, "fewer_lps": 0, "bounded": 0, "floats": 0, "terminal": 0}
+    full = cones.kernel_bases
+    for k in range(36):
+        n_assets = int(rng.integers(1, 3))
+        T = int(rng.integers(1, 4))
+        model = random_frictionless_tree(
+            rng, T=T, n_branch=int(rng.integers(2, 4)), n_assets=n_assets,
+            duplicated=n_assets == 2 and k % 3 == 0, balanced=k % 4 != 1,
+            utility=utilities[k % 2], floats=k % 3 == 2,
+        )
+        if k % 5 == 3:
+            model = dataclasses.replace(model, constraints=random_bounds(rng, n_assets, T))
+            seen["bounded"] += model.constraints is not None
+        seen["floats"] += k % 3 == 2
+        for build in (market.build_problem_cash, market.build_problem_terminal):
+            problem = build(model, radius=1.0, points=5)
+            rep, null, lp_calls = _node_route_bytes(problem)
+            with monkeypatch.context() as m:
+                # every block undecided: every node goes to the block LP
+                m.setattr(cones, "kernel_bases",
+                          lambda R: (full(R)[0], np.zeros(len(R), dtype=bool)))
+                ref_rep, ref_null, ref_lp_calls = _node_route_bytes(problem)
+            assert rep == ref_rep and null == ref_null
+            assert lp_calls <= ref_lp_calls
+            seen["fewer_lps"] += lp_calls < ref_lp_calls
+            seen["holds" if "'holds'" in rep else "fails"] += 1
+            seen["terminal"] += build is market.build_problem_terminal
+    assert min(seen.values()) > 0, seen
