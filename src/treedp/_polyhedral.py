@@ -6,17 +6,18 @@ and C is a subspace (a theorem of the alternative in the Gordan/Stiemke
 family).  Deciding C = {0} therefore takes one SVD (the kernel) and at
 most one bounded LP for the decision: the subspace test when the kernel
 is trivial, else a vertex along a kernel vector as the witness.  The
-subspace test needs no LP when the SVD holds a Stiemke certificate, a
-lambda > 0 with lambda R = 0, in its left singular vectors
-(:func:`_stiemke`): at a node of a frictionless market that lambda is the
-node's risk-neutral measure, unique when the node is complete.  The LPs
+subspace test needs no LP when the cone's nonzero rows leave a
+one-dimensional left kernel spanned by a Stiemke certificate, a
+lambda > 0 with lambda R = 0, read from the SVD's left singular vectors
+(:func:`_stiemke`): at a complete node of a frictionless market, such as
+every binomial one, that lambda is the node's risk-neutral measure.  The LPs
 are solved with HiGHS, which is deterministic for fixed input, so results
 are reproducible bit-for-bit.  :func:`linprog` is the package's one LP
 entry: scipy is imported at its first call, so that a solve that never
 needs an LP never loads scipy.
 
 Many small cones at once, one per tree node, are stacked as (B, m, d)
-blocks: :func:`kernel_bases` takes one batched SVD of the distinct blocks
+blocks: :func:`cone_kernels` takes one batched SVD of the distinct blocks
 and reads each block's kernel and certificate from it, and
 :func:`block_slacks`, for blocks left undecided, one LP over the
 block-diagonal system, whose optimum splits into each block's own.
@@ -174,18 +175,32 @@ def kernel_basis(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def kernel_bases(
-    blocks: np.ndarray, rtol: float = 1e-10
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack, and
-    whether each block's cone {y : R y <= 0} is certified a subspace.
+def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
+    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack.
 
     One batched SVD runs over the distinct blocks only, so blocks with
     equal bytes get bit-identical bases, and an all-zero block gets the
-    exact identity.  Each block gets its own array.  The certificate
-    (:func:`_stiemke`) reads the same SVD's left singular vectors; False
-    means undecided, not "one-sided".
+    exact identity.  Each block gets its own array.
     """
+    return _kernels(blocks, rtol, certify=False)[0]
+
+
+def cone_kernels(
+    blocks: np.ndarray, rtol: float = 1e-10
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`kernel_bases` of a (B, m, d) stack of cone rows R, and
+    whether each block's cone {y : R y <= 0} is certified a subspace.
+
+    The certificate (:func:`_stiemke`) reads the left singular vectors of
+    the same batched SVD; False means undecided, not "one-sided".  A block
+    with no nonzero row is the whole space, so it is certified.
+    """
+    return _kernels(blocks, rtol, certify=True)
+
+
+def _kernels(
+    blocks: np.ndarray, rtol: float, certify: bool
+) -> tuple[list[np.ndarray], np.ndarray]:
     B, m, d = blocks.shape
     flat = np.ascontiguousarray(blocks, dtype=float).reshape(B, m * d)
     if not flat.size:
@@ -201,7 +216,7 @@ def kernel_bases(
         tol = rtol * max(m, d) * s[:, :1]
         for i, rank, ui, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), u, vt):
             bases[i] = v[rank:].T
-            subspace[i] = _stiemke(distinct[i], ui, rank)
+            subspace[i] = certify and _stiemke(distinct[i], ui, rank)
     inverse = inverse.ravel()
     return [bases[i].copy() for i in inverse.tolist()], subspace[inverse]
 
@@ -215,27 +230,17 @@ def _stiemke(rows: np.ndarray, u: np.ndarray, rank: int) -> bool:
     measure).  Then any y of the cone within the unit box has slacks
     s = -R y >= 0 with lambda . s = -(lambda R) y <= |lambda R|_1, so its
     total slack is at most |lambda R|_1 / min lambda, which must stay a
-    hundred times below SLACK_TOL.  lambda comes from one of two cases,
-    and its every entry must be >= 1e-6 max lambda: the left kernel of the
-    nonzero rows is one-dimensional and spanned by lambda (a complete
-    node, such as every binomial one); or the nonzero rows all lie along
-    the first right singular vector, in both orientations, with left
-    singular entries c_i, and lambda_i = |c_i| / (the sum of c_j**2 over
-    row i's orientation), so that the two orientations cancel.
+    hundred times below SLACK_TOL.  lambda is read only where the left
+    kernel of the nonzero rows is one-dimensional (a complete node, such
+    as every binomial one), and its every entry must be >= 1e-6 max
+    lambda.  Every other block is undecided.
     """
     nz = rows.any(axis=1)
-    if nz.sum() - rank == 1:
-        kernel = u[nz, rank:]  # on the nonzero rows, every column is a multiple of lambda
-        lam = kernel[:, np.argmax(np.einsum("ij,ij->j", kernel, kernel))]
-        lam = lam * np.sign(lam[np.argmax(np.abs(lam))])
-    elif rank == 1:
-        c = u[nz, 0]
-        up, down = c > 0, c < 0
-        if not (up.any() and down.any()):
-            return False
-        lam = np.abs(c) / np.where(up, c[up] @ c[up], c[down] @ c[down])
-    else:
+    if nz.sum() - rank != 1:
         return False
+    kernel = u[nz, rank:]  # on the nonzero rows, every column is a multiple of lambda
+    lam = kernel[:, np.argmax(np.einsum("ij,ij->j", kernel, kernel))]
+    lam = lam * np.sign(lam[np.argmax(np.abs(lam))])
     if not lam.min() >= 1e-6 * lam.max():
         return False
     residual = np.abs(lam @ rows[nz]).sum()

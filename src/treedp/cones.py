@@ -63,6 +63,7 @@ from ._polyhedral import (
     _box_direction,
     block_slacks,
     cone_is_subspace,
+    cone_kernels,
     cone_vertex,
     kernel_basis,
     kernel_bases,
@@ -305,7 +306,7 @@ def _check_by_node(problem: Problem, system: _NodeSystem) -> CheckReport:
     if system.dim == 0:
         return CheckReport("holds", None, ["no decisions to check"], {})
     method = ["cone propagation: one-period rows per decision node"]
-    kernels = [kernel_bases(R) for _, R in system.groups]
+    kernels = [cone_kernels(R) for _, R in system.groups]
     kernel_dims = [np.array([b.shape[1] for b in bases]) for bases, _ in kernels]
     last = max((int(P[k > 0].max(initial=-1)) for (P, _), k in zip(system.groups, kernel_dims)),
                default=-1)
@@ -651,7 +652,7 @@ def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
     block LP over all nodes found none."""
     if not system.groups:
         return DirectionSet({}, "exact", {"method": "kernel of node rows", "nodes": 0})
-    kernels = [kernel_bases(R) for _, R in system.groups]
+    kernels = [cone_kernels(R) for _, R in system.groups]
     rays = []
     if not all(subspace.all() for _, subspace in kernels):
         slacks = block_slacks([R for _, R in system.groups])
@@ -710,8 +711,7 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
             null.setdefault((node.time, basis.shape), []).append(node.id)
     complement: dict[str, np.ndarray] = {}
     for ids in null.values():
-        Q, _ = kernel_bases(np.stack([directions.per_node[i].T for i in ids]))
-        complement.update(zip(ids, Q))
+        complement.update(zip(ids, kernel_bases(np.stack([directions.per_node[i].T for i in ids]))))
     qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
     stage_dims: dict[int, int] = {}
     for node in nodes:

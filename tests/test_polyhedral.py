@@ -1,10 +1,10 @@
 """The cone test against a coordinate-LP reference, and the subspace
-certificate of ``kernel_bases`` against the block LP.
+certificate of ``cone_kernels`` against the block LP.
 
 ``cone_vertex`` decides {y : R y <= 0} = {0} from one SVD and
 at most two LPs.  The reference below pushes each of the 2n coordinates
 to its bound over the cone within the unit box: slow, but a direct
-transcription of the definition.  A block that ``kernel_bases``
+transcription of the definition.  A block that ``cone_kernels``
 certifies a subspace must read no one-sided slack from
 ``block_slacks``, and the node route must give the same bytes with the
 certificate switched off, when every node goes to the block LP.
@@ -23,8 +23,8 @@ from treedp._polyhedral import (
     _normalize_rows,
     block_slacks,
     cone_is_subspace,
+    cone_kernels,
     cone_vertex,
-    kernel_bases,
     unit_l1,
     unit_rows,
 )
@@ -174,16 +174,13 @@ def test_certified_blocks_read_no_slack():
         rows = unit_rows(-_node_moves(rng))
         blocks.setdefault(rows.shape, []).append(rows)
     groups = [np.stack(b) for b in blocks.values()]
-    seen = {"certified": 0, "undecided": 0, "parallel": 0, "one_sided": 0}
+    seen = {"certified": 0, "undecided": 0, "one_sided": 0}
     for R, (slack, _) in zip(groups, block_slacks(groups)):
-        _, subspace = kernel_bases(R)
+        _, subspace = cone_kernels(R)
         assert np.all(slack[subspace] <= SLACK_TOL), slack[subspace].max()
         seen["certified"] += int(subspace.sum())
         seen["undecided"] += int((~subspace).sum())
         seen["one_sided"] += int((slack > SLACK_TOL).sum())
-        # three or more nonzero rows along one line: the second case
-        seen["parallel"] += int((subspace & (R.any(axis=2).sum(axis=1) >= 3)
-                                 & (np.linalg.matrix_rank(R) == 1)).sum())
     assert min(seen.values()) > 0, seen
 
 
@@ -204,7 +201,7 @@ def test_node_route_bytes_do_not_depend_on_the_certificate(monkeypatch):
     rng = np.random.default_rng(2043)
     utilities = (market.SShapedUtility(2.0, 1.0, 1.0), exp_utility())
     seen = {"holds": 0, "fails": 0, "fewer_lps": 0, "bounded": 0, "floats": 0, "terminal": 0}
-    full = cones.kernel_bases
+    full = cones.cone_kernels
     for k in range(36):
         n_assets = int(rng.integers(1, 3))
         T = int(rng.integers(1, 4))
@@ -222,7 +219,7 @@ def test_node_route_bytes_do_not_depend_on_the_certificate(monkeypatch):
             rep, null, lp_calls = _node_route_bytes(problem)
             with monkeypatch.context() as m:
                 # every block undecided: every node goes to the block LP
-                m.setattr(cones, "kernel_bases",
+                m.setattr(cones, "cone_kernels",
                           lambda R: (full(R)[0], np.zeros(len(R), dtype=bool)))
                 ref_rep, ref_null, ref_lp_calls = _node_route_bytes(problem)
             assert rep == ref_rep and null == ref_null
