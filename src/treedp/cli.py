@@ -19,6 +19,7 @@ are written as plot-ready CSV side files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,15 +45,17 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str, payload: dict) -> str:
+    """Write ``payload`` as JSON text to ``path``; return the text written."""
+    text = dp.json_text(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        fh.write(dp.json_text(payload, indent=2) + "\n")
+        fh.write(text)
+    return text
 
 
 def _report(path: str, payload: dict) -> None:
-    """Write the report file at ``path`` and print the report."""
-    _write_json(path, payload)
-    print(dp.json_text(payload, indent=2))
+    """Write the report file at ``path`` and print the same text."""
+    sys.stdout.write(_write_json(path, payload))
 
 
 def _load(path: str):
@@ -270,8 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

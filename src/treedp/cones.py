@@ -73,7 +73,7 @@ from ._polyhedral import (
 )
 from .dp import Problem, write_csv_rows
 from .efun import AffinePrecompose, ExtFun
-from .tree import ScenarioTree
+from .tree import NodeValues, ScenarioTree
 
 INF = math.inf
 WITNESS_TOL = 1e-9
@@ -162,10 +162,10 @@ def _adapted_layout(
     dims = np.asarray(problem.decision_dims, dtype=np.int64)
     width = dims[tree.times]
     first = np.cumsum(width) - width  # each position's first column
-    offsets = {n.id: (int(a), int(a + w)) for n, a, w in zip(tree.nodes, first, width) if w}
+    offsets = {nid: (a, a + w) for nid, a, w in zip(tree.ids, first.tolist(), width.tolist()) if w}
     anc = tree.ancestors
     cols = np.hstack([first[anc[:, t], None] + np.arange(d) for t, d in enumerate(dims)])
-    return offsets, int(width.sum()), dict(zip((leaf.id for leaf in tree.leaves), cols))
+    return offsets, int(width.sum()), dict(zip(tree.ids_at(tree.horizon), cols))
 
 
 def _leaf_horizons(
@@ -285,15 +285,15 @@ def _node_system(problem: Problem) -> _NodeSystem | None:
 def _node_witness(problem: Problem, p: int, y: np.ndarray) -> dict[str, list[float]]:
     """The adapted direction that is ``y`` at position ``p`` and 0 elsewhere,
     per decision node in tree order."""
-    dims = problem.decision_dims
-    out = {n.id: [0.0] * dims[n.time] for n in problem.tree.nodes if dims[n.time]}
-    out[problem.tree.nodes[p].id] = [float(v) for v in y]
+    dims, tree = problem.decision_dims, problem.tree
+    out = {nid: [0.0] * dims[t] for nid, t in zip(tree.ids, tree.times.tolist()) if dims[t]}
+    out[tree.ids[p]] = [float(v) for v in y]
     return out
 
 
 def _leaves_below(tree: ScenarioTree, p: int) -> list[str]:
     anc = tree.ancestors
-    return [tree.nodes[q].id for q in anc[anc[:, tree.times[p]] == p, -1].tolist()]
+    return [tree.ids[q] for q in anc[anc[:, tree.times[p]] == p, -1].tolist()]
 
 
 def _check_by_node(problem: Problem, system: _NodeSystem) -> CheckReport:
@@ -346,7 +346,7 @@ def _check_by_node(problem: Problem, system: _NodeSystem) -> CheckReport:
 
         y, ok, vals = _verify_vertex(box, verify, method)
         if ok:
-            details["witness_node"] = tree.nodes[last].id
+            details["witness_node"] = tree.ids[last]
             details["witness_horizon_values"] = vals
             return CheckReport("fails", _node_witness(problem, last, y), method, details)
     method.append("node witness failed re-verification; deciding on the stacked rows")
@@ -662,13 +662,13 @@ def _null_space_by_node(problem: Problem, system: _NodeSystem) -> DirectionSet:
         p, y = max(rays, key=lambda r: r[0])
         raise NotASubspace(
             "nonpositive-horizon directions form a one-sided cone, not a subspace "
-            f"(at node {problem.tree.nodes[p].id!r})",
+            f"(at node {problem.tree.ids[p]!r})",
             ray=_node_witness(problem, p, unit_l1(_box_direction(y))),
         )
     bases = {int(p): B for (P, _), (K, _) in zip(system.groups, kernels) for p, B in zip(P, K)}
-    nodes = problem.tree.nodes
+    ids = problem.tree.ids
     return DirectionSet(
-        {nodes[p].id: bases[p] for p in sorted(bases)},
+        {ids[p]: bases[p] for p in sorted(bases)},
         "exact",
         {"method": "kernel of node rows", "nodes": len(bases)},
     )
@@ -690,7 +690,8 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     decision Y back to the original decision Q Y (a stage function gets
     the post-decision state unchanged), and its
     ``meta["path_objectives"]`` are the input's (which its builder
-    attached) composed with each leaf path's block-diagonal basis, and
+    attached), each composed with its leaf path's block-diagonal basis
+    when it is first read (so a caller that reads none builds none), and
     its node rows, if the input has them, are
     each node's rows times its basis, so the projected problem can be
     checked again, on the same route.
@@ -700,39 +701,40 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     if directions.is_trivial():
         return problem
     tree = problem.tree
+    ids, times = tree.ids, tree.times.tolist()
+    decision = [(nid, t) for nid, t in zip(ids, times) if problem.decision_dims[t]]
     # each node's complement Q is the kernel of its basis' transpose: one
     # batched SVD per stage (and basis shape) over the nodes with null
     # directions; the others keep the identity
-    nodes = problem.decision_nodes()
     null: dict[tuple, list[str]] = {}
-    for node in nodes:
-        basis = directions.per_node.get(node.id)
+    for nid, t in decision:
+        basis = directions.per_node.get(nid)
         if basis is not None and basis.size:
-            null.setdefault((node.time, basis.shape), []).append(node.id)
+            null.setdefault((t, basis.shape), []).append(nid)
     complement: dict[str, np.ndarray] = {}
-    for ids in null.values():
-        complement.update(zip(ids, kernel_bases(np.stack([directions.per_node[i].T for i in ids]))))
-    qmap: dict[str, np.ndarray] = {}  # per decision node, in tree order
-    stage_dims: dict[int, int] = {}
-    for node in nodes:
-        Q = complement[node.id] if node.id in complement else np.eye(problem.decision_dim(node.id))
-        if stage_dims.setdefault(node.time, Q.shape[1]) != Q.shape[1]:
+    for group in null.values():
+        complement.update(zip(group, kernel_bases(np.stack([directions.per_node[i].T
+                                                            for i in group]))))
+    # per decision stage, the stacked bases of its nodes, indexed by position in the stage
+    bases: dict[int, np.ndarray] = {}
+    for t in sorted({t for _, t in decision}):
+        eye = np.eye(problem.decision_dims[t])
+        Q = [complement.get(nid, eye) for nid in tree.ids_at(t)]
+        if len({q.shape[1] for q in Q}) > 1:
             raise InexactNullSpace(
                 "null-space dimensions differ across nodes of one stage; "
                 "cannot keep a stagewise decision layout"
             )
-        qmap[node.id] = Q
+        bases[t] = np.stack(Q)
     dims = tuple(
-        stage_dims.get(t, problem.decision_dims[t]) for t in range(tree.horizon + 1)
+        bases[t].shape[2] if t in bases else problem.decision_dims[t]
+        for t in range(tree.horizon + 1)
     )
-    # per stage, the stacked bases of its nodes, indexed by position in the stage
-    bases = {
-        t: np.stack([qmap[n.id] for n in tree.nodes_at(t)]) for t in stage_dims
-    }
-    times, stage_index = tree.times, tree.stage_index
+    stage_index = tree.stage_index
+    time_of = tree.times
 
     def to_decision(K: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        Q = bases.get(int(times[K[0]]))
+        Q = bases.get(int(time_of[K[0]]))
         return Y if Q is None else np.einsum("rij,rj->ri", np.take(Q, stage_index[K], axis=0), Y)
 
     orig_tr = problem.state_map.transition
@@ -740,31 +742,36 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
     def transition(K: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return orig_tr(K, S, to_decision(K, Y))
 
+    deciding = dict(decision)
     stage_funs = None if problem.stage_funs is None else {}
     wrapped: dict[int, Callable] = {}  # one wrapper per shared stage function
     for nid, sf in (problem.stage_funs or {}).items():
-        if nid in qmap and id(sf) not in wrapped:
+        if nid in deciding and id(sf) not in wrapped:
             wrapped[id(sf)] = lambda K, S, Y, post, _f=sf: _f(K, S, to_decision(K, Y), post)
-        stage_funs[nid] = wrapped[id(sf)] if nid in qmap else sf
+        stage_funs[nid] = wrapped[id(sf)] if nid in deciding else sf
 
     meta = dict(problem.meta)
     meta["projection"] = {
-        nid: directions.per_node.get(nid, np.zeros((Q.shape[0], 0))) for nid, Q in qmap.items()
+        nid: directions.per_node.get(nid, np.zeros((problem.decision_dims[t], 0)))
+        for nid, t in decision
     }
     paths = problem.meta.get("path_objectives")
     if paths is not None:
-        # each leaf path's block-diagonal basis, one stage's blocks for all
-        # leaves at a time (a leaf's ancestor at stage t picks the block)
-        blocks = np.zeros((len(tree.leaves), sum(Q.shape[1] for Q in bases.values()),
-                           sum(Q.shape[2] for Q in bases.values())))
-        r = c = 0
-        for t in sorted(bases):
-            _, d, k = bases[t].shape
-            blocks[:, r : r + d, c : c + k] = bases[t][stage_index[tree.ancestors[:, t]]]
-            r, c = r + d, c + k
-        meta["path_objectives"] = {
-            leaf.id: AffinePrecompose(paths[leaf.id], B) for leaf, B in zip(tree.leaves, blocks)
-        }
+        anc, leaves = tree.ancestors, tree.ids_at(tree.horizon)
+        shape = (sum(Q.shape[1] for Q in bases.values()), sum(Q.shape[2] for Q in bases.values()))
+
+        def composed(i: int) -> ExtFun:
+            # the leaf path's block-diagonal basis: its stage-t ancestor picks
+            # the stage's block
+            B = np.zeros(shape)
+            r = c = 0
+            for t in sorted(bases):
+                _, d, k = bases[t].shape
+                B[r : r + d, c : c + k] = bases[t][stage_index[anc[i, t]]]
+                r, c = r + d, c + k
+            return AffinePrecompose(paths[leaves[i]], B)
+
+        meta["path_objectives"] = NodeValues(dict(zip(leaves, range(len(leaves)))), composed)
     node_rows = problem.meta.get("node_rows")
     if node_rows is not None:
         # y_n = Q_n z_n: each node's rows act on its reduced decision

@@ -158,21 +158,21 @@ class RowGroups:
     """
 
     def __init__(self, objs: Sequence[object], times: np.ndarray):
-        first: dict[int, int] = {}
-        self.objs: list[object] = []
-        gid = np.empty(len(objs), dtype=np.int64)
-        for i, obj in enumerate(objs):
-            if id(obj) not in first:
-                first[id(obj)] = len(self.objs)
-                self.objs.append(obj)
-            gid[i] = first[id(obj)]
-        self.gid, self.times = gid, times
+        # groups in order of first appearance, decided on the objects' ids at once
+        keys = np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        self.objs: list[object] = [objs[i] for i in first[order].tolist()]
+        self.gid, self.times = rank[inverse.reshape(-1)], times
         # per stage: the group of all its positions, or -1 when they differ
-        self.stage_gid = np.full(int(times.max(initial=-1)) + 1, -1, dtype=np.int64)
-        for t in np.unique(times).tolist():
-            g = gid[times == t]
-            if (g == g[0]).all():
-                self.stage_gid[t] = g[0]
+        stages = int(times.max(initial=-1)) + 1
+        lo = np.full(stages, len(order), dtype=np.int64)
+        hi = np.full(stages, -1, dtype=np.int64)
+        np.minimum.at(lo, times, self.gid)
+        np.maximum.at(hi, times, self.gid)
+        self.stage_gid = np.where(lo == hi, lo, -1)
 
     def map(
         self, K: np.ndarray, fn: Callable[[object, slice | np.ndarray], np.ndarray]
@@ -265,27 +265,27 @@ class Problem:
         T = self.tree.horizon
         if len(self.decision_dims) != T + 1:
             raise ValueError(f"need decision dims for stages 0..{T}")
-        for leaf in self.tree.leaves:
-            if leaf.id not in self.leaf_objective:
-                raise ValueError(f"no leaf objective at {leaf.id!r}")
-        nodes = self.tree.nodes
-        if self.local_keys is not None:
-            for n in nodes:
-                if n.id not in self.local_keys:
-                    raise ValueError(f"no local key at {n.id!r}")
-        stage, times = self.stage_funs or {}, self.tree.times
-        for nid, fn in stage.items():
-            if nid not in self.tree:
-                raise ValueError(f"stage function at unknown node {nid!r}")
-            if isinstance(fn, ExtFun):
-                raise ValueError(f"stage function at {nid!r} is an ExtFun, not a callable "
-                                 "(K, S, X, post): history_problem takes ExtFun stage terms")
+        for leaf in self.tree.ids_at(T):
+            if leaf not in self.leaf_objective:
+                raise ValueError(f"no leaf objective at {leaf!r}")
+        tree, stage = self.tree, self.stage_funs or {}
+        ids, known = tree.ids, tree.id_positions.keys()
+        if self.local_keys is not None and not self.local_keys.keys() >= known:
+            missing = next(i for i in ids if i not in self.local_keys)
+            raise ValueError(f"no local key at {missing!r}")
+        distinct = {id(fn): fn for fn in stage.values()}.values()
+        if not stage.keys() <= known or any(isinstance(fn, ExtFun) for fn in distinct):
+            for nid, fn in stage.items():  # name the first offender
+                if nid not in tree:
+                    raise ValueError(f"stage function at unknown node {nid!r}")
+                if isinstance(fn, ExtFun):
+                    raise ValueError(f"stage function at {nid!r} is an ExtFun, not a callable "
+                                     "(K, S, X, post): history_problem takes ExtFun stage terms")
+        times = tree.times
+        object.__setattr__(self, "_stage_groups", RowGroups(list(map(stage.get, ids)), times))
         object.__setattr__(
-            self, "_stage_groups", RowGroups([stage.get(n.id) for n in nodes], times))
-        object.__setattr__(
-            self, "_leaf_groups", RowGroups([self.leaf_objective.get(n.id) for n in nodes], times)
-        )
-        object.__setattr__(self, "_ids", tuple(n.id for n in nodes))
+            self, "_leaf_groups", RowGroups(list(map(self.leaf_objective.get, ids)), times))
+        object.__setattr__(self, "_ids", ids)
 
     def decision_dim(self, node_id: str) -> int:
         return self.decision_dims[self.tree.node(node_id).time]

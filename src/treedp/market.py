@@ -35,9 +35,11 @@ route applies.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -55,11 +57,14 @@ from .efun import (
 )
 from .tree import (
     Node,
+    NodeValues,
     ScenarioTree,
     TreeFormatError,
     json_object_problem,
     tree_from_records,
     tree_to_records,
+    _frozen,
+    _types,
 )
 
 INF = math.inf
@@ -223,7 +228,13 @@ Utility = SShapedUtility | SampledUtility
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Scenario tree plus market data; immutable."""
+    """Scenario tree plus market data; immutable.
+
+    ``prices`` may be any mapping from every node id to that node's J
+    prices; the model keeps them as one read-only (N, J) array,
+    ``price_array`` (row i at the node of position i in ``tree.nodes``),
+    and ``prices`` becomes a read-only mapping onto its rows.
+    """
 
     tree: ScenarioTree
     n_risky: int
@@ -242,39 +253,22 @@ class MarketModel:
     cash_lower: float | None = None
 
     def __post_init__(self):
-        prices = {}
-        for node in self.tree.nodes:
-            if node.id not in self.prices:
-                raise InvalidModel(f"no prices at node {node.id!r}")
-            z = np.atleast_1d(np.asarray(self.prices[node.id], dtype=float))
-            if z.shape != (self.n_risky,):
-                raise InvalidModel(
-                    f"prices at {node.id!r} have shape {z.shape}, want ({self.n_risky},)"
-                )
-            if not np.isfinite(z).all():
-                raise InvalidModel(f"prices at {node.id!r} are not finite: {z.tolist()}")
-            prices[node.id] = z
-        object.__setattr__(self, "prices", prices)
-        for nid, v in self.claims.items():
-            if nid not in self.tree:
-                raise InvalidModel(f"claim at unknown node {nid!r}")
-            if not math.isfinite(v):
-                raise InvalidModel(f"claim at {nid!r} is not finite: {v}")
-        for nid, v in self.endowment.items():
-            if nid not in self.tree:
-                raise InvalidModel(f"endowment at unknown node {nid!r}")
-            if not self.tree.is_leaf(nid):
-                raise InvalidModel(f"endowment at non-leaf node {nid!r}")
-            if not math.isfinite(v):
-                raise InvalidModel(f"endowment at {nid!r} is not finite: {v}")
-        for nid in self.utility_overrides:
-            if nid not in self.tree:
-                raise InvalidModel(f"utility override at unknown node {nid!r}")
-            if not self.tree.is_leaf(nid):
-                raise InvalidModel(f"utility override at non-leaf node {nid!r}")
-        for nid in getattr(self.cost, "per_node", None) or ():
-            if nid not in self.tree:
-                raise InvalidModel(f"cost parameters at unknown node {nid!r}")
+        """Check every node-keyed and stage-keyed field against the tree.
+
+        Each field is checked as a column, and the message names the
+        first offender in the field's own order: the prices by node, then
+        the claims, endowments, utility overrides and per-node cost
+        parameters by entry (an unknown node id, then a non-leaf node
+        where a leaf is needed, then a value that is not finite).
+        """
+        tree = self.tree
+        Z = _price_array(tree, self.prices, self.n_risky)
+        object.__setattr__(self, "price_array", Z)
+        object.__setattr__(self, "prices", NodeValues(tree.id_positions, Z.__getitem__))
+        _node_keyed(tree, self.claims, "claim", finite=True)
+        _node_keyed(tree, self.endowment, "endowment", leaves_only=True, finite=True)
+        _node_keyed(tree, self.utility_overrides, "utility override", leaves_only=True)
+        _node_keyed(tree, getattr(self.cost, "per_node", None) or {}, "cost parameters")
         for name in ("initial_cash", "cash_lower"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
@@ -294,6 +288,49 @@ class MarketModel:
                     raise InvalidModel(f"constraint bounds at stage {t}: {e}") from None
                 if np.atleast_1d(lo).shape != (self.n_risky,):
                     raise InvalidModel(f"constraint bounds at stage {t} have wrong shape")
+
+    def _per_position(self, entries: Mapping[str, float]) -> np.ndarray:
+        """The node-keyed floats ``entries`` as one value per position (0.0 elsewhere)."""
+        out = np.zeros(len(self.tree))
+        if entries:
+            where = self.tree.id_positions
+            out[np.fromiter(map(where.__getitem__, entries), np.int64, len(entries))] = (
+                np.array(list(entries.values()), dtype=float))
+        return _frozen(out)
+
+    @cached_property
+    def claim_array(self) -> np.ndarray:
+        """The claim at each position (as :meth:`claim`)."""
+        return self._per_position(self.claims)
+
+    @cached_property
+    def endowment_array(self) -> np.ndarray:
+        """The endowment at each position (as :meth:`endow`)."""
+        return self._per_position(self.endowment)
+
+    @cached_property
+    def cost_groups(self) -> tuple[np.ndarray, list[Node]]:
+        """Each position's group of nodes that share cost parameters
+        (numbered by first appearance in node order) and each group's
+        first node."""
+        tree, cost = self.tree, self.cost
+        ids = tree.ids
+        per_node = getattr(cost, "per_node", None) or {}
+        label = np.zeros(len(ids), dtype=np.int64)  # 0: the parameters of unlisted nodes
+        table: dict[tuple, int] = {}
+        unlisted = next((i for i in ids if i not in per_node), None)
+        if unlisted is not None:
+            table[tuple(cost.params_at(unlisted))] = 0
+        if per_node:
+            where = np.fromiter(map(tree.id_positions.__getitem__, per_node), np.int64,
+                                len(per_node))
+            label[where] = [table.setdefault(tuple(cost.params_at(k)), len(table))
+                            for k in per_node]
+        _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return _frozen(rank[inverse.reshape(-1)]), [tree.node(ids[i]) for i in first[order].tolist()]
 
     def Z(self, node_id: str) -> np.ndarray:
         return self.prices[node_id]
@@ -324,6 +361,77 @@ class MarketModel:
         """Integrable lower bound of the leaf disutility: -sup u."""
         sups = [self.utility.sup()] + [u.sup() for u in self.utility_overrides.values()]
         return -max(sups)
+
+
+_MISSING = object()
+
+
+def _price_array(tree: ScenarioTree, prices: Mapping, J: int) -> np.ndarray:
+    """The prices of every node as one read-only (N, J) float array, in
+    node order.
+
+    The rows are converted at once.  Rows that do not stack into (N, J)
+    are converted one at a time, each as a 1-D array (a scalar is one
+    price), and InvalidModel names the first node, in node order, whose
+    prices are missing, not J numbers or not finite.  Then the first
+    price entry at a node id the tree does not have is rejected.
+    """
+    ids = tree.ids
+    rows = list(map(prices.get, ids, itertools.repeat(_MISSING)))
+    try:
+        Z = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        Z = None
+    if Z is not None and J == 1 and Z.shape == (len(rows),):
+        Z = Z[:, None]
+    if Z is None or Z.shape != (len(rows), J):
+        Z = np.array([_price_row(nid, r, J) for nid, r in zip(ids, rows)]).reshape(len(rows), J)
+    finite = np.isfinite(Z).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidModel(f"prices at {ids[i]!r} are not finite: {Z[i].tolist()}")
+    if len(prices) != len(rows):
+        unknown = next(k for k in prices if k not in tree)
+        raise InvalidModel(f"prices at unknown node {unknown!r}")
+    return _frozen(Z)
+
+
+def _price_row(node_id: str, row, J: int) -> np.ndarray:
+    """One node's prices as a 1-D array of J finite floats (InvalidModel otherwise)."""
+    if row is _MISSING:
+        raise InvalidModel(f"no prices at node {node_id!r}")
+    z = np.atleast_1d(np.asarray(row, dtype=float))
+    if z.shape != (J,):
+        raise InvalidModel(f"prices at {node_id!r} have shape {z.shape}, want ({J},)")
+    if not np.isfinite(z).all():
+        raise InvalidModel(f"prices at {node_id!r} are not finite: {z.tolist()}")
+    return z
+
+
+def _node_keyed(
+    tree: ScenarioTree, entries: Mapping, noun: str, *,
+    leaves_only: bool = False, finite: bool = False,
+) -> None:
+    """Check the node ids of ``entries`` and, with ``finite``, their
+    values, all at once: InvalidModel names the first entry, in entry
+    order, at an unknown node id, at a non-leaf node (``leaves_only``) or
+    with a value that is not finite."""
+    if not entries:
+        return
+    keys = list(entries)
+    pos = np.fromiter(map(tree.id_positions.get, keys, itertools.repeat(-1)), np.int64, len(keys))
+    bad = pos < 0
+    if leaves_only:
+        bad[~bad] = tree.times[pos[~bad]] != tree.horizon
+    if finite:
+        bad |= ~np.isfinite(np.array(list(entries.values()), dtype=float))
+    if bad.any():
+        nid = keys[int(np.argmax(bad))]
+        if nid not in tree:
+            raise InvalidModel(f"{noun} at unknown node {nid!r}")
+        if leaves_only and not tree.is_leaf(nid):
+            raise InvalidModel(f"{noun} at non-leaf node {nid!r}")
+        raise InvalidModel(f"{noun} at {nid!r} is not finite: {entries[nid]}")
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +543,8 @@ def validate(model: MarketModel) -> ValidationReport:
 
 
 def _free_disposal_check(model: MarketModel) -> dict:
-    neg_price = [
-        n.id for n in model.tree.nodes if (model.Z(n.id) < 0).any()
-    ]
+    Z = model.price_array
+    neg_price = [model.tree.ids[i] for i in np.flatnonzero((Z < 0).any(axis=1)).tolist()]
     if neg_price:
         return {
             "status": "fails",
@@ -449,22 +556,23 @@ def _free_disposal_check(model: MarketModel) -> dict:
             "note": "linear cost with nonnegative prices is monotone everywhere",
         }
     # the power cost is separable: Z_i d_i + coeff |d_i|**p is nondecreasing
-    # in d_i exactly where d_i >= 0 or |d_i| <= (Z_i/(coeff p))**(1/(p-1))
+    # in d_i exactly where d_i >= 0 or |d_i| <= (Z_i/(coeff p))**(1/(p-1)); the
+    # bound grows with Z_i, so each parameter group's least price decides it
     radius = INF
-    for node in model.tree.nodes:
-        lam, p = model.cost.params_at(node.id)
-        z = model.Z(node.id)
-        if not z.size:
-            continue
-        zmin = np.minimum.reduce(z)
-        with np.errstate(over="ignore"):
-            ratio = zmin / (lam * p)
-            r = ratio ** (1.0 / (p - 1.0))
-            if ratio == INF:
-                # a huge price overflows the ratio but not always its root:
-                # take that root in log space (zmin > 0 and lam * p > 0 here)
-                r = np.exp((np.log(zmin) - np.log(lam * p)) / (p - 1.0))
-        radius = min(radius, float(r))
+    if model.n_risky:
+        zmin = np.minimum.reduce(Z, axis=1)
+        groups, reps = model.cost_groups
+        for g, node in enumerate(reps):
+            lam, p = model.cost.params_at(node.id)
+            zm = zmin[groups == g].min()
+            with np.errstate(over="ignore"):
+                ratio = zm / (lam * p)
+                r = ratio ** (1.0 / (p - 1.0))
+                if ratio == INF:
+                    # a huge price overflows the ratio but not always its root:
+                    # take that root in log space (zmin > 0 and lam * p > 0 here)
+                    r = np.exp((np.log(zm) - np.log(lam * p)) / (p - 1.0))
+            radius = min(radius, float(r))
     if model.n_risky and not math.isfinite(radius):
         return {
             "status": "undecided",
@@ -499,12 +607,13 @@ class _PositionData:
     else one value per row.  ``cost(K, D)`` is the friction cost of trade
     D[j] at the node of position K[j]: one ``cost_many`` call per group of
     nodes that share cost parameters, with a representative node of the
-    group.
+    group.  ``params`` holds each position's cost parameters.
     """
 
     Z: np.ndarray        # (N, J) prices
     claim: np.ndarray    # (N,)
     endow: np.ndarray    # (N,)
+    params: np.ndarray   # (N, number of cost parameters)
     cost_model: Frictionless | PowerIlliquidity
     cost_groups: RowGroups
     stage_values: Mapping[str, Mapping[int, float]]  # name -> stage -> shared value
@@ -512,12 +621,7 @@ class _PositionData:
     @classmethod
     def of(cls, model: MarketModel) -> "_PositionData":
         tree = model.tree
-        nodes = tree.nodes
-        reps: dict = {}
-        values = {
-            "claim": np.array([model.claim(n.id) for n in nodes]),
-            "endow": np.array([model.endow(n.id) for n in nodes]),
-        }
+        values = {"claim": model.claim_array, "endow": model.endowment_array}
         shared: dict[str, dict[int, float]] = {name: {} for name in values}
         for t in range(tree.horizon + 1):
             P = tree.positions_at(t)
@@ -525,11 +629,14 @@ class _PositionData:
                 bits = v[P].view(np.int64)
                 if bits.size and (bits == bits[0]).all():
                     shared[name][t] = float(v[P[0]])
+        groups, reps = model.cost_groups
+        params = [tuple(model.cost.params_at(node.id)) for node in reps]
         return cls(
-            Z=np.array([model.Z(n.id) for n in nodes]).reshape(len(nodes), model.n_risky),
+            Z=model.price_array,
+            params=np.array(params, dtype=float).reshape(len(reps), -1)[groups]
+            if reps else np.zeros((0, 0)),
             cost_model=model.cost,
-            cost_groups=RowGroups(
-                [reps.setdefault(model.cost.params_at(n.id), n) for n in nodes], tree.times),
+            cost_groups=RowGroups(list(map(reps.__getitem__, groups.tolist())), tree.times),
             stage_values=shared,
             **values,
         )
@@ -556,7 +663,7 @@ def _decision_box(model: MarketModel, t: int, lead: int) -> IndicatorBox | None:
 
 def _path_objectives(
     model: MarketModel, lead: int, data: _PositionData, moves: np.ndarray
-) -> dict[str, ExtFun]:
+) -> NodeValues:
     """Each leaf's objective as an expression over its path decisions.
 
     In a frictionless market that trades at every stage, terminal wealth
@@ -571,17 +678,22 @@ def _path_objectives(
 
     Every leaf's rows are built together, one stage at a time, from the
     tree's ancestor table and the per-position price moves ``moves``
-    (Z_p - Z_parent(p)).
+    (Z_p - Z_parent(p)).  The result is a read-only mapping in leaf
+    order that builds a leaf's expression from its rows when it is first
+    read, so a caller that reads a few leaves pays for those alone.
     """
     tree = model.tree
     T, anc = tree.horizon, tree.ancestors
     d = lead + model.n_risky
+    limited = model.cash_lower is not None
     row = np.zeros((len(anc), T * d))  # terminal wealth, less its constant
-    cash = np.zeros((len(anc), T, T * d))  # post-trade cash at each path node, less its constant
+    # post-trade cash at each path node, less its constant (for the limit)
+    cash = np.zeros((len(anc), T, T * d)) if limited else None
     for t in range(T):
         row[:, t * d : t * d + lead] = 1.0
-        cash[:, t] = row
-        cash[:, t, t * d + lead : (t + 1) * d] = -data.Z[anc[:, t]]
+        if limited:
+            cash[:, t] = row
+            cash[:, t, t * d + lead : (t + 1) * d] = -data.Z[anc[:, t]]
         row[:, t * d + lead : (t + 1) * d] = moves[anc[:, t + 1]]
     # the claims paid up to each path node, summed left to right (+ 0.0: a
     # sum that starts from 0 is never -0.0)
@@ -594,20 +706,22 @@ def _path_objectives(
             sel = np.zeros((d, T * d))
             sel[:, t * d : (t + 1) * d] = np.eye(d)
             boxes.append(AffinePrecompose(box, sel))
-    if model.cash_lower is not None:
+    if limited:
         lower = model.cash_lower - (model.initial_cash - claims[:, :T])
+    leaves = tree.ids_at(T)
     disutility: dict[int, ExtFun] = {}  # one per distinct utility
-    out: dict[str, ExtFun] = {}
-    for i, leaf in enumerate(tree.leaves):
-        u = model.utility_at(leaf.id)
+
+    def leaf(i: int) -> ExtFun:
+        u = model.utility_at(leaves[i])
         if id(u) not in disutility:
-            disutility[id(u)] = u.disutility()
+            disutility.setdefault(id(u), u.disutility())
         terms = [AffinePrecompose(disutility[id(u)], -row[i : i + 1], [-const[i]]), *boxes]
-        if model.cash_lower is not None:
+        if limited:
             # one term for all of the path's limits: its domain point meets them all
             terms.append(AffinePrecompose(IndicatorBox(lower[i], np.full(T, INF)), cash[i]))
-        out[leaf.id] = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-    return out
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    return NodeValues(dict(zip(leaves, range(len(leaves)))), leaf)
 
 
 def _node_rows(
@@ -630,13 +744,13 @@ def _node_rows(
     tree = model.tree
     if model.cash_lower is not None:
         return None
-    seen: dict[int, bool] = {}
-    for leaf in tree.leaves:
-        u = model.utility_at(leaf.id)
-        if id(u) not in seen:
-            rows = sublevel_zero_cone(horizon(u.disutility()))
-            seen[id(u)] = rows is not None and rows.tolist() == [[1.0]]
-        if not seen[id(u)]:
+    overrides = model.utility_overrides
+    used = list(overrides.values())  # the leaves' utilities
+    if len(overrides) < len(tree.positions_at(tree.horizon)):
+        used.append(model.utility)
+    for u in {id(u): u for u in used}.values():
+        rows = sublevel_zero_cone(horizon(u.disutility()))
+        if rows is None or rows.tolist() != [[1.0]]:
             return None
     d = lead + model.n_risky
     out = {}
@@ -668,15 +782,18 @@ def _default_grids(
 
     Per stage, a (cash, holdings) grid: the cash axis spans everything T
     such trades, their costs and the claims can move the cash account
-    around ``initial_cash``.
+    around ``initial_cash``.  The largest cost is that of a full-width
+    trade, evaluated once per group of nodes that share cost parameters.
     """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
-    max_z = max((float(np.abs(model.Z(n.id)).max()) for n in tree.nodes), default=1.0)
-    max_claim = max((abs(model.claim(n.id)) for n in tree.nodes), default=0.0)
+    N = len(tree)
+    max_z = float(np.abs(model.price_array).max()) if N else 1.0
+    max_claim = float(np.abs(model.claim_array).max()) if N else 0.0
     trade = np.full((1, J), 2.0 * radius)
     max_cost = max(
-        (float(model.cost.cost_many(n, trade)[0]) for n in tree.nodes), default=0.0
+        (float(model.cost.cost_many(node, trade)[0]) for node in model.cost_groups[1]),
+        default=0.0,
     )
     span = T * (2.0 * radius * J * max_z + max_cost + max_claim) + 0.5
     x0 = model.initial_cash
@@ -765,22 +882,26 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         box = _decision_box(model, t, lead) if trades[t] else None
         if box is not None or lower is not None:
             per_stage[t] = constraint(box)
-    stage_funs = {node.id: per_stage[node.time] for node in tree.nodes if node.time in per_stage}
+    stage_funs = {nid: per_stage[t] for nid, t in zip(tree.ids, times.tolist()) if t in per_stage}
 
-    leaf_obj: dict[str, ExtFun] = {}
     shared: dict[int, ExtFun] = {}  # one leaf objective per distinct utility
-    for leaf in tree.leaves:
-        u = model.utility_at(leaf.id)
+
+    def leaf_objective(u: Utility) -> ExtFun:
         if id(u) not in shared:
             shared[id(u)] = AffinePrecompose(u.disutility(), [[-1.0]])
-        leaf_obj[leaf.id] = shared[id(u)]
+        return shared[id(u)]
+
+    leaves, overrides = tree.ids_at(T), model.utility_overrides
+    leaf_obj: dict[str, ExtFun] = dict.fromkeys(
+        leaves, leaf_objective(model.utility) if len(overrides) < len(leaves) else None)
+    for nid, u in overrides.items():
+        leaf_obj[nid] = leaf_objective(u)
 
     # what the transition reads from a position: prices, claim, endowment
     # and cost parameters, compared as bits (stage functions and leaf
     # objectives are shared per stage and per utility, compared by identity)
-    params = np.array([model.cost.params_at(n.id) for n in tree.nodes], dtype=float)
-    local = np.column_stack([data.Z, data.claim, data.endow, params])
-    local_keys = {n.id: row.tobytes() for n, row in zip(tree.nodes, local)}
+    local = np.column_stack([data.Z, data.claim, data.endow, data.params])
+    local_keys = dict(zip(tree.ids, local.view(f"V{local.shape[1] * 8}").ravel().tolist()))
 
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
     meta: dict = {
@@ -852,11 +973,19 @@ MARKET_FIELDS = (
 )
 
 
+def _has_bool(v) -> bool:
+    """Whether a JSON value is, or holds in its arrays, a boolean (which
+    ``float`` would read as 0 or 1)."""
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_has_bool, v))
+
+
 def _number(d: Mapping, key: str, where: str) -> float:
     """``d[key]`` as a float, or InvalidModel naming the field."""
     if key not in d:
         raise InvalidModel(f"{where} is missing {key!r}")
     try:
+        if isinstance(d[key], bool):
+            raise TypeError
         return float(d[key])  # parses "inf"/"-inf" spellings too
     except (TypeError, ValueError):
         raise InvalidModel(f"{where}: {key!r} is not a number: {d[key]!r}") from None
@@ -867,9 +996,18 @@ def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
     if key not in d:
         raise InvalidModel(f"{where} is missing {key!r}")
     try:
+        if _has_bool(d[key]):
+            raise TypeError
         return np.asarray(d[key], dtype=float)
     except (TypeError, ValueError):
         raise InvalidModel(f"{where}: {key!r} is not a list of numbers: {d[key]!r}") from None
+
+
+def _float(v) -> float:
+    """``float(v)`` for a JSON number or numeric string, not for a boolean."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
 
 
 #: the JSON ``kind`` of each cost and utility class; both are read and
@@ -897,7 +1035,7 @@ def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
         if f.name == "per_node":
             v = d["per_node"]
             try:
-                args[f.name] = {k: (float(p[0]), float(p[1])) for k, p in v.items()}
+                args[f.name] = {k: (_float(p[0]), _float(p[1])) for k, p in v.items()}
             except (AttributeError, IndexError, KeyError, TypeError, ValueError):
                 raise InvalidModel(
                     f"cost.per_node must map node ids to [coeff, exponent]: {v!r}"
@@ -922,28 +1060,44 @@ def _kind_to_dict(obj, table: Mapping[str, type]) -> dict:
 
 
 def market_from_dict(d: Mapping) -> MarketModel:
+    """The market model of a loaded market file (InvalidModel if malformed).
+
+    The node fields are read as columns of the tree records' ``data``.  A
+    node is read on its own only where a column holds something other
+    than its plainest JSON values (prices that are not a list of numbers,
+    a claim or endowment that is not a number) and where it carries a
+    utility override; those nodes are read in node order, so the first
+    malformed one is named.  ``MarketModel`` then checks every field
+    against the tree.
+    """
     problem = json_object_problem(d, *MARKET_FIELDS)
     if problem is not None:
         raise InvalidModel(f"market file at <root>: {problem}")
     tree = tree_from_records(d["tree"])
-    J = int(d["assets"])
-    prices = {}
-    claims = {}
-    endowment = {}
+    ids = tree.ids
+    data = [r.get("data", {}) for r in d["tree"]]
+    Z = [x.get("Z", _MISSING) for x in data]
+    named = {key: [(i, x[key]) for i, x in enumerate(data) if key in x]
+             for key in ("claim", "endowment")}
+    # the nodes to read alone: what the columns cannot take at once
+    alone = {i for i, x in enumerate(data) if "utility" in x}
+    plain = {float, int}
+    if not (_types(Z) <= {list} and _types(itertools.chain.from_iterable(Z)) <= plain):
+        alone.update(i for i, z in enumerate(Z) if type(z) is not list or not _types(z) <= plain)
+    for entries in named.values():
+        alone.update(i for i, v in entries if type(v) not in plain)
     overrides = {}
-    for node in tree.nodes:
-        data = node.data
-        if "Z" not in data:
-            raise InvalidModel(f"node {node.id!r} carries no prices (data.Z)")
-        where = f"node {node.id!r}"
-        prices[node.id] = _numbers(data, "Z", where)
-        if "claim" in data:
-            claims[node.id] = _number(data, "claim", where)
-        if "endowment" in data:
-            endowment[node.id] = _number(data, "endowment", where)
-        if "utility" in data:
-            overrides[node.id] = _kind_from_dict(
-                data["utility"], UTILITIES, "utility", f"utility at {where}"
+    for i in sorted(alone):
+        node, where = ids[i], f"node {ids[i]!r}"
+        if "Z" not in data[i]:
+            raise InvalidModel(f"node {node!r} carries no prices (data.Z)")
+        _numbers(data[i], "Z", where)
+        for key in ("claim", "endowment"):
+            if key in data[i]:
+                _number(data[i], key, where)
+        if "utility" in data[i]:
+            overrides[node] = _kind_from_dict(
+                data[i]["utility"], UTILITIES, "utility", f"utility at {where}"
             )
     constraints = None
     if "constraints" in d:
@@ -952,17 +1106,19 @@ def market_from_dict(d: Mapping) -> MarketModel:
             try:
                 constraints[int(k)] = tuple(
                     # float() itself, not a float array, so that null fails
-                    np.asarray([float(x) for x in v[side]], dtype=float)
+                    np.asarray([_float(x) for x in v[side]], dtype=float)
                     for side in ("lower", "upper")
                 )
             except KeyError as e:
                 raise InvalidModel(f"constraints at stage {k!r} are missing {e}") from None
             except (TypeError, ValueError) as e:
                 raise InvalidModel(f"constraints at stage {k!r}: {e}") from None
+    claims, endowment = ({ids[i]: float(v) for i, v in named[key]}
+                         for key in ("claim", "endowment"))
     return MarketModel(
         tree=tree,
-        n_risky=J,
-        prices=prices,
+        n_risky=int(d["assets"]),
+        prices=dict(zip(ids, Z)),
         cost=_kind_from_dict(d["cost"], COSTS, "cost", "cost"),
         utility=_kind_from_dict(d["utility"], UTILITIES, "utility", "utility"),
         claims=claims,
@@ -981,16 +1137,15 @@ def market_from_dict(d: Mapping) -> MarketModel:
 
 def market_to_dict(model: MarketModel) -> dict:
     records = tree_to_records(model.tree)
-    for r in records:
-        data = dict(r["data"])
-        data["Z"] = [float(v) for v in model.Z(r["id"])]
-        if r["id"] in model.claims:
-            data["claim"] = model.claim(r["id"])
-        if r["id"] in model.endowment:
-            data["endowment"] = model.endow(r["id"])
-        if r["id"] in model.utility_overrides:
-            data["utility"] = _kind_to_dict(model.utility_overrides[r["id"]], UTILITIES)
-        r["data"] = data
+    for r, z in zip(records, model.price_array.tolist()):
+        r["data"]["Z"] = z
+    where = model.tree.id_positions
+    for nid, v in model.claims.items():
+        records[where[nid]]["data"]["claim"] = float(v)
+    for nid, v in model.endowment.items():
+        records[where[nid]]["data"]["endowment"] = float(v)
+    for nid, u in model.utility_overrides.items():
+        records[where[nid]]["data"]["utility"] = _kind_to_dict(u, UTILITIES)
     out: dict = {
         "assets": model.n_risky,
         "initial_cash": model.initial_cash,

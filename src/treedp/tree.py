@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import numbers
 import reprlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,62 +53,83 @@ class Node:
 class ScenarioTree:
     """Immutable rooted tree over :class:`Node` records.
 
-    The constructor tolerates structurally broken input (so that
-    :func:`validate` can report violations as data); accessors that need a
-    well-formed tree raise if the structure is too broken to answer.
+    The tree keeps its records as columns (ids, stages, parents,
+    probabilities, payloads, in input order) and builds the :class:`Node`
+    objects only when ``nodes`` or another accessor that returns nodes is
+    first read.  The constructor tolerates structurally broken input (so
+    that :func:`validate` can report violations as data); accessors that
+    need a well-formed tree raise if the structure is too broken to answer.
     """
 
     def __init__(self, nodes: Iterable[Node]):
-        nodes = list(nodes)
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate node ids: {dupes}")
-        self._nodes: dict[str, Node] = {n.id: n for n in nodes}
-        self._order: tuple[str, ...] = tuple(ids)
-        kids: dict[str, list[str]] = {n.id: [] for n in nodes}
-        for n in nodes:
-            if n.parent is not None and n.parent in kids:
-                kids[n.parent].append(n.id)
-        self._children: dict[str, tuple[str, ...]] = {k: tuple(v) for k, v in kids.items()}
-        self._roots: tuple[str, ...] = tuple(
-            n.id for n in nodes if n.parent is None and n.time == 0
-        )
-        self._horizon: int = max((n.time for n in nodes), default=0)
-        self._layout()
+        nodes = tuple(nodes)
+        self._set_columns([n.id for n in nodes], [n.time for n in nodes],
+                          [n.parent for n in nodes], [n.prob for n in nodes],
+                          [n.data for n in nodes])
+        self.__dict__["nodes"] = nodes  # the cached ``nodes``: these very records
 
-    def _layout(self) -> None:
-        nodes = self.nodes
-        self._index: dict[str, int] = {n.id: i for i, n in enumerate(nodes)}
-        stages: dict[int, list[int]] = {}
-        for i, n in enumerate(nodes):
-            stages.setdefault(n.time, []).append(i)
-        self._stage_nodes = {t: tuple(nodes[i] for i in p) for t, p in stages.items()}
-        self._stage_lists = stages
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        times: Sequence[int],
+        parents: Sequence[str | None],
+        probs: Sequence[float],
+        data: Sequence[Mapping[str, Any]],
+    ) -> "ScenarioTree":
+        """The tree of the records whose fields are given as columns, one
+        entry per node in input order; the same tree as the constructor
+        builds from the :class:`Node` records of those fields."""
+        tree = cls.__new__(cls)
+        tree._set_columns(ids, times, parents, probs, data)
+        return tree
+
+    def _set_columns(self, ids, times, parents, probs, data) -> None:
+        ids = tuple(ids)
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
+            raise ValueError(f"duplicate node ids: {dupes}")
+        self._ids, self._index = ids, index
+        self._times, self._parents = list(times), list(parents)
+        self._probs, self._data = list(probs), list(data)
+        self._horizon: int = max(self._times, default=0)
+        # -1: no parent, -2: a parent id that is not in the tree
+        raw = [-1 if p is None else index.get(p, -2) for p in self._parents]
+        self._parent_raw = _frozen(np.array(raw, dtype=np.int64))
+        self._prob_arr = _frozen(np.array(self._probs, dtype=float))
 
     @cached_property
     def _arrays(self) -> dict[str, np.ndarray]:
-        # built on first use: a broken tree (say, a stage number beyond int64)
-        # must still reach ``validate``, which reports it as data
-        nodes = self.nodes
-        stage_pos = {t: _frozen(np.array(p, dtype=np.int64)) for t, p in self._stage_lists.items()}
-        stage_index = np.zeros(len(nodes), dtype=np.int64)
-        for p in stage_pos.values():
-            stage_index[p] = np.arange(len(p))
-        kids = [self._children[n.id] for n in nodes]
-        flat_kids = [self._nodes[c] for k in kids for c in k]
+        parent = np.maximum(self._parent_raw, -1)
+        # the children of each position in input order: a stable sort by parent
+        order = np.argsort(parent, kind="stable")
+        counts = np.bincount(parent[parent >= 0], minlength=len(parent))
+        child_pos = order[len(parent) - int(counts.sum()):]
         return {
-            "times": _frozen(np.array([n.time for n in nodes], dtype=np.int64)),
-            "stage_pos": stage_pos,
-            "stage_index": _frozen(stage_index),
-            "parent_pos": _frozen(np.array(
-                [self._index.get(n.parent, -1) if n.parent is not None else -1 for n in nodes],
-                dtype=np.int64,
-            )),
-            "child_start": _frozen(np.cumsum([0] + [len(k) for k in kids], dtype=np.int64)),
-            "child_pos": _frozen(np.array([self._index[c.id] for c in flat_kids], dtype=np.int64)),
-            "child_prob": _frozen(np.array([c.prob for c in flat_kids], dtype=float)),
+            "times": _frozen(_stage_numbers(self._times)),
+            "parent_pos": _frozen(parent),
+            "child_start": _frozen(np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)),
+            "child_pos": _frozen(child_pos),
+            "child_prob": _frozen(self._prob_arr[child_pos]),
         }
+
+    @cached_property
+    def _stages(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        # built on first use, from a well-formed tree's stage numbers
+        times = self.times
+        order = np.argsort(times, kind="stable")  # each stage's positions in input order
+        stages = [g for g in np.split(order, np.flatnonzero(np.diff(times[order])) + 1) if g.size]
+        stage_index = np.empty(len(times), dtype=np.int64)
+        for g in stages:
+            stage_index[g] = np.arange(len(g))
+        return {int(times[g[0]]): _frozen(g) for g in stages}, _frozen(stage_index)
+
+    def _pos(self, node_id: str) -> int:
+        try:
+            return self._index[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id {node_id!r}") from None
 
     # -- basic accessors -------------------------------------------------
 
@@ -117,39 +140,61 @@ class ScenarioTree:
 
     @property
     def root(self) -> Node:
-        if len(self._roots) != 1:
-            raise ValueError(f"tree has {len(self._roots)} roots, expected exactly 1")
-        return self._nodes[self._roots[0]]
+        roots = [i for i in np.flatnonzero(self._parent_raw == -1).tolist() if self._times[i] == 0]
+        if len(roots) != 1:
+            raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
+        return self.nodes[roots[0]]
 
     def node(self, node_id: str) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
+        i = self._pos(node_id)
+        if "nodes" in self.__dict__:
+            return self.nodes[i]
+        # one record, without building every node (an equal Node)
+        return Node(self._ids[i], self._times[i], self._parents[i], self._probs[i], self._data[i])
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self._index
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._ids)
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(self._nodes[i] for i in self._order)
+        return tuple(map(Node, self._ids, self._times, self._parents, self._probs, self._data))
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Node ids in input order (the ids of ``nodes``)."""
+        return self._ids
+
+    @property
+    def id_positions(self) -> Mapping[str, int]:
+        """Read-only map from node id to position in ``nodes``."""
+        return MappingProxyType(self._index)
+
+    def ids_at(self, t: int) -> tuple[str, ...]:
+        """Ids of the stage-t nodes, in the order of ``nodes_at(t)``."""
+        return tuple(map(self._ids.__getitem__, self.positions_at(t).tolist()))
+
+    @cached_property
+    def _stage_nodes(self) -> dict[int, tuple[Node, ...]]:
+        nodes = self.nodes
+        return {t: tuple(nodes[i] for i in P.tolist()) for t, P in self._stages[0].items()}
 
     def nodes_at(self, t: int) -> tuple[Node, ...]:
         """Nodes at stage t, in input order (deterministic)."""
         return self._stage_nodes.get(t, ())
 
     def children(self, node_id: str) -> tuple[Node, ...]:
-        return tuple(self._nodes[c] for c in self._children[self.node(node_id).id])
+        i, start = self._pos(node_id), self.child_start
+        return tuple(self.nodes[c] for c in self.child_pos[start[i] : start[i + 1]].tolist())
 
     @property
     def leaves(self) -> tuple[Node, ...]:
         return self.nodes_at(self._horizon)
 
     def is_leaf(self, node_id: str) -> bool:
-        return self.node(node_id).time == self._horizon
+        return self._times[self._pos(node_id)] == self._horizon
 
     # -- array layout (positions are indices into ``nodes``) -------------
 
@@ -159,17 +204,18 @@ class ScenarioTree:
 
     @property
     def times(self) -> np.ndarray:
-        """Stage of the node at each position."""
+        """Stage of the node at each position (int64; object for stage
+        numbers too large for it, which only a broken tree has)."""
         return self._arrays["times"]
 
     def positions_at(self, t: int) -> np.ndarray:
         """Positions of the stage-t nodes, in the order of ``nodes_at(t)``."""
-        return self._arrays["stage_pos"].get(t, _frozen(np.zeros(0, dtype=np.int64)))
+        return self._stages[0].get(t, _frozen(np.zeros(0, dtype=np.int64)))
 
     @property
     def stage_index(self) -> np.ndarray:
         """Index of the node at each position within ``positions_at`` of its stage."""
-        return self._arrays["stage_index"]
+        return self._stages[1]
 
     @property
     def parent_pos(self) -> np.ndarray:
@@ -199,7 +245,7 @@ class ScenarioTree:
         ``positions_at(t)`` (its ``stage_index``), row j to its j-th child
         in input order."""
         start, out = self.child_start, {}
-        for t, P in self._arrays["stage_pos"].items():
+        for t, P in self._stages[0].items():
             count = start[P + 1] - start[P]
             if count.size and count[0] > 0 and (count == count[0]).all():
                 e = start[P] + np.arange(count[0])[:, None]
@@ -211,7 +257,7 @@ class ScenarioTree:
         """(leaves, T + 1) positions: row i is the path of the i-th leaf of
         ``leaves``, root first (the positions of :meth:`path`)."""
         T = self._horizon
-        out = np.empty((len(self.leaves), T + 1), dtype=np.int64)
+        out = np.empty((len(self.positions_at(T)), T + 1), dtype=np.int64)
         out[:, T] = self.positions_at(T)
         for t in range(T - 1, -1, -1):
             out[:, t] = self.parent_pos[out[:, t + 1]]
@@ -219,8 +265,19 @@ class ScenarioTree:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        """Unconditional probability at each position (as :meth:`probability`)."""
-        return _frozen(np.array([self.probability(n.id) for n in self.nodes]))
+        """Unconditional probability at each position (as :meth:`probability`,
+        bit for bit: each node's conditional probability times its
+        ancestors', nearest first, the root's left out)."""
+        parent, prob = self.parent_pos, self._prob_arr
+        out = np.where(parent >= 0, prob, 1.0)
+        up = parent.copy()  # the ancestor whose probability comes next
+        live = np.flatnonzero(up >= 0)
+        live = live[parent[up[live]] >= 0]
+        while live.size:
+            out[live] *= prob[up[live]]
+            up[live] = parent[up[live]]
+            live = live[parent[up[live]] >= 0]
+        return _frozen(out)
 
     # -- probability and paths -------------------------------------------
 
@@ -229,24 +286,24 @@ class ScenarioTree:
 
         ``leaf_id`` must be a final-stage node.
         """
-        node = self.node(leaf_id)
-        if node.time != self._horizon:
-            raise ValueError(f"node {leaf_id!r} is at stage {node.time}, not a leaf")
-        out = [node.id]
-        while node.parent is not None:
-            node = self.node(node.parent)
-            out.append(node.id)
+        i = self._pos(leaf_id)
+        if self._times[i] != self._horizon:
+            raise ValueError(f"node {leaf_id!r} is at stage {self._times[i]}, not a leaf")
+        out = [self._ids[i]]
+        while self._parents[i] is not None:
+            i = self._pos(self._parents[i])
+            out.append(self._ids[i])
         out.reverse()
         return out
 
     def probability(self, node_id: str) -> float:
         """Unconditional probability of the node (product along its path)."""
-        node = self.node(node_id)
-        p = node.prob if node.parent is not None else 1.0
-        while node.parent is not None:
-            node = self.node(node.parent)
-            if node.parent is not None:
-                p *= node.prob
+        i = self._pos(node_id)
+        p = self._probs[i] if self._parents[i] is not None else 1.0
+        while self._parents[i] is not None:
+            i = self._pos(self._parents[i])
+            if self._parents[i] is not None:
+                p *= self._probs[i]
         return p
 
 
@@ -255,46 +312,108 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _stage_numbers(times: list) -> np.ndarray:
+    """The stage numbers as int64, or as Python ints (object) when one of
+    them is too large for int64 arithmetic (a broken tree that ``validate``
+    must still report)."""
+    try:
+        out = np.array(times, dtype=np.int64)
+    except OverflowError:
+        return np.array(times, dtype=object)
+    if out.size and max(-int(out.min()), int(out.max())) >= 2**62:
+        return np.array(times, dtype=object)
+    return out
+
+
 def validate(tree: ScenarioTree) -> list[str]:
     """Check all structural invariants; return violations (empty if valid).
 
     Violations are data, not failures: each entry names the offending node
-    and the broken invariant.
+    and the broken invariant.  The root checks come first, then every
+    node's checks in input order (an unknown parent, else the parent's
+    stage and the conditional probability; then a childless interior
+    node and the children's probability sum), then, on a tree without
+    other violations, the leaf mass.  Each invariant is decided on the
+    tree's arrays at once; the child sums are summed again left to right
+    where they come near the tolerance, and the leaf mass adds the leaves'
+    :meth:`ScenarioTree.probabilities` left to right, so every printed
+    number has the bits of the node-by-node sums.
     """
     out: list[str] = []
-    T = tree.horizon
-    roots = [n for n in tree.nodes if n.parent is None]
+    ids, times, parents, probs = tree._ids, tree._times, tree._parents, tree._probs
+    T, raw, prob = tree.horizon, tree._parent_raw, tree._prob_arr
+    roots = np.flatnonzero(raw == -1)
     if len(roots) != 1:
         out.append(f"tree: expected exactly one root, found {len(roots)}")
-    for n in roots:
-        if n.time != 0:
-            out.append(f"node {n.id}: root must be at stage 0, is at {n.time}")
-        if abs(n.prob - 1.0) > PROB_TOL:
-            out.append(f"node {n.id}: root conditional probability must be 1")
-    for n in tree.nodes:
-        if n.parent is not None:
-            if n.parent not in tree:
-                out.append(f"node {n.id}: unknown parent {n.parent!r}")
-                continue
-            p = tree.node(n.parent)
-            if n.time != p.time + 1:
-                out.append(
-                    f"node {n.id}: stage {n.time} is not parent stage {p.time} + 1"
-                )
-            if not 0.0 < n.prob <= 1.0:
-                out.append(f"node {n.id}: conditional probability {n.prob} not in (0, 1]")
-        if n.time < T and not tree.children(n.id):
-            out.append(f"node {n.id}: interior node at stage {n.time} has no children")
-        kids = tree.children(n.id)
-        if kids:
-            s = sum(c.prob for c in kids)
+    t = tree.times
+    found: list[tuple[int, int, str]] = []  # (position, check, message)
+    for i in roots[t[roots] != 0].tolist():
+        found.append((i, 0, f"node {ids[i]}: root must be at stage 0, is at {times[i]}"))
+    for i in roots[np.abs(prob[roots] - 1.0) > PROB_TOL].tolist():
+        found.append((i, 1, f"node {ids[i]}: root conditional probability must be 1"))
+    out += [m for _, _, m in sorted(found)]
+
+    found = []
+    for i in np.flatnonzero(raw == -2).tolist():
+        found.append((i, 0, f"node {ids[i]}: unknown parent {parents[i]!r}"))
+    kid = np.flatnonzero(raw >= 0)
+    for i in kid[t[kid] != t[raw[kid]] + 1].tolist():
+        p = raw[i]
+        found.append((i, 1, f"node {ids[i]}: stage {times[i]} is not parent stage {times[p]} + 1"))
+    for i in kid[~((0.0 < prob[kid]) & (prob[kid] <= 1.0))].tolist():
+        found.append((i, 2, f"node {ids[i]}: conditional probability {probs[i]} not in (0, 1]"))
+    start, child_pos = tree.child_start, tree.child_pos
+    counts = np.diff(start)
+    checked = raw != -2  # a node with an unknown parent gets no further checks
+    for i in np.flatnonzero(checked & (t < T) & (counts == 0)).tolist():
+        found.append((i, 3, f"node {ids[i]}: interior node at stage {times[i]} has no children"))
+    parents_at = np.flatnonzero(checked & (counts > 0))
+    if parents_at.size:
+        # in any order the sums are this close to the left-to-right ones; so
+        # only a node whose sum is near the tolerance is summed again
+        sums = np.add.reduceat(tree.child_prob, start[parents_at])
+        for i in parents_at[np.abs(sums - 1.0) > 0.5 * PROB_TOL].tolist():
+            s = sum(probs[c] for c in child_pos[start[i] : start[i + 1]].tolist())
             if abs(s - 1.0) > PROB_TOL:
-                out.append(f"node {n.id}: child probabilities sum to {s!r}, not 1")
+                found.append((i, 4, f"node {ids[i]}: child probabilities sum to {s!r}, not 1"))
+    out += [m for _, _, m in sorted(found)]
     if not out:
-        total = sum(tree.probability(leaf.id) for leaf in tree.leaves)
+        total = sum(tree.probabilities[tree.positions_at(T)].tolist())
         if abs(total - 1.0) > 1e-9:
             out.append(f"tree: leaf probabilities sum to {total!r}, not 1")
     return out
+
+
+class NodeValues(Mapping):
+    """A read-only mapping from node ids to values made on first read.
+
+    ``positions`` maps each id to its position (and sets the iteration
+    order); ``make(i)`` makes the value at position i.  Each value is made
+    once: every later read returns the same object.  So a caller that
+    reads a few ids pays for those alone.
+    """
+
+    def __init__(self, positions: Mapping[str, int], make: Callable[[int], Any]):
+        self._positions, self._make = positions, make
+        self._made: dict[int, Any] = {}
+
+    def __getitem__(self, node_id: str) -> Any:
+        i = self._positions[node_id]
+        if i not in self._made:
+            self._made.setdefault(i, self._make(i))  # a racing thread's value is discarded
+        return self._made[i]
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._positions
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def keys(self):
+        return self._positions.keys()
 
 
 @dataclass(frozen=True)
@@ -377,26 +496,31 @@ def tree_from_records(records: list[dict]) -> ScenarioTree:
     """Build and validate a tree from loaded JSON records.
 
     Rejects (``TreeFormatError``) any record that is not a
-    :data:`TREE_RECORD` and any invariant violation.
+    :data:`TREE_RECORD` and any invariant violation.  The fields are read
+    and checked as columns: when every record has the usual keys and
+    every column holds only its plainest JSON values (string ids,
+    nonnegative integer stages, string or null parents, numeric
+    probabilities, object payloads), no record is looked at alone.
+    Otherwise :func:`json_object_problem` checks the records in input
+    order and names the first that breaks the table; a tree that passes
+    is built from the same columns.
     """
     if not isinstance(records, list):
         raise TreeFormatError(f"tree record at <root>: {reprlib.repr(records)} is not an array")
-    for i, r in enumerate(records):
-        problem = json_object_problem(r, *TREE_RECORD)
-        if problem is not None:
-            raise TreeFormatError(f"tree record at {i}: {problem}")
-    nodes = [
-        Node(
-            id=r["id"],
-            time=int(r["time"]),
-            parent=r["parent"],
-            prob=float(r["prob"]),
-            data=r.get("data", {}),
-        )
-        for r in records
-    ]
+    cols = _record_columns(records) if _usual_keys(records) else None
+    if cols is None or not _plain_columns(*cols):
+        for i, r in enumerate(records):
+            problem = json_object_problem(r, *TREE_RECORD)
+            if problem is not None:
+                raise TreeFormatError(f"tree record at {i}: {problem}")
+        cols = cols or _record_columns(records)
+    ids, times, parents, probs, data = cols
+    if not _types(times) <= {int}:
+        times = [int(v) for v in times]  # an integer-valued float such as 0.0
+    if not _types(probs) <= {float}:
+        probs = [float(v) for v in probs]
     try:
-        tree = ScenarioTree(nodes)
+        tree = ScenarioTree.from_columns(ids, times, parents, probs, data)
     except ValueError as e:
         raise TreeFormatError(str(e)) from None
     violations = validate(tree)
@@ -405,6 +529,39 @@ def tree_from_records(records: list[dict]) -> ScenarioTree:
             "invalid tree: " + "; ".join(violations), violations=violations
         )
     return tree
+
+
+def _types(column: list) -> set[type]:
+    return set(map(type, column))
+
+
+def _usual_keys(records: list) -> bool:
+    """Whether every record is a dict with the keys :data:`TREE_RECORD` allows."""
+    required, optional = TREE_RECORD
+    return _types(records) <= {dict} and all(
+        required.keys() <= set(keys) <= required.keys() | optional.keys()
+        for keys in set(map(tuple, records))
+    )
+
+
+def _record_columns(records: list) -> tuple[list, ...]:
+    """The (id, time, parent, prob, data) columns of records that have the keys."""
+    return (
+        *([r[key] for r in records] for key in ("id", "time", "parent", "prob")),
+        [r.get("data", {}) for r in records],
+    )
+
+
+def _plain_columns(ids: list, times: list, parents: list, probs: list, data: list) -> bool:
+    """Whether every column holds only the plainest values its
+    :data:`TREE_RECORD` type accepts (so every record keeps the table)."""
+    return (
+        _types(ids) <= {str}
+        and _types(times) <= {int} and min(times, default=0) >= 0
+        and _types(parents) <= {str, type(None)}
+        and _types(probs) <= {float, int}
+        and _types(data) <= {dict}
+    )
 
 
 def load_tree(path: str) -> ScenarioTree:
@@ -419,12 +576,6 @@ def load_tree(path: str) -> ScenarioTree:
 
 def tree_to_records(tree: ScenarioTree) -> list[dict]:
     return [
-        {
-            "id": n.id,
-            "time": n.time,
-            "parent": n.parent,
-            "prob": n.prob,
-            "data": dict(n.data),
-        }
-        for n in tree.nodes
+        {"id": i, "time": t, "parent": p, "prob": q, "data": dict(d)}
+        for i, t, p, q, d in zip(tree._ids, tree._times, tree._parents, tree._probs, tree._data)
     ]

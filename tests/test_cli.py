@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -179,10 +182,16 @@ class TestCheck:
         (lambda d: d.update(constraints={"1": {"lower": [-1.0], "upper": [1.0]}}),
          "constraint bounds at stage 1: not a stage 0..0"),
         (lambda d: d.update(trading_stages=[0, 1]), "trading stage 1 is not a stage 0..0"),
+        # float() reads a JSON boolean as 0 or 1: a number field rejects it
+        (lambda d: d["tree"][1]["data"].update(Z=[True]),
+         "node 'u': 'Z' is not a list of numbers: [True]"),
+        (lambda d: d["tree"][0]["data"].update(claim=True), "node 'r': 'claim' is not a number"),
+        (lambda d: d["cost"].update(coeff=True), "cost: 'coeff' is not a number: True"),
     ], ids=["missing_coeff", "gamma_1", "kappa_inf", "string_price", "sampled_no_grid",
             "box_lower_above_upper",
             "box_no_upper", "box_null_lower", "per_node_string", "leaf_utility_string",
-            "box_stage_negative", "box_stage_horizon", "trading_stage_horizon"])
+            "box_stage_negative", "box_stage_horizon", "trading_stage_horizon",
+            "bool_price", "bool_claim", "bool_coeff"])
     def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
         model = toy_model_dict()
         mutate(model)
@@ -545,7 +554,64 @@ def _fuzz_bases() -> list[dict]:
     ]
 
 
+def _numbers_and_ids(spec: dict) -> tuple[list, list]:
+    """Paths to every number (not a boolean) of a market file, and the node
+    ids it names: record ids and parents, and per-node cost parameter keys."""
+    numbers = [p for p in _leaf_paths(spec) if _at(spec, p).__class__ in (int, float)]
+    ids = [("tree", i, key) for i, r in enumerate(spec["tree"]) for key in ("id", "parent")
+           if r[key] is not None]
+    ids += [("cost", "per_node", k) for k in spec["cost"].get("per_node", {})]
+    return numbers, ids
+
+
+def _at(spec, path):
+    for key in path:
+        spec = spec[key]
+    return spec
+
+
+def _run(argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestFuzz:
+    def test_booleans_and_node_ids(self, tmp_path, capsys):
+        """A boolean in place of any number is malformed input; a node id
+        renamed to an unknown or an existing one, as a record id, a parent
+        or a per-node cost key, still fails closed."""
+        rng = np.random.default_rng(20261020)
+        bases = _fuzz_bases()
+        bases[0]["cost"]["per_node"] = {"u": [0.2, 3.0]}
+        path = tmp_path / "mutated.json"
+        renamed = 0
+        for i in range(120):
+            spec = copy.deepcopy(bases[i % len(bases)])
+            numbers, ids = _numbers_and_ids(spec)
+            if i % 2 == 0:
+                where = numbers[int(rng.integers(len(numbers)))]
+                _at(spec, where[:-1])[where[-1]] = bool(rng.integers(2))
+            else:
+                where = ids[int(rng.integers(len(ids)))]
+                other = [r["id"] for r in spec["tree"]] + ["zz"]
+                new = other[int(rng.integers(len(other)))]
+                parent = _at(spec, where[:-1])
+                if where[1] == "per_node":
+                    parent[new] = parent.pop(where[-1])
+                else:
+                    parent[where[-1]] = new
+                renamed += new != where[-1]
+            path.write_text(json.dumps(spec))
+            code, out, err = _run(["check", str(path), "--out", str(tmp_path / "o")], capsys)
+            assert "Traceback" not in err and code in range(6), (where, spec)
+            if i % 2 == 0:
+                assert code == 1 and err.startswith("error:"), (where, err)
+        assert renamed > 40
+
     def test_mutated_market_files_fail_closed(self, tmp_path, capsys):
         rng = np.random.default_rng(20261018)
         bases = _fuzz_bases()
@@ -567,3 +633,23 @@ class TestFuzz:
                 assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == [], (argv, spec)
                 assert "Traceback" not in err, (argv, spec)
                 assert "NaN" not in out, (argv, spec)
+
+
+class TestRepeatedCalls:
+    def test_in_process_calls_match_separate_processes(self, toy_file, tmp_path, capsys):
+        """One process that runs a good command, a malformed flag, then the
+        good command again prints and exits as three fresh processes do."""
+        out = str(tmp_path / "o")
+        runs = [["check", toy_file, "--out", out],
+                ["check", toy_file, "--points", "many", "--out", out],
+                ["check", toy_file, "--out", out]]
+        here = [_run(argv, capsys) for argv in runs]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+        apart = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "treedp.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            apart.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in here] == [0, 1, 0]
+        assert here == apart

@@ -681,3 +681,112 @@ class TestJsonLoader:
         model = market.load_market(str(p))
         lo, up = model.holdings_bounds(0)
         assert lo[0] == -1.0 and up[0] == INF
+
+
+def _rules_base() -> market.MarketModel:
+    tree = binomial_tree(2)
+    return market.MarketModel(
+        tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.2, 0.85),
+        cost=market.PowerIlliquidity(0.1, 2.0), utility=market.SShapedUtility(2.0, 1.0, 1.0))
+
+
+_BOX = (np.array([-1.0]), np.array([1.0]))
+_U = market.SShapedUtility(3.0, 1.0, 2.0)
+
+
+# (field, key, bad): "uu" is a leaf, "u" an interior node, "zz" no node; the
+# stages that decide are 0 and 1
+_KEYED = [
+    ("claims", "uu", False), ("claims", "u", False), ("claims", "zz", True),
+    ("endowment", "uu", False), ("endowment", "u", True), ("endowment", "zz", True),
+    ("utility_overrides", "uu", False), ("utility_overrides", "u", True),
+    ("utility_overrides", "zz", True),
+    ("per_node", "u", False), ("per_node", "zz", True),
+    ("prices", "zz", True),
+    ("constraints", 0, False), ("constraints", 1, False), ("constraints", 2, True),
+    ("constraints", -1, True),
+    ("trading_stages", 0, False), ("trading_stages", 2, True), ("trading_stages", -1, True),
+]
+
+
+def _keyed_api(model: market.MarketModel, field: str, key):
+    values = {"claims": 0.1, "endowment": 0.2, "utility_overrides": _U}
+    if field in values:
+        return dataclasses.replace(model, **{field: {key: values[field]}})
+    if field == "per_node":
+        return dataclasses.replace(model, cost=market.PowerIlliquidity(0.1, 2.0, {key: (0.5, 3.0)}))
+    if field == "prices":
+        return dataclasses.replace(model, prices={**model.prices, key: [1.0]})
+    if field == "constraints":
+        return dataclasses.replace(model, constraints={key: _BOX})
+    return dataclasses.replace(model, trading_stages=frozenset({key}))
+
+
+def _keyed_json(spec: dict, field: str, key) -> dict | None:
+    """The same field in a market file, or None where a file cannot name it
+    (node data can only sit at a node of the tree)."""
+    data = {r["id"]: r["data"] for r in spec["tree"]}
+    if field in ("claims", "endowment", "utility_overrides", "prices"):
+        if key not in data or field == "prices":
+            return None
+        name = {"claims": "claim", "endowment": "endowment", "utility_overrides": "utility"}[field]
+        data[key][name] = 0.1 if field == "claims" else (
+            0.2 if field == "endowment" else market._kind_to_dict(_U, market.UTILITIES))
+    elif field == "per_node":
+        spec["cost"]["per_node"] = {key: [0.5, 3.0]}
+    elif field == "constraints":
+        spec["constraints"] = {str(key): {"lower": [-1.0], "upper": [1.0]}}
+    else:
+        spec["trading_stages"] = [key]
+    return spec
+
+
+class TestOneSetOfRules:
+    @pytest.mark.parametrize("field, key, bad", _KEYED,
+                             ids=[f"{f}-{k}" for f, k, _ in _KEYED])
+    def test_api_and_check_reject_the_same_keys(self, field, key, bad, tmp_path, capsys):
+        """``MarketModel`` raises InvalidModel exactly when ``treedp check``
+        on the same fields as JSON prints ``error:`` and exits 1."""
+        from treedp import cli
+
+        base = _rules_base()
+        try:
+            _keyed_api(base, field, key)
+            api_rejects = False
+        except market.InvalidModel:
+            api_rejects = True
+        assert api_rejects == bad
+        spec = _keyed_json(market.market_to_dict(base), field, key)
+        if spec is None:
+            return
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        try:
+            code = cli.main(["check", str(path), "--out", str(tmp_path / "o")])
+        except SystemExit as e:
+            code = e.code
+        err = capsys.readouterr().err
+        assert (code == 1 and err.startswith("error:")) == api_rejects, (code, err)
+
+    def test_round_trip_of_models_the_api_accepts(self):
+        from test_ingestion import power_model
+
+        rng = np.random.default_rng(21)
+        for i in range(60):
+            model = ragged_frictionless_model(rng) if i % 2 else power_model(rng)
+            T = model.tree.horizon
+            if rng.random() < 0.3:
+                model = dataclasses.replace(model, trading_stages=frozenset(
+                    t for t in range(T) if rng.random() < 0.5))
+            spec = market.market_to_dict(model)
+            back = market.market_to_dict(market.market_from_dict(json.loads(json.dumps(spec))))
+            assert back == spec
+            # as text too, once the loader has made every parameter a float:
+            # a claim of -0.0 keeps its sign
+            again = market.market_to_dict(market.market_from_dict(json.loads(json.dumps(back))))
+            assert json.dumps(again) == json.dumps(back)
+
+    def test_rejects_prices_at_unknown_node(self):
+        model = sshaped_t2_model()
+        with pytest.raises(market.InvalidModel, match="prices at unknown node 'zz'"):
+            dataclasses.replace(model, prices={**model.prices, "zz": np.array([1.0])})
