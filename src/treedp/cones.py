@@ -751,10 +751,6 @@ def project_problem(problem: Problem, directions: DirectionSet) -> Problem:
         stage_funs[nid] = wrapped[id(sf)] if nid in deciding else sf
 
     meta = dict(problem.meta)
-    meta["projection"] = {
-        nid: directions.per_node.get(nid, np.zeros((problem.decision_dims[t], 0)))
-        for nid, t in decision
-    }
     paths = problem.meta.get("path_objectives")
     if paths is not None:
         anc, leaves = tree.ancestors, tree.ids_at(tree.horizon)

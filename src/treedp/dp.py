@@ -145,6 +145,16 @@ DEFAULT_CONFIG = SolveConfig()
 # ---------------------------------------------------------------------------
 
 
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's group of equal ``keys``, the groups numbered in order of
+    first appearance, and the index of each group's first entry."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
 class RowGroups:
     """Rows of a batch grouped by a per-position object, compared by identity.
 
@@ -158,17 +168,14 @@ class RowGroups:
     """
 
     def __init__(self, objs: Sequence[object], times: np.ndarray):
-        # groups in order of first appearance, decided on the objects' ids at once
-        keys = np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        self.objs: list[object] = [objs[i] for i in first[order].tolist()]
-        self.gid, self.times = rank[inverse.reshape(-1)], times
+        # groups decided on the objects' ids at once
+        self.gid, first = first_appearance(
+            np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs)))
+        self.objs: list[object] = [objs[i] for i in first.tolist()]
+        self.times = times
         # per stage: the group of all its positions, or -1 when they differ
         stages = int(times.max(initial=-1)) + 1
-        lo = np.full(stages, len(order), dtype=np.int64)
+        lo = np.full(stages, len(first), dtype=np.int64)
         hi = np.full(stages, -1, dtype=np.int64)
         np.minimum.at(lo, times, self.gid)
         np.maximum.at(hi, times, self.gid)

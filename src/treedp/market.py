@@ -38,13 +38,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .dp import Problem, RowGroups, StageFun, StateMap
+from .dp import Problem, RowGroups, StageFun, StateMap, first_appearance
 from .efun import (
     AffinePrecompose,
     ExtFun,
@@ -56,7 +57,6 @@ from .efun import (
     sublevel_zero_cone,
 )
 from .tree import (
-    Node,
     NodeValues,
     ScenarioTree,
     TreeFormatError,
@@ -89,7 +89,8 @@ class Frictionless:
     def params_at(self, node_id: str) -> tuple:
         return ()
 
-    def cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
+    def cost_many(self, params: tuple, D: np.ndarray) -> np.ndarray:
+        """The cost of each trade D[j] (zero)."""
         return np.zeros(D.shape[0])
 
 
@@ -119,8 +120,10 @@ class PowerIlliquidity:
             return self.per_node[node_id]
         return self.coeff, self.exponent
 
-    def cost_many(self, node: Node, D: np.ndarray) -> np.ndarray:
-        lam, p = self.params_at(node.id)
+    def cost_many(self, params: tuple[float, float], D: np.ndarray) -> np.ndarray:
+        """The cost of each trade D[j] at the parameters ``params``, as
+        :meth:`params_at` gives them."""
+        lam, p = params
         # a cost too large for a float is +inf, the right value for the
         # solver (the trade is never chosen); lam > 0 keeps it from NaN
         with np.errstate(over="ignore"):
@@ -259,7 +262,9 @@ class MarketModel:
         first offender in the field's own order: the prices by node, then
         the claims, endowments, utility overrides and per-node cost
         parameters by entry (an unknown node id, then a non-leaf node
-        where a leaf is needed, then a value that is not finite).
+        where a leaf is needed, then a value that is not finite), then the
+        trading stages in increasing order and the constraint bounds by
+        entry.
         """
         tree = self.tree
         Z = _price_array(tree, self.prices, self.n_risky)
@@ -273,21 +278,8 @@ class MarketModel:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise InvalidModel(f"{name} is not finite: {v}")
-        stages = range(self.tree.horizon)  # the stages that decide
-        for t in sorted(self.trading_stages or ()):
-            if t not in stages:
-                raise InvalidModel(f"trading stage {t} is not a stage 0..{len(stages) - 1}")
-        if self.constraints:
-            for t, (lo, up) in self.constraints.items():
-                if t not in stages:
-                    raise InvalidModel(
-                        f"constraint bounds at stage {t}: not a stage 0..{len(stages) - 1}")
-                try:
-                    IndicatorBox(lo, up)  # shape/order checks
-                except ValueError as e:
-                    raise InvalidModel(f"constraint bounds at stage {t}: {e}") from None
-                if np.atleast_1d(lo).shape != (self.n_risky,):
-                    raise InvalidModel(f"constraint bounds at stage {t} have wrong shape")
+        _stage_keyed(tree, dict.fromkeys(sorted(self.trading_stages or ())), "trading stage {} is ")
+        _stage_keyed(tree, self.constraints or {}, "constraint bounds at stage {}: ", self.n_risky)
 
     def _per_position(self, entries: Mapping[str, float]) -> np.ndarray:
         """The node-keyed floats ``entries`` as one value per position (0.0 elsewhere)."""
@@ -309,28 +301,29 @@ class MarketModel:
         return self._per_position(self.endowment)
 
     @cached_property
-    def cost_groups(self) -> tuple[np.ndarray, list[Node]]:
+    def cost_groups(self) -> tuple[np.ndarray, list[tuple]]:
         """Each position's group of nodes that share cost parameters
         (numbered by first appearance in node order) and each group's
-        first node."""
-        tree, cost = self.tree, self.cost
-        ids = tree.ids
+        parameters, as :meth:`params_at` gives them at its first node."""
+        cost, ids = self.cost, self.tree.ids
         per_node = getattr(cost, "per_node", None) or {}
         label = np.zeros(len(ids), dtype=np.int64)  # 0: the parameters of unlisted nodes
-        table: dict[tuple, int] = {}
-        unlisted = next((i for i in ids if i not in per_node), None)
-        if unlisted is not None:
-            table[tuple(cost.params_at(unlisted))] = 0
         if per_node:
-            where = np.fromiter(map(tree.id_positions.__getitem__, per_node), np.int64,
-                                len(per_node))
-            label[where] = [table.setdefault(tuple(cost.params_at(k)), len(table))
-                            for k in per_node]
-        _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        return _frozen(rank[inverse.reshape(-1)]), [tree.node(ids[i]) for i in first[order].tolist()]
+            table = {(cost.coeff, cost.exponent): 0}
+            label[np.fromiter(map(self.tree.id_positions.__getitem__, per_node), np.int64,
+                              len(per_node))] = [table.setdefault(tuple(p), len(table))
+                                                 for p in per_node.values()]
+        groups, first = first_appearance(label)
+        return _frozen(groups), [tuple(cost.params_at(ids[i])) for i in first.tolist()]
+
+    @cached_property
+    def leaf_utilities(self) -> dict[str, Utility]:
+        """The utilities the leaves use, by name: ``"<global>"`` when some
+        leaf has no override (or the tree has no leaf), then each override
+        by its leaf id."""
+        tree, overrides = self.tree, self.utility_overrides
+        unused = 0 < len(overrides) == len(tree.positions_at(tree.horizon))
+        return {**({} if unused else {"<global>": self.utility}), **overrides}
 
     def Z(self, node_id: str) -> np.ndarray:
         return self.prices[node_id]
@@ -358,9 +351,9 @@ class MarketModel:
         return np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(up, float))
 
     def lower_bound(self) -> float:
-        """Integrable lower bound of the leaf disutility: -sup u."""
-        sups = [self.utility.sup()] + [u.sup() for u in self.utility_overrides.values()]
-        return -max(sups)
+        """Integrable lower bound of the leaf disutility: -sup u over the
+        utilities the leaves use."""
+        return -max(u.sup() for u in self.leaf_utilities.values())
 
 
 _MISSING = object()
@@ -434,6 +427,25 @@ def _node_keyed(
         raise InvalidModel(f"{noun} at {nid!r} is not finite: {entries[nid]}")
 
 
+def _stage_keyed(tree: ScenarioTree, entries: Mapping, lead: str, J: int | None = None) -> None:
+    """Check the keys of ``entries``, in entry order, against the stages
+    that decide (0..T-1) and, with ``J``, each value as the (lower, upper)
+    bounds of J holdings: InvalidModel names the first offender, the
+    message led by ``lead`` formatted with its stage."""
+    for t, bounds in entries.items():
+        if t not in range(tree.horizon):
+            raise InvalidModel(f"{lead.format(t)}not a stage 0..{tree.horizon - 1}")
+        if J is None:
+            continue
+        lo, up = bounds
+        try:
+            IndicatorBox(lo, up)  # shape/order checks
+        except ValueError as e:
+            raise InvalidModel(f"{lead.format(t)}{e}") from None
+        if np.atleast_1d(lo).shape != (J,):
+            raise InvalidModel(f"constraint bounds at stage {t} have wrong shape")
+
+
 # ---------------------------------------------------------------------------
 # validation of the standing assumptions
 # ---------------------------------------------------------------------------
@@ -478,6 +490,9 @@ class ValidationReport:
 
 
 def validate(model: MarketModel) -> ValidationReport:
+    """Decide the standing assumptions of ``model`` analytically; the
+    utility conditions read the utilities the leaves use
+    (:attr:`MarketModel.leaf_utilities`)."""
     c: dict[str, dict] = {}
     frictionless = model.cost.is_frictionless()
     if frictionless:
@@ -502,8 +517,8 @@ def validate(model: MarketModel) -> ValidationReport:
             "note": "power cost grows superlinearly in every nonzero trade direction",
         }
 
-    utilities = [("<global>", model.utility)] + list(model.utility_overrides.items())
-    slopes = {name: u.loss_slope for name, u in utilities}
+    utilities = model.leaf_utilities
+    slopes = {name: u.loss_slope for name, u in utilities.items()}
     min_slope = min(slopes.values())
     if min_slope > 0:
         c["utility_loss_decay"] = {
@@ -529,7 +544,7 @@ def validate(model: MarketModel) -> ValidationReport:
             "status": "fails",
             "note": "positive expenditure directions are not penalized at scale",
         }
-    inada = all(u.loss_slope == INF for _, u in utilities)
+    inada = all(u.loss_slope == INF for u in utilities.values())
     c["inada"] = {
         "status": "holds" if inada else "fails",
         "note": (
@@ -561,9 +576,8 @@ def _free_disposal_check(model: MarketModel) -> dict:
     radius = INF
     if model.n_risky:
         zmin = np.minimum.reduce(Z, axis=1)
-        groups, reps = model.cost_groups
-        for g, node in enumerate(reps):
-            lam, p = model.cost.params_at(node.id)
+        groups, params = model.cost_groups
+        for g, (lam, p) in enumerate(params):
             zm = zmin[groups == g].min()
             with np.errstate(over="ignore"):
                 ratio = zm / (lam * p)
@@ -597,58 +611,6 @@ def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-@dataclass(frozen=True)
-class _PositionData:
-    """Per-position market data of the tree, built once per problem.
-
-    ``at(name, t, K)`` reads the ``claim`` or ``endow`` of the stage-t
-    positions K: one float when every stage-t node holds the same bits
-    (arithmetic with it equals that with the gathered rows, bit for bit),
-    else one value per row.  ``cost(K, D)`` is the friction cost of trade
-    D[j] at the node of position K[j]: one ``cost_many`` call per group of
-    nodes that share cost parameters, with a representative node of the
-    group.  ``params`` holds each position's cost parameters.
-    """
-
-    Z: np.ndarray        # (N, J) prices
-    claim: np.ndarray    # (N,)
-    endow: np.ndarray    # (N,)
-    params: np.ndarray   # (N, number of cost parameters)
-    cost_model: Frictionless | PowerIlliquidity
-    cost_groups: RowGroups
-    stage_values: Mapping[str, Mapping[int, float]]  # name -> stage -> shared value
-
-    @classmethod
-    def of(cls, model: MarketModel) -> "_PositionData":
-        tree = model.tree
-        values = {"claim": model.claim_array, "endow": model.endowment_array}
-        shared: dict[str, dict[int, float]] = {name: {} for name in values}
-        for t in range(tree.horizon + 1):
-            P = tree.positions_at(t)
-            for name, v in values.items():
-                bits = v[P].view(np.int64)
-                if bits.size and (bits == bits[0]).all():
-                    shared[name][t] = float(v[P[0]])
-        groups, reps = model.cost_groups
-        params = [tuple(model.cost.params_at(node.id)) for node in reps]
-        return cls(
-            Z=model.price_array,
-            params=np.array(params, dtype=float).reshape(len(reps), -1)[groups]
-            if reps else np.zeros((0, 0)),
-            cost_model=model.cost,
-            cost_groups=RowGroups(list(map(reps.__getitem__, groups.tolist())), tree.times),
-            stage_values=shared,
-            **values,
-        )
-
-    def at(self, name: str, t: int, K: np.ndarray) -> np.ndarray | float:
-        shared = self.stage_values[name].get(t)
-        return getattr(self, name).take(K) if shared is None else shared
-
-    def cost(self, K: np.ndarray, D: np.ndarray) -> np.ndarray:
-        return self.cost_groups.map(K, lambda node, rows: self.cost_model.cost_many(node, D[rows]))
-
-
 def _decision_box(model: MarketModel, t: int, lead: int) -> IndicatorBox | None:
     """Bounds of an open stage-t decision: the ``lead`` expenditure
     coordinates are nonpositive and the holdings keep their box; None when
@@ -662,7 +624,8 @@ def _decision_box(model: MarketModel, t: int, lead: int) -> IndicatorBox | None:
 
 
 def _path_objectives(
-    model: MarketModel, lead: int, data: _PositionData, moves: np.ndarray
+    model: MarketModel, lead: int, moves: np.ndarray,
+    boxes: list[IndicatorBox | None], disutility: Mapping[int, ExtFun],
 ) -> NodeValues:
     """Each leaf's objective as an expression over its path decisions.
 
@@ -670,17 +633,19 @@ def _path_objectives(
     is affine in the decisions: the initial cash, the expenditures, the
     gains phi_t . (Z_{t+1} - Z_t), the endowment and minus the claims
     along the path.  The leaf objective is the disutility of minus that
-    wealth plus the decision boxes (one term per stage, shared by every
-    leaf).  The post-trade cash at each node of the path is affine too:
-    the initial cash, the expenditures and claims so far, the gains of
-    the earlier holdings, minus the value of the new holdings.  A
+    wealth (``disutility``: the builder's one per distinct utility, by
+    id) plus the builder's decision ``boxes`` (one term per stage, shared
+    by every leaf).  The post-trade cash at each node of the path is
+    affine too: the initial cash, the expenditures and claims so far, the
+    gains of the earlier holdings, minus the value of the new holdings.  A
     borrowing limit adds the halfspace indicator of each of them.
 
     Every leaf's rows are built together, one stage at a time, from the
-    tree's ancestor table and the per-position price moves ``moves``
-    (Z_p - Z_parent(p)).  The result is a read-only mapping in leaf
-    order that builds a leaf's expression from its rows when it is first
-    read, so a caller that reads a few leaves pays for those alone.
+    tree's ancestor table, the model's per-position arrays and the price
+    moves ``moves`` (Z_p - Z_parent(p)).  The result is a read-only
+    mapping in leaf order that builds a leaf's expression from its rows
+    when it is first read, so a caller that reads a few leaves pays for
+    those alone.
     """
     tree = model.tree
     T, anc = tree.horizon, tree.ancestors
@@ -693,42 +658,40 @@ def _path_objectives(
         row[:, t * d : t * d + lead] = 1.0
         if limited:
             cash[:, t] = row
-            cash[:, t, t * d + lead : (t + 1) * d] = -data.Z[anc[:, t]]
+            cash[:, t, t * d + lead : (t + 1) * d] = -model.price_array[anc[:, t]]
         row[:, t * d + lead : (t + 1) * d] = moves[anc[:, t + 1]]
     # the claims paid up to each path node, summed left to right (+ 0.0: a
     # sum that starts from 0 is never -0.0)
-    claims = np.cumsum(data.claim[anc], axis=1) + 0.0
-    const = model.initial_cash - claims[:, T] + data.endow[anc[:, T]]
-    boxes: list[ExtFun] = []
-    for t in range(T):
-        box = _decision_box(model, t, lead)
+    claims = np.cumsum(model.claim_array[anc], axis=1) + 0.0
+    const = model.initial_cash - claims[:, T] + model.endowment_array[anc[:, T]]
+    terms: list[ExtFun] = []  # the decision boxes, on their stage's block
+    for t, box in enumerate(boxes):
         if box is not None:
             sel = np.zeros((d, T * d))
             sel[:, t * d : (t + 1) * d] = np.eye(d)
-            boxes.append(AffinePrecompose(box, sel))
+            terms.append(AffinePrecompose(box, sel))
     if limited:
         lower = model.cash_lower - (model.initial_cash - claims[:, :T])
     leaves = tree.ids_at(T)
-    disutility: dict[int, ExtFun] = {}  # one per distinct utility
 
     def leaf(i: int) -> ExtFun:
-        u = model.utility_at(leaves[i])
-        if id(u) not in disutility:
-            disutility.setdefault(id(u), u.disutility())
-        terms = [AffinePrecompose(disutility[id(u)], -row[i : i + 1], [-const[i]]), *boxes]
+        V = disutility[id(model.utility_at(leaves[i]))]
+        parts = [AffinePrecompose(V, -row[i : i + 1], [-const[i]]), *terms]
         if limited:
             # one term for all of the path's limits: its domain point meets them all
-            terms.append(AffinePrecompose(IndicatorBox(lower[i], np.full(T, INF)), cash[i]))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            parts.append(AffinePrecompose(IndicatorBox(lower[i], np.full(T, INF)), cash[i]))
+        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
     return NodeValues(dict(zip(leaves, range(len(leaves)))), leaf)
 
 
 def _node_rows(
-    model: MarketModel, lead: int, moves: np.ndarray
+    model: MarketModel, lead: int, moves: np.ndarray,
+    boxes: list[IndicatorBox | None], disutility: Mapping[int, ExtFun],
 ) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
     """Each decision node's zero-sublevel rows over its own decision, from
-    the per-position price moves ``moves`` (Z_p - Z_parent(p)).
+    the price moves ``moves``, ``boxes`` and ``disutility`` of
+    :func:`_path_objectives`.
 
     Per stage t, ``(rows, start)``: the i-th node of ``positions_at(t)``
     owns ``rows[start[i]:start[i + 1]]``, one row -(1, Z_c - Z_n) per
@@ -744,18 +707,13 @@ def _node_rows(
     tree = model.tree
     if model.cash_lower is not None:
         return None
-    overrides = model.utility_overrides
-    used = list(overrides.values())  # the leaves' utilities
-    if len(overrides) < len(tree.positions_at(tree.horizon)):
-        used.append(model.utility)
-    for u in {id(u): u for u in used}.values():
-        rows = sublevel_zero_cone(horizon(u.disutility()))
+    for V in disutility.values():
+        rows = sublevel_zero_cone(horizon(V))
         if rows is None or rows.tolist() != [[1.0]]:
             return None
     d = lead + model.n_risky
     out = {}
-    for t in range(tree.horizon):
-        box = _decision_box(model, t, lead)
+    for t, box in enumerate(boxes):
         box_rows = np.zeros((0, d)) if box is None else sublevel_zero_cone(box.horizon_cone())
         P = tree.positions_at(t)
         first = tree.child_start[P]
@@ -783,7 +741,8 @@ def _default_grids(
     Per stage, a (cash, holdings) grid: the cash axis spans everything T
     such trades, their costs and the claims can move the cash account
     around ``initial_cash``.  The largest cost is that of a full-width
-    trade, evaluated once per group of nodes that share cost parameters.
+    trade, evaluated once per group of nodes that share cost parameters
+    (:attr:`MarketModel.cost_groups`).
     """
     tree = model.tree
     J, T = model.n_risky, tree.horizon
@@ -791,10 +750,8 @@ def _default_grids(
     max_z = float(np.abs(model.price_array).max()) if N else 1.0
     max_claim = float(np.abs(model.claim_array).max()) if N else 0.0
     trade = np.full((1, J), 2.0 * radius)
-    max_cost = max(
-        (float(model.cost.cost_many(node, trade)[0]) for node in model.cost_groups[1]),
-        default=0.0,
-    )
+    max_cost = max((float(model.cost.cost_many(params, trade)[0])
+                    for params in model.cost_groups[1]), default=0.0)
     span = T * (2.0 * radius * J * max_z + max_cost + max_claim) + 0.5
     x0 = model.initial_cash
     cash_ax = _axis(x0 - span, x0 + span, cash_points)
@@ -837,28 +794,45 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
     tree = model.tree
     J, T = model.n_risky, tree.horizon
     lead = int(form == "terminal")  # the expenditure coordinate
-    dims = tuple(lead + J if model.can_trade(t) else 0 for t in range(T)) + (0,)
+    times, trades = tree.times, [model.can_trade(t) for t in range(T)]
+    dims = tuple(lead + J if trades[t] else 0 for t in range(T)) + (0,)
     state_dims = tuple([J + 1] * T + [1])
+    prices = model.price_array
 
-    data = _PositionData.of(model)
-    times = tree.times
-    trades = [model.can_trade(t) for t in range(T)]
+    def stage_reader(v: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray | float]:
+        """``v`` at the stage-t positions K: one float when every stage-t
+        node holds the same bits (arithmetic with it equals that with the
+        gathered rows, bit for bit), else one value per row."""
+        shared = {}
+        for t in range(T + 1):
+            bits = v[tree.positions_at(t)].view(np.int64)
+            if bits.size and (bits == bits[0]).all():
+                shared[t] = float(v[tree.positions_at(t)[0]])
+        return lambda t, K: v.take(K) if shared.get(t) is None else shared[t]
+
+    claim_at, endow_at = stage_reader(model.claim_array), stage_reader(model.endowment_array)
+    # one cost_many call per group of rows whose nodes share cost parameters
+    groups, params = model.cost_groups
+    cost_rows = RowGroups([params[g] for g in groups.tolist()], times)
+
+    def cost(K: np.ndarray, D: np.ndarray) -> np.ndarray:
+        return cost_rows.map(K, lambda p, rows: model.cost.cost_many(p, D[rows]))
 
     def transition(K: np.ndarray, S: np.ndarray, X: np.ndarray) -> np.ndarray:
         t = times[K[0]]
-        Z = data.Z.take(K, axis=0)
+        Z = prices.take(K, axis=0)
         phi = S[:, 1:]
         if t == T:
-            liq = _rowdot(phi, Z) - data.cost(K, -phi)
-            wealth = S[:, 0] + liq - data.at("claim", t, K) + data.at("endow", t, K)
+            liq = _rowdot(phi, Z) - cost(K, -phi)
+            wealth = S[:, 0] + liq - claim_at(t, K) + endow_at(t, K)
             return wealth[:, None]
         target = X[:, lead:] if trades[t] else phi
         delta = target - phi
         # (cash - claim) - (delta . Z + cost), then the expenditure
         out = np.empty((len(K), J + 1))
         cash = out[:, 0]
-        np.subtract(S[:, 0], data.at("claim", t, K), out=cash)
-        cash -= _rowdot(delta, Z) + data.cost(K, delta)
+        np.subtract(S[:, 0], claim_at(t, K), out=cash)
+        cash -= _rowdot(delta, Z) + cost(K, delta)
         if lead and trades[t]:
             cash += X[:, 0]
         out[:, 1:] = target
@@ -877,30 +851,23 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
 
         return fn
 
-    per_stage: dict[int, StageFun] = {}
-    for t in range(T):
-        box = _decision_box(model, t, lead) if trades[t] else None
-        if box is not None or lower is not None:
-            per_stage[t] = constraint(box)
+    # each open stage's decision box, shared by its constraint, the path
+    # objectives and the node rows
+    boxes = [_decision_box(model, t, lead) if trades[t] else None for t in range(T)]
+    per_stage = {t: constraint(box) for t, box in enumerate(boxes)
+                 if box is not None or lower is not None}
     stage_funs = {nid: per_stage[t] for nid, t in zip(tree.ids, times.tolist()) if t in per_stage}
 
-    shared: dict[int, ExtFun] = {}  # one leaf objective per distinct utility
-
-    def leaf_objective(u: Utility) -> ExtFun:
-        if id(u) not in shared:
-            shared[id(u)] = AffinePrecompose(u.disutility(), [[-1.0]])
-        return shared[id(u)]
-
-    leaves, overrides = tree.ids_at(T), model.utility_overrides
-    leaf_obj: dict[str, ExtFun] = dict.fromkeys(
-        leaves, leaf_objective(model.utility) if len(overrides) < len(leaves) else None)
-    for nid, u in overrides.items():
-        leaf_obj[nid] = leaf_objective(u)
+    # one disutility and one leaf objective per distinct utility the leaves use
+    disutility = {id(u): u.disutility() for u in model.leaf_utilities.values()}
+    objective = {k: AffinePrecompose(V, [[-1.0]]) for k, V in disutility.items()}
+    leaf_obj = {leaf: objective[id(model.utility_at(leaf))] for leaf in tree.ids_at(T)}
 
     # what the transition reads from a position: prices, claim, endowment
     # and cost parameters, compared as bits (stage functions and leaf
     # objectives are shared per stage and per utility, compared by identity)
-    local = np.column_stack([data.Z, data.claim, data.endow, data.params])
+    local = np.column_stack([prices, model.claim_array, model.endowment_array,
+                             np.array(params, dtype=float, ndmin=2)[groups]])
     local_keys = dict(zip(tree.ids, local.view(f"V{local.shape[1] * 8}").ravel().tolist()))
 
     initial = np.concatenate([[model.initial_cash], np.zeros(J)])
@@ -910,11 +877,11 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         # axis, so that axis is denser than the holdings axes
         "grids": _default_grids(model, radius, points, 2 * points - 1 if lead else points),
     }
-    if model.cost.is_frictionless() and all(model.can_trade(t) for t in range(T)):
+    if model.cost.is_frictionless() and all(trades):
         # the one-period price move into each position (0 at the root)
-        moves = data.Z - data.Z[np.maximum(tree.parent_pos, 0)]
-        meta["path_objectives"] = _path_objectives(model, lead, data, moves)
-        node_rows = _node_rows(model, lead, moves)
+        moves = prices - prices[np.maximum(tree.parent_pos, 0)]
+        meta["path_objectives"] = _path_objectives(model, lead, moves, boxes, disutility)
+        node_rows = _node_rows(model, lead, moves, boxes, disutility)
         if node_rows is not None:
             meta["node_rows"] = node_rows
     return Problem(
@@ -979,28 +946,19 @@ def _has_bool(v) -> bool:
     return isinstance(v, bool) or isinstance(v, list) and any(map(_has_bool, v))
 
 
-def _number(d: Mapping, key: str, where: str) -> float:
-    """``d[key]`` as a float, or InvalidModel naming the field."""
-    if key not in d:
-        raise InvalidModel(f"{where} is missing {key!r}")
-    try:
-        if isinstance(d[key], bool):
-            raise TypeError
-        return float(d[key])  # parses "inf"/"-inf" spellings too
-    except (TypeError, ValueError):
-        raise InvalidModel(f"{where}: {key!r} is not a number: {d[key]!r}") from None
-
-
-def _numbers(d: Mapping, key: str, where: str) -> np.ndarray:
-    """``d[key]`` as a float array, or InvalidModel naming the field."""
+def _number(d: Mapping, key: str, where: str, array: bool = False) -> float | np.ndarray:
+    """``d[key]`` as a float (with ``array``, a float array), or
+    InvalidModel naming the field and quoting the value, shortened."""
     if key not in d:
         raise InvalidModel(f"{where} is missing {key!r}")
     try:
         if _has_bool(d[key]):
             raise TypeError
-        return np.asarray(d[key], dtype=float)
+        # float() parses "inf"/"-inf" spellings too
+        return np.asarray(d[key], dtype=float) if array else float(d[key])
     except (TypeError, ValueError):
-        raise InvalidModel(f"{where}: {key!r} is not a list of numbers: {d[key]!r}") from None
+        what = "a list of numbers" if array else "a number"
+        raise InvalidModel(f"{where}: {key!r} is not {what}: {reprlib.repr(d[key])}") from None
 
 
 def _float(v) -> float:
@@ -1019,15 +977,15 @@ UTILITIES = {"sshaped": SShapedUtility, "sampled": SampledUtility}
 def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
     """The ``table`` class named by ``d["kind"]``, built from ``d``'s fields.
 
-    Array fields are read with :func:`_numbers`, other numbers with
-    :func:`_number`; an absent field that has a default takes it.
+    Array fields and other numbers are read with :func:`_number`; an
+    absent field that has a default takes it.
     """
     if not isinstance(d, Mapping):
-        raise InvalidModel(f"{where} is not an object: {d!r}")
+        raise InvalidModel(f"{where} is not an object: {reprlib.repr(d)}")
     kind = d.get("kind")
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise InvalidModel(f"unknown {noun} kind {kind!r}")
+        raise InvalidModel(f"unknown {noun} kind {reprlib.repr(kind)}")
     args = {}
     for f in fields(cls):
         if f.name not in d and f.default is not MISSING:
@@ -1038,24 +996,25 @@ def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
                 args[f.name] = {k: (_float(p[0]), _float(p[1])) for k, p in v.items()}
             except (AttributeError, IndexError, KeyError, TypeError, ValueError):
                 raise InvalidModel(
-                    f"cost.per_node must map node ids to [coeff, exponent]: {v!r}"
+                    f"cost.per_node must map node ids to [coeff, exponent]: {reprlib.repr(v)}"
                 ) from None
         elif f.type == "np.ndarray":
-            args[f.name] = _numbers(d, f.name, where)
+            args[f.name] = _number(d, f.name, where, array=True)
         else:
             args[f.name] = _number(d, f.name, where)
     return cls(**args)
 
 
 def _kind_to_dict(obj, table: Mapping[str, type]) -> dict:
-    """Inverse of :func:`_kind_from_dict`; an unset ``per_node`` is left out."""
+    """Inverse of :func:`_kind_from_dict`, every number a float (as the
+    reader makes it); an unset ``per_node`` is left out."""
     out: dict = {"kind": next(k for k, cls in table.items() if type(obj) is cls)}
     for f in fields(obj):
         v = getattr(obj, f.name)
         if f.name != "per_node":
-            out[f.name] = np.asarray(v).tolist()
+            out[f.name] = np.asarray(v, dtype=float).tolist()
         elif v:
-            out[f.name] = {k: list(p) for k, p in v.items()}
+            out[f.name] = {k: list(map(float, p)) for k, p in v.items()}
     return out
 
 
@@ -1091,7 +1050,7 @@ def market_from_dict(d: Mapping) -> MarketModel:
         node, where = ids[i], f"node {ids[i]!r}"
         if "Z" not in data[i]:
             raise InvalidModel(f"node {node!r} carries no prices (data.Z)")
-        _numbers(data[i], "Z", where)
+        _number(data[i], "Z", where, array=True)
         for key in ("claim", "endowment"):
             if key in data[i]:
                 _number(data[i], key, where)
@@ -1136,25 +1095,27 @@ def market_from_dict(d: Mapping) -> MarketModel:
 
 
 def market_to_dict(model: MarketModel) -> dict:
+    """The market file of ``model``, every price, amount and parameter
+    written as a float, as the reader makes it: loading it gives a model
+    that writes the same text."""
     records = tree_to_records(model.tree)
     for r, z in zip(records, model.price_array.tolist()):
         r["data"]["Z"] = z
     where = model.tree.id_positions
-    for nid, v in model.claims.items():
-        records[where[nid]]["data"]["claim"] = float(v)
-    for nid, v in model.endowment.items():
-        records[where[nid]]["data"]["endowment"] = float(v)
+    for key, entries in (("claim", model.claims), ("endowment", model.endowment)):
+        for nid, v in entries.items():
+            records[where[nid]]["data"][key] = float(v)
     for nid, u in model.utility_overrides.items():
         records[where[nid]]["data"]["utility"] = _kind_to_dict(u, UTILITIES)
     out: dict = {
         "assets": model.n_risky,
-        "initial_cash": model.initial_cash,
+        "initial_cash": float(model.initial_cash),
         "cost": _kind_to_dict(model.cost, COSTS),
         "utility": _kind_to_dict(model.utility, UTILITIES),
         "tree": records,
     }
     if model.cash_lower is not None:
-        out["cash_lower"] = model.cash_lower
+        out["cash_lower"] = float(model.cash_lower)
     if model.trading_stages is not None:
         out["trading_stages"] = sorted(model.trading_stages)
     if model.constraints:

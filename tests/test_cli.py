@@ -612,6 +612,28 @@ class TestFuzz:
                 assert code == 1 and err.startswith("error:"), (where, err)
         assert renamed > 40
 
+    @pytest.mark.parametrize("bad", [True, "x"])
+    def test_long_values_are_quoted_short(self, bad, tmp_path, capsys):
+        """A malformed entry in a long array or mapping of a market file
+        ends as one short error line: the message shortens what it quotes."""
+        bases = _fuzz_bases()
+        sampled = next(b for b in bases if b["utility"]["kind"] == "sampled")
+        power = next(b for b in bases if b["cost"]["kind"] == "power")
+        assert len(sampled["utility"]["grid"]) == 16_001
+        many = {f"n{i}": [0.1, 2.0] for i in range(5000)}
+        path = tmp_path / "m.json"
+        for base, mutate in (
+            (sampled, lambda d: d["utility"]["grid"].__setitem__(8000, bad)),
+            (sampled, lambda d: d["tree"][0]["data"].update(utility=["x"] * 5000 + [bad])),
+            (sampled, lambda d: d["utility"].update(kind="k" * 5000)),
+            (power, lambda d: d["cost"].update(per_node={**many, "u": [bad, 2.0]})),
+        ):
+            spec = copy.deepcopy(base)
+            mutate(spec)
+            path.write_text(json.dumps(spec))
+            code, _, err = _run(["check", str(path), "--out", str(tmp_path / "o")], capsys)
+            assert code == 1 and err.startswith("error:") and len(err) < 1000, err[:200]
+
     def test_mutated_market_files_fail_closed(self, tmp_path, capsys):
         rng = np.random.default_rng(20261018)
         bases = _fuzz_bases()

@@ -359,7 +359,7 @@ def read_by_node(d):
         if "Z" not in data:
             raise market.InvalidModel(f"node {node.id!r} carries no prices (data.Z)")
         where = f"node {node.id!r}"
-        prices[node.id] = market._numbers(data, "Z", where)
+        prices[node.id] = market._number(data, "Z", where, array=True)
         if "claim" in data:
             claims[node.id] = market._number(data, "claim", where)
         if "endowment" in data:
@@ -424,6 +424,7 @@ def position_data_by_node(model):
     return {
         "claim": claim, "endow": endow, "Z": Z,
         "groups": [list(reps.values()).index(r) for r in group_of],
+        "params": [tuple(model.cost.params_at(n.id)) for n in reps.values()],
         "local_keys": {n.id: row.tobytes() for n, row in zip(nodes, local)},
     }
 
@@ -434,7 +435,8 @@ def default_grids_by_node(model, radius, points, cash_points):
     max_z = max((float(np.abs(model.Z(n.id)).max()) for n in tree.nodes), default=1.0)
     max_claim = max((abs(model.claim(n.id)) for n in tree.nodes), default=0.0)
     trade = np.full((1, J), 2.0 * radius)
-    max_cost = max((float(model.cost.cost_many(n, trade)[0]) for n in tree.nodes), default=0.0)
+    max_cost = max((float(model.cost.cost_many(model.cost.params_at(n.id), trade)[0])
+                    for n in tree.nodes), default=0.0)
     span = T * (2.0 * radius * J * max_z + max_cost + max_claim) + 0.5
     x0 = model.initial_cash
     cash_ax = market._axis(x0 - span, x0 + span, cash_points)
@@ -498,10 +500,11 @@ class TestBuilders:
     def test_inputs_match_the_node_loop(self):
         for model in builder_models():
             want = position_data_by_node(model)
-            data = market._PositionData.of(model)
-            for key in ("claim", "endow", "Z"):
-                assert same(getattr(data, key), want[key]), key
-            assert data.cost_groups.gid.tolist() == want["groups"]
+            for key, got in (("claim", model.claim_array), ("endow", model.endowment_array),
+                             ("Z", model.price_array)):
+                assert same(got, want[key]), key
+            groups, params = model.cost_groups
+            assert groups.tolist() == want["groups"] and params == want["params"]
             for lead, build in enumerate((market.build_problem_cash,
                                           market.build_problem_terminal)):
                 problem = build(model, radius=1.5, points=5)

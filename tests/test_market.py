@@ -231,13 +231,13 @@ class TestBuilders:
         # the limit reads the post-trade cash of the one transition per row, so
         # a floor no state reaches adds no transition or cost row and moves no bit
         rows = {"transition": 0, "cost": 0}
-        cost = market._PositionData.cost
+        cost_many = market.PowerIlliquidity.cost_many
 
-        def counted_cost(self, K, D):
-            rows["cost"] += len(K)
-            return cost(self, K, D)
+        def counted_cost(self, params, D):
+            rows["cost"] += len(D)
+            return cost_many(self, params, D)
 
-        monkeypatch.setattr(market._PositionData, "cost", counted_cost)
+        monkeypatch.setattr(market.PowerIlliquidity, "cost_many", counted_cost)
         outcomes = []
         for lower in (None, -100.0):
             model = dataclasses.replace(sshaped_t2_model(), cash_lower=lower)
@@ -437,7 +437,7 @@ class TestLiquidationValue:
             utility=market.SShapedUtility(2.0, 1.0, 1.0),
         )
         # closing one unit: proceeds 1, closing trade -1 costs |−1|^2 = 1
-        assert model.cost.cost_many(tree.node("u"), np.array([[-1.0]]))[0] == 1.0
+        assert model.cost.cost_many(model.cost.params_at("u"), np.array([[-1.0]]))[0] == 1.0
         assert liquidated(model, "u", [1.0]) == 0.0
 
 
@@ -494,19 +494,77 @@ class TestModelProperties:
         # and decreasing beyond it
         nid = min(radii, key=radii.get)
         trades = np.array([[s * radius, 0.0] for s in (-1.01, -1.0, -0.99)])
-        cost = trades @ model.Z(nid) + model.cost.cost_many(tree.node(nid), trades)
+        cost = trades @ model.Z(nid) + model.cost.cost_many(model.cost.params_at(nid), trades)
         assert cost[1] < cost[0] and cost[1] < cost[2]
 
 
+class TestUsedUtilities:
+    """Validation and the lower bound read the utilities the leaves use: a
+    global utility that every leaf overrides is not one of them."""
+
+    FLAT = market.SampledUtility(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 4.0, 5.0]),
+                                 slope_left=0.0, slope_right=0.0)  # loss slope 0, sup 5
+
+    def model(self, overrides):
+        tree = binomial_tree(1)
+        return market.MarketModel(
+            tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.2, 0.85),
+            cost=market.Frictionless(), utility=self.FLAT, utility_overrides=overrides)
+
+    def test_a_global_utility_every_leaf_overrides_is_not_used(self, tmp_path):
+        from treedp import cli
+
+        u, d = market.SShapedUtility(2.0, 1.0, 1.0), market.SShapedUtility(3.0, 2.0, 0.5)
+        model = self.model({"u": u, "d": d})
+        assert model.leaf_utilities == {"u": u, "d": d}
+        report = market.validate(model)
+        assert report.required_ok() and report.holds("disutility_orthant")
+        assert model.lower_bound() == -2.0
+        assert market.build_problem_cash(model).lower_bound == -2.0
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(market.market_to_dict(model)))
+        assert cli.main(["check", str(path), "--out", str(tmp_path / "o")]) == 0
+        # a leaf left to the global utility uses it again
+        partial = self.model({"u": u})
+        assert partial.leaf_utilities == {"<global>": self.FLAT, "u": u}
+        report = market.validate(partial)
+        assert report.status("utility_loss_decay") == "fails"
+        assert "['<global>']" in report.conditions["utility_loss_decay"]["note"]
+        assert partial.lower_bound() == -5.0
+
+
 class TestNodeDependentParameters:
+    def test_int_and_float_spellings_share_groups_and_bits(self):
+        tree = binomial_tree(2)
+        per_node = {"u": (0.1, 2.0), "d": (0.5, 3.0), "uu": (0.5, 3.0), "dd": (0.2, 1.5)}
+        floats = market.MarketModel(
+            tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.3, 0.75),
+            cost=market.PowerIlliquidity(0.1, 2.0, per_node=per_node),
+            utility=market.SShapedUtility(2.0, 1.0, 1.0), initial_cash=1.0)
+        ints = dataclasses.replace(floats, cost=market.PowerIlliquidity(
+            0.1, 2, per_node={**per_node, "u": (0.1, 2), "d": (0.5, 3)}))
+        groups, params = ints.cost_groups
+        assert groups.tolist() == floats.cost_groups[0].tolist() == [0, 0, 1, 1, 0, 0, 2]
+        assert params == floats.cost_groups[1] == [(0.1, 2.0), (0.5, 3.0), (0.2, 1.5)]
+        for build in (market.build_problem_cash, market.build_problem_terminal):
+            problems = [build(m, radius=1.0, points=9) for m in (floats, ints)]
+            assert problems[0].local_keys == problems[1].local_keys
+            solved = []
+            for problem in problems:
+                res = dp.backward_solve(problem)
+                solved.append((dp.json_text(res.report_dict()),
+                               [t.values.tobytes() for t in res.pre_tables.values()],
+                               [t.values.tobytes() for t in res.post_tables.values()]))
+            assert solved[0] == solved[1]
+
     def test_per_node_cost_parameters(self):
         tree = binomial_tree(1)
         cost = market.PowerIlliquidity(0.1, 2.0, per_node={"u": (0.5, 3.0)})
         assert cost.params_at("r") == (0.1, 2.0)
         assert cost.params_at("u") == (0.5, 3.0)
         d = np.array([[2.0]])
-        assert cost.cost_many(tree.node("r"), d)[0] == pytest.approx(0.4)
-        assert cost.cost_many(tree.node("u"), d)[0] == pytest.approx(4.0)
+        assert cost.cost_many(cost.params_at("r"), d)[0] == pytest.approx(0.4)
+        assert cost.cost_many(cost.params_at("u"), d)[0] == pytest.approx(4.0)
         model = market.MarketModel(
             tree=tree, n_risky=1,
             prices={"r": [1.0], "u": [2.0], "d": [0.5]},
@@ -741,6 +799,17 @@ def _keyed_json(spec: dict, field: str, key) -> dict | None:
     return spec
 
 
+def _int_parameters(model: market.MarketModel) -> market.MarketModel:
+    """``model`` with its scalar parameters built from ints."""
+    cost = model.cost
+    if not cost.is_frictionless():
+        cost = market.PowerIlliquidity(1, 2, per_node={k: (2, 3) for k in cost.per_node or {}})
+    u = market.SShapedUtility(2, 1, 1)
+    return dataclasses.replace(
+        model, initial_cash=1, cash_lower=-5 if model.cash_lower is not None else None,
+        cost=cost, utility=u, utility_overrides={k: u for k in model.utility_overrides})
+
+
 class TestOneSetOfRules:
     @pytest.mark.parametrize("field, key, bad", _KEYED,
                              ids=[f"{f}-{k}" for f, k, _ in _KEYED])
@@ -778,13 +847,13 @@ class TestOneSetOfRules:
             if rng.random() < 0.3:
                 model = dataclasses.replace(model, trading_stages=frozenset(
                     t for t in range(T) if rng.random() < 0.5))
+            if i % 3 == 0:
+                model = _int_parameters(model)
             spec = market.market_to_dict(model)
             back = market.market_to_dict(market.market_from_dict(json.loads(json.dumps(spec))))
-            assert back == spec
-            # as text too, once the loader has made every parameter a float:
-            # a claim of -0.0 keeps its sign
-            again = market.market_to_dict(market.market_from_dict(json.loads(json.dumps(back))))
-            assert json.dumps(again) == json.dumps(back)
+            # as text, from the first trip on: every number the model holds is
+            # written as a float, and a claim of -0.0 keeps its sign
+            assert json.dumps(back) == json.dumps(spec)
 
     def test_rejects_prices_at_unknown_node(self):
         model = sshaped_t2_model()

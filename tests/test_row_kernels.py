@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 import pytest
 
-import treedp as td
 from treedp import dp, market
 from treedp.efun import AffinePrecompose, ExtFun, SShapedDisutility
 
@@ -428,17 +427,16 @@ class TestTransition:
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_power_cost(self, J):
         rng = np.random.default_rng(J)
-        node = td.Node("r", 0, None)
         for lam, p in ((0.1, 2.0), (2.0, 1.5), (1e300, 3.0), (5e-324, 1.0001)):
             cost = market.PowerIlliquidity(lam, p)
             D = rng.standard_normal((500, J)) * 10.0 ** rng.integers(-200, 200, (500, J))
             D = with_specials(rng, D)
 
-            def reference(node, D):
+            def reference(params, D):
                 with np.errstate(over="ignore"):
                     return lam * (np.abs(D) ** p).sum(axis=1)
 
-            assert_same(cost.cost_many, reference, node, D)
+            assert_same(cost.cost_many, reference, (lam, p), D)
 
     def test_row_dot(self):
         rng = np.random.default_rng(0)
