@@ -570,6 +570,24 @@ def minimize_batch(
       poll's second point (x + s) - s is bitwise x in all but rare
       roundings, and f(x) cannot beat f(x + s); a rounded-off point is
       evaluated in a follow-up call.
+    - A refinement round whose sweep is call-bound (2 * dim * live states
+      <= ``_MAX_ROWS // 4`` rows) polls, in one call, the pairs each live
+      state would poll next if nothing were accepted: the rest of its
+      sweep, then whole sweeps at s/2, s/4, ... (the first at s after a
+      move in the sweep), never below ``eps_ref``, as many sweeps as fit
+      in ``_MAX_ROWS // 4`` rows and at most 8.  It then replays them in
+      the sequential order: a state consumes its pairs up to and
+      including the first accepted one (and that one's follow-up), drops
+      the rest, and goes on from there in the next round.  Larger rounds
+      poll one coordinate of every state (in calls of ``_MAX_ROWS``
+      rows), which is the sweep above call for call.  A row's value does
+      not depend on the other rows of its call and halving a step is exact
+      (``eps_ref`` keeps it far above the subnormals), so each consumed
+      value is the sequential poll's own: values, argmins and counters
+      keep their bits.  A NaN at a dropped row is never read; a NaN that
+      a speculative round consumes makes the refinement run again from the
+      grid's result one coordinate a call, so the error names the state
+      the sequential poll names.
 
     Every state is searched independently of the others: a state leaves
     the box expansion once its boundary dominates and leaves refinement
@@ -587,9 +605,9 @@ def minimize_batch(
     of shape (0,), argmins of shape (0, dim)) without calling ``objective``.
 
     Returns (values, argmins, diag).  ``diag`` holds the batch's
-    ``expansions`` (box doublings), ``sweeps`` (refinement sweeps) and
-    ``max_box`` (last half-width), and under ``per_state`` the same three
-    counters for each state alone.
+    ``expansions`` (box doublings), ``sweeps`` (the most refinement sweeps
+    of any state) and ``max_box`` (last half-width), and under
+    ``per_state`` the same three counters for each state alone.
     """
     diag = _search_diag(n_states)
     if not n_states:
@@ -667,56 +685,124 @@ def minimize_batch(
             break
 
     refine = np.flatnonzero(np.isfinite(best_val))
+    half = max(1, _MAX_ROWS // 2)  # pairs per call: their + and - rows
+
+    def polish(speculate: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Pattern search from the grid's argmins: (x, f(x), sweeps) per
+        state, or None if a speculative round read a NaN."""
+        x = best_x[refine]
+        fx = best_val[refine]
+        step = step0[refine]
+        at = np.zeros(len(refine), dtype=np.int64)  # each state's next coordinate
+        moved = np.zeros(len(refine), dtype=bool)  # its sweep so far moved it
+        sweeps = np.zeros(len(refine), dtype=np.int64)
+        live = np.flatnonzero(step >= cfg.eps_ref)
+        coord = 0  # the coordinate of a lockstep round (one coordinate per call)
+        while live.size:
+            n = live.size
+            # sweeps polled ahead in a call-bound round: _MAX_ROWS // 4 rows at most
+            ahead = min(8, _MAX_ROWS // 4 // (2 * dim * n)) if speculate else 0
+            if ahead:
+                # the pairs polled if nothing is accepted: the rest of the
+                # sweep, then sweeps at halved steps (the first not halved
+                # after a move), none below eps_ref
+                steps = np.empty((n, ahead))
+                steps[:, 0] = step[live]
+                nxt = np.where(moved[live], steps[:, 0], steps[:, 0] * 0.5)
+                for j in range(1, ahead):
+                    steps[:, j] = nxt
+                    nxt = nxt * 0.5
+                polled = np.repeat((steps >= cfg.eps_ref)[:, :, None], dim, axis=2)
+                polled[:, 0] &= np.arange(dim) >= at[live][:, None]
+                own, sweep, d = np.nonzero(polled)  # each state's pairs in poll order
+                s = steps[own, sweep]
+                state = live[own]
+            else:  # lockstep: one pair per state, all at the same coordinate
+                state, sweep, d, s = live, 0, coord, step[live]
+            plus = np.empty(len(state))
+            minus = np.empty(len(state))
+            for a in range(0, len(state), half):
+                part = slice(a, a + half)
+                i = state[part]
+                cand = np.concatenate([x[i], x[i]])
+                if ahead:
+                    r = np.arange(len(i))
+                    cand[r, d[part]] += s[part]
+                    cand[r + len(i), d[part]] -= s[part]
+                else:
+                    cand[: len(i), d] += s[part]
+                    cand[len(i) :, d] -= s[part]
+                vals = np.asarray(objective(np.concatenate([refine[i]] * 2), cand), dtype=float)
+                plus[part] = vals[: len(i)]
+                minus[part] = vals[len(i) :]
+            if ahead:
+                # replay: each state consumes its pairs up to the first one
+                # that accepts or reads a NaN, and drops the rest
+                base = fx[state]
+                event = np.isnan(plus) | (plus < base) | np.isnan(minus) | (minus < base)
+                count = polled.sum(axis=(1, 2))
+                ends = np.cumsum(count)
+                first = np.minimum.reduceat(np.where(event, np.arange(len(own)), len(own)),
+                                            ends - count)
+                last = np.minimum(first, ends - 1)
+                d, s, sweep, plus, minus = d[last], s[last], sweep[last], plus[last], minus[last]
+            if np.isnan(plus).any():
+                if ahead:
+                    return None
+                _reject_nan(plus, refine[live], label, groups)
+            acc = plus < fx[live]
+            i = live[acc]
+            col = d[acc] if ahead else d
+            old = x[i, col]
+            x[i, col] = old + s[acc]
+            # the sequential poll's minus row of a moved state is (x + s) - s:
+            # bitwise x (value fx, strictly worse than the accepted f(x + s))
+            # or, after rounding, a new point
+            minus[acc] = fx[i]
+            fx[i] = plus[acc]
+            back = x[i, col] - s[acc]
+            rounded = back.view(np.int64) != old.view(np.int64)
+            if rounded.any():
+                cand = x[i[rounded]]
+                cand[np.arange(len(cand)), col[rounded] if ahead else col] = back[rounded]
+                minus[np.flatnonzero(acc)[rounded]] = eval_rows(refine[i[rounded]], cand)
+            if np.isnan(minus).any():
+                if ahead:
+                    return None
+                _reject_nan(minus, refine[live], label, groups)
+            acc_m = minus < fx[live]
+            i = live[acc_m]
+            x[i, d[acc_m] if ahead else d] -= s[acc_m]
+            fx[i] = minus[acc_m]
+            if ahead:
+                # each state's place: the coordinate after its last consumed pair
+                sweeps[live] += sweep
+                moving = acc | acc_m | moved[live] & (sweep == 0)  # that sweep moved it
+                end = d == dim - 1
+                sweeps[live[end]] += 1
+                step[live] = np.where(end & ~moving, s * 0.5, s)
+                at[live] = np.where(end, 0, d + 1)
+                moved[live] = moving & ~end
+            else:
+                moved[live[acc | acc_m]] = True
+                coord = (coord + 1) % dim
+                if coord:
+                    continue
+                # the sweep ends, so each state's place is where a speculative
+                # round would start it: at coordinate 0, not moved
+                swept = step >= cfg.eps_ref  # the live states, as a mask
+                sweeps += swept
+                step[swept & ~moved] *= 0.5
+                moved[:] = False
+            live = np.flatnonzero(step >= cfg.eps_ref)  # a step below eps_ref never grows
+        return x, fx, sweeps
+
     if refine.size:
-        x = best_x[refine].copy()
-        fx = best_val[refine].copy()
-        step = step0[refine].copy()
-        live = step >= cfg.eps_ref
-        half = max(1, _MAX_ROWS // 2)  # states per call: their + and - rows
-        while live.any():
-            improved = np.zeros(len(refine), dtype=bool)
-            rows = np.flatnonzero(live)
-            for d in range(dim):
-                plus = np.empty(len(rows))
-                minus = np.empty(len(rows))
-                for a in range(0, len(rows), half):
-                    part = rows[a : a + half]
-                    cand = np.concatenate([x[part], x[part]])
-                    cand[: len(part), d] += step[part]
-                    cand[len(part) :, d] -= step[part]
-                    I = np.concatenate([refine[part]] * 2)
-                    vals = np.asarray(objective(I, cand), dtype=float)
-                    plus[a : a + len(part)] = vals[: len(part)]
-                    minus[a : a + len(part)] = vals[len(part) :]
-                _reject_nan(plus, refine[rows], label, groups)
-                acc = plus < fx[rows]
-                hit = rows[acc]
-                old = x[hit, d]
-                x[hit, d] += step[hit]
-                # the sequential poll's minus row of a moved state is
-                # (x + s) - s: bitwise x (value fx, strictly worse than the
-                # accepted f(x + s)) or, after rounding, a new point
-                minus[acc] = fx[hit]
-                fx[hit] = plus[acc]
-                back = x[hit, d] - step[hit]
-                moved = back.view(np.int64) != old.view(np.int64)
-                if moved.any():
-                    cand = x[hit[moved]]
-                    cand[:, d] = back[moved]
-                    minus[np.flatnonzero(acc)[moved]] = eval_rows(refine[hit[moved]], cand)
-                _reject_nan(minus, refine[rows], label, groups)
-                acc_m = minus < fx[rows]
-                down = rows[acc_m]
-                x[down, d] -= step[down]
-                fx[down] = minus[acc_m]
-                improved[hit] = True
-                improved[down] = True
-            per_state["sweeps"][refine[live]] += 1
-            step[live & ~improved] *= 0.5
-            live = step >= cfg.eps_ref
-            diag["sweeps"] += 1
-        best_x[refine] = x
-        best_val[refine] = fx
+        polished = polish(True)
+        if polished is None:  # ran again as the sequential poll, which names its first NaN
+            polished = polish(False)
+        best_x[refine], best_val[refine], per_state["sweeps"][refine] = polished
+        diag["sweeps"] = int(per_state["sweeps"].max())
     return best_val, best_x, diag
 
 

@@ -978,7 +978,8 @@ def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
     """The ``table`` class named by ``d["kind"]``, built from ``d``'s fields.
 
     Array fields and other numbers are read with :func:`_number`; an
-    absent field that has a default takes it.
+    absent field that has a default takes it.  A key that is neither
+    ``kind`` nor a field of the class is rejected.
     """
     if not isinstance(d, Mapping):
         raise InvalidModel(f"{where} is not an object: {reprlib.repr(d)}")
@@ -986,6 +987,10 @@ def _kind_from_dict(d, table: Mapping[str, type], noun: str, where: str):
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidModel(f"unknown {noun} kind {reprlib.repr(kind)}")
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key != "kind" and key not in names:
+            raise InvalidModel(f"{where}: unknown key {reprlib.repr(key)} of a {kind!r} {noun}")
     args = {}
     for f in fields(cls):
         if f.name not in d and f.default is not MISSING:
@@ -1062,16 +1067,25 @@ def market_from_dict(d: Mapping) -> MarketModel:
     if "constraints" in d:
         constraints = {}
         for k, v in d["constraints"].items():
-            try:
-                constraints[int(k)] = tuple(
+            where = f"constraints at stage {reprlib.repr(k)}"
+            if not isinstance(v, Mapping):
+                raise InvalidModel(f"{where}: {reprlib.repr(v)} is not an object")
+            bounds = []
+            for side in ("lower", "upper"):
+                if side not in v:
+                    raise InvalidModel(f"{where} are missing {side!r}")
+                try:
+                    if not isinstance(v[side], list):
+                        raise TypeError
                     # float() itself, not a float array, so that null fails
-                    np.asarray([_float(x) for x in v[side]], dtype=float)
-                    for side in ("lower", "upper")
-                )
-            except KeyError as e:
-                raise InvalidModel(f"constraints at stage {k!r} are missing {e}") from None
-            except (TypeError, ValueError) as e:
-                raise InvalidModel(f"constraints at stage {k!r}: {e}") from None
+                    bounds.append(np.asarray([_float(x) for x in v[side]], dtype=float))
+                except (TypeError, ValueError):
+                    raise InvalidModel(f"{where}: {side!r} is not a list of numbers: "
+                                       f"{reprlib.repr(v[side])}") from None
+            try:
+                constraints[int(k)] = tuple(bounds)
+            except ValueError:
+                raise InvalidModel(f"{where}: the stage is not an integer") from None
     claims, endowment = ({ids[i]: float(v) for i, v in named[key]}
                          for key in ("claim", "endowment"))
     return MarketModel(

@@ -187,11 +187,26 @@ class TestCheck:
          "node 'u': 'Z' is not a list of numbers: [True]"),
         (lambda d: d["tree"][0]["data"].update(claim=True), "node 'r': 'claim' is not a number"),
         (lambda d: d["cost"].update(coeff=True), "cost: 'coeff' is not a number: True"),
+        # a key its kind does not have is not dropped
+        (lambda d: d.update(cost={"kind": "frictionless", "per_node": {"r": [0.1, 2.0]}}),
+         "cost: unknown key 'per_node' of a 'frictionless' cost"),
+        (lambda d: d["utility"].update(gama=2.0), "utility: unknown key 'gama' of a 'sshaped'"),
+        (lambda d: d["tree"][1]["data"].update(utility={
+            "kind": "sshaped", "gamma": 2.0, "kappa": 1.0, "beta": 1.0, "betta": 1.0}),
+         "utility at node 'u': unknown key 'betta'"),
+        (lambda d: d.update(constraints={"0": {"lower": "1", "upper": [1.0]}}),
+         "constraints at stage '0': 'lower' is not a list of numbers: '1'"),
+        (lambda d: d.update(constraints={"0": [-1.0, 1.0]}),
+         "constraints at stage '0': [-1.0, 1.0] is not an object"),
+        (lambda d: d.update(constraints={"x": {"lower": [-1.0], "upper": [1.0]}}),
+         "constraints at stage 'x': the stage is not an integer"),
     ], ids=["missing_coeff", "gamma_1", "kappa_inf", "string_price", "sampled_no_grid",
             "box_lower_above_upper",
             "box_no_upper", "box_null_lower", "per_node_string", "leaf_utility_string",
             "box_stage_negative", "box_stage_horizon", "trading_stage_horizon",
-            "bool_price", "bool_claim", "bool_coeff"])
+            "bool_price", "bool_claim", "bool_coeff", "frictionless_per_node",
+            "misspelt_utility_key", "misspelt_override_key", "box_lower_string",
+            "box_not_object", "box_stage_not_integer"])
     def test_malformed_model_exit_1(self, command, mutate, field, tmp_path, capsys):
         model = toy_model_dict()
         mutate(model)
@@ -627,12 +642,30 @@ class TestFuzz:
             (sampled, lambda d: d["tree"][0]["data"].update(utility=["x"] * 5000 + [bad])),
             (sampled, lambda d: d["utility"].update(kind="k" * 5000)),
             (power, lambda d: d["cost"].update(per_node={**many, "u": [bad, 2.0]})),
+            (bases[0], lambda d: d.update(cost={"kind": "frictionless", **many})),
+            (bases[0], lambda d: d.update(constraints={
+                "0": {"lower": [-1.0] * 5000 + [bad], "upper": [1.0]}})),
         ):
             spec = copy.deepcopy(base)
             mutate(spec)
             path.write_text(json.dumps(spec))
             code, _, err = _run(["check", str(path), "--out", str(tmp_path / "o")], capsys)
             assert code == 1 and err.startswith("error:") and len(err) < 1000, err[:200]
+
+    def test_long_constraint_values_are_quoted_short(self, tmp_path, capsys):
+        """A 100,000-character string among a stage's bounds, or as its
+        stage key, ends as one short error line."""
+        path = tmp_path / "m.json"
+        long = "x" * 100_000
+        for constraints in ({"0": {"lower": [-1.0, long], "upper": [1.0, 1.0]}},
+                            {long: {"lower": [-1.0], "upper": [1.0]}},
+                            {"0": {"lower": [-1.0], "upper": long}}):
+            spec = toy_model_dict()
+            spec["constraints"] = constraints
+            path.write_text(json.dumps(spec))
+            code, _, err = _run(["check", str(path), "--out", str(tmp_path / "o")], capsys)
+            assert code == 1 and err.startswith("error: constraints at stage")
+            assert len(err) < 1000, err[:200]
 
     def test_mutated_market_files_fail_closed(self, tmp_path, capsys):
         rng = np.random.default_rng(20261018)

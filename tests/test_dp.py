@@ -1551,19 +1551,23 @@ class TestSearchMatchesReference:
     the reference search evaluates every one of them."""
 
     @given(
-        dim=st.integers(1, 2),
-        grid_points=st.sampled_from([5, 21, 33]),
+        # (dim, grid points, states): with _MAX_ROWS = 64 below, a sweep of
+        # more than 8 // dim states polls one coordinate a call, of fewer
+        # speculatively; 33 to 40 states start above and end below
+        case=st.one_of(
+            st.tuples(st.integers(1, 2), st.sampled_from([5, 21, 33]),
+                      st.one_of(st.integers(1, 10), st.integers(33, 40))),
+            st.tuples(st.just(3), st.sampled_from([5, 7]), st.integers(1, 10))),
         box_init=st.sampled_from([1.0, 0.3]),
         eps_ref=st.sampled_from([1e-6, 1e-4, 0.05]),
-        n=st.one_of(st.integers(1, 5), st.integers(33, 40)),
         kinds=st.lists(
             st.sampled_from(["bowl", "plateau", "ripple", "wall", "inf", "ramp", "nan"]),
             min_size=1, max_size=3, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_result_as_evaluating_every_point(self, dim, grid_points, box_init, eps_ref,
-                                                   n, kinds, seed):
+    def test_same_result_as_evaluating_every_point(self, case, box_init, eps_ref, kinds, seed):
+        dim, grid_points, n = case
         rng = np.random.default_rng(seed)
         # per state: a quadratic bowl whose minimum needs 0 to 5 doublings,
         # quantized to plateaus (ties), rippled (local maxima, where both
@@ -1588,26 +1592,93 @@ class TestSearchMatchesReference:
             near = np.abs(X - patch[I]).max(axis=1) < radius[I]
             return np.where((k == "nan") & near, np.nan, v)
 
+        def rows_of(search):
+            """The search's outcome, and the rows it evaluates, in order, as
+            one opaque value each (bitwise comparable)."""
+            seen = [np.zeros((0, dim + 1))]
+
+            def f(I, X):
+                seen.append(np.column_stack([I, X]))
+                return objective(I, X)
+
+            outcome = _search_outcome(search, f, dim, n, cfg, groups)
+            return outcome, np.concatenate(seen).view(f"V{8 * (dim + 1)}").ravel()
+
+        def nan_at(row):
+            i, *p = np.frombuffer(row.tobytes())
+
+            def f(I, X):
+                at = (I == i) & (X == np.array(p)).all(axis=1)
+                return np.where(at, np.nan, objective(I, X))
+
+            return f
+
         cfg = dp.SolveConfig(grid_points=grid_points, box_init=box_init, eps_ref=eps_ref,
                              box_max=2.0**5)
         groups = np.arange(n) % 3
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dp, "_MAX_ROWS", 64)  # many calls per search phase
-            want = _search_outcome(_ref_minimize_batch, objective, dim, n, cfg, groups)
-            assert _search_outcome(dp.minimize_batch, objective, dim, n, cfg, groups) == want
+            want, ref_rows = rows_of(_ref_minimize_batch)
+            got, rows = rows_of(dp.minimize_batch)
+            assert got == want
+            # a NaN where the sequential poll never looks is never read
+            unread = np.setdiff1d(rows, ref_rows)
+            if unread.size:
+                f = nan_at(unread[rng.integers(len(unread))])
+                assert _search_outcome(dp.minimize_batch, f, dim, n, cfg, groups) == want
+            # a NaN where it looks, late in the search (most likely in the
+            # refinement), fails as the sequential poll fails
+            if ref_rows.size:
+                f = nan_at(ref_rows[rng.integers(len(ref_rows) // 2, len(ref_rows))])
+                want = _search_outcome(_ref_minimize_batch, f, dim, n, cfg, groups)
+                assert _search_outcome(dp.minimize_batch, f, dim, n, cfg, groups) == want
+
+    def test_nan_in_a_speculative_round_names_the_state_the_sequential_poll_names(self):
+        # both minima are grid points, so no poll is ever accepted and one
+        # call polls eight halvings of both states.  The sequential poll
+        # reads "b"'s NaN (+ row of sweep 2) before "a"'s (+ row of sweep 5),
+        # which comes first in that call's rows.
+        center = np.array([0.0, 0.5])
+        cfg = dp.SolveConfig(grid_points=5)
+        bad = np.array([0.0 + 0.5 / 2**5, 0.5 + 0.5 / 2**2])
+
+        def bowl(I, X):
+            return 10.0 * (X[:, 0] - center[I]) ** 2
+
+        def nan_twice(I, X):
+            return np.where(X[:, 0] == bad[I], np.nan, bowl(I, X))
+
+        want = _search_outcome(_ref_minimize_batch, nan_twice, 1, 2, cfg, np.arange(2))
+        assert want == ("NumericFailure", "node 'b': objective value is not a number")
+        assert _search_outcome(dp.minimize_batch, nan_twice, 1, 2, cfg, np.arange(2)) == want
+        objective, rows = _counted(bowl)
+        dp.minimize_batch(objective, 1, 2, cfg)
+        assert rows[1] == 2 * 2 * 8  # the first refinement call: 8 sweeps of + and - rows
 
     def test_rounded_back_step_is_polled(self):
         # box_init=0.3: (x + s) - s rounds away from x on some accepted + steps,
         # and the sequential poll evaluates the rounded point
         cfg = dp.SolveConfig(grid_points=5, box_init=0.3)
+
         def bowl(I, X):
             return (X[:, 0] - 0.25) ** 2
 
-        objective, rows = _counted(bowl)
-        want = _search_outcome(_ref_minimize_batch, bowl, 1, 1, cfg, None)
-        assert _search_outcome(dp.minimize_batch, objective, 1, 1, cfg, None) == want
-        grid_calls, sweeps = want[2] + 1, want[3]
-        assert len(rows) > grid_calls + sweeps  # a follow-up call in some sweep
+        def points(search):
+            seen: list[float] = []
+
+            def f(I, X):
+                seen.extend(X[:, 0].tolist())
+                return bowl(I, X)
+
+            return _search_outcome(search, f, 1, 1, cfg, None), seen
+
+        want, ref_seen = points(_ref_minimize_batch)
+        got, seen = points(dp.minimize_batch)
+        assert got == want
+        # a rounded point is new, yet a few ulps from a point polled before it
+        rounded = {p for j, p in enumerate(ref_seen) if p not in ref_seen[:j]
+                   and any(abs(p - q) < 1e-12 for q in ref_seen[:j])}
+        assert rounded and rounded <= set(seen)
 
     def test_nan_where_the_sequential_poll_never_looks_is_not_read(self):
         # beside an accepted x + s, the joint poll has also evaluated x - s,
@@ -1656,16 +1727,57 @@ class TestSearchMatchesReference:
         assert sum(rows) == (33**dim * (E + 1)).sum()
 
     @pytest.mark.parametrize("dim, n", [(1, 5), (2, 3)])
-    def test_a_sweep_makes_one_call_per_coordinate(self, dim, n):
+    def test_a_small_batch_polls_eight_sweeps_a_call(self, dim, n):
         center = np.array([0.0, 1.5, 12.0, 0.5, 6.0])[:n]
         cfg = dp.SolveConfig(grid_points=33, box_init=1.0)  # one grid call per box
         objective, rows = _counted(lambda I, X: 4.0 * ((X - center[I, None]) ** 2).sum(axis=1))
         _, _, diag = dp.minimize_batch(objective, dim, n, cfg)
-        assert diag["sweeps"] > 0
-        assert len(rows) == diag["expansions"] + 1 + dim * diag["sweeps"]
+        # every minimum is a grid point, so no poll is accepted and each
+        # call consumes eight sweeps (halvings) of every live state: the 20
+        # sweeps of the slowest state take 3 calls, not 20 * dim
+        assert diag["expansions"] == 4 and diag["sweeps"] == 20
+        assert len(rows) == diag["expansions"] + 1 + 3
         objective, ref_rows = _counted(lambda I, X: 4.0 * ((X - center[I, None]) ** 2).sum(axis=1))
         _ref_minimize_batch(objective, dim, n, cfg)
         assert len(ref_rows) == diag["expansions"] + 1 + 2 * dim * diag["sweeps"]
+
+    def test_a_large_batch_makes_one_call_per_coordinate(self, monkeypatch):
+        # 5 states' 5-point meshes fit one call of 32 rows, but their 10
+        # rows a sweep are more than 32 // 4 until the end (the states are
+        # alike and end together): one call per coordinate
+        monkeypatch.setattr(dp, "_MAX_ROWS", 32)
+        center = np.full(5, 1.5)
+        cfg = dp.SolveConfig(grid_points=5, box_init=1.0)  # one grid call per box
+        objective, rows = _counted(lambda I, X: 4.0 * ((X - center[I, None]) ** 2).sum(axis=1))
+        _, _, diag = dp.minimize_batch(objective, 1, 5, cfg)
+        assert diag["sweeps"] > 0
+        assert len(rows) == diag["expansions"] + 1 + diag["sweeps"]
+        assert set(rows[diag["expansions"] + 1:]) == {10}
+
+
+class TestNestedRecursionCalls:
+    def test_exact_certificate_of_sshaped_t2_polls_speculatively(self, monkeypatch):
+        # the nested recursion is call-bound: the exact forward pass and the
+        # exact verifier made 1,890 objective calls when each step halving
+        # was a call of its own, and make 333 with speculative polls
+        bench, res = get_solved("sshaped_t2")
+        calls = []
+        search = dp.minimize_batch
+
+        def counted(objective, *args, **kwargs):
+            def f(I, X):
+                calls.append(len(I))
+                return objective(I, X)
+
+            return search(f, *args, **kwargs)
+
+        monkeypatch.setattr(dp, "minimize_batch", counted)
+        _, strategy = dp.forward_pass(bench.problem, res.pre_tables, res.post_tables,
+                                      res.policy, bench.cfg, mode="exact")
+        report = dp.verify_optimality(bench.problem, res, strategy, cfg=bench.cfg,
+                                      method="exact")
+        assert report.optimal
+        assert len(calls) <= 600
 
 
 def _report(rep):

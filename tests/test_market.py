@@ -256,7 +256,9 @@ class TestBuilders:
                              float(res.forward_value).hex(), strategy))
         assert outcomes[0] == outcomes[1]
         # leaves with bit-identical data share their rows in backward_solve
-        assert outcomes[0][0] == {"transition": 2_924_116, "cost": 2_924_116}
+        # (354 of them are speculative polls of the small searches, which
+        # the sequential poll would not evaluate)
+        assert outcomes[0][0] == {"transition": 2_924_470, "cost": 2_924_470}
 
     def test_both_forms_hold_at_closed_stages(self):
         # the price moves only in the first period, whose market is closed;
@@ -836,6 +838,42 @@ class TestOneSetOfRules:
             code = e.code
         err = capsys.readouterr().err
         assert (code == 1 and err.startswith("error:")) == api_rejects, (code, err)
+
+    @pytest.mark.parametrize("field, obj, key", [
+        ("cost", market.Frictionless(), "per_node"),
+        ("cost", market.PowerIlliquidity(0.1, 2.0), "coef"),
+        ("utility", _U, "gama"),
+        ("utility", market.SampledUtility([0.0, 1.0], [0.0, 1.0], 1.0, 0.0), "slope"),
+        ("override", _U, "betta"),
+    ], ids=["frictionless-per_node", "power-coef", "sshaped-gama", "sampled-slope",
+            "override-betta"])
+    def test_api_and_check_reject_keys_a_kind_does_not_have(self, field, obj, key, tmp_path,
+                                                            capsys):
+        """A cost or utility has no field its class lacks: the API cannot
+        take one, and ``treedp check`` names it instead of dropping it."""
+        from treedp import cli
+
+        with pytest.raises(TypeError, match=key):
+            dataclasses.replace(obj, **{key: 1.0})
+        table = market.COSTS if field == "cost" else market.UTILITIES
+        entry = {**market._kind_to_dict(obj, table), key: 1.0}
+        spec = market.market_to_dict(_rules_base())
+        if field == "override":
+            next(r for r in spec["tree"] if r["id"] == "uu")["data"]["utility"] = entry
+        else:
+            spec[field] = entry
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        try:
+            code = cli.main(["check", str(path), "--out", str(tmp_path / "o")])
+        except SystemExit as e:
+            code = e.code
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and f"unknown key {key!r}" in err, err
+        del entry[key]  # without the key, the same file checks
+        path.write_text(json.dumps(spec))
+        assert cli.main(["check", str(path), "--out", str(tmp_path / "o")]) in (0, 2)
+        capsys.readouterr()
 
     def test_round_trip_of_models_the_api_accepts(self):
         from test_ingestion import power_model
