@@ -10,17 +10,18 @@ subspace test needs no LP when the cone's nonzero rows leave a
 one-dimensional left kernel spanned by a Stiemke certificate, a
 lambda > 0 with lambda R = 0, read from the SVD's left singular vectors
 (:func:`_stiemke`): at a complete node of a frictionless market, such as
-every binomial one, that lambda is the node's risk-neutral measure.  The LPs
-are solved with HiGHS, which is deterministic for fixed input, so results
-are reproducible bit-for-bit.  :func:`linprog` is the package's one LP
-entry: scipy is imported at its first call, so that a solve that never
-needs an LP never loads scipy.
+every binomial one, that lambda is the node's risk-neutral measure.
 
-Many small cones at once, one per tree node, are stacked as (B, m, d)
-blocks: :func:`cone_kernels` takes one batched SVD of the distinct blocks
-and reads each block's kernel and certificate from it, and
-:func:`block_slacks`, for blocks left undecided, one LP over the
-block-diagonal system, whose optimum splits into each block's own.
+One engine serves every cone: many small cones at once (one per tree
+node) stack as (B, m, d) blocks, and a single cone is a batch of one.
+:func:`_kernels` reads each block's kernel and certificate from one
+batched SVD of the distinct blocks, and :func:`_box_lp`, the one LP,
+optimizes over their block-diagonal system within the unit box.  HiGHS is
+deterministic for fixed input, so results are reproducible bit-for-bit;
+an LP that stops without an optimum raises RuntimeError, never reads as
+"no ray".  :func:`linprog` is the package's one LP entry: scipy is
+imported at its first call, so that a solve that never needs an LP never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, norms
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
-    rows, norms = _row_norms(rows)
-    keep = norms > 0
-    return rows[keep] / norms[keep][:, None]
-
-
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of a (..., m, d) stack scaled to unit norm; zero rows stay 0.
 
@@ -70,6 +62,12 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     stacked; a zero row constrains nothing."""
     rows, norms = _row_norms(np.asarray(rows, dtype=float))
     return rows / np.where(norms > 0, norms, 1.0)[..., None]
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`unit_rows` of an (m, d) array, zero rows dropped."""
+    rows = unit_rows(np.atleast_2d(rows))
+    return rows[rows.any(axis=1)]
 
 
 def _box_direction(y: np.ndarray) -> np.ndarray | None:
@@ -119,35 +117,18 @@ def cone_vertex(rows: np.ndarray, dim: int) -> tuple[np.ndarray | None, dict]:
     info["kernel_dim"] = int(K.shape[1])
     if K.shape[1]:
         info["lp_calls"] += 1
-        v = _lp_vertex(rows, dim, -K[:, 0])
-        y = _box_direction(K[:, 0] if v is None else v)
+        y = _box_direction(_box_lp([rows[None]], [-K[None, :, 0]])[0][0])
         if y is not None and np.all(rows @ unit_l1(y) <= LP_TOL):
             return y, info
     info["lp_calls"] += 1
-    return _max_slack_ray(rows, dim), info
+    return _max_slack_ray(rows), info
 
 
-def _lp_vertex(rows: np.ndarray, dim: int, c: np.ndarray) -> np.ndarray | None:
-    """Minimizer of c . y over the cone within the unit box, if the minimum
-    is below -SLACK_TOL (a nonzero direction); None otherwise."""
-    res = linprog(
-        c, A_ub=rows, b_ub=np.zeros(rows.shape[0]), bounds=[(-1.0, 1.0)] * dim,
-        method="highs",
-    )
-    if res.status == 0 and -res.fun > SLACK_TOL:
-        return np.asarray(res.x, dtype=float)
-    return None
-
-
-def _max_slack_ray(rows: np.ndarray, dim: int) -> np.ndarray | None:
-    """A ray y of the cone with R y != 0 (max |y| = 1), or None.
-
-    ``rows`` are unit-normalized.  One LP maximizes the total slack
-    -sum(R y) over the cone within the unit box; a positive optimum
-    certifies a one-sided direction.
-    """
-    v = _lp_vertex(rows, dim, rows.sum(axis=0))  # minimize sum(R y)
-    return None if v is None else _box_direction(v)
+def _max_slack_ray(rows: np.ndarray) -> np.ndarray | None:
+    """A ray y of the cone with R y != 0 (max |y| = 1), or None: the
+    :func:`block_slacks` of the unit-normalized ``rows`` alone."""
+    (slack, y), = block_slacks([rows[None]])
+    return _box_direction(y[0]) if slack[0] > SLACK_TOL else None
 
 
 def cone_is_subspace(rows: np.ndarray, dim: int) -> tuple[bool, np.ndarray | None]:
@@ -159,24 +140,19 @@ def cone_is_subspace(rows: np.ndarray, dim: int) -> tuple[bool, np.ndarray | Non
     rows = _normalize_rows(rows) if np.size(rows) else np.zeros((0, dim))
     if rows.shape[0] == 0:
         return True, None  # the whole space
-    ray = unit_l1(_max_slack_ray(rows, dim))
+    ray = unit_l1(_max_slack_ray(rows))
     return ray is None, ray
 
 
 def kernel_basis(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``matrix``."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = matrix.shape[1]
-    if matrix.shape[0] == 0 or not matrix.any():
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(matrix)
-    tol = rtol * max(matrix.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T.copy()
+    """Orthonormal basis (columns) of the kernel of ``matrix``: its
+    :func:`kernel_bases` as a stack of one."""
+    return kernel_bases(np.atleast_2d(np.asarray(matrix, dtype=float))[None], rtol)[0]
 
 
 def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
-    """:func:`kernel_basis` of each (m, d) block of a (B, m, d) stack.
+    """Orthonormal kernel basis (columns) of each (m, d) block of a
+    (B, m, d) stack.
 
     One batched SVD runs over the distinct blocks only, so blocks with
     equal bytes get bit-identical bases, and an all-zero block gets the
@@ -250,36 +226,43 @@ def _stiemke(rows: np.ndarray, u: np.ndarray, rank: int) -> bool:
 def block_slacks(groups: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Largest one-sided slack of each block's cone {y : R y <= 0}.
 
-    ``groups`` are (B, m, d) stacks of unit rows.  One LP maximizes the
-    total slack -sum(R y) over the block-diagonal cone within the unit
-    box; objective and constraints split by block, so each block's part
-    of the optimum is that block's own (:func:`_max_slack_ray` on it
-    alone), and a slack above SLACK_TOL certifies a one-sided direction
-    there.
+    ``groups`` are (B, m, d) stacks of unit rows.  :func:`_box_lp`
+    maximizes each block's total slack -sum(R y) within the unit box, and
+    a slack above SLACK_TOL certifies a one-sided direction there.
     Returns per group (slack per block, the block's part y).
     """
-    from scipy.sparse import coo_matrix
+    ys = _box_lp(groups, [g.sum(axis=1) for g in groups])  # minimize sum(R y)
+    return [(-np.einsum("bmd,bd->b", g, y), y) for g, y in zip(groups, ys)]
 
-    rows, cols, vals = [], [], []
+
+def _box_lp(groups: list[np.ndarray], costs: list[np.ndarray]) -> list[np.ndarray]:
+    """A minimizer of sum_b c_b . y_b over {y : R_b y_b <= 0, |y| <= 1}.
+
+    ``groups`` are (B, m, d) stacks of blocks R_b and ``costs`` the
+    matching (B, d) objectives c_b.  One sparse LP holds the whole
+    block-diagonal system; objective and constraints split by block, so
+    each block's part of the optimum is that block's own minimizer.
+    Returns per group the (B, d) parts.  An LP that stops without an
+    optimum raises RuntimeError.
+    """
+    from scipy.sparse import csc_array
+
+    # the nonzero entries, column by column (a block's d columns hold its m rows)
+    data, rows, cols = [], [], []
     r0 = c0 = 0
     for g in groups:
         B, m, d = g.shape
-        r = r0 + np.arange(B * m).reshape(B, m, 1)
-        c = c0 + (np.arange(B) * d)[:, None, None] + np.arange(d)
-        rows.append(np.broadcast_to(r, g.shape).ravel())
-        cols.append(np.broadcast_to(c, g.shape).ravel())
-        vals.append(g.ravel())
+        b, j, i = np.nonzero(g.transpose(0, 2, 1))
+        data.append(g[b, i, j])
+        rows.append(r0 + m * b + i)
+        cols.append(c0 + d * b + j)
         r0, c0 = r0 + B * m, c0 + B * d
-    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(r0, c0)).tocsr()
-    c = np.concatenate([g.sum(axis=1).ravel() for g in groups])  # minimize sum(R y)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(np.concatenate(cols), minlength=c0))])
+    A = csc_array((np.concatenate(data), np.concatenate(rows), indptr), shape=(r0, c0))
+    c = np.concatenate([np.ravel(cost) for cost in costs])
     res = linprog(c, A_ub=A, b_ub=np.zeros(r0), bounds=(-1.0, 1.0), method="highs")
     if res.status != 0:
-        raise RuntimeError(f"block cone LP failed: {res.message}")
-    out, c0 = [], 0
-    for g in groups:
-        B, _, d = g.shape
-        y = np.asarray(res.x[c0 : c0 + B * d], dtype=float).reshape(B, d)
-        out.append((-np.einsum("bmd,bd->b", g, y), y))
-        c0 += B * d
-    return out
+        raise RuntimeError(f"cone LP failed: {res.message}")
+    x = np.asarray(res.x, dtype=float)
+    ends = np.cumsum([g.shape[0] * g.shape[2] for g in groups])
+    return [y.reshape(g.shape[0], g.shape[2]) for g, y in zip(groups, np.split(x, ends[:-1]))]

@@ -40,8 +40,14 @@ EXIT_BUDGET = 5
 
 
 def _out_dir(args) -> str:
+    """The output directory (``--out``, else TREEDP_OUT, else .), created
+    before any work runs; one that cannot be created is malformed input."""
     out = args.out or os.environ.get("TREEDP_OUT", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_MALFORMED)
     return out
 
 
@@ -113,9 +119,9 @@ def cmd_check(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
     _solve_config(args)  # a malformed solver flag is malformed input here too
+    out = _out_dir(args)
     payload, code, check = _check_payload(problem)
     payload["exit_code"] = code
-    out = _out_dir(args)
     if check.witness:
         check.export_witness_csv(os.path.join(out, "witness.csv"))
     _report(os.path.join(out, "check_report.json"), payload)
@@ -126,13 +132,13 @@ def cmd_solve(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
     cfg = _solve_config(args)
+    out = _out_dir(args)
     check_payload, check_code, _ = _check_payload(problem)
     if check_code != EXIT_OK and not args.force:
         payload = {"check": check_payload, "exit_code": check_code,
                    "note": "conditions not verified; rerun with --force to attempt anyway"}
-        _report(os.path.join(_out_dir(args), "solve_report.json"), payload)
+        _report(os.path.join(out, "solve_report.json"), payload)
         return check_code
-    out = _out_dir(args)
     try:
         result = dp.backward_solve(problem, cfg=cfg)
     except (SearchBoxExhausted, GridTooCoarse, NumericFailure) as e:
@@ -156,35 +162,53 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _oracle_grids(problem, spec: str) -> dict[str, np.ndarray]:
-    """Per-node decision grids from a "lo:hi:count" axis specification."""
+def _grid_spec(text: str) -> tuple[float, float, int]:
+    """``--grids`` "lo:hi:count": lo < hi with a finite span (so every grid
+    point is a finite number) and count >= 2."""
     try:
-        lo_s, hi_s, n_s = spec.split(":")
+        lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        if n < 2 or not hi > lo:
-            raise ValueError
+        ok = n >= 2 and hi > lo and math.isfinite(hi - lo)
     except ValueError:
-        print(f"error: bad grid spec {spec!r}, want lo:hi:count", file=sys.stderr)
-        raise SystemExit(EXIT_MALFORMED)
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"bad grid spec {text!r}, want lo:hi:count with lo < hi, a finite span "
+            "and count >= 2")
+    return lo, hi, n
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"want a finite number >= 0, got {text!r}")
+    return tol + 0.0  # -0.0 reads 0.0
+
+
+def _oracle_grids(problem, lo: float, hi: float, n: int) -> dict[str, np.ndarray]:
+    """Per-node decision grids of ``n`` points per axis on [lo, hi].  More
+    joint choices than brute force's guard raise BudgetExceeded before
+    any grid is built."""
+    nodes = problem.decision_nodes()
+    dims = [problem.decision_dim(node.id) for node in nodes]
+    dp.check_enumeration([n**d for d in dims])
     axis = np.linspace(lo, hi, n)
-    return {
-        node.id: dp._decision_mesh(axis, problem.decision_dim(node.id))
-        for node in problem.decision_nodes()
-    }
+    return {node.id: dp._decision_mesh(axis, d) for node, d in zip(nodes, dims)}
 
 
 def cmd_oracle(args) -> int:
     model = _load(args.market)
     problem = _build(model, args)
     cfg = _solve_config(args)
-    grids = _oracle_grids(problem, args.grids)
     out = _out_dir(args)
     try:
-        bf_value, bf_strategy = dp.brute_force(problem, grids)
-    except BudgetExceeded as e:
-        payload = {"error": "BudgetExceeded", "message": str(e), "exit_code": EXIT_BUDGET}
+        bf_value, bf_strategy = dp.brute_force(problem, _oracle_grids(problem, *args.grids))
+    except (BudgetExceeded, NumericFailure) as e:
+        code = EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_SOLVER
+        payload = {"error": type(e).__name__, "message": str(e), "exit_code": code}
         _report(os.path.join(out, "oracle_report.json"), payload)
-        return EXIT_BUDGET
+        return code
     try:
         result = dp.backward_solve(problem, cfg=cfg)
         solve_value = result.forward_value
@@ -267,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="compare the solve against brute-force enumeration")
     common(sp)
-    sp.add_argument("--grids", required=True, help="decision grid spec lo:hi:count")
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--grids", required=True, type=_grid_spec,
+                    help="decision grid spec lo:hi:count")
+    sp.add_argument("--tol", type=_tolerance, default=1e-3,
+                    help="gap tolerance, times |brute-force value| when above 1 (>= 0)")
     sp.set_defaults(fn=cmd_oracle)
     return p
 

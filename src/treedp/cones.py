@@ -33,6 +33,10 @@ direction.  This module decides that condition:
   a found witness is conclusive there, and the verdict is otherwise
   "undecided".
 
+Both routes decide their cones on the one engine of :mod:`._polyhedral`
+(a single cone is a batch of one), whose every LP fails closed: one that
+stops without an optimum raises RuntimeError, never reads as "no ray".
+
 When the condition fails because null directions form a linear space, the
 problem can be restricted to the orthogonal complement of those
 directions per stage without changing the optimal value; ``null_space``
@@ -44,8 +48,8 @@ The projected problem keeps the original state and carries path
 objectives in the reduced decisions, so it can be checked and solved
 like any other problem.  The leaf paths come from the tree's ancestor
 table (:attr:`ScenarioTree.ancestors`).
-A classical frictionless no-arbitrage search is included as an
-independent reference check.
+A classical frictionless no-arbitrage search (:func:`no_arbitrage_lp`, a
+dense LP of its own) is included as an independent reference check.
 """
 
 from __future__ import annotations

@@ -295,10 +295,11 @@ class Problem:
         object.__setattr__(self, "_ids", ids)
 
     def decision_dim(self, node_id: str) -> int:
-        return self.decision_dims[self.tree.node(node_id).time]
+        return self.decision_dims[self.tree.times[self.tree._pos(node_id)]]
 
     def decision_nodes(self) -> list[Node]:
-        return [n for n in self.tree.nodes if self.decision_dim(n.id) > 0]
+        dims = self.decision_dims
+        return [n for n, t in zip(self.tree.nodes, self.tree.times.tolist()) if dims[t]]
 
     def step(self, K: np.ndarray, S: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(stage cost, post-decision state) of each row: the transition
@@ -1387,11 +1388,7 @@ def _exact_continuation(problem: Problem, t: int, cfg: SolveConfig) -> Continuat
             [states if isinstance(rows, slice) else np.take(states, rows, axis=0)
              for rows, _, _ in slots]
         )
-        if dim:
-            vals = _minimize_at(f, kids, entering, dim, cfg, problem._ids)[0]
-        else:
-            vals = _evaluate(f, kids, entering, problem._ids)
-        return _expect(slots, vals, len(K))
+        return _expect(slots, _minimize_at(f, kids, entering, dim, cfg, problem._ids)[0], len(K))
 
     return cont
 
@@ -1610,10 +1607,24 @@ def verify_optimality(
 # ---------------------------------------------------------------------------
 
 
+#: the most joint choices :func:`brute_force` enumerates by default
+BRUTE_FORCE_GUARD = 10**7
+
+
+def check_enumeration(sizes: Sequence[int], guard: int = BRUTE_FORCE_GUARD) -> None:
+    """Raise :class:`BudgetExceeded` when per-node grids of these ``sizes``
+    make more than ``guard`` joint choices."""
+    total = 1
+    for s in sizes:
+        total *= s
+        if total > guard:
+            raise BudgetExceeded(f"{total}+ combinations exceed the enumeration guard {guard}")
+
+
 def brute_force(
     problem: Problem,
     grids: Mapping[str, np.ndarray],
-    guard: int = 10**7,
+    guard: int = BRUTE_FORCE_GUARD,
 ) -> tuple[float, AdaptedSequence]:
     """Exhaustive enumeration over per-node decision grids.
 
@@ -1650,13 +1661,7 @@ def brute_force(
             raise ValueError(f"grid at {n.id!r} has no decisions")
         mats.append(g)
     sizes = [m.shape[0] for m in mats]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > guard:
-            raise BudgetExceeded(
-                f"{total}+ combinations exceed the enumeration guard {guard}"
-            )
+    check_enumeration(sizes, guard)
 
     ids = problem._ids
     T = tree.horizon

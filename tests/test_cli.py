@@ -9,11 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from treedp import cli, market
+from treedp import cli, cones, dp, market
 from treedp.tree import tree_from_records
 
 from conftest import (
     arbitrage_model,
+    binomial_prices,
     binomial_tree,
     duplicated_asset_model,
     get_bench,
@@ -114,6 +115,32 @@ class TestCheck:
         code = cli.main(["check", superlinear_file])
         assert code == 0
         assert (tmp_path / "env_out" / "check_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "solve", "oracle"])
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+    def test_out_dir_that_cannot_be_made_exit_1(
+        self, command, how, where, toy_file, tmp_path, capsys, monkeypatch
+    ):
+        # refused before the check, the solve or brute force runs
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        out = blocker if where == "a_file" else blocker / "sub"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output directory was made")
+
+        monkeypatch.setattr(cones, "check_horizon_positivity", no_work)
+        monkeypatch.setattr(dp, "brute_force", no_work)
+        argv = [command, toy_file] + (["--grids=-1:1:3"] if command == "oracle" else [])
+        if how == "flag":
+            argv += ["--out", str(out)]
+        else:
+            monkeypatch.setenv("TREEDP_OUT", str(out))
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == cli.EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
     def test_malformed_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -322,6 +349,48 @@ class TestSolve:
             cli.main(["solve", toy_file, "--grid", "4"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("flag", ["--eps", "--eps-gap"])
+    def test_zero_tolerance_flag_exit_1(self, command, flag, toy_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, toy_file, flag, "0", "--out", str(tmp_path / "o")])
+        assert err.value.code == cli.EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error: bad solver configuration")
+        assert not (tmp_path / "o").exists()
+
+    def test_coarse_eps_stops_the_refinement_early(self, toy_file, tmp_path, capsys):
+        sweeps = {}
+        for eps in ([], ["--eps", "0.1"]):
+            out = tmp_path / f"o{len(eps)}"
+            args = ["solve", toy_file, "--radius", "1", "--points", "17", "--out", str(out)]
+            assert cli.main(args + eps) == 0
+            report = json.loads((out / "solve_report.json").read_text())
+            sweeps[bool(eps)] = report["diagnostics"]["nodes"]["r"]["sweeps"]
+        assert sweeps[True] < sweeps[False]
+
+    @pytest.mark.parametrize("form", ["cash", "terminal"])
+    def test_undecided_check_exit_3(self, form, tmp_path, capsys):
+        # a closed stage leaves no path objectives, so the check is undecided
+        # and the solve does not run without --force
+        tree = binomial_tree(2)
+        model = market.MarketModel(
+            tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.2, 0.85),
+            cost=market.Frictionless(), utility=market.SShapedUtility(2.0, 1.0, 1.0),
+            initial_cash=1.0, trading_stages=frozenset({0}),
+        )
+        path = tmp_path / "closed.json"
+        path.write_text(json.dumps(market.market_to_dict(model)))
+        out = tmp_path / "o"
+        args = [str(path), "--form", form, "--points", "9", "--out", str(out)]
+        assert cli.main(["check", *args]) == cli.EXIT_UNDECIDED
+        report = json.loads((out / "check_report.json").read_text())
+        assert report["horizon_positivity"]["verdict"] == "undecided"
+        assert report["exit_code"] == cli.EXIT_UNDECIDED
+        assert cli.main(["solve", *args]) == cli.EXIT_UNDECIDED
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["exit_code"] == cli.EXIT_UNDECIDED and "--force" in report["note"]
+        assert "value" not in report
+
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_collapsed_state_grid_exit_4(self, command, tmp_path, capsys):
         # x0 +- span rounds to x0 = 1e308: every cash breakpoint is equal
@@ -502,6 +571,56 @@ class TestOracle:
         with pytest.raises(SystemExit) as err:
             cli.main(["oracle", toy_file, "--grids", "nope"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("flag", [
+        "--grids=-inf:1:3", "--grids=-1:inf:3", "--grids=nan:1:3", "--grids=1:-1:3",
+        "--grids=-1:1:1", "--grids=-1e308:1e308:3", "--tol=nan", "--tol=-1", "--tol=inf",
+        "--tol=-0.0001",
+    ])
+    def test_bad_oracle_flag_exit_1(self, flag, toy_file, tmp_path, capsys):
+        argv = ["oracle", toy_file, flag, "--out", str(tmp_path / "o")]
+        if not flag.startswith("--grids"):
+            argv.append("--grids=-1:1:3")
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == cli.EXIT_MALFORMED
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_brute_force_numeric_failure_exit_4(self, toy_file, tmp_path, capsys, monkeypatch):
+        # reported as the solve reports one: an error record, not a traceback
+        def nan_objective(problem, grids):
+            raise dp.NumericFailure("node 'u': objective value is not a number")
+
+        monkeypatch.setattr(dp, "brute_force", nan_objective)
+        out = tmp_path / "o"
+        code = cli.main(["oracle", toy_file, "--grids=-1:1:3", "--out", str(out)])
+        assert code == cli.EXIT_SOLVER
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report == {"error": "NumericFailure", "exit_code": cli.EXIT_SOLVER,
+                          "message": "node 'u': objective value is not a number"}
+
+    @pytest.mark.parametrize("count", [10**7 + 1, 10**15])
+    def test_grid_count_beyond_the_guard_exit_5_before_any_grid(
+        self, count, toy_file, tmp_path, capsys, monkeypatch
+    ):
+        linspace = np.linspace
+
+        def small_linspace(lo, hi, n, *args, **kwargs):
+            assert n < 10**6, "a decision axis was built"
+            return linspace(lo, hi, n, *args, **kwargs)
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a decision grid was built")
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        monkeypatch.setattr(dp, "_decision_mesh", no_mesh)
+        out = tmp_path / "o"
+        code = cli.main(["oracle", toy_file, f"--grids=-1:1:{count}", "--out", str(out)])
+        assert code == cli.EXIT_BUDGET
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["error"] == "BudgetExceeded"
+        assert report["message"] == f"{count}+ combinations exceed the enumeration guard 10000000"
 
 
 class TestDeterminism:

@@ -1281,6 +1281,16 @@ class TestMarketForms:
 
 
 class TestLowerBoundPass:
+    def test_a_bound_above_the_minimum_is_reported(self):
+        # (x - 3)**2 has minimum 0 at x = 3, below the declared bound 0.5
+        tree = td.ScenarioTree([td.Node("r", 0, None)])
+        f = AffinePrecompose(PowerCost(1.0, 2.0, 1), [[1.0]], [-3.0])
+        for bound, violations in ((0.0, {}), (0.5, {"r": -0.5})):
+            problem = dp.history_problem(tree, [1], {"r": f}, lower_bound=bound)
+            res = dp.backward_solve(problem, grids={})
+            assert res.value == 0.0
+            assert res.diagnostics["lower_bound_violations"] == violations
+
     def test_matches_node_by_node_sum(self):
         # each node sums its children's bounds in tree order, as a loop would
         rng = np.random.default_rng(5)

@@ -169,6 +169,19 @@ class TestHorizonRules:
         with pytest.raises(td.HorizonConditionViolated):
             td.horizon(PartialMin(bad, keep=1))
 
+    def test_partial_min_witness_from_sampled_directions(self, monkeypatch):
+        # x1 + x2 + (-2 x2) = x1 - x2 falls without bound in the minimized
+        # x2; these affine horizons give no exact zero-sublevel rows, so the
+        # witness is a sampled unit direction
+        sampled = []
+        directions = efun._sphere_directions
+        monkeypatch.setattr(efun, "_sphere_directions",
+                            lambda dim: sampled.append(dim) or directions(dim))
+        with pytest.raises(td.HorizonConditionViolated) as err:
+            td.horizon(PartialMin(Sum((Affine([1.0, 1.0]), Affine([0.0, -2.0]))), 1))
+        assert sampled == [1]
+        assert err.value.witness.tolist() == [1.0]
+
     def test_box_intersection_found_off_axis(self):
         # neither box's nearest-to-zero corner lies in the intersection,
         # but a shared domain point exists and the sum rule stays exact

@@ -1,5 +1,6 @@
-"""The cone test against a coordinate-LP reference, and the subspace
-certificate of ``cone_kernels`` against the block LP.
+"""The cone test against a coordinate-LP reference, the one cone engine
+against dense references, and the subspace certificate of
+``cone_kernels`` against the block LP.
 
 ``cone_vertex`` decides {y : R y <= 0} = {0} from one SVD and
 at most two LPs.  The reference below pushes each of the 2n coordinates
@@ -7,16 +8,20 @@ to its bound over the cone within the unit box: slow, but a direct
 transcription of the definition.  A block that ``cone_kernels``
 certifies a subspace must read no one-sided slack from
 ``block_slacks``, and the node route must give the same bytes with the
-certificate switched off, when every node goes to the block LP.
+certificate switched off, when every node goes to the block LP.  A single
+cone is a block LP and a batched SVD of one block: both must give the
+bytes of the dense LP and the plain SVD, and an LP that stops without an
+optimum must raise, never read as "no ray".
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from treedp import cones, market
+from treedp import _polyhedral, cones, efun, market
 from treedp._polyhedral import (
     LP_TOL,
     SLACK_TOL,
@@ -25,11 +30,20 @@ from treedp._polyhedral import (
     cone_is_subspace,
     cone_kernels,
     cone_vertex,
+    kernel_basis,
     unit_l1,
     unit_rows,
 )
 
-from conftest import exp_utility, random_bounds, random_frictionless_tree
+from conftest import (
+    binomial_prices,
+    binomial_tree,
+    duplicated_asset_model,
+    exp_utility,
+    random_bounds,
+    random_frictionless_tree,
+    stacked_route,
+)
 
 
 def coordinate_lp_direction(rows: np.ndarray, dim: int) -> np.ndarray | None:
@@ -228,3 +242,84 @@ def test_node_route_bytes_do_not_depend_on_the_certificate(monkeypatch):
             seen["holds" if "'holds'" in rep else "fails"] += 1
             seen["terminal"] += build is market.build_problem_terminal
     assert min(seen.values()) > 0, seen
+
+
+def _dense_lp(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Reference: minimize c . y over {R y <= 0, |y| <= 1} on the dense rows."""
+    res = linprog(c, A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                  bounds=[(-1.0, 1.0)] * rows.shape[1], method="highs")
+    assert res.status == 0, res.message
+    return np.asarray(res.x, dtype=float)
+
+
+def _dense_kernel(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """Reference: the kernel from one plain SVD of ``matrix``."""
+    if matrix.shape[0] == 0 or not matrix.any():
+        return np.eye(matrix.shape[1])
+    _, s, vt = np.linalg.svd(matrix)
+    rank = int(np.sum(s > rtol * max(matrix.shape) * s[0]))
+    return vt[rank:].T.copy()
+
+
+def test_a_single_cone_is_a_batch_of_one():
+    # the one-block LP and the one-block SVD give the dense bytes, on the
+    # families above and on node-style rows with zero entries and zero rows
+    rng = np.random.default_rng(2047)
+    families = sorted(FAMILIES)
+    seen = {"kernel_lp": 0, "slack_lp": 0, "zero_entries": 0}
+    for k in range(150):
+        if k % 3 == 0:
+            raw = -_node_moves(rng)
+        else:
+            raw = FAMILIES[families[k % len(families)]](rng, int(rng.integers(2, 6)))
+        seen["zero_entries"] += int((raw == 0).any())
+        assert kernel_basis(raw).tobytes() == _dense_kernel(raw).tobytes()
+        assert kernel_basis(raw).shape == _dense_kernel(raw).shape
+        rows = _normalize_rows(raw)
+        if not rows.size:
+            continue
+        K = kernel_basis(rows)
+        objectives = {"slack_lp": rows.sum(axis=0)}
+        if K.shape[1]:
+            objectives["kernel_lp"] = -K[:, 0]
+        for kind, c in objectives.items():
+            y = _polyhedral._box_lp([rows[None]], [c[None]])[0][0]
+            assert y.tobytes() == _dense_lp(rows, c).tobytes(), (rows, c)
+            seen[kind] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def _limited_binomial() -> market.MarketModel:
+    # a borrowing limit: the model takes the stacked route, where it holds
+    tree = binomial_tree(2)
+    return market.MarketModel(
+        tree=tree, n_risky=1, prices=binomial_prices(tree, 1.0, 1.2, 0.85),
+        cost=market.Frictionless(), utility=market.SShapedUtility(2.0, 1.0, 1.0),
+        initial_cash=1.0, cash_lower=-5.0,
+    )
+
+
+def _stopped(*args, **kwargs):
+    return types.SimpleNamespace(status=1, message="Iteration limit reached.", x=None, fun=None)
+
+
+@pytest.mark.parametrize("build", [market.build_problem_cash, market.build_problem_terminal],
+                         ids=["cash", "terminal"])
+def test_a_cone_lp_without_an_optimum_raises(monkeypatch, build):
+    # a stopped LP proves nothing: neither "holds" nor "a subspace"
+    limited = build(_limited_binomial(), radius=1.0, points=5)
+    dup = stacked_route(build(duplicated_asset_model(), radius=1.0, points=5))
+    assert "node_rows" not in limited.meta
+    assert cones.check_horizon_positivity(limited).verdict == "holds"
+    assert cones.null_space(limited).kind == "exact"
+    monkeypatch.setattr(_polyhedral, "linprog", _stopped)
+    with pytest.raises(RuntimeError, match="cone LP failed: Iteration limit reached"):
+        cones.check_horizon_positivity(limited)  # the max-slack LP
+    with pytest.raises(RuntimeError, match="cone LP failed"):
+        cones.null_space(limited)
+    with pytest.raises(RuntimeError, match="cone LP failed"):
+        cones.check_horizon_positivity(dup)  # the kernel-direction LP
+    with pytest.raises(RuntimeError, match="cone LP failed"):
+        cone_is_subspace(np.array([[1.0, -1.0]]), 2)
+    with pytest.raises(RuntimeError, match="cone LP failed"):
+        efun.positivity_off_origin(efun.Sum((efun.Affine([1.0]), efun.IndicatorBox([0.0], [np.inf]))))
