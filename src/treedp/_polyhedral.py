@@ -12,6 +12,13 @@ lambda > 0 with lambda R = 0, read from the SVD's left singular vectors
 (:func:`_stiemke`): at a complete node of a frictionless market, such as
 every binomial one, that lambda is the node's risk-neutral measure.
 
+A positive multiple of a row leaves the cone as it is, so every cone is
+decided on :func:`unit_rows`, the one row normalization: each row is first
+scaled by the power of two of its largest entry, which is exact, and then
+by its norm.  Tiny, normal and huge rows take the same path, so no verdict
+depends on the size of a row, and rows with every entry in [1e-153, 1e153]
+keep the bits of a plain division by their norm.
+
 One engine serves every cone: many small cones at once (one per tree
 node) stack as (B, m, d) blocks, and a single cone is a batch of one.
 :func:`_kernels` reads each block's kernel and certificate from one
@@ -40,28 +47,18 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, their Euclidean norms) along the last axis; a norm beyond the
-    float range first scales its row by its largest entry, so that huge
-    data keeps its direction instead of becoming 0."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=-1)
-    huge = np.isinf(norms)
-    if huge.any():
-        huge &= np.isfinite(rows).all(axis=-1)
-        rows = rows.copy()
-        rows[huge] /= np.abs(rows[huge]).max(axis=-1)[:, None]
-        norms[huge] = np.linalg.norm(rows[huge], axis=-1)
-    return rows, norms
-
-
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of a (..., m, d) stack scaled to unit norm; zero rows stay 0.
 
-    Rows and blocks keep their places, so that blocks of equal shape stay
-    stacked; a zero row constrains nothing."""
-    rows, norms = _row_norms(np.asarray(rows, dtype=float))
-    return rows / np.where(norms > 0, norms, 1.0)[..., None]
+    The row is first scaled by 2^-e, e the exponent of its largest |entry|:
+    exact, and no norm overflows or underflows, so rows with every entry in
+    [1e-153, 1e153] keep the bits of ``r / np.linalg.norm(r)``.  Blocks of
+    equal shape stay stacked; a zero row constrains nothing."""
+    rows = np.asarray(rows, dtype=float)
+    top = np.abs(rows).max(axis=-1, keepdims=True, initial=0.0)
+    rows = np.ldexp(rows, -np.frexp(top)[1])
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows / np.where(norms > 0, norms, 1.0)
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._polyhedral import cone_vertex, unit_l1
+from ._polyhedral import cone_vertex, unit_l1, unit_rows
 
 INF = math.inf
 
@@ -756,8 +756,7 @@ def _sphere_directions(dim: int) -> np.ndarray:
         ang = np.arange(0.0, 2 * math.pi, 1e-2)
         return np.column_stack([np.cos(ang), np.sin(ang)])
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((10000, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = unit_rows(rng.standard_normal((10000, dim)))
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
     return np.vstack([axes, dirs])
 

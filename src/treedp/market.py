@@ -822,19 +822,21 @@ def _build_problem(model: MarketModel, form: str, radius: float, points: int) ->
         t = times[K[0]]
         Z = prices.take(K, axis=0)
         phi = S[:, 1:]
-        if t == T:
-            liq = _rowdot(phi, Z) - cost(K, -phi)
-            wealth = S[:, 0] + liq - claim_at(t, K) + endow_at(t, K)
-            return wealth[:, None]
-        target = X[:, lead:] if trades[t] else phi
-        delta = target - phi
-        # (cash - claim) - (delta . Z + cost), then the expenditure
-        out = np.empty((len(K), J + 1))
-        cash = out[:, 0]
-        np.subtract(S[:, 0], claim_at(t, K), out=cash)
-        cash -= _rowdot(delta, Z) + cost(K, delta)
-        if lead and trades[t]:
-            cash += X[:, 0]
+        # huge data makes inf or NaN here; the search reports it as a NumericFailure
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t == T:
+                liq = _rowdot(phi, Z) - cost(K, -phi)
+                wealth = S[:, 0] + liq - claim_at(t, K) + endow_at(t, K)
+                return wealth[:, None]
+            target = X[:, lead:] if trades[t] else phi
+            delta = target - phi
+            # (cash - claim) - (delta . Z + cost), then the expenditure
+            out = np.empty((len(K), J + 1))
+            cash = out[:, 0]
+            np.subtract(S[:, 0], claim_at(t, K), out=cash)
+            cash -= _rowdot(delta, Z) + cost(K, delta)
+            if lead and trades[t]:
+                cash += X[:, 0]
         out[:, 1:] = target
         return out
 

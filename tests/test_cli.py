@@ -442,23 +442,27 @@ class TestCommandLine:
 
 
 class TestHugeNumbers:
-    @pytest.mark.parametrize("where, value, check_code, solve_code", [
-        (("tree", 1, "data", "Z"), [1e308], 0, 4),
-        (("tree", 1, "data", "Z"), [-1e308], 0, 4),
-        (("cost", "coeff"), 1e300, 0, 0),
-        (("cost", "coeff"), 1e308, 0, 4),
-        (("cost", "exponent"), 1e300, 0, 4),
-        (("utility", "beta"), 1e308, 0, 0),
+    @pytest.mark.parametrize("where, value, check_code, solve_code, oracle_code, grids", [
+        (("tree", 1, "data", "Z"), [1e308], 0, 4, 4, "-1:1:3"),
+        # the leaf liquidation of a huge price at a huge trade is inf - inf
+        (("tree", 1, "data", "Z"), [1e308], 0, 4, 4, "-1e300:1e300:3"),
+        (("tree", 1, "data", "Z"), [-1e308], 0, 4, 4, "-1:1:3"),
+        (("cost", "coeff"), 1e300, 0, 0, 0, "-1:1:3"),
+        # the leaf wealth sum of a huge cost overflows
+        (("cost", "coeff"), 1e308, 0, 4, 4, "-1:1:3"),
+        (("cost", "exponent"), 1e300, 0, 4, 4, "-1:1:3"),
+        (("utility", "beta"), 1e308, 0, 0, 2, "-1:1:3"),
     ])
     def test_fail_closed_without_warnings(
-        self, where, value, check_code, solve_code, tmp_path, capsys
+        self, where, value, check_code, solve_code, oracle_code, grids, tmp_path, capsys
     ):
         spec = toy_model_dict()
         node = spec
         for key in where[:-1]:
             node = node[key]
         node[where[-1]] = value
-        self._check_and_solve(spec, check_code, solve_code, tmp_path, capsys)
+        self._check_and_solve(spec, (check_code, solve_code, oracle_code), grids,
+                              tmp_path, capsys)
 
     @pytest.mark.parametrize("exponent, status", [(2.0, "undecided"), (3.0, "holds")])
     def test_huge_prices_at_every_node(self, exponent, status, tmp_path, capsys):
@@ -469,7 +473,7 @@ class TestHugeNumbers:
         spec["cost"]["exponent"] = exponent
         for node in spec["tree"]:
             node["data"]["Z"] = [1e308]
-        self._check_and_solve(spec, 0, 4, tmp_path, capsys)
+        self._check_and_solve(spec, (0, 4, 4), "-1e300:1e300:3", tmp_path, capsys)
         report = json.loads((tmp_path / "o" / "check_report.json").read_text())
         disposal = report["validation"]["conditions"]["free_disposal"]
         assert disposal["status"] == status
@@ -480,11 +484,13 @@ class TestHugeNumbers:
             assert "not finite" in disposal["note"]
 
     @staticmethod
-    def _check_and_solve(spec, check_code, solve_code, tmp_path, capsys):
+    def _check_and_solve(spec, codes, grids, tmp_path, capsys):
+        """check, solve and oracle (on ``grids``) exit with ``codes`` and warn nowhere."""
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(spec))
-        for argv, want in ((["check"], check_code),
-                           (["solve", "--points", "5", "--radius", "1"], solve_code)):
+        solve_args = ["--points", "5", "--radius", "1"]
+        for argv, want in zip((["check"], ["solve", *solve_args],
+                               ["oracle", *solve_args, f"--grids={grids}"]), codes):
             # every warning is recorded, so none would reach the command line's stderr
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

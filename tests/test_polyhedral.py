@@ -11,17 +11,20 @@ certifies a subspace must read no one-sided slack from
 certificate switched off, when every node goes to the block LP.  A single
 cone is a block LP and a batched SVD of one block: both must give the
 bytes of the dense LP and the plain SVD, and an LP that stops without an
-optimum must raise, never read as "no ray".
+optimum must raise, never read as "no ray".  A positive multiple of a row
+leaves the cone as it is, so no verdict may change when a row is scaled,
+however tiny or huge it becomes, nor when rows are permuted or duplicated.
 """
 
 import dataclasses
+import json
 import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from treedp import _polyhedral, cones, efun, market
+from treedp import _polyhedral, cli, cones, efun, market
 from treedp._polyhedral import (
     LP_TOL,
     SLACK_TOL,
@@ -196,6 +199,74 @@ def test_certified_blocks_read_no_slack():
         seen["undecided"] += int((~subspace).sum())
         seen["one_sided"] += int((slack > SLACK_TOL).sum())
     assert min(seen.values()) > 0, seen
+
+
+def _verdicts(rows: np.ndarray, n: int) -> tuple:
+    """Whether the cone is {0} and whether it is a subspace, and the
+    kernel dimension and subspace certificate of the node route's block."""
+    (K,), certified = cone_kernels(unit_rows(rows)[None])
+    return (cone_vertex(rows, n)[0] is None, cone_is_subspace(rows, n)[0],
+            K.shape[1], bool(certified[0]))
+
+
+def _normal_scales(row: np.ndarray) -> tuple[int, int]:
+    """The least and the largest k in [-1070, 1020] for which every
+    nonzero entry of ``row`` times 2^k is a normal float."""
+    e = np.frexp(row[row != 0])[1]  # |x| in [2^(e-1), 2^e)
+    return max(-1070, -1021 - int(e.min())), min(1020, 1024 - int(e.max()))
+
+
+SCALED_FAMILIES = {**FAMILIES, "node_moves": lambda rng, n: -_node_moves(rng)}
+
+
+@pytest.mark.parametrize("family", sorted(SCALED_FAMILIES))
+def test_verdicts_do_not_depend_on_the_scale_or_order_of_the_rows(family):
+    rng = np.random.default_rng(sorted(SCALED_FAMILIES).index(family) + 61)
+    changed = {"scaled": 0, "permuted": 0, "duplicated": 0}
+    for _ in range(16):
+        n = int(rng.integers(2, 6)) if family == "rank_deficient" else int(rng.integers(1, 6))
+        rows = SCALED_FAMILIES[family](rng, n)
+        n = rows.shape[1]
+        want = _verdicts(rows, n)
+        live = np.flatnonzero(rows.any(axis=1))
+        i = int(rng.choice(live))
+        lo, hi = _normal_scales(rows[i])
+        for k in (lo, hi, int(rng.integers(lo, hi + 1))):
+            scaled = rows.copy()
+            scaled[i] = np.ldexp(rows[i], k)
+            assert np.all(np.abs(scaled[i][scaled[i] != 0]) >= np.finfo(float).tiny)
+            changed["scaled"] += _verdicts(scaled, n) != want
+        changed["permuted"] += _verdicts(rows[rng.permutation(len(rows))], n) != want
+        # a duplicated row widens the left kernel, where the certificate is
+        # not read: the block turns undecided, and nothing else may change
+        dup = np.vstack([rows, rows[rng.integers(len(rows), size=int(rng.integers(1, 3)))]])
+        got = _verdicts(dup, n)
+        changed["duplicated"] += got[:3] != want[:3]
+        assert not got[3] or want[3]
+    assert changed == {"scaled": 0, "permuted": 0, "duplicated": 0}, changed
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-300])
+def test_a_tiny_priced_arbitrage_fails(scale, tmp_path, capsys):
+    # both children are above the root: buying at the root is an arbitrage
+    # at any price level, and the cone rows keep their direction however tiny
+    y, _ = cone_vertex(scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), 2)
+    assert y.tolist() == [-1.0, 0.0]
+    subspace, ray = cone_is_subspace(np.array([[scale, 0.0]]), 2)
+    assert not subspace and ray.tolist() == [-0.5, -0.5]
+    model = market.MarketModel(
+        tree=binomial_tree(1), n_risky=1,
+        prices={"r": [scale], "u": [1.2 * scale], "d": [1.1 * scale]},
+        cost=market.Frictionless(), utility=market.SShapedUtility(2.0, 1.0, 1.0),
+        initial_cash=0.0,
+    )
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(market.market_to_dict(model)))
+    assert cli.main(["check", str(path), "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    report = json.loads((tmp_path / "o" / "check_report.json").read_text())
+    assert report["horizon_positivity"]["verdict"] == "fails"
+    assert report["horizon_positivity"]["witness"] == {"r": [1.0]}
 
 
 def _node_route_bytes(problem) -> tuple:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from treedp import dp, market
+from treedp._polyhedral import unit_rows
 from treedp.efun import AffinePrecompose, ExtFun, SShapedDisutility
 
 from conftest import binomial_tree, ragged_tree
@@ -517,3 +518,54 @@ class TestStageConstraint:
                     if fn is not None:
                         assert all(stage_funs.get(tree.nodes[p].id) is fn for p in P)
                         assert_same(fn, reference, K, S, X, post)
+
+
+# ---------------------------------------------------------------------------
+# cone rows
+# ---------------------------------------------------------------------------
+
+
+def unit_rows_reference(R):
+    """Each row over its norm, in extended precision, rounded to float once."""
+    L = R.astype(np.longdouble)
+    return (L / np.sqrt((L * L).sum(axis=-1, keepdims=True))).astype(float)
+
+
+def signed_rows(rng, shape, exponents, zeros=0.2):
+    """Rows of entries +-10**e, e drawn from ``exponents``, a share of them 0;
+    every row keeps a nonzero entry."""
+    R = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(*exponents, shape)
+    R[rng.random(shape) < zeros] = 0.0
+    R[..., 0] = np.where(R.any(axis=-1), R[..., 0], 1.0)
+    return R
+
+
+class TestUnitRows:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 2), (50, 5), (3, 4, 6), (9, 40)])
+    def test_rows_of_normal_size_keep_their_bits(self, shape):
+        # every entry in [1e-153, 1e153]: no square leaves the normal range
+        rng = np.random.default_rng(sum(shape))
+        for exponents in ((-153, 153), (-3, 3), (-153, -140), (140, 153)):
+            R = signed_rows(rng, shape, exponents)
+            assert_same(unit_rows, lambda R: R / np.linalg.norm(R, axis=-1, keepdims=True), R)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is plain double here")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.7e308, -1.7e308, 5e-324, 2.5e-310])
+    def test_tiny_huge_and_subnormal_rows_within_2_ulp(self, scale):
+        rng = np.random.default_rng(int(math.log10(abs(scale)) + 400))
+        R = scale * signed_rows(rng, (300, 3), (-2, 0))
+        if abs(scale) == 5e-324:  # subnormal entries: whole multiples of 5e-324
+            R = rng.integers(-2**20, 2**20, (300, 3)) * 5e-324
+            R[:, 0] = np.where(R.any(axis=1), R[:, 0], 5e-324)
+        R[::7, 1] = 5e-324  # a subnormal beside the row's size
+        got, warned = run(unit_rows, R)
+        ref = unit_rows_reference(R)
+        assert not warned
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref))), np.abs(got - ref).max()
+
+    def test_zero_rows_stay_zero(self):
+        R = np.array([[[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]], [[1.0, -0.0, 0.0], [0.0, 0.0, 0.0]]])
+        got, warned = run(unit_rows, R)
+        assert got.tobytes() == R.tobytes() and not warned
+        assert unit_rows(np.zeros((2, 0, 3))).shape == (2, 0, 3)
