@@ -185,7 +185,8 @@ def _kernels(
     subspace = ~distinct.any(axis=(1, 2))  # no nonzero row: the whole space
     live = np.flatnonzero(~subspace)
     if live.size:
-        u, s, vt = np.linalg.svd(distinct[live])
+        # only the certificate reads U, and with m < d a thin V^T misses kernel rows
+        u, s, vt = np.linalg.svd(distinct[live], full_matrices=certify or m < d)
         tol = rtol * max(m, d) * s[:, :1]
         for i, rank, ui, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), u, vt):
             bases[i] = v[rank:].T

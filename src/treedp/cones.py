@@ -75,7 +75,7 @@ from ._polyhedral import (
     unit_l1,
     unit_rows,
 )
-from .dp import Problem, write_csv_rows
+from .dp import Problem, write_csv_tables
 from .efun import AffinePrecompose, ExtFun
 from .tree import NodeValues, ScenarioTree
 
@@ -133,11 +133,11 @@ class CheckReport:
         in the byte format of the solver's CSV exports."""
         witness = self.witness or {}
         width = max((len(v) for v in witness.values()), default=0)
-        cache: dict[int, str] = {}
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["node"] + [f"x{i}" for i in range(width)])
-            for nid, vec in witness.items():
-                write_csv_rows(fh, [nid], [""], np.asarray(vec, dtype=float), width, cache)
+            write_csv_tables(
+                fh, [([nid], (), np.asarray(vec, dtype=float)) for nid, vec in witness.items()],
+                0, width)
 
 
 @dataclass

@@ -34,12 +34,12 @@ force keeps its own walk, as the independent oracle.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -1055,6 +1055,13 @@ def _expect(slots: list, child_values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _class_arrays(stack: np.ndarray) -> list[np.ndarray]:
+    """The classes' arrays of a stack (one class per leading index): read-only
+    views, one object per class, which every node of the class holds."""
+    stack.flags.writeable = False
+    return list(stack)
+
+
 def _roll_back(tree: ScenarioTree, at_leaves) -> np.ndarray:
     """Per position, the conditional expectation of the values ``at_leaves``
     (one per leaf, in ``tree.leaves`` order), one stage at a time."""
@@ -1088,8 +1095,14 @@ def _table_continuation(
         return _exact_continuation(problem, t, DEFAULT_CONFIG)
     nodes = tree.nodes_at(t)
     axes = post[nodes[0].id].axes
-    values = np.stack([post[n.id].values for n in nodes])
-    which = tree.stage_index
+    # one stacked table per distinct array (a subtree class shares one), and
+    # per position of the stage the row of its node's array
+    arrays = [post[n.id].values for n in nodes]
+    distinct = {id(a): a for a in arrays}
+    row = {k: i for i, k in enumerate(distinct)}
+    which = np.zeros(len(tree), dtype=np.intp)
+    which[tree.positions_at(t)] = [row[id(a)] for a in arrays]
+    values = np.stack(list(distinct.values()))
     return lambda K, Q: interp_multilinear(axes, values, Q, which=which.take(K))
 
 
@@ -1193,14 +1206,16 @@ def backward_solve(
 
     With ``problem.local_keys`` a stage searches only the rows of its
     representatives, one node per class of bit-identical subtrees (the
-    class's first node in ``positions_at`` order), and scatters their
-    values, argmins and per-state counters back to every node of the
-    class.  Tables, policy entries, diagnostics and the lower-bound check
-    are then built per node as without sharing, so the result is the
-    unshared one bit for bit.  The first NaN value and the first stuck
-    state fall on the node they fall on in an unshared solve, so
-    :class:`NumericFailure` and :class:`SearchBoxExhausted` name the same
-    node and state count.
+    class's first node in ``positions_at`` order), and computes the post
+    tables of the representatives only.  Each class keeps one read-only
+    array for its pre table, one for its post table and one for its
+    argmins, and every node of the class holds these very objects (without
+    local keys each node is a class of its own).  Per-state counters,
+    diagnostics and the lower-bound check are scattered to every node, so
+    the result is the unshared one bit for bit.  The first NaN value and
+    the first stuck state fall on the node they fall on in an unshared
+    solve, so :class:`NumericFailure` and :class:`SearchBoxExhausted` name
+    the same node and state count.
 
     The returned ``value`` is the table root value; ``forward_value``
     re-evaluates the true objective of the extracted policy with
@@ -1229,40 +1244,46 @@ def backward_solve(
         nodes = tree.nodes_at(t)
         n = len(P)
         ndim = problem.decision_dims[t]
-        if t < T:
-            out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
-            slots, kids = _child_slots(tree, P)
-            u = _expect(slots, stacked[tree.stage_index[kids]], n)
-            for node, table in zip(nodes, u):
-                post[node.id] = ValueTable(node.id, out_axes, table, "post")
-        f = _stage_objective(problem, _table_continuation(problem, t, post))
-        # search the representatives only, then scatter to every node of the stage
+        # one class per representative: ``own`` lists them, ``scatter`` maps
+        # each node of the stage to its class
         rep = problem._representatives[P]
         own = np.flatnonzero(rep == np.arange(n))
         scatter = np.searchsorted(own, rep)
+        if t < T:
+            out_axes = tuple(np.asarray(a, dtype=float) for a in grids[t])
+            slots, kids = _child_slots(tree, P[own])
+            child_values = children[child_class[tree.stage_index[kids]]]
+            u = _class_arrays(_expect(slots, child_values, len(own)))
+            for node, c in zip(nodes, scatter.tolist()):
+                post[node.id] = ValueTable(node.id, out_axes, u[c], "post")
+        f = _stage_objective(problem, _table_continuation(problem, t, post))
+        # search the representatives only; their arrays serve every node of the class
         K = np.repeat(P[own], len(mesh))
         vals, args, diag = _minimize_at(
             f, K, np.tile(mesh, (len(own), 1)), ndim, cfg, problem._ids
         )
-        stacked = vals.reshape((len(own),) + shape)[scatter]
-        args = args.reshape((len(own),) + shape + (ndim,))[scatter]
+        stacked = vals.reshape((len(own),) + shape)
+        tables = _class_arrays(stacked)
+        argmins = _class_arrays(args.reshape((len(own),) + shape + (ndim,)))
         counters = {
             k: v.reshape(len(own), -1).max(axis=1)[scatter] for k, v in diag["per_state"].items()
         }
-        flat = stacked.reshape(n, -1)
+        flat = stacked.reshape(len(own), -1)
         finite = np.isfinite(flat)
-        low = np.where(finite, flat, INF).min(axis=1)
+        low = np.where(finite, flat, INF).min(axis=1)[scatter]
+        some_finite = finite.any(axis=1)[scatter]
         bounds = problem._lower_bounds[P]
-        for i, node in enumerate(nodes):
-            pre[node.id] = ValueTable(node.id, axes, stacked[i], "pre")
-            policy_entries[node.id] = (axes, args[i])
+        for i, (node, c) in enumerate(zip(nodes, scatter.tolist())):
+            pre[node.id] = ValueTable(node.id, axes, tables[c], "pre")
+            policy_entries[node.id] = (axes, argmins[c])
             diagnostics["nodes"][node.id] = {
                 "expansions": int(counters["expansions"][i]),
                 "sweeps": int(counters["sweeps"][i]),
                 "max_box": float(counters["max_box"][i]),
             }
-            if finite[i].any() and low[i] < bounds[i] - cfg.eps_opt:
+            if some_finite[i] and low[i] < bounds[i] - cfg.eps_opt:
                 bound_violations[node.id] = float(low[i] - bounds[i])
+        children, child_class = stacked, scatter
     diagnostics["lower_bound_violations"] = bound_violations
 
     value = float(pre[tree.root.id].values.reshape(-1)[0])
@@ -1533,8 +1554,9 @@ class VerifyReport:
     method: str
 
     def max_gap(self) -> float:
-        finite = [g for g in self.node_gaps.values() if math.isfinite(g)]
-        return max(finite, default=0.0)
+        """The largest node gap: +inf where the strategy is infeasible at a
+        node whose minimum is finite."""
+        return max(self.node_gaps.values(), default=0.0)
 
     def report_dict(self) -> dict:
         return {
@@ -1748,8 +1770,10 @@ def brute_force(
 # The CSV side files hold the bytes ``csv.writer(fh)`` (default dialect) would
 # write, with every float written as its ``repr``.  Text fields (node ids,
 # table kinds) go through the csv module; floats never need quoting, so each
-# distinct float is formatted once per file and a table's rows are joined
-# into one string.
+# distinct float is formatted once per file.  The nodes of a subtree class
+# hold one array object (see :func:`backward_solve`), so the rows of each
+# distinct array are formatted once, and each node's table is one write: its
+# own text fields at the start of every row of that shared text.
 
 
 def _csv_start(fields: list[str], more: bool) -> str:
@@ -1777,20 +1801,19 @@ def _float_fields(values: np.ndarray, cache: dict[int, str]) -> list[str]:
     return list(map(cache.__getitem__, keys))
 
 
-def write_csv_rows(
-    fh, start: list[str], lead: Sequence[str], values: np.ndarray, width: int,
-    cache: dict[int, str],
-) -> None:
-    """Append one CSV row per entry of ``lead`` to ``fh``, in one write.
+def _csv_rows(
+    lead: Sequence[str], values: np.ndarray, width: int, cache: dict[int, str]
+) -> list[str]:
+    """The CSV rows after their text fields, one per entry of ``lead``.
 
-    Row i holds the text fields ``start``, then ``lead[i]`` (fields already
-    formatted, each as ``",field"``), then row i of ``values`` (reshaped to
-    ``len(lead)`` rows) as ``repr`` fields, padded with empty fields to
-    ``width``.  ``cache`` is the file's float cache (:func:`_float_fields`).
+    Row i holds ``lead[i]`` (fields already formatted, each as ``",field"``),
+    then row i of ``values`` (reshaped to ``len(lead)`` rows) as ``repr``
+    fields, padded with empty fields to ``width``, then the line terminator.
+    ``cache`` is the file's float cache (:func:`_float_fields`).
     """
     n = len(lead)
     if not n:
-        return
+        return []
     fields = _float_fields(values, cache)
     k = len(fields) // n
     if k == 1:
@@ -1799,9 +1822,38 @@ def write_csv_rows(
         rows = list(map("".join, zip(*[iter(fields)] * k)))
     else:
         rows = [""] * n
-    head = _csv_start(start, more=bool(lead[0]) or width > 0)
     end = "," * (width - k) + "\r\n"
-    fh.write(head + (end + head).join(map(operator.add, lead, rows)) + end)
+    return [a + b + end for a, b in zip(lead, rows)]
+
+
+def write_csv_tables(fh, items: list[tuple[list[str], tuple, np.ndarray]], swidth: int,
+                     width: int) -> None:
+    """Append the rows of each (text fields, axes, values) of ``items`` to
+    ``fh``, in order, one write per item.
+
+    An item's rows are :func:`_csv_rows` with the grid coordinates of
+    ``axes`` (padded to ``swidth``) as their lead and ``values`` padded to
+    ``width``, each led by the item's text fields.  The rows of one (axes,
+    values) pair of objects are formatted once and kept only until the
+    last item that holds them is written.
+    """
+    keys = [(id(axes), id(values)) for _, axes, values in items]
+    uses = collections.Counter(keys)
+    coords: dict[int, list[str]] = {}  # stages share their axes objects
+    texts: dict[tuple[int, int], list[str]] = {}
+    cache: dict[int, str] = {}
+    for (start, axes, values), key in zip(items, keys):
+        rows = texts.get(key)
+        if rows is None:
+            if id(axes) not in coords:
+                coords[id(axes)] = _coordinate_fields(axes, swidth)
+            rows = texts[key] = _csv_rows(coords[id(axes)], values, width, cache)
+        uses[key] -= 1
+        if not uses[key]:
+            del texts[key]
+        if rows:
+            head = _csv_start(start, more=rows[0] != "\r\n")
+            fh.write(head + head.join(rows))
 
 
 def _coordinate_fields(axes: tuple[np.ndarray, ...], width: int) -> list[str]:
@@ -1816,14 +1868,9 @@ def export_tables_csv(result: SolveResult, path: str) -> None:
     """Plot-ready dump: node, table kind, grid coordinates, value."""
     tabs = list(result.pre_tables.values()) + list(result.post_tables.values())
     width = max((len(t.axes) for t in tabs), default=0)
-    coords: dict[int, list[str]] = {}  # stages share their axes objects
-    cache: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["node", "kind"] + [f"s{i}" for i in range(width)] + ["value"])
-        for t in tabs:
-            if id(t.axes) not in coords:
-                coords[id(t.axes)] = _coordinate_fields(t.axes, width)
-            write_csv_rows(fh, [t.node, t.kind], coords[id(t.axes)], t.values, 1, cache)
+        write_csv_tables(fh, [([t.node, t.kind], t.axes, t.values) for t in tabs], width, 1)
 
 
 def export_policy_csv(result: SolveResult, path: str) -> None:
@@ -1831,16 +1878,12 @@ def export_policy_csv(result: SolveResult, path: str) -> None:
     entries = result.policy.entries
     swidth = max((len(axes) for axes, _ in entries.values()), default=0)
     dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
-    coords: dict[int, list[str]] = {}
-    cache: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(
             ["node"] + [f"s{i}" for i in range(swidth)] + [f"x{i}" for i in range(dwidth)]
         )
-        for node, (axes, arr) in entries.items():
-            if id(axes) not in coords:
-                coords[id(axes)] = _coordinate_fields(axes, swidth)
-            write_csv_rows(fh, [node], coords[id(axes)], arr, dwidth, cache)
+        write_csv_tables(fh, [([node], axes, arr) for node, (axes, arr) in entries.items()],
+                         swidth, dwidth)
 
 
 def _json_ready(obj):

@@ -237,7 +237,11 @@ def stacked_route(problem: dp.Problem) -> dp.Problem:
 
 def solve_bytes(problem: dp.Problem, cfg: dp.SolveConfig = dp.DEFAULT_CONFIG) -> tuple:
     """Everything ``backward_solve`` returns, as bytes and plain values."""
-    res = dp.backward_solve(problem, cfg=cfg)
+    return result_bytes(dp.backward_solve(problem, cfg=cfg))
+
+
+def result_bytes(res: dp.SolveResult) -> tuple:
+    """Everything a solve result holds, as bytes and plain values."""
     return (
         float(res.value).hex(), float(res.forward_value).hex(),
         {k: x.tobytes() for k, x in res.strategy.values.items()},

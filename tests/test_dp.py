@@ -30,6 +30,7 @@ from conftest import (
     binomial_tree,
     get_bench,
     get_solved,
+    result_bytes,
     solve_bytes,
     sshaped_t2_model,
     twin_market,
@@ -336,6 +337,16 @@ class TestVerifyOptimality:
         )
         assert not rep.optimal
         assert rep.max_gap() > 1e-6
+
+    def test_infeasible_decision_reports_an_infinite_max_gap(self):
+        bench, res = get_solved("trinomial_t1")
+        bumped = dict(res.strategy.values)
+        bumped["r"] = bumped["r"] + 100.0
+        rep = dp.verify_optimality(bench.problem, res, td.AdaptedSequence(bumped))
+        assert rep.node_gaps["r"] == INF and not rep.optimal
+        assert rep.max_gap() == INF
+        report = json.loads(dp.json_text(rep.report_dict()))
+        assert report["max_gap"] == "inf" and report["optimal"] is False
 
 
 class TestBruteForce:
@@ -880,6 +891,25 @@ class TestExports:
         self._assert_reference_bytes(_odd_result(state_axes, ndims), tmp_path)
         text = (tmp_path / "got.csv").read_bytes().decode()
         assert '"two\nlines"' in text and '"say ""hi"""' in text
+
+    @pytest.mark.parametrize("copies", [False, True], ids=["one-object", "equal-bytes"])
+    def test_nodes_with_equal_tables(self, copies, tmp_path):
+        # nodes 0 and 2 hold node 0's arrays, nodes 1 and 3 node 1's: one
+        # array object per class as a solve shares them, or distinct
+        # arrays of equal bytes
+        res = _odd_result(2, [2, 2, 2, 2])
+        pre, post, entries = res.pre_tables, res.post_tables, res.policy.entries
+
+        def held(a):
+            return a.copy() if copies else a
+
+        for i, nid in enumerate(ODD_IDS):
+            src = ODD_IDS[i % 2]
+            pre[nid] = replace(pre[nid], values=held(pre[src].values))
+            post[nid] = replace(post[nid], values=held(post[src].values))
+            entries[nid] = (entries[nid][0], held(entries[src][1]))
+        assert (pre[ODD_IDS[2]].values is pre[ODD_IDS[0]].values) is not copies
+        self._assert_reference_bytes(res, tmp_path)
 
     def test_report_json_is_standard(self):
         def no_constant(name):
@@ -2008,10 +2038,35 @@ def _representative(problem, node_id):
     return tree.nodes_at(int(tree.times[p]))[problem._representatives[p]].id
 
 
+def _csv_bytes(res: dp.SolveResult, tmp_path) -> list[bytes]:
+    """The bytes of ``policy.csv`` and ``value_tables.csv`` of a result."""
+    out = []
+    for export in (dp.export_policy_csv, dp.export_tables_csv):
+        export(res, str(tmp_path / "out.csv"))
+        out.append((tmp_path / "out.csv").read_bytes())
+    return out
+
+
+def _held_arrays(res: dp.SolveResult, node_id: str) -> list[np.ndarray]:
+    """A node's pre table, argmins and (at an interior node) post table."""
+    post = [res.post_tables[node_id].values] if node_id in res.post_tables else []
+    return [res.pre_tables[node_id].values, res.policy.entries[node_id][1], *post]
+
+
+def _assert_class_arrays(problem, res: dp.SolveResult) -> None:
+    """Every node holds its class's read-only arrays: the very objects its
+    representative holds."""
+    for node in problem.tree.nodes:
+        mine = _held_arrays(res, node.id)
+        theirs = _held_arrays(res, _representative(problem, node.id))
+        assert len(mine) == len(theirs)
+        assert all(a is b and not a.flags.writeable for a, b in zip(mine, theirs))
+
+
 class TestSubtreeSharing:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case", sorted(TWIN_CASES))
-    def test_twins_that_differ_deep_stay_apart(self, case, threads, request):
+    def test_twins_that_differ_deep_stay_apart(self, case, threads, request, tmp_path):
         extra, deep = TWIN_CASES[case]
         problem = market.build_problem_cash(twin_market(**extra), radius=1.0, points=9)
         for k in range(1, len(deep) + 1):  # every twin pair on the way to the item
@@ -2023,8 +2078,11 @@ class TestSubtreeSharing:
         if threads > 1:
             request.getfixturevalue("split_everywhere")
         cfg = dp.SolveConfig(threads=threads)
-        unshared = replace(problem, local_keys=None)
-        assert solve_bytes(problem, cfg) == solve_bytes(unshared, cfg)
+        shared, unshared = (dp.backward_solve(p, cfg=cfg)
+                            for p in (problem, replace(problem, local_keys=None)))
+        assert result_bytes(shared) == result_bytes(unshared)
+        assert _csv_bytes(shared, tmp_path) == _csv_bytes(unshared, tmp_path)
+        _assert_class_arrays(problem, shared)
 
     def test_identical_twins_share(self):
         problem = market.build_problem_cash(twin_market(), radius=1.0, points=9)
@@ -2032,6 +2090,15 @@ class TestSubtreeSharing:
             twin = "u" + node.id[1:]
             assert _representative(problem, node.id) == _representative(problem, twin)
         assert _representative(problem, "d") == "u"
+        res = dp.backward_solve(problem)
+        _assert_class_arrays(problem, res)
+        with pytest.raises(ValueError, match="read-only"):
+            res.pre_tables["d"].values[0] = 0.0
+        # without local keys every node is a class of its own
+        unkeyed = replace(problem, local_keys=None)
+        unshared = dp.backward_solve(unkeyed)
+        _assert_class_arrays(unkeyed, unshared)
+        assert unshared.pre_tables["d"].values is not unshared.pre_tables["u"].values
 
     def test_recombining_binomial_searches_each_class_once(self):
         # the perturbation-free deep-binomial market (up 1.2, down 0.85), T=5:

@@ -1,4 +1,4 @@
-"""Bit-for-bit output corpus of the existence check and the null space.
+"""Bit-for-bit output corpus of the existence check, the null space and the solve.
 
 Prints one line per category: its name, the sha256 of the JSON map of its
 per-case sha256s, its number of cases, and the least and the largest
@@ -25,6 +25,10 @@ The categories:
   witness and method (2,400 checks).
 * ``positivity``: every ``efun.positivity_off_origin`` call that
   ``tests/test_efun.py`` makes, hypothesis derandomized.
+* ``solve``: ``treedp solve --radius 1 --points 9 --threads 1`` on
+  perfbench's deep-binomial models at seeds 0-3 and on the tests'
+  ``twin_market`` cases: exit code, stdout, ``solve_report.json``,
+  ``policy.csv`` and ``value_tables.csv``.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
-from conftest import exp_utility, random_frictionless_tree, stacked_route  # noqa: E402
+from conftest import exp_utility, random_frictionless_tree, stacked_route, twin_market  # noqa: E402
 from test_cones import history_sum_problem, limited_model, random_history_problem  # noqa: E402
-from test_dp import RANDOM_MARKETS, _random_market  # noqa: E402
+from test_dp import RANDOM_MARKETS, TWIN_CASES, _random_market  # noqa: E402
 
 from treedp import _polyhedral, cli, cones, efun, market  # noqa: E402
 
@@ -72,21 +76,28 @@ def _check_bytes(problem) -> str:
     return repr(cones.check_horizon_positivity(problem).report_dict())
 
 
+def _cli_bytes(model, args: list[str], outputs: tuple[str, ...]) -> str:
+    """sha256 of ``treedp <args[0]> model.json <args[1:]> --out o`` on
+    ``model`` in the current directory: exit code, stdout and ``outputs``."""
+    Path("model.json").write_text(json.dumps(market.market_to_dict(model)))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([args[0], "model.json", *args[1:], "--out", "o"])
+    files = [Path("o", f) for f in outputs]
+    digest = _sha(code, stdout.getvalue(), *(f.read_bytes() if f.exists() else b"-" for f in files))
+    for f in files:
+        f.unlink(missing_ok=True)
+    return digest
+
+
 def check() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         for seed in range(4):
             for name, model in inputs.check_models(seed).items():
-                Path("model.json").write_text(json.dumps(market.market_to_dict(model)))
                 for form in FORMS:
-                    stdout = io.StringIO()
-                    with contextlib.redirect_stdout(stdout):
-                        code = cli.main(["check", "model.json", "--form", form, "--out", "o"])
-                    files = [Path("o", f) for f in ("check_report.json", "witness.csv")]
-                    out[f"{name}-{seed}-{form}"] = _sha(
-                        code, stdout.getvalue(), *(f.read_bytes() if f.exists() else b"-" for f in files))
-                    for f in files:
-                        f.unlink(missing_ok=True)
+                    out[f"{name}-{seed}-{form}"] = _cli_bytes(
+                        model, ["check", "--form", form], ("check_report.json", "witness.csv"))
     return out
 
 
@@ -183,7 +194,17 @@ def positivity() -> dict:
     return out
 
 
-CATEGORIES = {f.__name__: f for f in (check, null_space, stacked, float_priced, positivity)}
+def solve() -> dict:
+    models = {f"deep-binomial-{seed}": inputs.deep_binomial_model(seed) for seed in range(4)}
+    models["twin"] = twin_market()
+    models.update((f"twin-{case}", twin_market(**extra)) for case, (extra, _) in TWIN_CASES.items())
+    args = ["solve", "--radius", "1", "--points", "9", "--threads", "1"]
+    outputs = ("solve_report.json", "policy.csv", "value_tables.csv")
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        return {key: _cli_bytes(model, args, outputs) for key, model in models.items()}
+
+
+CATEGORIES = {f.__name__: f for f in (check, null_space, stacked, float_priced, positivity, solve)}
 
 
 def main(argv: list[str]) -> None:
