@@ -41,7 +41,6 @@ from .dp import (
     BudgetExceeded,
     GridTooCoarse,
     NumericFailure,
-    Policy,
     Problem,
     SearchBoxExhausted,
     SolveConfig,

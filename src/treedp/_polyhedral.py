@@ -38,6 +38,8 @@ import numpy as np
 LP_TOL = 1e-9
 #: an LP optimum beyond this certifies a nonzero direction (a one-sided ray's slack)
 SLACK_TOL = 1e-7
+#: a singular value at most this times max(m, d) times the largest one counts as zero
+RANK_RTOL = 1e-10
 
 
 def linprog(*args, **kwargs):
@@ -141,13 +143,13 @@ def cone_is_subspace(rows: np.ndarray, dim: int) -> tuple[bool, np.ndarray | Non
     return ray is None, ray
 
 
-def kernel_basis(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def kernel_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of ``matrix``: its
     :func:`kernel_bases` as a stack of one."""
-    return kernel_bases(np.atleast_2d(np.asarray(matrix, dtype=float))[None], rtol)[0]
+    return kernel_bases(np.atleast_2d(np.asarray(matrix, dtype=float))[None])[0]
 
 
-def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
+def kernel_bases(blocks: np.ndarray) -> list[np.ndarray]:
     """Orthonormal kernel basis (columns) of each (m, d) block of a
     (B, m, d) stack.
 
@@ -155,12 +157,10 @@ def kernel_bases(blocks: np.ndarray, rtol: float = 1e-10) -> list[np.ndarray]:
     equal bytes get bit-identical bases, and an all-zero block gets the
     exact identity.  Each block gets its own array.
     """
-    return _kernels(blocks, rtol, certify=False)[0]
+    return _kernels(blocks, certify=False)[0]
 
 
-def cone_kernels(
-    blocks: np.ndarray, rtol: float = 1e-10
-) -> tuple[list[np.ndarray], np.ndarray]:
+def cone_kernels(blocks: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """:func:`kernel_bases` of a (B, m, d) stack of cone rows R, and
     whether each block's cone {y : R y <= 0} is certified a subspace.
 
@@ -168,12 +168,10 @@ def cone_kernels(
     the same batched SVD; False means undecided, not "one-sided".  A block
     with no nonzero row is the whole space, so it is certified.
     """
-    return _kernels(blocks, rtol, certify=True)
+    return _kernels(blocks, certify=True)
 
 
-def _kernels(
-    blocks: np.ndarray, rtol: float, certify: bool
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _kernels(blocks: np.ndarray, certify: bool) -> tuple[list[np.ndarray], np.ndarray]:
     B, m, d = blocks.shape
     flat = np.ascontiguousarray(blocks, dtype=float).reshape(B, m * d)
     if not flat.size:
@@ -187,7 +185,7 @@ def _kernels(
     if live.size:
         # only the certificate reads U, and with m < d a thin V^T misses kernel rows
         u, s, vt = np.linalg.svd(distinct[live], full_matrices=certify or m < d)
-        tol = rtol * max(m, d) * s[:, :1]
+        tol = RANK_RTOL * max(m, d) * s[:, :1]
         for i, rank, ui, v in zip(live.tolist(), (s > tol).sum(axis=1).tolist(), u, vt):
             bases[i] = v[rank:].T
             subspace[i] = certify and _stiemke(distinct[i], ui, rank)

@@ -22,6 +22,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -247,6 +248,13 @@ class _Parser(argparse.ArgumentParser):
     """A command-line error is malformed input: ``error: ...`` and exit 1
     (argparse's own exit 2 is ``EXIT_FAILS`` here).  Subparsers are made
     of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" + digit, "." or inf/nan is a value (``--grids -1:1:3``).  argparse's
+        # ``_parse_optional`` reads this private attribute; if a Python release
+        # stops, tests/test_cli.py's space-separated --grids/--tol cases fail.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(EXIT_MALFORMED, f"error: {message}\n{self.format_usage()}")

@@ -40,6 +40,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -119,8 +120,12 @@ class SolveConfig:
     threads: int = 1             # processes a stage search may split over
 
     def __post_init__(self):
-        if self.grid_points < 5 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd and >= 5")
+        for name, least in (("grid_points", 5), ("threads", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        if self.grid_points % 2 == 0:
+            raise ValueError(f"grid_points must be odd, got {self.grid_points}")
         for name in ("eps_ref", "eps_opt", "eps_gap"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -129,8 +134,6 @@ class SolveConfig:
                              f"got {self.box_init} and {self.box_max}")
         if not (0 <= self.margin < math.inf):
             raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def exact_refine(self) -> "SolveConfig":
         """Variant used by the interpolation-free nested recursion."""
@@ -959,23 +962,13 @@ class ValueTable:
         return interp_multilinear(self.axes, self.values, Q)
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Per-node optimal decisions on the entering-state grid.
-
-    This is the exported form of the policy, a plain array per node; the
-    solver's forward pass re-optimizes at the exactly visited states
-    instead of looking decisions up on the grid.
-    """
-
-    entries: Mapping[str, tuple[tuple[np.ndarray, ...], np.ndarray]]
-
-
 @dataclass
 class SolveResult:
     value: float
     forward_value: float
-    policy: Policy
+    # node id -> (entering-state axes, argmins), the exported policy: the forward
+    # pass re-optimizes at the visited states instead of looking decisions up
+    policy: Mapping[str, tuple[tuple[np.ndarray, ...], np.ndarray]]
     strategy: AdaptedSequence
     pre_tables: dict[str, ValueTable]
     post_tables: dict[str, ValueTable]
@@ -1189,8 +1182,6 @@ def backward_solve(
     problem: Problem,
     grids: Mapping[int, Sequence[np.ndarray]] | None = None,
     cfg: SolveConfig = DEFAULT_CONFIG,
-    forward: str = "greedy",
-    check_gap: bool = True,
 ) -> SolveResult:
     """Run the backward recursion and extract a policy.
 
@@ -1217,9 +1208,10 @@ def backward_solve(
     solve, so :class:`NumericFailure` and :class:`SearchBoxExhausted` name
     the same node and state count.
 
-    The returned ``value`` is the table root value; ``forward_value``
-    re-evaluates the true objective of the extracted policy with
-    :func:`forward_pass` in mode ``forward`` ("greedy" or "exact").
+    The returned ``value`` is the table root value; ``forward_value`` prices
+    the extracted policy with the greedy :func:`forward_pass`, and exceeding
+    ``value`` by more than ``cfg.eps_gap * (1 + |value|)`` raises
+    :class:`GridTooCoarse` (``eps_gap=math.inf`` never does).
     """
     tree = problem.tree
     T = tree.horizon
@@ -1227,7 +1219,7 @@ def backward_solve(
         grids = problem.meta.get("grids", {})
     pre: dict[str, ValueTable] = {}
     post: dict[str, ValueTable] = {}
-    policy_entries: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
+    policy: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
     diagnostics: dict = {"nodes": {}}
     # a table entry below the conditional expectation of the declared lower
     # bound means the model builder declared an invalid bound
@@ -1275,7 +1267,7 @@ def backward_solve(
         bounds = problem._lower_bounds[P]
         for i, (node, c) in enumerate(zip(nodes, scatter.tolist())):
             pre[node.id] = ValueTable(node.id, axes, tables[c], "pre")
-            policy_entries[node.id] = (axes, argmins[c])
+            policy[node.id] = (axes, argmins[c])
             diagnostics["nodes"][node.id] = {
                 "expansions": int(counters["expansions"][i]),
                 "sweeps": int(counters["sweeps"][i]),
@@ -1287,10 +1279,7 @@ def backward_solve(
     diagnostics["lower_bound_violations"] = bound_violations
 
     value = float(pre[tree.root.id].values.reshape(-1)[0])
-    policy = Policy(policy_entries)
-    forward_value, strategy = forward_pass(
-        problem, pre, post, policy, cfg, mode=forward
-    )
+    forward_value, strategy = forward_pass(problem, pre, post, policy, cfg)
     result = SolveResult(
         value=value,
         forward_value=forward_value,
@@ -1300,7 +1289,7 @@ def backward_solve(
         post_tables=post,
         diagnostics=diagnostics,
     )
-    if check_gap and math.isfinite(value):
+    if math.isfinite(value):
         tol = cfg.eps_gap * (1.0 + abs(value))
         if forward_value > value + tol:
             raise GridTooCoarse(value, forward_value, tol)
@@ -1311,7 +1300,7 @@ def forward_pass(
     problem: Problem,
     pre: Mapping[str, ValueTable],
     post: Mapping[str, ValueTable],
-    policy: Policy,
+    policy: Mapping,
     cfg: SolveConfig = DEFAULT_CONFIG,
     mode: str = "greedy",
 ) -> tuple[float, AdaptedSequence]:
@@ -1339,7 +1328,7 @@ def forward_pass(
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown forward mode {mode!r}")
-    tables, search_cfg = (post, cfg) if mode == "greedy" else (None, cfg.exact_refine())
+    tables, search_cfg = _search_setup(post, cfg, "tables" if mode == "greedy" else "exact")
     minima: dict[int, tuple[bytes, bytes, np.ndarray]] = {}
 
     def decide(t: int, K: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -1451,34 +1440,28 @@ def _strategy_decisions(
 
 
 def _search_setup(
-    result: "SolveResult | None", cfg: SolveConfig, method: str
+    post: Mapping[str, ValueTable] | None, cfg: SolveConfig, method: str
 ) -> tuple[Mapping[str, ValueTable] | None, SolveConfig]:
-    """The post tables and search config of a verification ``method``: the
-    solve's own tables and ``cfg`` for "tables", no tables and
-    ``cfg.exact_refine()`` (the nested recursion) for "exact"."""
+    """The post tables and search config of ``method``: ``post`` and ``cfg``
+    for "tables", no tables and ``cfg.exact_refine()`` (the nested
+    recursion) for "exact"."""
     if method == "exact":
         return None, cfg.exact_refine()
     if method != "tables":
         raise ValueError(f"unknown verification method {method!r}")
-    if result is None:
+    if post is None:
         raise ValueError("a solve result is required for method='tables'")
-    return result.post_tables, cfg
+    return post, cfg
 
 
 def _strategy_points(
-    problem: Problem,
-    strategy: AdaptedSequence,
-    result: "SolveResult | None",
-    cfg: SolveConfig,
-    method: str,
+    problem: Problem, strategy: AdaptedSequence, tables: Mapping | None, search_cfg: SolveConfig
 ) -> list[tuple[Callable, _Stage, np.ndarray]]:
     """Per stage along the strategy: (objective f, the stage of the pass,
-    f at the strategy's decisions), one row per node.
-
-    ``method="tables"`` gives f the solver's table continuation,
-    ``method="exact"`` the nested recursion's (see :func:`_search_setup`).
+    f at the strategy's decisions), one row per node; f continues on the
+    post ``tables``, or by the nested recursion when they are None,
+    searched with ``search_cfg`` (see :func:`_search_setup`).
     """
-    tables, search_cfg = _search_setup(result, cfg, method)
     tree = problem.tree
     T = tree.horizon
     _, stages, leaf = _stagewise(problem, _strategy_decisions(problem, strategy))
@@ -1524,7 +1507,7 @@ def expectation_chain(
     problem: Problem,
     strategy: AdaptedSequence,
     result: "SolveResult | None" = None,
-    cfg: SolveConfig | None = None,
+    cfg: SolveConfig = DEFAULT_CONFIG,
     method: str = "tables",
 ) -> list[float]:
     """E h_t(x^t) for t = 0..T along the strategy.
@@ -1540,8 +1523,8 @@ def expectation_chain(
     strategy (see :func:`verify_optimality`): those are minima over the
     decision, not values at it.
     """
-    points = _strategy_points(problem, strategy, result, cfg or DEFAULT_CONFIG, method)
-    return _chain(problem, points)
+    tables, search_cfg = _search_setup(result and result.post_tables, cfg, method)
+    return _chain(problem, _strategy_points(problem, strategy, tables, search_cfg))
 
 
 @dataclass
@@ -1600,9 +1583,9 @@ def verify_optimality(
     bumped or edited ones), config, result or method is searched as
     usual; the chain is always evaluated.
     """
-    points = _strategy_points(problem, strategy, result, cfg, method)
+    tables, search_cfg = _search_setup(result and result.post_tables, cfg, method)
+    points = _strategy_points(problem, strategy, tables, search_cfg)
     chain = _chain(problem, points)
-    tables, search_cfg = _search_setup(result, cfg, method)
     record = strategy._record if isinstance(strategy._record, _StageMinima) else None
     gaps: dict[str, float] = {}
     for t, (f, (K, S, X, *_), here) in enumerate(points):
@@ -1875,7 +1858,7 @@ def export_tables_csv(result: SolveResult, path: str) -> None:
 
 def export_policy_csv(result: SolveResult, path: str) -> None:
     """Plot-ready dump: node, entering-state coordinates, decision."""
-    entries = result.policy.entries
+    entries = result.policy
     swidth = max((len(axes) for axes, _ in entries.values()), default=0)
     dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
     with open(path, "w", newline="") as fh:

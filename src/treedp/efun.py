@@ -22,7 +22,7 @@ lower bound, flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -562,15 +562,15 @@ def _horizon_impl(f: ExtFun) -> _HInfo:
     raise UnsupportedStructure(f"no horizon rule for {type(f).__name__}")
 
 
-def horizon(f: ExtFun, require_exact: bool = True) -> ExtFun:
+def horizon(f: ExtFun) -> ExtFun:
     """The horizon (growth-at-infinity) function of ``f``, symbolically.
 
-    With ``require_exact`` (the default) raises :class:`UnsupportedStructure`
-    unless every rule applied is exact; otherwise the result is a certified
-    lower bound on the true horizon function.
+    Raises :class:`UnsupportedStructure` unless every rule applied is
+    exact; :func:`horizon_with_flags` returns the certified lower bound
+    that an inexact rule gives.
     """
     info = _horizon_impl(f)
-    if require_exact and not info.exact:
+    if not info.exact:
         raise UnsupportedStructure(
             "horizon is not exact for this expression: " + "; ".join(info.notes)
         )
@@ -578,7 +578,8 @@ def horizon(f: ExtFun, require_exact: bool = True) -> ExtFun:
 
 
 def horizon_with_flags(f: ExtFun) -> tuple[ExtFun, bool, tuple[str, ...]]:
-    """Like :func:`horizon` but returning (function, exact, notes)."""
+    """(function, exact, notes): a certified lower bound on the horizon of
+    ``f``, equal to it when ``exact``; the notes name the inexact rules."""
     info = _horizon_impl(f)
     return info.fn, info.exact, info.notes
 
@@ -830,17 +831,34 @@ def to_spec(f: ExtFun) -> dict:
 
 def from_spec(d: Mapping) -> ExtFun:
     """Inverse of :func:`to_spec`; numbers may be strings that ``float`` reads
-    ("inf", "-inf"), and an absent optional field takes its default."""
-    kind = d.get("kind")
+    ("inf", "-inf"), and an absent optional field takes its default.  An
+    unknown key, an absent required field and an ``int`` field that is not
+    an integer (or a whole float) raise ValueError naming the field."""
+    kind = d.get("kind") if isinstance(d, Mapping) else None
     cls = KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown expression kind {kind!r}")
+    keys = {"children" if f.name in ("terms", "inner") else f.name: f for f in fields(cls)}
+    unknown = [k for k in d if k != "kind" and k not in keys]
+    if unknown:
+        raise ValueError(f"{kind}: unknown key {unknown[0]!r}")
     args = {}
-    for fld in fields(cls):
-        if fld.name == "terms":
-            args["terms"] = tuple(from_spec(c) for c in d["children"])
-        elif fld.name == "inner":
-            args["inner"] = from_spec(d["children"][0])
-        elif fld.name in d:
-            args[fld.name] = int(d[fld.name]) if fld.type == "int" else d[fld.name]
+    for key, fld in keys.items():
+        v = d.get(key, MISSING)
+        if v is MISSING:
+            if fld.default is MISSING:
+                raise ValueError(f"{kind}: missing field {key!r}")
+        elif key == "children":
+            one = fld.name == "inner"
+            if not isinstance(v, list) or (one and len(v) != 1):
+                want = "one expression" if one else "expressions"
+                raise ValueError(f"{kind}: 'children' must be a list of {want}")
+            args[fld.name] = from_spec(v[0]) if one else tuple(from_spec(c) for c in v)
+        elif fld.type == "int":
+            whole = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+            if isinstance(v, bool) or not whole:
+                raise ValueError(f"{kind}: field {key!r} must be an integer, got {v!r}")
+            args[fld.name] = int(v)
+        else:
+            args[fld.name] = v
     return cls(**args)

@@ -247,7 +247,7 @@ def result_bytes(res: dp.SolveResult) -> tuple:
         {k: x.tobytes() for k, x in res.strategy.values.items()},
         {k: t.values.tobytes() for k, t in res.pre_tables.items()},
         {k: t.values.tobytes() for k, t in res.post_tables.items()},
-        {k: a.tobytes() for k, (_, a) in res.policy.entries.items()},
+        {k: a.tobytes() for k, (_, a) in res.policy.items()},
         res.diagnostics,
     )
 
@@ -328,6 +328,20 @@ def get_solved(name: str) -> tuple[Bench, dp.SolveResult]:
     if name not in _SOLVE_CACHE:
         _SOLVE_CACHE[name] = dp.backward_solve(bench.problem, cfg=bench.cfg)
     return bench, _SOLVE_CACHE[name]
+
+
+def exact_forward(
+    problem: dp.Problem, res: dp.SolveResult, cfg: dp.SolveConfig = dp.DEFAULT_CONFIG
+) -> tuple[float, td.AdaptedSequence]:
+    """The exact price and strategy of a solve's policy: the forward pass
+    against the nested recursion.  The tables must price that policy within
+    ``cfg.eps_gap * (1 + |value|)``, the bound ``backward_solve`` puts on the
+    greedy price."""
+    value, strategy = dp.forward_pass(problem, res.pre_tables, res.post_tables,
+                                      res.policy, cfg, mode="exact")
+    if math.isfinite(res.value):
+        assert value <= res.value + cfg.eps_gap * (1.0 + abs(res.value)), (value, res.value)
+    return value, strategy
 
 
 # ---------------------------------------------------------------------------

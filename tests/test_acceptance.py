@@ -19,6 +19,7 @@ from conftest import (
     BENCH_BUILDERS,
     arbitrage_model,
     axis_grid,
+    exact_forward,
     get_bench,
     get_solved,
     random_frictionless_model,
@@ -83,9 +84,10 @@ def test_criterion_03_optimality_characterization():
     worst_gap = 0.0
     for name in BENCH_BUILDERS:
         bench = get_bench(name)
-        res = dp.backward_solve(bench.problem, cfg=bench.cfg, forward="exact")
+        res = dp.backward_solve(bench.problem, cfg=bench.cfg)
+        _, strategy = exact_forward(bench.problem, res, bench.cfg)
         rep = dp.verify_optimality(
-            bench.problem, res, res.strategy, cfg=bench.cfg, method="exact"
+            bench.problem, res, strategy, cfg=bench.cfg, method="exact"
         )
         diffs = [abs(rep.chain[t + 1] - rep.chain[t]) for t in range(len(rep.chain) - 1)]
         worst_diff = max(worst_diff, max(diffs, default=0.0))
@@ -93,8 +95,8 @@ def test_criterion_03_optimality_characterization():
         assert rep.optimal, (name, rep.chain, rep.node_gaps)
     # perturbation on the strictly nonconvex fixture breaks an equality
     bench = get_bench("sshaped_t2")
-    res = dp.backward_solve(bench.problem, cfg=bench.cfg, forward="exact")
-    bumped = dict(res.strategy.values)
+    res = dp.backward_solve(bench.problem, cfg=bench.cfg)
+    bumped = dict(exact_forward(bench.problem, res, bench.cfg)[1].values)
     bumped["u"] = bumped["u"] + 0.1
     broken = dp.verify_optimality(
         bench.problem, res, td.AdaptedSequence(bumped), cfg=bench.cfg, method="exact"
@@ -140,7 +142,7 @@ def test_criterion_04_horizon_calculus():
         (td.Affine([1.5], 0.0), td.PowerCost(0.3, 1.7, 1)),
     ]
     for f, g in pairs:
-        Hs = td.horizon(Sum((f, g)), require_exact=False)
+        Hs = td.horizon_with_flags(Sum((f, g)))[0]
         Hf, Hg = td.horizon(f), td.horizon(g)
         for _ in range(50):
             w = rng.standard_normal(1)

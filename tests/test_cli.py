@@ -593,6 +593,30 @@ class TestOracle:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value, well_formed", [
+        ("--grids", "-1:1:3", True), ("--grids", "-1:-0.5:3", True),
+        ("--grids", "-.5:1:3", True), ("--grids", "-inf:1:3", False),
+        ("--tol", "1e-2", True), ("--tol", "-1e-3", False), ("--tol", "-inf", False),
+    ])
+    def test_flag_value_with_a_leading_minus_reads_in_both_forms(
+        self, flag, value, well_formed, toy_file, tmp_path, capsys
+    ):
+        def run(argv, out):
+            argv = ["oracle", toy_file, *argv, "--out", str(out)]
+            if flag != "--grids":
+                argv.append("--grids=-1:1:3")
+            try:
+                code = cli.main(argv)
+            except SystemExit as err:
+                code = err.code
+            report = out / "oracle_report.json"
+            return code, capsys.readouterr(), report.read_bytes() if report.exists() else None
+
+        joined = run([f"{flag}={value}"], tmp_path / "a")
+        spaced = run([flag, value], tmp_path / "b")
+        assert spaced == joined
+        assert (joined[0] != cli.EXIT_MALFORMED) == (joined[2] is not None) == well_formed
+
     def test_brute_force_numeric_failure_exit_4(self, toy_file, tmp_path, capsys, monkeypatch):
         # reported as the solve reports one: an error record, not a traceback
         def nan_objective(problem, grids):

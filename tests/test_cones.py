@@ -15,6 +15,7 @@ from conftest import (
     binomial_prices,
     binomial_tree,
     duplicated_asset_model,
+    exact_forward,
     exp_utility,
     expr_bytes,
     get_bench,
@@ -311,18 +312,18 @@ class TestNullSpaceMultiStage:
         assert cones.check_horizon_positivity(projected).verdict == "holds"
         # exact-polished forwards remove the (coarse) grid error on both
         # sides; merging the identical assets gives a one-asset oracle
-        res = dp.backward_solve(projected, cfg=dp.SolveConfig(eps_gap=0.1),
-                                forward="exact")
+        cfg = dp.SolveConfig(eps_gap=0.1)
+        res = dp.backward_solve(projected, cfg=cfg)
+        value = exact_forward(projected, res, cfg)[0]
         one_asset = market.MarketModel(
             tree=tree, n_risky=1,
             prices={k: v[:1] for k, v in prices.items()},
             cost=market.Frictionless(), utility=exp_utility(), initial_cash=1.0,
         )
-        res1 = dp.backward_solve(
-            market.build_problem_cash(one_asset, radius=1.5, points=129),
-            forward="exact",
-        )
-        assert res.forward_value == pytest.approx(res1.forward_value, abs=1e-5)
+        problem1 = market.build_problem_cash(one_asset, radius=1.5, points=129)
+        res1 = dp.backward_solve(problem1)
+        value1 = exact_forward(problem1, res1)[0]
+        assert value == pytest.approx(value1, abs=1e-5)
 
 
 class TestProjectProblem:

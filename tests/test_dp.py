@@ -28,6 +28,7 @@ from conftest import (
     axis_grid,
     binomial_prices,
     binomial_tree,
+    exact_forward,
     get_bench,
     get_solved,
     result_bytes,
@@ -214,10 +215,16 @@ class TestBackwardSolve:
         dict(box_init=0.0), dict(box_init=-1.0), dict(box_init=math.nan),
         dict(box_max=math.nan), dict(box_max=INF), dict(box_init=2.0, box_max=1.0),
         dict(margin=-1.0), dict(margin=math.nan), dict(margin=INF),
+        dict(grid_points=7.0), dict(grid_points=True), dict(grid_points="7"),
+        dict(threads=1.5), dict(threads=True), dict(threads=None),
     ])
     def test_config_rejects_bad_search_box(self, kwargs):
-        with pytest.raises(ValueError, match="box_init|margin"):
+        with pytest.raises(ValueError, match="|".join(kwargs)):
             dp.SolveConfig(**kwargs)
+
+    def test_config_takes_integer_types(self):
+        cfg = dp.SolveConfig(grid_points=np.int64(7), threads=np.int32(2))
+        assert (cfg.grid_points, cfg.threads) == (7, 2)
 
     def test_t0_quadratic(self):
         res = dp.backward_solve(quad_problem(), grids={})
@@ -261,7 +268,7 @@ class TestBackwardSolve:
         grids = {0: (np.array([-2.0, 0.0, 2.0]),), 1: (np.array([-2.0, 0.0, 2.0]),)}
         with pytest.raises(dp.GridTooCoarse):
             dp.backward_solve(problem, grids=grids)
-        res = dp.backward_solve(problem, grids=grids, check_gap=False)
+        res = dp.backward_solve(problem, grids, replace(dp.DEFAULT_CONFIG, eps_gap=math.inf))
         assert res.forward_value > res.value + 0.1
         fine = {t: (np.linspace(-2, 2, 801),) for t in (0, 1)}
         good = dp.backward_solve(problem, grids=fine)
@@ -321,16 +328,27 @@ class TestVerifyOptimality:
 
     def test_exact_mode_on_polished_policy(self):
         bench = get_bench("sshaped_t2")
-        res = dp.backward_solve(bench.problem, cfg=bench.cfg, forward="exact")
-        rep = dp.verify_optimality(bench.problem, res, res.strategy, method="exact")
+        res = dp.backward_solve(bench.problem, cfg=bench.cfg)
+        _, strategy = exact_forward(bench.problem, res, bench.cfg)
+        rep = dp.verify_optimality(bench.problem, res, strategy, method="exact")
         assert rep.optimal
         diffs = [abs(rep.chain[t + 1] - rep.chain[t]) for t in range(len(rep.chain) - 1)]
         assert max(diffs) <= 1e-6
 
+    def test_unknown_mode_and_method_are_rejected(self):
+        bench, res = get_solved("frictionless_t1")
+        problem = bench.problem
+        with pytest.raises(ValueError, match="unknown forward mode 'tables'"):
+            dp.forward_pass(problem, res.pre_tables, res.post_tables, res.policy, mode="tables")
+        with pytest.raises(ValueError, match="unknown verification method 'greedy'"):
+            dp.verify_optimality(problem, res, res.strategy, method="greedy")
+        with pytest.raises(ValueError, match="a solve result is required"):
+            dp.expectation_chain(problem, res.strategy)
+
     def test_perturbation_breaks_equality(self):
         bench = get_bench("sshaped_t2")
-        res = dp.backward_solve(bench.problem, cfg=bench.cfg, forward="exact")
-        bumped = dict(res.strategy.values)
+        res = dp.backward_solve(bench.problem, cfg=bench.cfg)
+        bumped = dict(exact_forward(bench.problem, res, bench.cfg)[1].values)
         bumped["u"] = bumped["u"] + 0.1
         rep = dp.verify_optimality(
             bench.problem, res, td.AdaptedSequence(bumped), method="exact"
@@ -709,7 +727,8 @@ class TestStagewisePass:
             cont = (dp._exact_continuation(problem, t, cfg.exact_refine()) if method == "exact"
                     else dp._table_continuation(problem, t, res.post_tables))
             want.append(st.cost + cont(st.K, st.post))
-        got = [here for _, _, here in dp._strategy_points(problem, res.strategy, res, cfg, method)]
+        setup = dp._search_setup(res.post_tables, cfg, method)
+        got = [here for _, _, here in dp._strategy_points(problem, res.strategy, *setup)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_leaf_values_evaluated_once(self, monkeypatch):
@@ -807,7 +826,7 @@ def _ref_export_tables_csv(result: dp.SolveResult, path: str) -> None:
 
 
 def _ref_export_policy_csv(result: dp.SolveResult, path: str) -> None:
-    entries = result.policy.entries
+    entries = result.policy
     swidth = max((len(axes) for axes, _ in entries.values()), default=0)
     dwidth = max((arr.shape[-1] for _, arr in entries.values()), default=0)
     coords: dict[int, list[list[str]]] = {}
@@ -855,7 +874,7 @@ def _odd_result(state_axes: int, ndims: list[int]) -> dp.SolveResult:
         pre[nid] = dp.ValueTable(nid, axes, pick(i, size).reshape(shape), "pre")
         post[nid] = dp.ValueTable(nid, (), pick(i + 5, 1).reshape(()), "post")
         policy[nid] = (axes, pick(2 * i, size * ndim).reshape(shape + (ndim,)))
-    return dp.SolveResult(INF, INF, dp.Policy(policy), td.AdaptedSequence({}), pre, post, {})
+    return dp.SolveResult(INF, INF, policy, td.AdaptedSequence({}), pre, post, {})
 
 
 class TestExports:
@@ -898,7 +917,7 @@ class TestExports:
         # array object per class as a solve shares them, or distinct
         # arrays of equal bytes
         res = _odd_result(2, [2, 2, 2, 2])
-        pre, post, entries = res.pre_tables, res.post_tables, res.policy.entries
+        pre, post, entries = res.pre_tables, res.post_tables, res.policy
 
         def held(a):
             return a.copy() if copies else a
@@ -1398,14 +1417,14 @@ class TestStageBatchedMatchesPerNode:
     def test_backward_greedy_and_table_verification(self, name, threads, request):
         problem, cfg, pre, post, policy, diags, fwd, decisions, verify = _reference(name)
         forks = request.getfixturevalue("split_everywhere") if threads > 1 else None
-        res = dp.backward_solve(problem, cfg=replace(cfg, threads=threads), check_gap=False)
+        res = dp.backward_solve(problem, cfg=replace(cfg, threads=threads, eps_gap=math.inf))
         if forks is not None:  # stage 0 searches only the initial state
             assert bool(forks) == any(problem.decision_dims[1:])
         assert _same_arrays({k: t.values for k, t in res.pre_tables.items()},
                             {k: t.values for k, t in pre.items()})
         assert _same_arrays({k: t.values for k, t in res.post_tables.items()},
                             {k: t.values for k, t in post.items()})
-        assert _same_arrays({k: a for k, (_, a) in res.policy.entries.items()}, policy)
+        assert _same_arrays({k: a for k, (_, a) in res.policy.items()}, policy)
         assert res.diagnostics["nodes"] == diags
         assert res.value == pre[problem.tree.root.id].values.reshape(-1)[0]
         assert res.forward_value == fwd
@@ -1468,12 +1487,12 @@ def _bowl(K, S, X, post=None):
 
 def _fan_outcome(stage_funs, threads):
     """The solve's values and decisions as bytes, or the error it raises."""
-    cfg = dp.SolveConfig(threads=threads)
+    cfg = dp.SolveConfig(eps_gap=math.inf, threads=threads)
     try:
-        res = dp.backward_solve(_fan_problem(stage_funs), FAN_GRIDS, cfg, check_gap=False)
+        res = dp.backward_solve(_fan_problem(stage_funs), FAN_GRIDS, cfg)
     except (dp.NumericFailure, dp.SearchBoxExhausted) as e:
         return type(e).__name__, str(e)
-    return tuple((k, t.values.tobytes(), res.policy.entries[k][1].tobytes())
+    return tuple((k, t.values.tobytes(), res.policy[k][1].tobytes())
                  for k, t in res.pre_tables.items())
 
 
@@ -1900,7 +1919,7 @@ class TestExactVerificationReusesForwardMinima:
     def test_decision_free_stages_read_the_chain(self, method, monkeypatch):
         problem, cfg, _, post = _reference("cash_hold_first")[:4]
         assert problem.decision_dims[0] == 0  # the root holds
-        res = dp.backward_solve(problem, cfg=cfg, check_gap=False)
+        res = dp.backward_solve(problem, cfg=replace(cfg, eps_gap=math.inf))
         _, strategy = dp.forward_pass(problem, {}, {}, None, cfg, mode="exact")
         dims, depth = [], [0]
         orig = dp._minimize_at
@@ -1987,8 +2006,9 @@ class TestTableVerificationReusesGreedyMinima:
         "name", ["frictionless_t1", "cash_hold_first", "terminal_cash_lower_t1"])
     def test_stage_searches_run_only_without_a_matching_record(self, name, monkeypatch):
         problem, cfg = _oracle_case(name)
+        cfg = replace(cfg, eps_gap=math.inf)
         stages = sum(d > 0 for d in problem.decision_dims)
-        res = dp.backward_solve(problem, cfg=cfg, check_gap=False)
+        res = dp.backward_solve(problem, cfg=cfg)
         strategy = res.strategy
         count = _SearchCounter(monkeypatch)
 
@@ -2050,7 +2070,7 @@ def _csv_bytes(res: dp.SolveResult, tmp_path) -> list[bytes]:
 def _held_arrays(res: dp.SolveResult, node_id: str) -> list[np.ndarray]:
     """A node's pre table, argmins and (at an interior node) post table."""
     post = [res.post_tables[node_id].values] if node_id in res.post_tables else []
-    return [res.pre_tables[node_id].values, res.policy.entries[node_id][1], *post]
+    return [res.pre_tables[node_id].values, res.policy[node_id][1], *post]
 
 
 def _assert_class_arrays(problem, res: dp.SolveResult) -> None:

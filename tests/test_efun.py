@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -525,6 +526,36 @@ class TestJsonSpec:
     def test_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="unknown expression kind"):
             efun.from_spec({"kind": kind, "a": [1.0]})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "affine", "a": [1.0], "bb": 5.0}, "affine: unknown key 'bb'"),
+        ({"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": 2.7},
+         "power_cost: field 'dim' must be an integer, got 2.7"),
+        ({"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": True},
+         "power_cost: field 'dim' must be an integer"),
+        ({"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": "2"},
+         "power_cost: field 'dim' must be an integer"),
+        ({"kind": "partial_min", "keep": 1.5, "children": [
+            {"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": 2}]},
+         "partial_min: field 'keep' must be an integer"),
+        ({"kind": "affine"}, "affine: missing field 'a'"),
+        ({"kind": "sum"}, "sum: missing field 'children'"),
+        ({"kind": "affine_precompose", "matrix": [[1.0]], "children": []},
+         "affine_precompose: 'children' must be a list of one expression"),
+        ({"kind": "sum", "children": {"kind": "affine", "a": [1.0]}},
+         "sum: 'children' must be a list of expressions"),
+        ({"kind": "sum", "children": [[1.0]]}, "unknown expression kind None"),
+        ({"kind": "sum", "children": [{"kind": "affine", "a": [1.0], "c": 0}]},
+         "affine: unknown key 'c'"),
+    ])
+    def test_malformed_spec_names_the_field(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            efun.from_spec(spec)
+
+    def test_whole_number_int_fields_are_read(self):
+        for dim in (2, 2.0):
+            f = efun.from_spec({"kind": "power_cost", "coeff": 1.0, "exponent": 2.0, "dim": dim})
+            assert f.dim == 2 and type(f.dim) is int
 
     def test_infinite_bounds_spelled_as_strings(self):
         f = efun.from_spec({

@@ -29,6 +29,10 @@ The categories:
   perfbench's deep-binomial models at seeds 0-3 and on the tests'
   ``twin_market`` cases: exit code, stdout, ``solve_report.json``,
   ``policy.csv`` and ``value_tables.csv``.
+* ``certify``: perfbench's six fixtures-certify fixtures: the solve at
+  threads 1 and 2 (its JSON report and both CSV exports), the exact
+  forward pass's value and strategy, the exact verifier's report and the
+  brute-force value.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from conftest import exp_utility, random_frictionless_tree, stacked_route, twin_
 from test_cones import history_sum_problem, limited_model, random_history_problem  # noqa: E402
 from test_dp import RANDOM_MARKETS, TWIN_CASES, _random_market  # noqa: E402
 
-from treedp import _polyhedral, cli, cones, efun, market  # noqa: E402
+from treedp import _polyhedral, cli, cones, dp, efun, market  # noqa: E402
 
 FORMS = ("cash", "terminal")
 
@@ -204,7 +208,31 @@ def solve() -> dict:
         return {key: _cli_bytes(model, args, outputs) for key, model in models.items()}
 
 
-CATEGORIES = {f.__name__: f for f in (check, null_space, stacked, float_priced, positivity, solve)}
+def certify() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        for fx in inputs.fixtures():
+            for threads in (2, 1):  # the exact pass below prices the threads-1 result
+                cfg = dp.SolveConfig(threads=threads)
+                res = dp.backward_solve(fx.problem, cfg=cfg)
+                dp.export_tables_csv(res, "value_tables.csv")
+                dp.export_policy_csv(res, "policy.csv")
+                out[f"{fx.name}-solve-{threads}"] = _sha(
+                    dp.json_text(res.report_dict()), Path("value_tables.csv").read_bytes(),
+                    Path("policy.csv").read_bytes())
+            value, strategy = dp.forward_pass(
+                fx.problem, res.pre_tables, res.post_tables, res.policy, cfg, mode="exact")
+            out[f"{fx.name}-exact"] = _sha(
+                float(value).hex(), [(k, x.tobytes()) for k, x in strategy.values.items()])
+            report = dp.verify_optimality(fx.problem, res, strategy, cfg, method="exact")
+            out[f"{fx.name}-verify"] = _sha(dp.json_text(report.report_dict()))
+            bf, _ = dp.brute_force(fx.oracle_target(), fx.bf_grids)
+            out[f"{fx.name}-brute-force"] = _sha(float(bf).hex())
+    return out
+
+
+CATEGORIES = {f.__name__: f for f in (check, null_space, stacked, float_priced, positivity, solve,
+                                      certify)}
 
 
 def main(argv: list[str]) -> None:
